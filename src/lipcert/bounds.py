@@ -26,7 +26,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,6 +45,7 @@ __all__ = [
     "SampleMoments",
     "closed_form_bounds",
     "closed_form_certificate",
+    "closed_form_network_bounds",
     "derive_adagrad_params",
     "derive_gd_step",
     "input_base",
@@ -213,7 +214,6 @@ class LayerBounds:
     l_n       Lipschitz constant of theta -> N_u
     l_grad_n  Lipschitz constant of theta -> grad_theta N_u
     b_n       sup-norm bound on the layer output (may be +inf)
-    b_grad_n  sup-norm bound on the parameter Jacobian; always equals l_n
     alpha     block-perturbation part of l_grad_n^2 (new layer's parameters)
     beta      carried part of l_grad_n^2 (perturbations below this layer)
     """
@@ -221,16 +221,20 @@ class LayerBounds:
     l_n: float
     l_grad_n: float
     b_n: float
-    b_grad_n: float
     alpha: float
     beta: float
+
+    @property
+    def b_grad_n(self) -> float:
+        """Sup-norm bound on the parameter Jacobian, which l_n also bounds."""
+        return self.l_n
 
 
 def input_base(s: float) -> LayerBounds:
     """Depth-zero bounds: the constant feature map x with norm S."""
     if s < 0 or not math.isfinite(s):
         raise ValueError("input norm must be finite and nonnegative")
-    return LayerBounds(0.0, 0.0, s, 0.0, 0.0, 0.0)
+    return LayerBounds(0.0, 0.0, s, 0.0, 0.0)
 
 
 def _head_constants(env: ActivationEnvelope | LossEnvelope | None) -> tuple[float, float, float]:
@@ -264,13 +268,13 @@ def layer_step(
         raise ValueError("width_out must be a positive integer")
     if budget < 0 or math.isnan(budget):
         raise ValueError("budget must be nonnegative")
-    for name in ("l_n", "l_grad_n", "b_n", "b_grad_n"):
+    for name in ("l_n", "l_grad_n", "b_n"):
         if getattr(prev, name) < 0:
             raise ValueError(f"prev.{name} must be nonnegative")
     c1, c2, b3 = _head_constants(env)
 
     l1, l2 = prev.l_n, prev.l_grad_n
-    b1, b2 = prev.b_n, prev.b_grad_n
+    b1, b2 = prev.b_n, prev.l_n
     d = float(budget)
     n3 = float(width_out)
 
@@ -300,7 +304,7 @@ def layer_step(
             raise ValueError("head has no finite value bound, cannot certify b_n")
         b_chi = math.inf
 
-    return LayerBounds(l_chi, l_grad_chi, b_chi, l_chi, alpha, beta)
+    return LayerBounds(l_chi, l_grad_chi, b_chi, alpha, beta)
 
 
 @dataclass(frozen=True)
@@ -375,11 +379,14 @@ class Certificate:
     l_grad_n_final: float
     l_phi: float
     l_grad_phi: float
-    b_grad_phi: float
     method: str
     inputs_digest: str
     flags: tuple[str, ...] = ()
     layer_budgets: tuple[float, ...] | None = None
+
+    @property
+    def b_grad_phi(self) -> float:
+        return self.l_phi
 
     @property
     def overflowed(self) -> bool:
@@ -473,7 +480,6 @@ def loss_certificate(
         l_grad_n_final=nb_max.l_grad_n,
         l_phi=l_phi,
         l_grad_phi=l_grad_phi,
-        b_grad_phi=l_phi,
         method="recursive",
         inputs_digest=_certificate_digest(arch, inputs, loss, norms, None, "recursive"),
         flags=_overflow_flags(nb_max.l_n, nb_max.l_grad_n, l_phi, l_grad_phi),
@@ -556,6 +562,28 @@ def closed_form_bounds(
     return ClosedFormBounds(tuple(l_n_sq), tuple(l_grad_n_sq))
 
 
+def closed_form_network_bounds(
+    arch: ArchitectureSpec, inputs: BoundInputs, s: float
+) -> NetworkBounds:
+    """Network bounds whose hidden-layer constants come from the closed forms.
+
+    b_n, alpha and beta stay the recursive ones; the identity head reuses the
+    one-step composition formulas on the (larger) closed-form last layer.
+    """
+    if inputs.layer_budgets is not None:
+        raise ValueError("closed forms are defined for the uniform budget only")
+    nb = network_certificate(arch, inputs, s)
+    if arch.m == 0:
+        return nb
+    cf = closed_form_bounds(arch, inputs, s)
+    per_layer = tuple(
+        replace(lb, l_n=math.sqrt(cf.l_n_sq[u]), l_grad_n=math.sqrt(cf.l_grad_n_sq[u]))
+        for u, lb in enumerate(nb.per_layer)
+    )
+    final = layer_step(per_layer[-1], None, arch.widths[-1], nb.budgets[-1])
+    return NetworkBounds(per_layer, final, s, nb.budgets)
+
+
 def closed_form_certificate(
     arch: ArchitectureSpec,
     inputs: BoundInputs,
@@ -572,53 +600,23 @@ def closed_form_certificate(
     if moments is not None:
         raise ValueError("closed-form certificate needs explicit sample norms")
     budgets = inputs.budgets_for(arch)
-    if inputs.layer_budgets is not None:
-        raise ValueError("closed forms are defined for the uniform budget only")
-    m = arch.m
-
-    def head_states(s: float) -> tuple[LayerBounds, NetworkBounds]:
-        nb = _network_bounds(arch, budgets, s)
-        if m == 0:
-            return input_base(s), nb
-        cf = closed_form_bounds(arch, inputs, s)
-        last = nb.per_layer[-1]
-        l_cf = math.sqrt(cf.l_n_sq[-1])
-        lg_cf = math.sqrt(cf.l_grad_n_sq[-1])
-        return replace(last, l_n=l_cf, l_grad_n=lg_cf, b_grad_n=l_cf), nb
-
-    heads = []
-    for s in norms:
-        state, _ = head_states(s)
-        heads.append(layer_step(state, loss, 1, budgets[-1]))
+    heads = [
+        layer_step(closed_form_network_bounds(arch, inputs, s).last_hidden, loss, 1, budgets[-1])
+        for s in norms
+    ]
     l_phi = math.fsum(h.l_n for h in heads) / len(heads)
     l_grad_phi = math.fsum(h.l_grad_n for h in heads) / len(heads)
 
-    s_max = max(norms)
-    state_max, nb_max = head_states(s_max)
-    final = layer_step(state_max, None, arch.widths[m + 1], budgets[-1])
-    if m == 0:
-        table: tuple[LayerBounds, ...] = ()
-    else:
-        cf = closed_form_bounds(arch, inputs, s_max)
-        table = tuple(
-            replace(
-                lb,
-                l_n=math.sqrt(cf.l_n_sq[u]),
-                l_grad_n=math.sqrt(cf.l_grad_n_sq[u]),
-                b_grad_n=math.sqrt(cf.l_n_sq[u]),
-            )
-            for u, lb in enumerate(nb_max.per_layer)
-        )
+    nb_max = closed_form_network_bounds(arch, inputs, max(norms))
     return Certificate(
-        per_layer=table,
-        l_n_final=final.l_n,
-        l_grad_n_final=final.l_grad_n,
+        per_layer=nb_max.per_layer,
+        l_n_final=nb_max.l_n,
+        l_grad_n_final=nb_max.l_grad_n,
         l_phi=l_phi,
         l_grad_phi=l_grad_phi,
-        b_grad_phi=l_phi,
         method="closed_form",
         inputs_digest=_certificate_digest(arch, inputs, loss, norms, None, "closed_form"),
-        flags=_overflow_flags(final.l_n, final.l_grad_n, l_phi, l_grad_phi),
+        flags=_overflow_flags(nb_max.l_n, nb_max.l_grad_n, l_phi, l_grad_phi),
         layer_budgets=None,
     )
 
@@ -716,7 +714,6 @@ def _moment_certificate(
         l_grad_n_final=nb.l_grad_n,
         l_phi=l_phi,
         l_grad_phi=l_grad_phi,
-        b_grad_phi=l_phi,
         method="recursive",
         inputs_digest=_certificate_digest(arch, inputs, loss, None, moments, "recursive"),
         flags=_overflow_flags(nb.l_n, nb.l_grad_n, l_phi, l_grad_phi) + ("moment_mode",),
@@ -872,7 +869,6 @@ def refine_over_layer_budgets(
         l_grad_n_final=l_grad_n,
         l_phi=l_phi,
         l_grad_phi=l_grad_phi,
-        b_grad_phi=l_phi,
         method="refined_budgets",
         inputs_digest=_certificate_digest(arch, inputs, loss, norms, None, "refined_budgets"),
         flags=flags,

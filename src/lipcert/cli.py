@@ -18,7 +18,6 @@ import logging
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,10 +28,9 @@ from .bounds import (
     ArchitectureSpec,
     BoundInputs,
     LossEnvelope,
-    closed_form_bounds,
     closed_form_certificate,
+    closed_form_network_bounds,
     derive_adagrad_params,
-    layer_step,
     loss_certificate,
     network_certificate,
     refine_over_layer_budgets,
@@ -60,6 +58,7 @@ from .config import (
     config_digest,
     ensure_writable,
     get,
+    layer_rows,
     load_config,
     resolve_loss_envelope,
     samples_from_config,
@@ -164,58 +163,19 @@ def _print_table(title: str, columns: list[str], rows: list[tuple]) -> None:
 # certify
 
 
-def _network_only_dict(arch, inputs, s_max: float, cfg: dict, method: str) -> dict:
+def _network_only_dict(nb, method: str, inputs, cfg: dict) -> dict:
     """Certificate document when no loss section is configured."""
-    nb = network_certificate(arch, inputs, s_max)
-    if method == "closed_form":
-        cf = closed_form_bounds(arch, inputs, s_max)
-        if arch.m == 0:
-            final = nb.final
-            per = []
-        else:
-            last = nb.per_layer[-1]
-            last = replace(
-                last,
-                l_n=math.sqrt(cf.l_n_sq[-1]),
-                l_grad_n=math.sqrt(cf.l_grad_n_sq[-1]),
-                b_grad_n=math.sqrt(cf.l_n_sq[-1]),
-            )
-            final = layer_step(
-                last, None, arch.widths[-1], inputs.budgets_for(arch)[-1]
-            )
-            per = [
-                {
-                    "layer": u + 1,
-                    "l_n": math.sqrt(cf.l_n_sq[u]),
-                    "l_grad_n": math.sqrt(cf.l_grad_n_sq[u]),
-                    "b_n": nb.per_layer[u].b_n,
-                    "b_grad_n": math.sqrt(cf.l_n_sq[u]),
-                }
-                for u in range(arch.m)
-            ]
-    else:
-        final = nb.final
-        per = [
-            {
-                "layer": u + 1,
-                "l_n": lb.l_n,
-                "l_grad_n": lb.l_grad_n,
-                "b_n": lb.b_n,
-                "b_grad_n": lb.b_grad_n,
-            }
-            for u, lb in enumerate(nb.per_layer)
-        ]
     return {
         "kind": "network_certificate",
         "method": method,
-        "l_n_final": final.l_n,
-        "l_grad_n_final": final.l_grad_n,
+        "l_n_final": nb.l_n,
+        "l_grad_n_final": nb.l_grad_n,
         "l_phi": None,
         "l_grad_phi": None,
         "b_grad_phi": None,
-        "per_layer": per,
+        "per_layer": layer_rows(nb.per_layer),
         "layer_budgets": None if inputs.layer_budgets is None else list(inputs.layer_budgets),
-        "flags": ["overflow"] if math.isinf(final.l_n) or math.isinf(final.l_grad_n) else [],
+        "flags": ["overflow"] if math.isinf(nb.l_n) or math.isinf(nb.l_grad_n) else [],
         "inputs_digest": config_digest(cfg),
     }
 
@@ -248,8 +208,12 @@ def cmd_certify(cfg: dict, args, out: Path) -> int:
     if env is None:
         if norms is None:
             raise ConfigError("certify without a loss section needs explicit sample norms")
-        docs["recursive"] = _network_only_dict(arch, inputs, s_max, cfg, "recursive")
-        docs["closed_form"] = _network_only_dict(arch, uniform, s_max, cfg, "closed_form")
+        docs["recursive"] = _network_only_dict(
+            network_certificate(arch, inputs, s_max), "recursive", inputs, cfg
+        )
+        docs["closed_form"] = _network_only_dict(
+            closed_form_network_bounds(arch, uniform, s_max), "closed_form", uniform, cfg
+        )
         refined = None
     else:
         rec = loss_certificate(arch, inputs, env, dataset_norms=norms)

@@ -477,13 +477,19 @@ class CodeCertificate:
     x_norm: float
     b_x: float
     l_x: float
-    b_dx: float
     c_theta_theta: float
     l_dx: float
     envelopes: FieldEnvelopes
     l_phi: float | None = None
     l_grad_phi: float | None = None
-    status: str = "rigorous"
+
+    @property
+    def b_dx(self) -> float:
+        return self.l_x
+
+    @property
+    def status(self) -> str:
+        return "rigorous"
 
 
 def code_certificate(
@@ -511,7 +517,6 @@ def code_certificate(
         x_norm=x_norm,
         b_x=b_x,
         l_x=l_x,
-        b_dx=l_x,
         c_theta_theta=c_tt,
         l_dx=l_dx,
         envelopes=e,

@@ -21,6 +21,7 @@ from .bounds import (
     ArchitectureSpec,
     BoundInputs,
     Certificate,
+    LayerBounds,
     LossEnvelope,
     RefinementSearch,
     SampleMoments,
@@ -264,7 +265,7 @@ def build_field_envelopes(doc: dict, where: str = "envelopes") -> FieldEnvelopes
 # serialization
 
 
-def _layer_rows(cert: Certificate) -> list[dict]:
+def layer_rows(per_layer: Sequence[LayerBounds]) -> list[dict]:
     return [
         {
             "layer": u + 1,
@@ -273,7 +274,7 @@ def _layer_rows(cert: Certificate) -> list[dict]:
             "b_n": lb.b_n,
             "b_grad_n": lb.b_grad_n,
         }
-        for u, lb in enumerate(cert.per_layer)
+        for u, lb in enumerate(per_layer)
     ]
 
 
@@ -286,7 +287,7 @@ def certificate_to_dict(cert: Certificate) -> dict:
         "l_phi": cert.l_phi,
         "l_grad_phi": cert.l_grad_phi,
         "b_grad_phi": cert.b_grad_phi,
-        "per_layer": _layer_rows(cert),
+        "per_layer": layer_rows(cert.per_layer),
         "layer_budgets": None if cert.layer_budgets is None else list(cert.layer_budgets),
         "flags": list(cert.flags),
         "inputs_digest": cert.inputs_digest,

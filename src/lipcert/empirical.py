@@ -2,9 +2,10 @@
 
 A certificate is an upper bound on a parameter-space Lipschitz constant, so
 any sampled difference quotient must stay below it; the routines here
-generate those quotients at scale.  Evaluation is vectorized over parameter
-vectors (einsum over stacked weight tensors), with the batched maps checked
-against the reference single-point implementations in the test suite.
+generate those quotients at scale.  The parameter-space maps (network
+output, parameter Jacobian, mean loss gradient) are thin closures over the
+batched engine in network, evaluated for a whole chunk of parameter rows at
+once; the test suite checks them against a plain per-sample loop.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from .bounds import ArchitectureSpec
 from .network import (
     Params,
     Sample,
-    layer_slices,
+    batch_backward,
+    batch_forward,
     sample_in_ball,
     unflatten_params,
 )
@@ -63,64 +65,28 @@ class LipschitzEstimate:
 # batched parameter-space maps
 
 
-def _batch_traces(
-    arch: ArchitectureSpec, x: np.ndarray, thetas: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Forward pass for every row of thetas; returns per-layer pre/post lists.
-
-    post[-1] is the affine head output.  feats list starts with the tiled
-    input so feats[u] feeds layer u+1.
-    """
-    k = thetas.shape[0]
-    slices = layer_slices(arch)
-    h = np.tile(np.asarray(x, dtype=float), (k, 1))
-    pres: list[np.ndarray] = []
-    feats: list[np.ndarray] = [h]
-    for u in range(arch.n_layers):
-        w_sl, b_sl = slices[u]
-        out_w, in_w = arch.widths[u + 1], arch.widths[u]
-        w = thetas[:, w_sl].reshape(k, out_w, in_w)
-        b = thetas[:, b_sl]
-        z = np.einsum("kij,kj->ki", w, h) + b
-        pres.append(z)
-        h = arch.activations[u](z) if u < arch.m else z
-        feats.append(h)
-    return pres, feats
-
-
 def network_output_map(arch: ArchitectureSpec, x: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Map (K, n_params) parameter rows to (K, l_out) network outputs."""
+    xs = np.asarray(x, dtype=float)[None]
 
     def f(thetas: np.ndarray) -> np.ndarray:
-        _, feats = _batch_traces(arch, x, np.asarray(thetas, dtype=float))
-        return feats[-1]
+        _, feats = batch_forward(arch, np.asarray(thetas, dtype=float), xs)
+        return feats[-1][:, 0]
 
     return f
 
 
 def network_jacobian_map(arch: ArchitectureSpec, x: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Map (K, n_params) rows to flattened parameter Jacobians (K, l_out * n_params)."""
-    slices = layer_slices(arch)
-    l_out = arch.widths[-1]
-    n = arch.n_params
+    xs = np.asarray(x, dtype=float)[None]
+    eye = np.eye(arch.widths[-1])
 
     def f(thetas: np.ndarray) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)
         k = thetas.shape[0]
-        pres, feats = _batch_traces(arch, x, thetas)
-        jac = np.empty((k, l_out, n))
-        d = np.broadcast_to(np.eye(l_out), (k, l_out, l_out)).copy()
-        for u in range(arch.n_layers - 1, -1, -1):
-            w_sl, b_sl = slices[u]
-            out_w, in_w = arch.widths[u + 1], arch.widths[u]
-            g_w = np.einsum("koi,kj->koij", d, feats[u]).reshape(k, l_out, out_w * in_w)
-            jac[:, :, w_sl] = g_w
-            jac[:, :, b_sl] = d
-            if u > 0:
-                w = thetas[:, w_sl].reshape(k, out_w, in_w)
-                d = np.einsum("koi,kij->koj", d, w)
-                d = d * arch.activations[u - 1].deriv(pres[u - 1])[:, None, :]
-        return jac.reshape(k, l_out * n)
+        pres, feats = batch_forward(arch, thetas, xs)
+        seed = np.broadcast_to(eye, (k,) + eye.shape)
+        return batch_backward(arch, thetas, pres, feats, seed).reshape(k, -1)
 
     return f
 
@@ -131,24 +97,17 @@ def loss_gradient_map(
     """Map (K, n_params) rows to mean loss gradients (K, n_params)."""
     if len(samples) == 0:
         raise ValueError("need at least one sample")
-    slices = layer_slices(arch)
+    xs = np.stack([s.x for s in samples]).astype(float)
+    ys = np.stack([s.y for s in samples]).astype(float)
 
     def f(thetas: np.ndarray) -> np.ndarray:
+        # one engine call per sample keeps memory at (K, n_params) however
+        # large the dataset; a single call would hold (K, n_samples, n_params)
         thetas = np.asarray(thetas, dtype=float)
-        k = thetas.shape[0]
         total = np.zeros_like(thetas)
-        for s in samples:
-            pres, feats = _batch_traces(arch, s.x, thetas)
-            delta = loss_head.grad_x(feats[-1], s.y[None, :])
-            for u in range(arch.n_layers - 1, -1, -1):
-                w_sl, b_sl = slices[u]
-                out_w, in_w = arch.widths[u + 1], arch.widths[u]
-                total[:, w_sl] += np.einsum("ko,kj->koj", delta, feats[u]).reshape(k, -1)
-                total[:, b_sl] += delta
-                if u > 0:
-                    w = thetas[:, w_sl].reshape(k, out_w, in_w)
-                    delta = np.einsum("ko,koj->kj", delta, w)
-                    delta = delta * arch.activations[u - 1].deriv(pres[u - 1])
+        for x, y in zip(xs, ys):
+            pres, feats = batch_forward(arch, thetas, x[None])
+            total += batch_backward(arch, thetas, pres, feats, loss_head.grad_x(feats[-1], y))[:, 0]
         return total / len(samples)
 
     return f
@@ -239,7 +198,11 @@ def empirical_lipschitz(
         fa = np.asarray(f(a), dtype=float)
         fb = np.asarray(f(b), dtype=float)
         dn = np.linalg.norm(a - b, axis=1)
-        fn = np.linalg.norm(fa - fb, axis=1)
+        # the arithmetic of np.linalg.norm without its extra (K, p)
+        # temporaries; fa itself may alias the caller's array, so no in-place
+        diff = fa - fb
+        np.multiply(diff, diff, out=diff)
+        fn = np.sqrt(np.add.reduce(diff, axis=1))
         ok = dn > 0.0
         n_degenerate += int(np.count_nonzero(~ok))
         if np.any(ok):

@@ -1,11 +1,12 @@
 """Dense feed-forward networks with exact analytic derivatives.
 
-Ground truth for everything the certificates claim to bound: a minimal
-numpy implementation of the forward pass, the per-sample loss gradient with
-respect to every weight and bias, and the full parameter Jacobian of the
-network output.  Derivatives are hand-written reverse mode built on the
-activations' closed-form first derivatives; nothing here is numerically
-differentiated.
+Ground truth for everything the certificates claim to bound.  One batched
+engine evaluates the net for every row of a parameter matrix on every row of
+an input matrix (batch_forward) and runs reverse mode from any output
+cotangents (batch_backward); the per-sample loss gradient, the full parameter
+Jacobian and the batched maps in empirical and training are all built on it.
+Derivatives use the activations' closed-form first derivatives; nothing here
+is numerically differentiated.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .activations import Activation
 from .bounds import ArchitectureSpec, LossEnvelope
 
 __all__ = [
@@ -27,6 +27,8 @@ __all__ = [
     "Sample",
     "SquaredError",
     "PseudoHuber",
+    "batch_backward",
+    "batch_forward",
     "flatten_params",
     "forward",
     "grad_params",
@@ -123,25 +125,78 @@ def layer_slices(arch: ArchitectureSpec) -> list[tuple[slice, slice]]:
     return out
 
 
-def forward(params: Params, arch: ArchitectureSpec, x: np.ndarray) -> ForwardTrace:
-    """Evaluate the network, recording every intermediate layer."""
+def batch_forward(
+    arch: ArchitectureSpec, thetas: np.ndarray, xs: np.ndarray
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Forward pass of every parameter row (K, n_params) on every input row (r, l_in).
+
+    Returns (pres, feats): pres[u] is the (K, r, width) pre-activation of
+    layer u+1, feats[0] the (1, r, l_in) inputs and feats[u+1] the output of
+    layer u+1, so feats[-1] == pres[-1] is the affine head output.
+    """
+    if thetas.ndim != 2 or thetas.shape[1] != arch.n_params:
+        raise ValueError(f"parameter rows must have shape (K, {arch.n_params})")
+    if xs.ndim != 2 or xs.shape[1] != arch.widths[0]:
+        raise ValueError(f"input rows must have shape (r, {arch.widths[0]})")
+    k = thetas.shape[0]
+    h = xs[None]
+    pres: list[np.ndarray] = []
+    feats: list[np.ndarray] = [h]
+    for u, (w_sl, b_sl) in enumerate(layer_slices(arch)):
+        w = thetas[:, w_sl].reshape(k, arch.widths[u + 1], arch.widths[u])
+        z = np.einsum("koi,kri->kro", w, h) + thetas[:, None, b_sl]
+        pres.append(z)
+        h = arch.activations[u](z) if u < arch.m else z
+        feats.append(h)
+    return pres, feats
+
+
+def batch_backward(
+    arch: ArchitectureSpec,
+    thetas: np.ndarray,
+    pres: Sequence[np.ndarray],
+    feats: Sequence[np.ndarray],
+    seed: np.ndarray,
+) -> np.ndarray:
+    """Reverse mode: output cotangents (K, r, l_out) to parameter gradients (K, r, n_params).
+
+    pres and feats come from batch_forward; their input-row axis may be 1
+    and then broadcasts against the r seeds (the identity seed of a Jacobian).
+    """
+    k, r, _ = seed.shape
+    out = np.empty((k, r, arch.n_params))
+    d = seed
+    slices = layer_slices(arch)
+    for u in range(arch.n_layers - 1, -1, -1):
+        w_sl, b_sl = slices[u]
+        shape = (arch.widths[u + 1], arch.widths[u])
+        np.multiply(
+            d[:, :, :, None], feats[u][:, :, None, :], out=out[:, :, w_sl].reshape(k, r, *shape)
+        )
+        out[:, :, b_sl] = d
+        if u > 0:
+            d = np.einsum("kro,koi->kri", d, thetas[:, w_sl].reshape(k, *shape))
+            d = d * arch.activations[u - 1].deriv(pres[u - 1])
+    return out
+
+
+def _single(params: Params, arch: ArchitectureSpec, x: np.ndarray):
+    """Validated K=1, r=1 engine inputs and forward pass."""
     x = np.asarray(x, dtype=float)
     if x.shape != (arch.widths[0],):
         raise ValueError(f"input must have shape ({arch.widths[0]},)")
     if params.n_layers != arch.n_layers:
         raise ValueError("parameter/architecture layer count mismatch")
-    h = x
-    pre: list[np.ndarray] = []
-    post: list[np.ndarray] = []
-    for u in range(arch.m):
-        w, b = params.layers[u]
-        z = w @ h + b
-        h = arch.activations[u](z)
-        pre.append(z)
-        post.append(h)
-    w, b = params.layers[-1]
-    out = w @ h + b
-    return ForwardTrace(tuple(pre), tuple(post), out)
+    theta = flatten_params(params)[None]
+    return theta, *batch_forward(arch, theta, x[None])
+
+
+def forward(params: Params, arch: ArchitectureSpec, x: np.ndarray) -> ForwardTrace:
+    """Evaluate the network, recording every intermediate layer."""
+    _, pres, feats = _single(params, arch, x)
+    return ForwardTrace(
+        tuple(z[0, 0] for z in pres[:-1]), tuple(h[0, 0] for h in feats[1:-1]), feats[-1][0, 0]
+    )
 
 
 def grad_params(
@@ -151,19 +206,9 @@ def grad_params(
     loss_head: "SquaredError | PseudoHuber",
 ) -> np.ndarray:
     """Flat gradient of the per-sample loss via reverse mode."""
-    trace = forward(params, arch, sample.x)
-    feats = (sample.x,) + trace.post
-    delta = loss_head.grad_x(trace.output, sample.y)
-    grads: list[np.ndarray | None] = [None] * arch.n_layers
-    for u in range(arch.n_layers - 1, -1, -1):
-        w, _ = params.layers[u]
-        g_w = np.outer(delta, feats[u])
-        g_b = delta.copy()
-        grads[u] = np.concatenate([g_w.ravel(), g_b])
-        if u > 0:
-            delta = w.T @ delta
-            delta = delta * arch.activations[u - 1].deriv(trace.pre[u - 1])
-    return np.concatenate(grads)
+    theta, pres, feats = _single(params, arch, sample.x)
+    seed = loss_head.grad_x(feats[-1], sample.y)
+    return batch_backward(arch, theta, pres, feats, seed)[0, 0]
 
 
 def param_jacobian(params: Params, arch: ArchitectureSpec, x: np.ndarray) -> np.ndarray:
@@ -172,18 +217,8 @@ def param_jacobian(params: Params, arch: ArchitectureSpec, x: np.ndarray) -> np.
     Column order matches flatten_params.  Reverse mode seeded with the
     identity on the output layer.
     """
-    trace = forward(params, arch, x)
-    feats = (np.asarray(x, dtype=float),) + trace.post
-    l_out = arch.widths[-1]
-    d = np.eye(l_out)  # (l_out, current width)
-    blocks: list[np.ndarray | None] = [None] * arch.n_layers
-    for u in range(arch.n_layers - 1, -1, -1):
-        w, _ = params.layers[u]
-        g_w = np.einsum("oi,j->oij", d, feats[u]).reshape(l_out, -1)
-        blocks[u] = np.concatenate([g_w, d], axis=1)
-        if u > 0:
-            d = (d @ w) * arch.activations[u - 1].deriv(trace.pre[u - 1])[None, :]
-    return np.concatenate(blocks, axis=1)
+    theta, pres, feats = _single(params, arch, x)
+    return batch_backward(arch, theta, pres, feats, np.eye(arch.widths[-1])[None])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .bounds import ArchitectureSpec
-from .network import Params, Sample, flatten_params, forward, grad_params, unflatten_params
+from .network import Sample, batch_backward, batch_forward
 
 __all__ = [
     "NetworkObjective",
@@ -51,33 +51,37 @@ class Objective(Protocol):
 
 
 class NetworkObjective:
-    """Mean loss of a dense network over a finite dataset."""
+    """Mean loss of a dense network over a finite dataset.
+
+    value and batch_gradient each run the batched engine once over the
+    selected sample rows (repeated indices included).
+    """
 
     def __init__(self, arch: ArchitectureSpec, samples: Sequence[Sample], loss_head) -> None:
         if len(samples) == 0:
             raise ValueError("need at least one sample")
         self.arch = arch
-        self.samples = list(samples)
+        self.xs = np.stack([s.x for s in samples]).astype(float)
+        self.ys = np.stack([s.y for s in samples]).astype(float)
         self.loss_head = loss_head
         self.dim = arch.n_params
         self.n_samples = len(samples)
 
     def value(self, theta: np.ndarray) -> float:
-        p = unflatten_params(self.arch, theta)
+        _, feats = batch_forward(self.arch, np.asarray(theta, dtype=float)[None], self.xs)
         return math.fsum(
-            self.loss_head.value(forward(p, self.arch, s.x).output, s.y)
-            for s in self.samples
+            self.loss_head.value(out, y) for out, y in zip(feats[-1][0], self.ys)
         ) / self.n_samples
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
         return self.batch_gradient(theta, np.arange(self.n_samples))
 
     def batch_gradient(self, theta: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        p = unflatten_params(self.arch, theta)
-        g = np.zeros(self.dim)
-        for i in indices:
-            g += grad_params(p, self.arch, self.samples[int(i)], self.loss_head)
-        return g / len(indices)
+        idx = np.asarray(indices, dtype=int)
+        thetas = np.asarray(theta, dtype=float)[None]
+        pres, feats = batch_forward(self.arch, thetas, self.xs[idx])
+        seed = self.loss_head.grad_x(feats[-1], self.ys[idx])
+        return batch_backward(self.arch, thetas, pres, feats, seed)[0].sum(axis=0) / len(idx)
 
 
 class QuadraticObjective:

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from lipcert import cli
+from lipcert import ArchitectureSpec, BoundInputs, closed_form_bounds, cli, tanh
 
 
 def write_cfg(tmp_path, doc, name="cfg.json"):
@@ -19,6 +19,36 @@ TRIVIAL = {
     "architecture": {"widths": [2, 1], "activations": []},
     "bounds": {"b_omega": 1.0, "sample_norms": [0.0]},
 }
+
+NO_LOSS = {
+    "name": "tanh-231-noloss",
+    "architecture": {"widths": [2, 3, 1], "activations": ["tanh"]},
+    "bounds": {"b_omega": 1.0, "sample_norms": [1.0, 0.5]},
+}
+
+# certificate_closed_form.json for NO_LOSS, pinned byte for byte
+NO_LOSS_CLOSED_FORM = """{
+  "b_grad_phi": null,
+  "flags": [],
+  "inputs_digest": "08dad42f74d1a72d",
+  "kind": "network_certificate",
+  "l_grad_n_final": 3.731745694165926,
+  "l_grad_phi": null,
+  "l_n_final": 2.449489742783178,
+  "l_phi": null,
+  "layer_budgets": null,
+  "method": "closed_form",
+  "per_layer": [
+    {
+      "b_grad_n": 1.4142135623730951,
+      "b_n": 1.7320508075688772,
+      "l_grad_n": 2.4343224778007384,
+      "l_n": 1.4142135623730951,
+      "layer": 1
+    }
+  ]
+}
+"""
 
 FULL = {
     "name": "tanh-231",
@@ -46,6 +76,19 @@ class TestCertify:
         assert doc["l_grad_n_final"] == 0.0
         table = capsys.readouterr().out
         assert "L_N" in table
+
+    def test_closed_form_without_loss(self, tmp_path):
+        cfg = write_cfg(tmp_path, NO_LOSS)
+        out = tmp_path / "out"
+        assert cli.main(["certify", "--config", cfg, "--out", str(out)]) == 0
+        path = out / "certificate_closed_form.json"
+        assert path.read_text() == NO_LOSS_CLOSED_FORM
+        arch = ArchitectureSpec(widths=(2, 3, 1), activations=(tanh(),))
+        cf = closed_form_bounds(arch, BoundInputs(b_omega=1.0), 1.0)
+        rows = json.loads(path.read_text())["per_layer"]
+        assert [r["l_n"] for r in rows] == [math.sqrt(v) for v in cf.l_n_sq]
+        assert [r["l_grad_n"] for r in rows] == [math.sqrt(v) for v in cf.l_grad_n_sq]
+        assert [r["b_grad_n"] for r in rows] == [r["l_n"] for r in rows]
 
     def test_full_run_writes_all_methods(self, tmp_path):
         cfg = write_cfg(tmp_path, FULL)

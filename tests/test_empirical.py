@@ -6,8 +6,12 @@ import pytest
 from lipcert import (
     ArchitectureSpec,
     BoundInputs,
+    NetworkObjective,
+    PseudoHuber,
     Sample,
     SquaredError,
+    batch_backward,
+    batch_forward,
     chain_output,
     directed_affine_pair,
     empirical_grad_lipschitz,
@@ -27,36 +31,42 @@ from lipcert import (
     worst_case_construction,
 )
 
-from conftest import random_architecture
+from conftest import loop_backward, loop_forward, random_architecture
 
 
 class TestBatchedMaps:
+    """The batched engine and everything on it against a plain per-sample loop."""
+
     def test_output_map_matches_forward(self, rng):
-        arch = random_architecture(rng, max_width=4, max_hidden=2)
+        arch = random_architecture(rng, max_width=4, max_hidden=2, min_hidden=1)
         x = rng.normal(size=arch.widths[0])
         f = network_output_map(arch, x)
         thetas = rng.normal(size=(7, arch.n_params))
         batched = f(thetas)
         assert batched.shape == (7, arch.widths[-1])
         for k in range(7):
-            ref = forward(unflatten_params(arch, thetas[k]), arch, x).output
-            np.testing.assert_allclose(batched[k], ref, rtol=1e-12, atol=1e-14)
+            _, feats = loop_forward(unflatten_params(arch, thetas[k]), arch, x)
+            np.testing.assert_allclose(batched[k], feats[-1], rtol=1e-12, atol=1e-14)
 
     def test_jacobian_map_matches_param_jacobian(self, rng):
-        arch = random_architecture(rng, max_width=3, max_hidden=2)
+        arch = random_architecture(rng, max_width=3, max_hidden=2, min_hidden=1)
         x = rng.normal(size=arch.widths[0])
         jmap = network_jacobian_map(arch, x)
         thetas = rng.normal(size=(4, arch.n_params))
         batched = jmap(thetas)
         assert batched.shape == (4, arch.widths[-1] * arch.n_params)
         for k in range(4):
-            ref = param_jacobian(unflatten_params(arch, thetas[k]), arch, x)
+            p = unflatten_params(arch, thetas[k])
+            ref = loop_backward(p, arch, x, np.eye(arch.widths[-1]))
             np.testing.assert_allclose(
                 batched[k].reshape(ref.shape), ref, rtol=1e-12, atol=1e-14
             )
+            np.testing.assert_allclose(
+                param_jacobian(p, arch, x), ref, rtol=1e-12, atol=1e-14
+            )
 
     def test_loss_gradient_map_matches_grad_params(self, rng):
-        arch = random_architecture(rng, max_width=3, max_hidden=2)
+        arch = random_architecture(rng, max_width=3, max_hidden=2, min_hidden=1)
         samples = [
             Sample(rng.normal(size=arch.widths[0]), rng.normal(size=arch.widths[-1]))
             for _ in range(3)
@@ -67,8 +77,59 @@ class TestBatchedMaps:
         batched = gmap(thetas)
         for k in range(5):
             p = unflatten_params(arch, thetas[k])
-            ref = np.mean([grad_params(p, arch, s, head) for s in samples], axis=0)
+            ref = np.mean([_loop_loss_grad(p, arch, s, head) for s in samples], axis=0)
             np.testing.assert_allclose(batched[k], ref, rtol=1e-12, atol=1e-14)
+            for s in samples:
+                np.testing.assert_allclose(
+                    grad_params(p, arch, s, head), _loop_loss_grad(p, arch, s, head),
+                    rtol=1e-12, atol=1e-14,
+                )
+
+    def test_network_objective_matches_loop(self, rng):
+        arch = random_architecture(rng, max_width=4, max_hidden=3, min_hidden=1)
+        samples = [
+            Sample(rng.normal(size=arch.widths[0]), rng.normal(size=arch.widths[-1]))
+            for _ in range(6)
+        ]
+        for head in (SquaredError(), PseudoHuber(0.7)):
+            obj = NetworkObjective(arch, samples, head)
+            theta = rng.normal(size=arch.n_params)
+            p = unflatten_params(arch, theta)
+            losses = [head.value(loop_forward(p, arch, s.x)[1][-1], s.y) for s in samples]
+            assert obj.value(theta) == pytest.approx(math.fsum(losses) / 6, rel=1e-12)
+            grads = [_loop_loss_grad(p, arch, s, head) for s in samples]
+            np.testing.assert_allclose(
+                obj.gradient(theta), np.mean(grads, axis=0), rtol=1e-12, atol=1e-14
+            )
+            # minibatches draw with replacement, so repeated rows must count twice
+            idx = np.array([4, 1, 4, 4, 0])
+            np.testing.assert_allclose(
+                obj.batch_gradient(theta, idx),
+                np.mean([grads[i] for i in idx], axis=0),
+                rtol=1e-12, atol=1e-14,
+            )
+
+    def test_one_theta_on_many_inputs(self, rng):
+        arch = random_architecture(rng, max_width=5, max_hidden=3, min_hidden=1)
+        theta = rng.normal(size=(1, arch.n_params))
+        p = unflatten_params(arch, theta[0])
+        xs = rng.normal(size=(9, arch.widths[0]))
+        seed = rng.normal(size=(1, 9, arch.widths[-1]))
+        pres, feats = batch_forward(arch, theta, xs)
+        grads = batch_backward(arch, theta, pres, feats, seed)
+        assert feats[-1].shape == (1, 9, arch.widths[-1])
+        assert grads.shape == (1, 9, arch.n_params)
+        for j, x in enumerate(xs):
+            _, ref = loop_forward(p, arch, x)
+            np.testing.assert_allclose(feats[-1][0, j], ref[-1], rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(
+                grads[0, j], loop_backward(p, arch, x, seed[0, j])[0], rtol=1e-12, atol=1e-14
+            )
+
+
+def _loop_loss_grad(params, arch, sample, head):
+    out = loop_forward(params, arch, sample.x)[1][-1]
+    return loop_backward(params, arch, sample.x, head.grad_x(out, sample.y))[0]
 
 
 class TestEmpiricalLipschitz:
