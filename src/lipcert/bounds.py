@@ -43,6 +43,7 @@ __all__ = [
     "NetworkBounds",
     "RefinementSearch",
     "SampleMoments",
+    "check_adagrad_condition",
     "closed_form_bounds",
     "closed_form_certificate",
     "closed_form_network_bounds",
@@ -253,8 +254,6 @@ def layer_step(
     env: ActivationEnvelope | LossEnvelope | None,
     width_out: int,
     budget: float,
-    *,
-    require_bounded: bool = False,
 ) -> LayerBounds:
     """One composition step: head applied to an affine map of the previous features.
 
@@ -297,12 +296,7 @@ def layer_step(
 
     l_grad_chi = math.sqrt(alpha + beta)
 
-    if math.isfinite(b3):
-        b_chi = math.sqrt(n3) * b3
-    else:
-        if require_bounded:
-            raise ValueError("head has no finite value bound, cannot certify b_n")
-        b_chi = math.inf
+    b_chi = math.sqrt(n3) * b3  # +inf for a head without a value bound
 
     return LayerBounds(l_chi, l_grad_chi, b_chi, alpha, beta)
 
@@ -343,8 +337,10 @@ def _network_bounds(
         lb = layer_step(state, env, arch.widths[u], budgets[u - 1])
         if env.kind == "smoothed_relu":
             # unbounded activation: track the output bound through the affine
-            # growth instead, offset by the smoothing gap
-            b_n = budgets[u - 1] * math.sqrt(state.b_n * state.b_n + 1.0) + env.relu_epsilon
+            # growth instead, offset by the smoothing gap; the gap is per
+            # coordinate, so in the Euclidean norm it grows by sqrt(width)
+            gap = math.sqrt(arch.widths[u]) * env.relu_epsilon
+            b_n = budgets[u - 1] * math.sqrt(state.b_n * state.b_n + 1.0) + gap
             lb = replace(lb, b_n=b_n)
         per_layer.append(lb)
         state = lb
@@ -908,6 +904,17 @@ def derive_adagrad_params(
     alpha = 0.5
     expo = 2.0 / (1.0 + 2.0 * eps_exponent)
     beta = (l**expo if l > 0 else 0.0) + eps_margin
-    if not 2.0 * alpha * l < beta ** (0.5 + eps_exponent):
-        raise ValueError("derived parameters violate the step-size condition")
+    check_adagrad_condition(alpha, beta, eps_exponent, l)
     return alpha, beta
+
+
+def check_adagrad_condition(
+    alpha: float, beta: float, eps_exponent: float, l_grad_phi: float
+) -> None:
+    """Raise ValueError unless 2 * alpha * l_grad_phi < beta^(1/2 + eps)."""
+    lhs = 2.0 * alpha * l_grad_phi
+    rhs = beta ** (0.5 + eps_exponent)
+    if not lhs < rhs:
+        raise ValueError(
+            f"step-size condition violated: 2*alpha*L = {lhs} >= beta^(1/2+eps) = {rhs}"
+        )

@@ -57,6 +57,7 @@ from .config import (
     code_certificate_to_dict,
     config_digest,
     ensure_writable,
+    envelope_loss,
     get,
     layer_rows,
     load_config,
@@ -75,13 +76,7 @@ from .empirical import (
     network_output_map,
     worst_case_construction,
 )
-from .network import (
-    PseudoHuber,
-    dataset_norms,
-    flatten_params,
-    init_params,
-    loss_head_envelopes,
-)
+from .network import dataset_norms, flatten_params, init_params, loss_head_envelopes
 from .training import NetworkObjective, run_adagrad_norm, run_gd
 
 EXIT_OK = 0
@@ -506,19 +501,22 @@ def _code_loss_envelope(cfg: dict, cdoc: dict) -> LossEnvelope | None:
         return None
     kind = doc["kind"]
     if kind == "envelope":
-        return LossEnvelope(
-            g_p_max=get(doc, "g_p_max", float, where="loss"),
-            g_pp_max=get(doc, "g_pp_max", float, where="loss"),
-            lip_g=get(doc, "lip_g", float, default=None, where="loss"),
-            lip_dg=get(doc, "lip_dg", float, default=None, where="loss"),
-        )
+        return envelope_loss(doc)
     if kind == "pseudo_huber":
         dim = get(cdoc, "dim_state", int, default=1, where="code")
-        return loss_head_envelopes(PseudoHuber(doc.get("delta", 1.0)), dim, math.inf, math.inf)
+        return loss_head_envelopes(head, dim, math.inf, math.inf)
     raise ConfigError(
         "code loss bounds need kind 'envelope' or 'pseudo_huber' "
         "(squared_error has no certified output bound here)"
     )
+
+
+def _code_certificate(env, bu: float, xn: float):
+    """Grönwall certificate; envelopes it cannot handle are bad input (exit 2)."""
+    try:
+        return code_certificate(env, bu, xn)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"code: {exc}") from exc
 
 
 def cmd_code_certify(cfg: dict, args, out: Path) -> int:
@@ -526,10 +524,7 @@ def cmd_code_certify(cfg: dict, args, out: Path) -> int:
     _, env = _code_envelopes(cdoc)
     bu, _ = _code_budget(cdoc)
     xn, _ = _code_x_norm(cdoc)
-    try:
-        cert = code_certificate(env, bu, xn)
-    except (ValueError, OverflowError) as exc:
-        raise ConfigError(f"code: {exc}") from exc
+    cert = _code_certificate(env, bu, xn)
 
     loss_env = _code_loss_envelope(cfg, cdoc)
     if loss_env is not None:
@@ -608,7 +603,7 @@ def cmd_code_verify(cfg: dict, args, out: Path) -> int:
     if n_samples < 2:
         raise ConfigError("code.n_samples must be at least 2")
 
-    cert = code_certificate(env, bu, xn)
+    cert = _code_certificate(env, bu, xn)
     _gate([cert.b_x, cert.l_x], args.allow_inf, "code verify")
 
     rng = np.random.default_rng(seed)

@@ -42,6 +42,7 @@ __all__ = [
     "code_certificate_to_dict",
     "config_digest",
     "ensure_writable",
+    "envelope_loss",
     "fmt",
     "load_config",
     "resolve_loss_envelope",
@@ -164,10 +165,26 @@ def build_loss(cfg: dict, required: bool = True):
     if kind == "squared_error":
         return SquaredError(), doc
     if kind == "pseudo_huber":
-        return PseudoHuber(get(doc, "delta", float, default=1.0, where="loss")), doc
+        delta = get(doc, "delta", float, default=1.0, where="loss")
+        try:
+            return PseudoHuber(delta), doc
+        except ValueError as exc:
+            raise ConfigError(f"loss: {exc}") from exc
     if kind == "envelope":
         return None, doc
     raise ConfigError(f"loss: unknown kind '{kind}'")
+
+
+def envelope_loss(doc: dict) -> LossEnvelope:
+    """The raw derivative bounds of an 'envelope' loss section."""
+    g_p_max = get(doc, "g_p_max", float, where="loss")
+    g_pp_max = get(doc, "g_pp_max", float, where="loss")
+    lip_g = get(doc, "lip_g", float, default=None, where="loss")
+    lip_dg = get(doc, "lip_dg", float, default=None, where="loss")
+    try:
+        return LossEnvelope(g_p_max, g_pp_max, lip_g=lip_g, lip_dg=lip_dg)
+    except ValueError as exc:
+        raise ConfigError(f"loss: {exc}") from exc
 
 
 def resolve_loss_envelope(
@@ -187,14 +204,9 @@ def resolve_loss_envelope(
     if doc is None:
         return None
     kind = doc["kind"]
+    if kind == "envelope":
+        return envelope_loss(doc)
     try:
-        if kind == "envelope":
-            return LossEnvelope(
-                g_p_max=get(doc, "g_p_max", float, where="loss"),
-                g_pp_max=get(doc, "g_pp_max", float, where="loss"),
-                lip_g=get(doc, "lip_g", float, default=None, where="loss"),
-                lip_dg=get(doc, "lip_dg", float, default=None, where="loss"),
-            )
         dim = arch.widths[-1]
         if kind == "pseudo_huber":
             return loss_head_envelopes(head, dim, math.inf, math.inf)

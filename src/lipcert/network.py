@@ -247,18 +247,22 @@ def init_params(
     return unflatten_params(arch, flat)
 
 
-def project_to_ball(params: Params, b_omega: float, shrink: float = 1.0) -> Params:
-    """Rescale onto radius shrink * b_omega whenever the norm reaches it."""
+def project_to_ball(
+    theta: np.ndarray, b_omega: float, shrink: float = 1.0
+) -> tuple[np.ndarray, bool]:
+    """Rescale flat parameters onto radius shrink * b_omega once their norm reaches it.
+
+    Returns (theta, projected); an unprojected theta is returned as is.
+    """
+    if not (b_omega > 0 and math.isfinite(b_omega)):
+        raise ValueError("b_omega must be a positive finite real")
     if not (0.0 < shrink <= 1.0):
         raise ValueError("shrink must lie in (0, 1]")
     target = shrink * b_omega
-    nrm = param_norm(params)
-    if nrm < target:
-        return params
-    if nrm == 0.0:  # pragma: no cover - only reachable with target == 0
-        return params
-    scale = target / nrm
-    return Params(tuple((w * scale, b * scale) for w, b in params.layers))
+    nrm = float(np.linalg.norm(theta))
+    if nrm < target or nrm == 0.0:
+        return theta, False
+    return theta * (target / nrm), True
 
 
 # ---------------------------------------------------------------------------

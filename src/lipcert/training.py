@@ -6,9 +6,11 @@ descent inequality
 
     phi(theta_j) - phi(theta_{j+1}) >= ||grad phi(theta_j)||^2 / (2 l_grad_phi)
 
-and the traces record enough to check it after the fact.  Objectives are
-pluggable so the same loop runs on the network loss and on synthetic test
-objectives with a known smoothness constant.
+and the traces record enough to check it after the fact.  Both trainers are
+one descent loop that differs only in its step rule, its batch rule and
+whether the descent inequality is checked.  Objectives are pluggable so the
+same loop runs on the network loss and on synthetic test objectives with a
+known smoothness constant.
 """
 
 from __future__ import annotations
@@ -17,19 +19,18 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .bounds import ArchitectureSpec
-from .network import Sample, batch_backward, batch_forward
+from .bounds import ArchitectureSpec, check_adagrad_condition
+from .network import Sample, batch_backward, batch_forward, project_to_ball
 
 __all__ = [
     "NetworkObjective",
     "QuadraticObjective",
     "TrainStep",
     "TrainTrace",
-    "TrainerConfig",
     "run_adagrad_norm",
     "run_gd",
 ]
@@ -40,21 +41,19 @@ _DESCENT_RTOL = 1e-12
 
 
 class Objective(Protocol):
-    dim: int
     n_samples: int
 
-    def value(self, theta: np.ndarray) -> float: ...
-
-    def gradient(self, theta: np.ndarray) -> np.ndarray: ...
-
-    def batch_gradient(self, theta: np.ndarray, indices: np.ndarray) -> np.ndarray: ...
+    def value_and_gradient(
+        self, theta: np.ndarray, indices: np.ndarray
+    ) -> tuple[float, np.ndarray]: ...
 
 
 class NetworkObjective:
     """Mean loss of a dense network over a finite dataset.
 
-    value and batch_gradient each run the batched engine once over the
-    selected sample rows (repeated indices included).
+    value_and_gradient runs the batched engine forward once over every
+    sample and backward over the selected rows of that same pass (repeated
+    indices count twice); value and batch_gradient are its two halves.
     """
 
     def __init__(self, arch: ArchitectureSpec, samples: Sequence[Sample], loss_head) -> None:
@@ -67,21 +66,32 @@ class NetworkObjective:
         self.dim = arch.n_params
         self.n_samples = len(samples)
 
+    def _loss(self, outs: np.ndarray) -> float:
+        losses = (self.loss_head.value(o, y) for o, y in zip(outs, self.ys))
+        return math.fsum(losses) / self.n_samples
+
     def value(self, theta: np.ndarray) -> float:
         _, feats = batch_forward(self.arch, np.asarray(theta, dtype=float)[None], self.xs)
-        return math.fsum(
-            self.loss_head.value(out, y) for out, y in zip(feats[-1][0], self.ys)
-        ) / self.n_samples
+        return self._loss(feats[-1][0])
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
         return self.batch_gradient(theta, np.arange(self.n_samples))
 
     def batch_gradient(self, theta: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        return self.value_and_gradient(theta, indices)[1]
+
+    def value_and_gradient(
+        self, theta: np.ndarray, indices: np.ndarray
+    ) -> tuple[float, np.ndarray]:
+        """Mean loss over all samples and mean loss gradient over the indexed rows."""
         idx = np.asarray(indices, dtype=int)
         thetas = np.asarray(theta, dtype=float)[None]
-        pres, feats = batch_forward(self.arch, thetas, self.xs[idx])
+        pres, feats = batch_forward(self.arch, thetas, self.xs)
+        phi = self._loss(feats[-1][0])
+        pres, feats = [z[:, idx] for z in pres], [h[:, idx] for h in feats]
         seed = self.loss_head.grad_x(feats[-1], self.ys[idx])
-        return batch_backward(self.arch, thetas, pres, feats, seed)[0].sum(axis=0) / len(idx)
+        grad = batch_backward(self.arch, thetas, pres, feats, seed)[0].sum(axis=0) / len(idx)
+        return phi, grad
 
 
 class QuadraticObjective:
@@ -100,56 +110,10 @@ class QuadraticObjective:
     def gradient(self, theta: np.ndarray) -> np.ndarray:
         return self.l * np.asarray(theta, dtype=float)
 
-    def batch_gradient(self, theta: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        return self.gradient(theta)
-
-
-@dataclass(frozen=True)
-class TrainerConfig:
-    """Validated hyperparameters for either trainer.
-
-    For adagrad_norm the certified condition 2 alpha l_grad_phi <
-    beta^(1/2 + eps_exponent) is checked in validate() when a constant is
-    supplied.
-    """
-
-    method: str
-    steps: int
-    b_omega: float
-    seed: int = 0
-    batch_size: int | None = None
-    alpha: float | None = None
-    beta: float | None = None
-    eps_exponent: float = 0.0
-    projection_shrink: float = 0.999
-
-    def __post_init__(self) -> None:
-        if self.method not in ("gd", "adagrad_norm"):
-            raise ValueError("method must be 'gd' or 'adagrad_norm'")
-        if self.steps < 1:
-            raise ValueError("steps must be positive")
-        if not (self.b_omega > 0 and math.isfinite(self.b_omega)):
-            raise ValueError("b_omega must be a positive finite real")
-        if not (0.0 < self.projection_shrink <= 1.0):
-            raise ValueError("projection_shrink must lie in (0, 1]")
-        if self.eps_exponent < 0:
-            raise ValueError("eps_exponent must be nonnegative")
-        if self.method == "adagrad_norm":
-            if self.alpha is None or self.beta is None:
-                raise ValueError("adagrad_norm needs alpha and beta")
-            if self.alpha <= 0 or self.beta <= 0:
-                raise ValueError("alpha and beta must be positive")
-            if self.batch_size is not None and self.batch_size < 1:
-                raise ValueError("batch_size must be positive")
-
-    def validate(self, l_grad_phi: float) -> None:
-        if self.method == "adagrad_norm":
-            lhs = 2.0 * (self.alpha or 0.0) * l_grad_phi
-            rhs = (self.beta or 0.0) ** (0.5 + self.eps_exponent)
-            if not lhs < rhs:
-                raise ValueError(
-                    f"step-size condition violated: 2*alpha*L = {lhs} >= beta^(1/2+eps) = {rhs}"
-                )
+    def value_and_gradient(
+        self, theta: np.ndarray, indices: np.ndarray
+    ) -> tuple[float, np.ndarray]:
+        return self.value(theta), self.gradient(theta)
 
 
 @dataclass(frozen=True)
@@ -223,12 +187,53 @@ class TrainTrace:
                 )
 
 
-def _project_flat(theta: np.ndarray, b_omega: float, shrink: float) -> tuple[np.ndarray, bool]:
-    target = shrink * b_omega
-    nrm = float(np.linalg.norm(theta))
-    if nrm < target or nrm == 0.0:
-        return theta, False
-    return theta * (target / nrm), True
+def _descend(
+    method: str,
+    objective: Objective,
+    theta0: np.ndarray,
+    steps: int,
+    b_omega: float,
+    shrink: float,
+    step_size: Callable[[float], float],
+    batch: Callable[[], np.ndarray],
+    l_grad_phi: float | None,
+    check_descent: bool,
+) -> TrainTrace:
+    """The descent loop behind both trainers.
+
+    step_size maps the current gradient norm to the step; batch returns the
+    sample indices of the next gradient.  Every iterate costs one
+    value_and_gradient call.  With check_descent each unprojected step is
+    checked against the descent inequality for l_grad_phi; a violation is
+    recorded (descent_ok False) rather than raised, so callers decide how
+    hard to fail.
+    """
+    if steps < 1:
+        raise ValueError("steps must be positive")
+    theta, _ = project_to_ball(np.asarray(theta0, dtype=float), b_omega, shrink)
+    trace = TrainTrace(method=method, l_grad_phi=l_grad_phi)
+    phi, g = objective.value_and_gradient(theta, batch())
+    for j in range(steps):
+        if not math.isfinite(phi):
+            trace.aborted = True
+            trace.notes += ("non-finite objective",)
+            break
+        gn = float(np.linalg.norm(g))
+        h = step_size(gn)
+        new, projected = project_to_ball(theta - h * g, b_omega, shrink)
+        phi_new, g_new = objective.value_and_gradient(new, batch())
+        ok: bool | None = None
+        if check_descent and not projected and math.isfinite(phi_new):
+            bound = gn * gn / (2.0 * l_grad_phi)
+            slack = _DESCENT_RTOL * (abs(phi) + abs(phi_new) + 1.0)
+            ok = (phi - phi_new) >= bound - slack
+        trace.steps.append(
+            TrainStep(j, phi, gn, h, float(np.linalg.norm(theta)), ok, projected)
+        )
+        theta, phi, g = new, phi_new, g_new
+    trace.final_phi = phi
+    trace.final_theta = theta
+    return trace
 
 
 def run_gd(
@@ -239,41 +244,15 @@ def run_gd(
     b_omega: float,
     shrink: float = 0.999,
 ) -> TrainTrace:
-    """Full-batch descent with the certified step 1 / l_grad_phi.
-
-    Each unprojected step is checked against the descent inequality on the
-    spot; a violation is recorded (descent_ok False) rather than raised, so
-    callers decide how hard to fail.
-    """
+    """Full-batch descent with the certified step 1 / l_grad_phi, descent-checked."""
     if not (l_grad_phi > 0 and math.isfinite(l_grad_phi)):
         raise ValueError("l_grad_phi must be a positive finite real")
     h = 1.0 / l_grad_phi
-    theta, _ = _project_flat(np.asarray(theta0, dtype=float), b_omega, shrink)
-    trace = TrainTrace(method="gd", l_grad_phi=l_grad_phi)
-    phi = objective.value(theta)
-    for j in range(steps):
-        if not math.isfinite(phi):
-            trace.aborted = True
-            trace.notes += ("non-finite objective",)
-            break
-        g = objective.gradient(theta)
-        gn = float(np.linalg.norm(g))
-        raw = theta - h * g
-        new, projected = _project_flat(raw, b_omega, shrink)
-        phi_new = objective.value(new)
-        if projected or not math.isfinite(phi_new):
-            ok: bool | None = None
-        else:
-            bound = gn * gn / (2.0 * l_grad_phi)
-            slack = _DESCENT_RTOL * (abs(phi) + abs(phi_new) + 1.0)
-            ok = (phi - phi_new) >= bound - slack
-        trace.steps.append(
-            TrainStep(j, phi, gn, h, float(np.linalg.norm(theta)), ok, projected)
-        )
-        theta, phi = new, phi_new
-    trace.final_phi = phi
-    trace.final_theta = theta
-    return trace
+    full = np.arange(objective.n_samples)
+    return _descend(
+        "gd", objective, theta0, steps, b_omega, shrink,
+        lambda gn: h, lambda: full, l_grad_phi, check_descent=True,
+    )
 
 
 def run_adagrad_norm(
@@ -295,46 +274,34 @@ def run_adagrad_norm(
     gradients, so the first step uses alpha / beta^(1/2+eps) and the
     schedule is nonincreasing by construction.  Batches draw indices with
     replacement, except that batch_size >= n_samples means the exact full
-    batch (deterministic gradients for the step-size sanity tests).
+    batch (deterministic gradients for the step-size sanity tests).  When
+    l_grad_phi is given, 2 alpha l_grad_phi < beta^(1/2 + eps) is enforced;
+    steps are never descent-checked.
     """
-    cfg = TrainerConfig(
-        method="adagrad_norm",
-        steps=steps,
-        b_omega=b_omega,
-        seed=seed,
-        batch_size=batch_size,
-        alpha=alpha,
-        beta=beta,
-        eps_exponent=eps_exponent,
-        projection_shrink=shrink,
-    )
+    if not (alpha > 0 and beta > 0):
+        raise ValueError("alpha and beta must be positive")
+    if eps_exponent < 0:
+        raise ValueError("eps_exponent must be nonnegative")
+    if batch_size < 1:
+        raise ValueError("batch_size must be positive")
     if l_grad_phi is not None:
-        cfg.validate(l_grad_phi)
-    rng = np.random.default_rng(seed)
-    theta, _ = _project_flat(np.asarray(theta0, dtype=float), b_omega, shrink)
-    trace = TrainTrace(method="adagrad_norm", l_grad_phi=l_grad_phi)
+        check_adagrad_condition(alpha, beta, eps_exponent, l_grad_phi)
     acc = 0.0
-    phi = objective.value(theta)
-    for j in range(steps):
-        if not math.isfinite(phi):
-            trace.aborted = True
-            trace.notes += ("non-finite objective",)
-            break
-        if batch_size >= objective.n_samples:
-            idx = np.arange(objective.n_samples)
-        else:
-            idx = rng.integers(0, objective.n_samples, size=batch_size)
-        g = objective.batch_gradient(theta, idx)
-        gn = float(np.linalg.norm(g))
+
+    def step_size(gn: float) -> float:
+        nonlocal acc
         h = alpha / (beta + acc) ** (0.5 + eps_exponent)
-        raw = theta - h * g
-        new, projected = _project_flat(raw, b_omega, shrink)
-        trace.steps.append(
-            TrainStep(j, phi, gn, h, float(np.linalg.norm(theta)), None, projected)
-        )
         acc += gn * gn
-        theta = new
-        phi = objective.value(theta)
-    trace.final_phi = phi
-    trace.final_theta = theta
-    return trace
+        return h
+
+    n = objective.n_samples
+    full = np.arange(n)
+    rng = np.random.default_rng(seed)
+
+    def batch() -> np.ndarray:
+        return full if batch_size >= n else rng.integers(0, n, size=batch_size)
+
+    return _descend(
+        "adagrad_norm", objective, theta0, steps, b_omega, shrink,
+        step_size, batch, l_grad_phi, check_descent=False,
+    )

@@ -11,15 +11,18 @@ from lipcert import (
     BoundInputs,
     LossEnvelope,
     SampleMoments,
+    batch_forward,
     closed_form_bounds,
     closed_form_certificate,
     derive_adagrad_params,
     derive_gd_step,
+    empirical_lipschitz,
     input_base,
     layer_step,
     loss_certificate,
     make_activation,
     network_certificate,
+    network_output_map,
     refine_over_layer_budgets,
     sigmoid,
     smoothed_relu,
@@ -151,8 +154,21 @@ class TestNetworkCertificate:
         delta = 0.4
         arch = ArchitectureSpec(widths=(1, 2, 1), activations=(smoothed_relu(delta),))
         nb = network_certificate(arch, BoundInputs(b_omega=2.0), 1.0)
-        expected = 2.0 * math.sqrt(2.0) + delta / 4.0
+        # D sqrt(S^2 + 1) plus the per-coordinate gap delta/4 over both coordinates
+        expected = 2.0 * math.sqrt(2.0) + math.sqrt(2.0) * delta / 4.0
         assert nb.per_layer[0].b_n == pytest.approx(expected, rel=1e-15)
+
+    def test_wide_smoothed_relu_layer_stays_sound(self):
+        # at theta = 0 every one of the 50 features sits at the gap delta/4 = 1,
+        # so ||N_1|| = sqrt(50); a bound that adds the gap once claims 1.1 and
+        # its L_N (1.49) is beaten by sampled quotients of 2.2
+        arch = ArchitectureSpec(widths=(1, 50, 1), activations=(smoothed_relu(4.0),))
+        nb = network_certificate(arch, BoundInputs(b_omega=0.1), 0.0)
+        x = np.zeros(1)
+        _, feats = batch_forward(arch, np.zeros((1, arch.n_params)), x[None])
+        assert nb.per_layer[0].b_n >= float(np.linalg.norm(feats[1][0, 0]))
+        est = empirical_lipschitz(network_output_map(arch, x), arch.n_params, 0.1, 20000, 0)
+        assert est.max_ratio <= nb.l_n
 
 
 # ---------------------------------------------------------------------------

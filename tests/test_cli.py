@@ -151,6 +151,16 @@ class TestConfigErrors:
         cfg = write_cfg(tmp_path, TRIVIAL)
         assert cli.main(["certify", "--config", cfg, "--threads", "0"]) == 2
 
+    @pytest.mark.parametrize("command", [["certify"], ["train"], ["code", "certify"]])
+    def test_nonpositive_pseudo_huber_delta(self, tmp_path, command):
+        doc = {
+            **FULL,
+            "loss": {"kind": "pseudo_huber", "delta": -1.0},
+            "code": {"envelopes": {}, "b_upsilon": 2.0, "x_norm": 1.5, "sample_norms": [1.0]},
+        }
+        cfg = write_cfg(tmp_path, doc)
+        assert cli.main([*command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
     def test_unknown_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])
@@ -337,3 +347,36 @@ class TestCodeCommands:
         assert cli.main(["code", "certify", "--config", cfg, "--out", str(a)]) == 0
         assert cli.main(["code", "certify", "--config", cfg, "--out", str(b)]) == 0
         assert (a / "code_certificate.json").read_bytes() == (b / "code_certificate.json").read_bytes()
+
+    def test_bad_envelope_loss_exits_two(self, tmp_path):
+        cfg = write_cfg(
+            tmp_path,
+            {
+                "name": "bad-envelope-loss",
+                "loss": {"kind": "envelope", "g_p_max": -1, "g_pp_max": 1},
+                "code": {"envelopes": {}, "b_upsilon": 2.0, "x_norm": 1.5, "sample_norms": [1.0]},
+            },
+        )
+        out = tmp_path / "out"
+        assert cli.main(["code", "certify", "--config", cfg, "--out", str(out)]) == 2
+        assert not (out / "code_certificate.json").exists()
+
+    @pytest.mark.parametrize("sub", ["certify", "verify"])
+    def test_overflowing_envelopes_exits_two(self, tmp_path, sub):
+        cfg = write_cfg(
+            tmp_path,
+            {
+                "name": "overflowing-envelopes",
+                "code": {
+                    "field": "linear_scalar",
+                    "envelopes": {"b_v": 1000},
+                    "control": {"density": 1.0, "t_final": 1.0},
+                    "x": [1.0],
+                    "theta_box": [[-1.0], [1.0]],
+                    "n_samples": 2,
+                },
+            },
+        )
+        out = tmp_path / "out"
+        assert cli.main(["code", sub, "--config", cfg, "--out", str(out)]) == 2
+        assert not (out / "run_meta.json").exists()

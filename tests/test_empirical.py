@@ -108,6 +108,12 @@ class TestBatchedMaps:
                 np.mean([grads[i] for i in idx], axis=0),
                 rtol=1e-12, atol=1e-14,
             )
+            # one pass: the value over every sample, the gradient over the rows
+            phi, grad = obj.value_and_gradient(theta, idx)
+            assert phi == pytest.approx(math.fsum(losses) / 6, rel=1e-12)
+            np.testing.assert_allclose(
+                grad, np.mean([grads[i] for i in idx], axis=0), rtol=1e-12, atol=1e-14
+            )
 
     def test_one_theta_on_many_inputs(self, rng):
         arch = random_architecture(rng, max_width=5, max_hidden=3, min_hidden=1)

@@ -168,15 +168,16 @@ class TestBallGeometry:
 
     def test_projection_is_identity_inside(self):
         arch, params = small_net(seed=5)
-        big = param_norm(params) * 10.0
-        q = project_to_ball(params, big)
-        np.testing.assert_array_equal(flatten_params(q), flatten_params(params))
+        theta = flatten_params(params)
+        q, projected = project_to_ball(theta, param_norm(params) * 10.0)
+        assert q is theta and not projected
 
     def test_projection_lands_on_shrunk_sphere(self):
         arch, params = small_net(seed=5)
         target = param_norm(params) / 3.0
-        q = project_to_ball(params, target, shrink=0.9)
-        assert param_norm(q) == pytest.approx(0.9 * target, rel=1e-12)
+        q, projected = project_to_ball(flatten_params(params), target, shrink=0.9)
+        assert projected
+        assert float(np.linalg.norm(q)) == pytest.approx(0.9 * target, rel=1e-12)
 
 
 class TestLossHeads:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lipcert import training
 from lipcert import (
     ArchitectureSpec,
     BoundInputs,
@@ -90,6 +91,50 @@ class TestGradientDescent:
         obj = QuadraticObjective(l=1.0)
         with pytest.raises(ValueError):
             run_gd(obj, np.zeros(1), l_grad_phi=0.0, steps=1, b_omega=1.0)
+
+    def test_one_forward_pass_per_iterate(self, monkeypatch):
+        # the value and the gradient at an iterate share one engine pass
+        calls = []
+        engine = training.batch_forward
+
+        def counted(*args):
+            calls.append(1)
+            return engine(*args)
+
+        monkeypatch.setattr(training, "batch_forward", counted)
+        objective, theta0, cert = tanh_problem()
+        run_gd(objective, theta0, cert.l_grad_phi, steps=20, b_omega=1.0)
+        assert len(calls) == 21
+
+
+_SHARED_BAD = [
+    {"steps": 0}, {"b_omega": 0.0}, {"b_omega": -1.0}, {"b_omega": math.inf},
+    {"shrink": 0.0}, {"shrink": 1.5},
+]
+_ADAGRAD_BAD = [
+    {"alpha": 0.0}, {"alpha": -1.0}, {"beta": 0.0}, {"beta": -1.0},
+    {"batch_size": 0}, {"eps_exponent": -0.1},
+]
+
+
+@pytest.mark.parametrize(
+    "trainer, bad",
+    [("gd", b) for b in _SHARED_BAD] + [("adagrad_norm", b) for b in _SHARED_BAD + _ADAGRAD_BAD],
+    ids=lambda v: v if isinstance(v, str) else ",".join(f"{k}={x}" for k, x in v.items()),
+)
+def test_trainers_reject_invalid_arguments(trainer, bad):
+    obj = QuadraticObjective(l=1.0, dim=2)
+    theta0 = np.array([0.3, -0.2])
+    if trainer == "gd":
+        run, kw = run_gd, dict(l_grad_phi=1.0, steps=3, b_omega=1.0, shrink=0.999)
+    else:
+        run, kw = run_adagrad_norm, dict(
+            alpha=0.5, beta=2.0, eps_exponent=0.0, batch_size=1, steps=3, seed=0,
+            b_omega=1.0, shrink=0.999,
+        )
+    assert len(run(obj, theta0, **kw).steps) == 3
+    with pytest.raises(ValueError):
+        run(obj, theta0, **{**kw, **bad})
 
 
 class TestAdaGradNorm:
