@@ -113,10 +113,6 @@ class ArchitectureSpec:
             o * i + o for i, o in zip(self.widths[:-1], self.widths[1:])
         )
 
-    def layer_param_count(self, u: int) -> int:
-        """Parameter count of layer u (1-based)."""
-        return self.widths[u] * self.widths[u - 1] + self.widths[u]
-
 
 @dataclass(frozen=True)
 class SampleMoments:
@@ -365,23 +361,24 @@ class Certificate:
 
     per_layer and the *_final constants are evaluated at the largest input
     norm in the dataset (so they hold for every sample simultaneously);
-    l_phi / l_grad_phi are dataset averages of the per-sample loss constants.
-    b_grad_phi equals l_phi: a bound on the loss Lipschitz constant is also
-    a bound on the loss gradient's norm.
+    l_phi / l_grad_phi are dataset averages of the per-sample loss constants,
+    or None for a certificate of the network alone.  b_grad_phi equals l_phi:
+    a bound on the loss Lipschitz constant is also a bound on the loss
+    gradient's norm.
     """
 
     per_layer: tuple[LayerBounds, ...]
     l_n_final: float
     l_grad_n_final: float
-    l_phi: float
-    l_grad_phi: float
+    l_phi: float | None
+    l_grad_phi: float | None
     method: str
     inputs_digest: str
     flags: tuple[str, ...] = ()
     layer_budgets: tuple[float, ...] | None = None
 
     @property
-    def b_grad_phi(self) -> float:
+    def b_grad_phi(self) -> float | None:
         return self.l_phi
 
     @property
@@ -444,6 +441,48 @@ def _overflow_flags(*values: float) -> tuple[str, ...]:
     return ("overflow",) if any(math.isinf(v) for v in values) else ()
 
 
+def _head_averages(
+    loss: LossEnvelope, d_head: float, hidden: Sequence[LayerBounds]
+) -> tuple[float, float]:
+    """Dataset means of the per-sample loss constants (L_phi, L_grad_phi)."""
+    heads = [layer_step(h, loss, 1, d_head) for h in hidden]
+    return (
+        math.fsum(h.l_n for h in heads) / len(heads),
+        math.fsum(h.l_grad_n for h in heads) / len(heads),
+    )
+
+
+def _averaged_certificate(
+    arch: ArchitectureSpec,
+    inputs: BoundInputs,
+    loss: LossEnvelope,
+    norms: Sequence[float],
+    bounds_at: Callable[[float], NetworkBounds],
+    method: str,
+) -> Certificate:
+    """Loss constants averaged over the norms; network constants at the largest.
+
+    bounds_at(s) gives the network bounds for an input of norm s; the
+    per-sample loss heads are averaged with equal weights in dataset order.
+    """
+    d_head = inputs.budgets_for(arch)[-1]
+    l_phi, l_grad_phi = _head_averages(
+        loss, d_head, [bounds_at(s).last_hidden for s in norms]
+    )
+    nb_max = bounds_at(max(norms))
+    return Certificate(
+        per_layer=nb_max.per_layer,
+        l_n_final=nb_max.l_n,
+        l_grad_n_final=nb_max.l_grad_n,
+        l_phi=l_phi,
+        l_grad_phi=l_grad_phi,
+        method=method,
+        inputs_digest=_certificate_digest(arch, inputs, loss, norms, None, method),
+        flags=_overflow_flags(nb_max.l_n, nb_max.l_grad_n, l_phi, l_grad_phi),
+        layer_budgets=inputs.layer_budgets,
+    )
+
+
 def loss_certificate(
     arch: ArchitectureSpec,
     inputs: BoundInputs,
@@ -461,25 +500,8 @@ def loss_certificate(
     budgets = inputs.budgets_for(arch)
     if moments is not None:
         return _moment_certificate(arch, inputs, loss, moments)
-
-    heads = []
-    for s in norms:
-        nb = _network_bounds(arch, budgets, s)
-        heads.append(layer_step(nb.last_hidden, loss, 1, budgets[-1]))
-    l_phi = math.fsum(h.l_n for h in heads) / len(heads)
-    l_grad_phi = math.fsum(h.l_grad_n for h in heads) / len(heads)
-
-    nb_max = _network_bounds(arch, budgets, max(norms))
-    return Certificate(
-        per_layer=nb_max.per_layer,
-        l_n_final=nb_max.l_n,
-        l_grad_n_final=nb_max.l_grad_n,
-        l_phi=l_phi,
-        l_grad_phi=l_grad_phi,
-        method="recursive",
-        inputs_digest=_certificate_digest(arch, inputs, loss, norms, None, "recursive"),
-        flags=_overflow_flags(nb_max.l_n, nb_max.l_grad_n, l_phi, l_grad_phi),
-        layer_budgets=inputs.layer_budgets,
+    return _averaged_certificate(
+        arch, inputs, loss, norms, lambda s: _network_bounds(arch, budgets, s), "recursive"
     )
 
 
@@ -595,25 +617,9 @@ def closed_form_certificate(
     norms, moments = _resolve_norms(inputs, dataset_norms)
     if moments is not None:
         raise ValueError("closed-form certificate needs explicit sample norms")
-    budgets = inputs.budgets_for(arch)
-    heads = [
-        layer_step(closed_form_network_bounds(arch, inputs, s).last_hidden, loss, 1, budgets[-1])
-        for s in norms
-    ]
-    l_phi = math.fsum(h.l_n for h in heads) / len(heads)
-    l_grad_phi = math.fsum(h.l_grad_n for h in heads) / len(heads)
-
-    nb_max = closed_form_network_bounds(arch, inputs, max(norms))
-    return Certificate(
-        per_layer=nb_max.per_layer,
-        l_n_final=nb_max.l_n,
-        l_grad_n_final=nb_max.l_grad_n,
-        l_phi=l_phi,
-        l_grad_phi=l_grad_phi,
-        method="closed_form",
-        inputs_digest=_certificate_digest(arch, inputs, loss, norms, None, "closed_form"),
-        flags=_overflow_flags(nb_max.l_n, nb_max.l_grad_n, l_phi, l_grad_phi),
-        layer_budgets=None,
+    return _averaged_certificate(
+        arch, inputs, loss, norms,
+        lambda s: closed_form_network_bounds(arch, inputs, s), "closed_form",
     )
 
 
@@ -835,22 +841,14 @@ def refine_over_layer_budgets(
     def obj_l_grad_n(d: Sequence[float]) -> float:
         return _network_bounds(arch, d, s_max).l_grad_n
 
-    def obj_l_phi(d: Sequence[float]) -> float:
-        return math.fsum(
-            layer_step(_network_bounds(arch, d, s).last_hidden, loss, 1, d[-1]).l_n
-            for s in norms
-        ) / len(norms)
-
-    def obj_l_grad_phi(d: Sequence[float]) -> float:
-        return math.fsum(
-            layer_step(_network_bounds(arch, d, s).last_hidden, loss, 1, d[-1]).l_grad_n
-            for s in norms
-        ) / len(norms)
+    def loss_averages(d: Sequence[float]) -> tuple[float, float]:
+        hidden = [_network_bounds(arch, d, s).last_hidden for s in norms]
+        return _head_averages(loss, d[-1], hidden)
 
     l_n, _ = _max_on_sphere(obj_l_n, dim, b, search)
     l_grad_n, _ = _max_on_sphere(obj_l_grad_n, dim, b, search)
-    l_phi, _ = _max_on_sphere(obj_l_phi, dim, b, search)
-    l_grad_phi, d_star = _max_on_sphere(obj_l_grad_phi, dim, b, search)
+    l_phi, _ = _max_on_sphere(lambda d: loss_averages(d)[0], dim, b, search)
+    l_grad_phi, d_star = _max_on_sphere(lambda d: loss_averages(d)[1], dim, b, search)
 
     uniform = loss_certificate(arch, inputs, loss, norms)
     flags = _overflow_flags(l_n, l_grad_n, l_phi, l_grad_phi)

@@ -18,7 +18,9 @@ import logging
 import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from .activations import saturated_linear
 from .bounds import (
     ArchitectureSpec,
     BoundInputs,
+    Certificate,
     LossEnvelope,
     closed_form_certificate,
     closed_form_network_bounds,
@@ -59,7 +62,6 @@ from .config import (
     ensure_writable,
     envelope_loss,
     get,
-    layer_rows,
     load_config,
     resolve_loss_envelope,
     samples_from_config,
@@ -68,6 +70,7 @@ from .config import (
     write_json,
 )
 from .empirical import (
+    MODES,
     chain_output,
     directed_affine_pair,
     empirical_grad_lipschitz,
@@ -125,14 +128,42 @@ def _config_id(cfg: dict) -> str:
     return get(cfg, "name", str, default=config_digest(cfg))
 
 
-def _run_meta(command: str, cfg: dict, outputs: list[str]) -> dict:
-    return {
+def _write_reports(
+    command: str, cfg: dict, args, out: Path, writers: dict[str, Callable[[Path], None]]
+) -> None:
+    """Write each named report with its writer, then run_meta.json listing them all.
+
+    No file is written unless none of them exists yet (or --force is given).
+    """
+    names = [*writers, "run_meta.json"]
+    ensure_writable([out / name for name in names], args.force)
+    for name, write in writers.items():
+        write(out / name)
+    write_json(out / "run_meta.json", {
         "command": command,
         "config_digest": config_digest(cfg),
-        "outputs": sorted(outputs),
+        "outputs": sorted(names),
         "resolved_config": cfg,
         "tool_version": __version__,
-    }
+    })
+
+
+def _soundness_report(command: str, cfg: dict, args, out: Path, name: str, rows: list) -> int:
+    """Write the soundness table and print its rows.
+
+    Returns exit 4 when an empirical value exceeds its certificate.
+    """
+    _write_reports(command, cfg, args, out, {
+        name: partial(write_csv, header=SOUNDNESS_HEADER, rows=rows)
+    })
+    violations = [r for r in rows if r[3] > r[2]]
+    for r in rows:
+        status = "VIOLATION" if r[3] > r[2] else "ok"
+        print(f"{r[1]}: certificate={r[2]:.6g} empirical={r[3]:.6g} ({status})")
+    if violations:
+        print(f"{len(violations)} soundness violation(s): certificate falsified", file=sys.stderr)
+        return EXIT_VIOLATION
+    return EXIT_OK
 
 
 def _fmt_cell(v) -> str:
@@ -158,26 +189,9 @@ def _print_table(title: str, columns: list[str], rows: list[tuple]) -> None:
 # certify
 
 
-def _network_only_dict(nb, method: str, inputs, cfg: dict) -> dict:
-    """Certificate document when no loss section is configured."""
-    return {
-        "kind": "network_certificate",
-        "method": method,
-        "l_n_final": nb.l_n,
-        "l_grad_n_final": nb.l_grad_n,
-        "l_phi": None,
-        "l_grad_phi": None,
-        "b_grad_phi": None,
-        "per_layer": layer_rows(nb.per_layer),
-        "layer_budgets": None if inputs.layer_budgets is None else list(inputs.layer_budgets),
-        "flags": ["overflow"] if math.isinf(nb.l_n) or math.isinf(nb.l_grad_n) else [],
-        "inputs_digest": config_digest(cfg),
-    }
-
-
 def cmd_certify(cfg: dict, args, out: Path) -> int:
     arch = build_architecture(cfg)
-    inputs = build_bound_inputs(cfg)
+    inputs = build_bound_inputs(cfg, arch)
     ds = section(cfg, "dataset", required=False)
     norms = None
     target_bound = None
@@ -199,70 +213,66 @@ def cmd_certify(cfg: dict, args, out: Path) -> int:
         moments=inputs.moments,
     )
 
-    docs: dict[str, dict] = {}
+    certs: dict[str, Certificate] = {}
     if env is None:
         if norms is None:
             raise ConfigError("certify without a loss section needs explicit sample norms")
-        docs["recursive"] = _network_only_dict(
-            network_certificate(arch, inputs, s_max), "recursive", inputs, cfg
-        )
-        docs["closed_form"] = _network_only_dict(
-            closed_form_network_bounds(arch, uniform, s_max), "closed_form", uniform, cfg
-        )
-        refined = None
-    else:
-        rec = loss_certificate(arch, inputs, env, dataset_norms=norms)
-        docs["recursive"] = certificate_to_dict(rec)
-        if norms is not None:
-            docs["closed_form"] = certificate_to_dict(
-                closed_form_certificate(arch, uniform, env, dataset_norms=norms)
+        for method, nb, budgets in (
+            ("recursive", network_certificate(arch, inputs, s_max), inputs.layer_budgets),
+            ("closed_form", closed_form_network_bounds(arch, uniform, s_max), None),
+        ):
+            certs[method] = Certificate(
+                per_layer=nb.per_layer,
+                l_n_final=nb.l_n,
+                l_grad_n_final=nb.l_grad_n,
+                l_phi=None,
+                l_grad_phi=None,
+                method=method,
+                inputs_digest=config_digest(cfg),
+                flags=("overflow",) if math.isinf(nb.l_n) or math.isinf(nb.l_grad_n) else (),
+                layer_budgets=budgets,
             )
+    else:
+        certs["recursive"] = loss_certificate(arch, inputs, env, dataset_norms=norms)
+        if norms is not None:
+            certs["closed_form"] = closed_form_certificate(arch, uniform, env, dataset_norms=norms)
         else:
             log.info("moment-mode certify: closed forms need explicit norms; skipped")
-        refined = None
         if search is not None:
             if arch.m < 1:
                 raise ConfigError("refine: budget refinement needs a hidden layer")
             if norms is None:
                 raise ConfigError("refine: budget refinement needs explicit sample norms")
-            refined = refine_over_layer_budgets(
+            certs["refined"] = refine_over_layer_budgets(
                 arch, uniform, env, dataset_norms=norms, search=search
             )
-            docs["refined"] = certificate_to_dict(refined)
 
     _gate(
-        [v for d in docs.values() for v in (d["l_n_final"], d["l_grad_n_final"], d["l_phi"], d["l_grad_phi"])],
+        [v for c in certs.values() for v in (c.l_n_final, c.l_grad_n_final, c.l_phi, c.l_grad_phi)],
         args.allow_inf,
         "certify",
     )
+    _write_reports("certify", cfg, args, out, {
+        f"certificate_{m}.json": partial(write_json, obj=certificate_to_dict(c))
+        for m, c in certs.items()
+    })
 
-    paths = {m: out / f"certificate_{m}.json" for m in docs}
-    meta_path = out / "run_meta.json"
-    ensure_writable(list(paths.values()) + [meta_path], args.force)
-    for m, doc in docs.items():
-        write_json(paths[m], doc)
-    write_json(meta_path, _run_meta("certify", cfg, [p.name for p in paths.values()] + [meta_path.name]))
-
-    columns = [m for m in ("recursive", "closed_form", "refined") if m in docs]
-    rows = []
-    for name, key in (
-        ("L_N", "l_n_final"),
-        ("L_grad_N", "l_grad_n_final"),
-        ("L_phi", "l_phi"),
-        ("L_grad_phi", "l_grad_phi"),
-        ("B_grad_phi", "b_grad_phi"),
-    ):
-        rows.append((name,) + tuple(docs[m][key] for m in columns))
-    _print_table(
-        f"certificates (b_omega={inputs.b_omega:g}, s_max={s_max:g})", columns, rows
-    )
-    for rec_row in docs["recursive"]["per_layer"]:
-        print(
-            "  layer {layer}: l_n={l_n:.6g} l_grad_n={l_grad_n:.6g} b_n={b_n:.6g}".format(
-                **rec_row
-            )
+    rows = [
+        (name,) + tuple(getattr(c, key) for c in certs.values())
+        for name, key in (
+            ("L_N", "l_n_final"),
+            ("L_grad_N", "l_grad_n_final"),
+            ("L_phi", "l_phi"),
+            ("L_grad_phi", "l_grad_phi"),
+            ("B_grad_phi", "b_grad_phi"),
         )
-    flags = sorted({f for d in docs.values() for f in d["flags"]})
+    ]
+    _print_table(
+        f"certificates (b_omega={inputs.b_omega:g}, s_max={s_max:g})", list(certs), rows
+    )
+    for u, lb in enumerate(certs["recursive"].per_layer, 1):
+        print(f"  layer {u}: l_n={lb.l_n:.6g} l_grad_n={lb.l_grad_n:.6g} b_n={lb.b_n:.6g}")
+    flags = sorted({f for c in certs.values() for f in c.flags})
     if flags:
         print(f"  flags: {', '.join(flags)}")
     return EXIT_OK
@@ -272,16 +282,24 @@ def cmd_certify(cfg: dict, args, out: Path) -> int:
 # verify
 
 
+def _vector(values: list, n: int, where: str) -> np.ndarray:
+    """A config list as a vector of n finite floats."""
+    try:
+        v = np.asarray([float(x) for x in values])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where} must be a list of numbers") from exc
+    if v.shape != (n,) or not np.all(np.isfinite(v)):
+        raise ConfigError(f"{where} must have {n} finite entries")
+    return v
+
+
 def _verify_input(arch, vdoc, seed: int) -> np.ndarray:
     x_cfg = get(vdoc, "x", list, default=None, where="verify")
     if x_cfg is not None:
-        x = np.asarray([float(v) for v in x_cfg])
-        if x.shape != (arch.widths[0],):
-            raise ConfigError(f"verify.x must have {arch.widths[0]} entries")
-        return x
+        return _vector(x_cfg, arch.widths[0], "verify.x")
     s = get(vdoc, "input_norm", float, default=1.0, where="verify")
-    if s < 0:
-        raise ConfigError("verify.input_norm must be nonnegative")
+    if not 0.0 <= s < math.inf:
+        raise ConfigError("verify.input_norm must be finite and nonnegative")
     if s == 0.0:
         return np.zeros(arch.widths[0])
     rng = np.random.default_rng(seed)
@@ -291,7 +309,7 @@ def _verify_input(arch, vdoc, seed: int) -> np.ndarray:
 
 def cmd_verify(cfg: dict, args, out: Path) -> int:
     arch = build_architecture(cfg)
-    inputs = build_bound_inputs(cfg)
+    inputs = build_bound_inputs(cfg, arch)
     vdoc = section(cfg, "verify")
     top_seed = get(cfg, "seed", int, default=0)
     seed = get(vdoc, "seed", int, default=top_seed, where="verify")
@@ -299,6 +317,8 @@ def cmd_verify(cfg: dict, args, out: Path) -> int:
     mode = get(vdoc, "mode", str, default="mixed", where="verify")
     if n_pairs < 1:
         raise ConfigError("verify.n_pairs must be positive")
+    if mode not in MODES:
+        raise ConfigError(f"verify.mode must be one of {MODES}, got '{mode}'")
     x = _verify_input(arch, vdoc, seed)
     s = float(np.linalg.norm(x))
 
@@ -354,20 +374,7 @@ def cmd_verify(cfg: dict, args, out: Path) -> int:
         ) / float(np.linalg.norm(dth))
         rows.append((cid, "worst_case_ratio", chain_l_n, quot, _ratio(chain_l_n, quot), 1, seed))
 
-    csv_path = out / "soundness.csv"
-    meta_path = out / "run_meta.json"
-    ensure_writable([csv_path, meta_path], args.force)
-    write_csv(csv_path, SOUNDNESS_HEADER, rows)
-    write_json(meta_path, _run_meta("verify", cfg, [csv_path.name, meta_path.name]))
-
-    violations = [r for r in rows if r[3] > r[2]]
-    for r in rows:
-        status = "VIOLATION" if r[3] > r[2] else "ok"
-        print(f"{r[1]}: certificate={r[2]:.6g} empirical={r[3]:.6g} ({status})")
-    if violations:
-        print(f"{len(violations)} soundness violation(s): certificate falsified", file=sys.stderr)
-        return EXIT_VIOLATION
-    return EXIT_OK
+    return _soundness_report("verify", cfg, args, out, "soundness.csv", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +383,7 @@ def cmd_verify(cfg: dict, args, out: Path) -> int:
 
 def cmd_train(cfg: dict, args, out: Path) -> int:
     arch = build_architecture(cfg)
-    inputs = build_bound_inputs(cfg)
+    inputs = build_bound_inputs(cfg, arch)
     tdoc = section(cfg, "train")
     top_seed = get(cfg, "seed", int, default=0)
     head, _ = build_loss(cfg, required=True)
@@ -384,6 +391,26 @@ def cmd_train(cfg: dict, args, out: Path) -> int:
         raise ConfigError("train needs a trainable loss kind (squared_error or pseudo_huber)")
 
     samples, target_bound = samples_from_config(cfg, arch)
+
+    algorithm = get(tdoc, "algorithm", str, default="gd", where="train")
+    if algorithm not in ("gd", "adagrad_norm"):
+        raise ConfigError(f"train.algorithm must be gd or adagrad_norm, got '{algorithm}'")
+    steps = get(tdoc, "steps", int, where="train")
+    if steps < 1:
+        raise ConfigError("train.steps must be positive")
+    init_seed = get(tdoc, "init_seed", int, default=top_seed, where="train")
+    radius_fraction = get(tdoc, "radius_fraction", float, default=0.5, where="train")
+    if not 0.0 < radius_fraction <= 1.0:
+        raise ConfigError("train.radius_fraction must lie in (0, 1]")
+    shrink = get(tdoc, "shrink", float, default=0.999, where="train")
+    eps_exponent = get(tdoc, "eps_exponent", float, default=0.0, where="train")
+    eps_margin = get(tdoc, "eps_margin", float, default=1.0, where="train")
+    batch_size = get(tdoc, "batch_size", int, default=len(samples), where="train")
+    seed = get(tdoc, "seed", int, default=top_seed, where="train")
+    # diagnostic knob: run descent with a manual constant instead of the
+    # certified one, so the exit-5 falsification path can be exercised
+    override = get(tdoc, "l_grad_phi_override", float, default=None, where="train")
+
     norms = dataset_norms(samples)
     env = resolve_loss_envelope(cfg, arch, inputs, max(norms), target_bound)
     cert = loss_certificate(arch, inputs, env, dataset_norms=norms)
@@ -391,48 +418,28 @@ def cmd_train(cfg: dict, args, out: Path) -> int:
         print("certificate overflowed: no finite certified step size exists", file=sys.stderr)
         return EXIT_OVERFLOW
 
-    algorithm = get(tdoc, "algorithm", str, default="gd", where="train")
-    steps = get(tdoc, "steps", int, where="train")
-    if steps < 1:
-        raise ConfigError("train.steps must be positive")
-    init_seed = get(tdoc, "init_seed", int, default=top_seed, where="train")
-    radius_fraction = get(tdoc, "radius_fraction", float, default=0.5, where="train")
-    shrink = get(tdoc, "shrink", float, default=0.999, where="train")
     theta0 = flatten_params(
         init_params(arch, inputs.b_omega, seed=init_seed, radius_fraction=radius_fraction)
     )
     objective = NetworkObjective(arch, samples, head)
-
-    # diagnostic knob: run descent with a manual constant instead of the
-    # certified one, so the exit-5 falsification path can be exercised
-    override = get(tdoc, "l_grad_phi_override", float, default=None, where="train")
     l_grad_phi = cert.l_grad_phi if override is None else override
 
     try:
         if algorithm == "gd":
             trace = run_gd(objective, theta0, l_grad_phi, steps, inputs.b_omega, shrink)
-        elif algorithm == "adagrad_norm":
-            eps_exponent = get(tdoc, "eps_exponent", float, default=0.0, where="train")
-            eps_margin = get(tdoc, "eps_margin", float, default=1.0, where="train")
-            batch_size = get(tdoc, "batch_size", int, default=len(samples), where="train")
-            seed = get(tdoc, "seed", int, default=top_seed, where="train")
+        else:
             alpha, beta = derive_adagrad_params(cert, eps_margin, eps_exponent)
             trace = run_adagrad_norm(
                 objective, theta0, alpha, beta, eps_exponent, batch_size,
                 steps, seed, inputs.b_omega, shrink, l_grad_phi=cert.l_grad_phi,
             )
-        else:
-            raise ConfigError(f"train.algorithm must be gd or adagrad_norm, got '{algorithm}'")
     except ValueError as exc:
         raise ConfigError(f"train: {exc}") from exc
 
-    trace_path = out / "trace.csv"
-    cert_path = out / "certificate.json"
-    meta_path = out / "run_meta.json"
-    ensure_writable([trace_path, cert_path, meta_path], args.force)
-    trace.to_csv(trace_path)
-    write_json(cert_path, certificate_to_dict(cert))
-    write_json(meta_path, _run_meta("train", cfg, [trace_path.name, cert_path.name, meta_path.name]))
+    _write_reports("train", cfg, args, out, {
+        "trace.csv": trace.to_csv,
+        "certificate.json": partial(write_json, obj=certificate_to_dict(cert)),
+    })
 
     grads = [st.grad_norm for st in trace.steps]
     print(
@@ -477,7 +484,7 @@ def _code_budget(cdoc: dict):
         if control is None:
             raise ConfigError("code: need 'b_upsilon' or a 'control' section")
         bu = total_variation([control])
-    if bu < 0:
+    if not bu >= 0:
         raise ConfigError("code.b_upsilon must be nonnegative")
     return bu, control
 
@@ -485,12 +492,12 @@ def _code_budget(cdoc: dict):
 def _code_x_norm(cdoc: dict):
     xn = get(cdoc, "x_norm", float, default=None, where="code")
     x_cfg = get(cdoc, "x", list, default=None, where="code")
-    x = None if x_cfg is None else np.asarray([float(v) for v in x_cfg])
+    x = None if x_cfg is None else _vector(x_cfg, len(x_cfg), "code.x")
     if xn is None:
         if x is None:
             raise ConfigError("code: need 'x_norm' or an explicit 'x'")
         xn = float(np.linalg.norm(x))
-    if xn < 0:
+    if not xn >= 0:
         raise ConfigError("code.x_norm must be nonnegative")
     return xn, x
 
@@ -552,11 +559,9 @@ def cmd_code_certify(cfg: dict, args, out: Path) -> int:
         "code certify",
     )
 
-    cert_path = out / "code_certificate.json"
-    meta_path = out / "run_meta.json"
-    ensure_writable([cert_path, meta_path], args.force)
-    write_json(cert_path, code_certificate_to_dict(cert))
-    write_json(meta_path, _run_meta("code certify", cfg, [cert_path.name, meta_path.name]))
+    _write_reports("code certify", cfg, args, out, {
+        "code_certificate.json": partial(write_json, obj=code_certificate_to_dict(cert))
+    })
 
     rows = [
         ("B_X", cert.b_x),
@@ -589,10 +594,7 @@ def cmd_code_verify(cfg: dict, args, out: Path) -> int:
     box = get(cdoc, "theta_box", list, default=None, where="code")
     if box is None or len(box) != 2:
         raise ConfigError("code verify needs theta_box = [low, high]")
-    lo = np.asarray([float(v) for v in box[0]])
-    hi = np.asarray([float(v) for v in box[1]])
-    if lo.shape != (field.dim_theta,) or hi.shape != (field.dim_theta,):
-        raise ConfigError(f"code.theta_box entries must have {field.dim_theta} values")
+    lo, hi = (_vector(b, field.dim_theta, "code.theta_box entries") for b in box)
     if np.any(hi < lo):
         raise ConfigError("code.theta_box: high must dominate low")
 
@@ -602,6 +604,19 @@ def cmd_code_verify(cfg: dict, args, out: Path) -> int:
     n_substeps = get(cdoc, "n_substeps", int, default=64, where="code")
     if n_samples < 2:
         raise ConfigError("code.n_samples must be at least 2")
+    if n_substeps < 1:
+        raise ConfigError("code.n_substeps must be positive")
+    x_box = None
+    if get(cdoc, "check_envelopes", bool, default=False, where="code"):
+        n_env = get(cdoc, "n_envelope_samples", int, default=200, where="code")
+        if n_env < 1:
+            raise ConfigError("code.n_envelope_samples must be positive")
+        x_box = tuple(
+            _vector(
+                get(cdoc, key, list, default=list(x), where="code"), field.dim_state, f"code.{key}"
+            )
+            for key in ("x_box_low", "x_box_high")
+        )
 
     cert = _code_certificate(env, bu, xn)
     _gate([cert.b_x, cert.l_x], args.allow_inf, "code verify")
@@ -629,34 +644,14 @@ def cmd_code_verify(cfg: dict, args, out: Path) -> int:
         (cid, "l_x", cert.l_x, max_ratio, _ratio(cert.l_x, max_ratio), n_samples - 1, seed),
     ]
 
-    if get(cdoc, "check_envelopes", bool, default=False, where="code"):
-        n_env = get(cdoc, "n_envelope_samples", int, default=200, where="code")
-        x_lo = get(cdoc, "x_box_low", list, default=list(x), where="code")
-        x_hi = get(cdoc, "x_box_high", list, default=list(x), where="code")
+    if x_box is not None:
         t_pts = [0.0, 0.5 * control.t_final, control.t_final]
-        problems = verify_envelopes(
-            field, env, (lo, hi),
-            (np.asarray([float(v) for v in x_lo]), np.asarray([float(v) for v in x_hi])),
-            t_pts, n_env, seed,
-        )
+        problems = verify_envelopes(field, env, (lo, hi), x_box, t_pts, n_env, seed)
         for p in problems:
             print(f"envelope violation: {p}", file=sys.stderr)
         rows.append((cid, "envelope_violations", 0.0, float(len(problems)), math.inf, n_env, seed))
 
-    csv_path = out / "code_soundness.csv"
-    meta_path = out / "run_meta.json"
-    ensure_writable([csv_path, meta_path], args.force)
-    write_csv(csv_path, SOUNDNESS_HEADER, rows)
-    write_json(meta_path, _run_meta("code verify", cfg, [csv_path.name, meta_path.name]))
-
-    violations = [r for r in rows if r[3] > r[2]]
-    for r in rows:
-        status = "VIOLATION" if r[3] > r[2] else "ok"
-        print(f"{r[1]}: certificate={r[2]:.6g} empirical={r[3]:.6g} ({status})")
-    if violations:
-        print(f"{len(violations)} soundness violation(s)", file=sys.stderr)
-        return EXIT_VIOLATION
-    return EXIT_OK
+    return _soundness_report("code verify", cfg, args, out, "code_soundness.csv", rows)
 
 
 def cmd_code_equivalence(cfg: dict, args, out: Path) -> int:
@@ -672,6 +667,10 @@ def cmd_code_equivalence(cfg: dict, args, out: Path) -> int:
     tol = get(cdoc, "tolerance", float, default=1e-12, where="code")
     if n_nets < 1 or max_width < 1 or max_hidden < 0:
         raise ConfigError("code equivalence: sizes must be positive")
+    if not 0.0 < b_omega < math.inf:
+        raise ConfigError("code.b_omega must be a positive finite real")
+    if not tol >= 0.0:
+        raise ConfigError("code.tolerance must be nonnegative")
 
     from .network import forward, unflatten_params
 
@@ -697,11 +696,11 @@ def cmd_code_equivalence(cfg: dict, args, out: Path) -> int:
         worst = max(worst, rel)
         rows.append((net_id, "x".join(str(w) for w in widths), rel, tol))
 
-    csv_path = out / "equivalence.csv"
-    meta_path = out / "run_meta.json"
-    ensure_writable([csv_path, meta_path], args.force)
-    write_csv(csv_path, ("net_id", "widths", "rel_error", "tolerance"), rows)
-    write_json(meta_path, _run_meta("code equivalence", cfg, [csv_path.name, meta_path.name]))
+    _write_reports("code equivalence", cfg, args, out, {
+        "equivalence.csv": partial(
+            write_csv, header=("net_id", "widths", "rel_error", "tolerance"), rows=rows
+        )
+    })
 
     print(f"{n_nets} networks, worst relative error {worst:.3e} (tolerance {tol:g})")
     if worst > tol:

@@ -14,7 +14,6 @@ case of a single pure-jump control with unit jumps at integer times.
 from __future__ import annotations
 
 import bisect
-import csv
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -93,10 +92,6 @@ class Control:
             density_breaks=(0.0, float(t_final)),
             density_values=(float(value),),
         )
-
-    @classmethod
-    def zero(cls, t_final: float) -> "Control":
-        return cls(t_final=float(t_final))
 
     def density_at(self, t: float) -> float:
         if not self.density_values:
@@ -244,19 +239,15 @@ class Trajectory:
         return self.states[idx]
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            wr = csv.writer(fh)
-            l = self.states.shape[1]
-            header = ["t"] + [f"x_{i}" for i in range(l)]
-            if self.first_variation is not None:
-                header.append("first_variation_fro")
-            wr.writerow(header)
-            for k, (t, row) in enumerate(zip(self.times, self.states)):
-                cells = [f"{t:.17g}"] + [f"{v:.17g}" for v in row]
-                if self.first_variation is not None:
-                    fro = float(np.linalg.norm(self.first_variation[k]))
-                    cells.append(f"{fro:.17g}")
-                wr.writerow(cells)
+        from .config import write_csv  # config imports this module
+
+        header = ["t"] + [f"x_{i}" for i in range(self.states.shape[1])]
+        rows = [[float(t)] + [float(v) for v in row] for t, row in zip(self.times, self.states)]
+        if self.first_variation is not None:
+            header.append("first_variation_fro")
+            for row, fv in zip(rows, self.first_variation):
+                row.append(float(np.linalg.norm(fv)))
+        write_csv(path, header, rows)
 
 
 def _as_field_list(

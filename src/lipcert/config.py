@@ -21,7 +21,6 @@ from .bounds import (
     ArchitectureSpec,
     BoundInputs,
     Certificate,
-    LayerBounds,
     LossEnvelope,
     RefinementSearch,
     SampleMoments,
@@ -121,6 +120,8 @@ def build_architecture(cfg: dict) -> ArchitectureSpec:
                 raise ConfigError(
                     f"architecture.activations[{i}] must be a string or object"
                 )
+        except KeyError as exc:  # unknown kind
+            raise ConfigError(f"architecture.activations[{i}]: {exc.args[0]}") from exc
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"architecture.activations[{i}]: {exc}") from exc
     try:
@@ -129,26 +130,25 @@ def build_architecture(cfg: dict) -> ArchitectureSpec:
         raise ConfigError(f"architecture: {exc}") from exc
 
 
-def build_bound_inputs(cfg: dict) -> BoundInputs:
+def build_bound_inputs(cfg: dict, arch: ArchitectureSpec) -> BoundInputs:
     doc = section(cfg, "bounds")
     b_omega = get(doc, "b_omega", float, where="bounds")
     budgets = get(doc, "layer_budgets", list, default=None, where="bounds")
     norms = get(doc, "sample_norms", list, default=None, where="bounds")
     mdoc = get(doc, "moments", dict, default=None, where="bounds")
-    moments = None
     if mdoc is not None:
-        moments = SampleMoments(
-            e_s2=get(mdoc, "e_s2", float, where="bounds.moments"),
-            e_s4=get(mdoc, "e_s4", float, where="bounds.moments"),
-        )
+        e_s2 = get(mdoc, "e_s2", float, where="bounds.moments")
+        e_s4 = get(mdoc, "e_s4", float, where="bounds.moments")
     try:
-        return BoundInputs(
+        inputs = BoundInputs(
             b_omega=b_omega,
             layer_budgets=None if budgets is None else tuple(float(d) for d in budgets),
             sample_norms=None if norms is None else tuple(float(s) for s in norms),
-            moments=moments,
+            moments=None if mdoc is None else SampleMoments(e_s2, e_s4),
         )
-    except ValueError as exc:
+        inputs.budgets_for(arch)  # one budget per layer
+        return inputs
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bounds: {exc}") from exc
 
 
@@ -217,6 +217,8 @@ def resolve_loss_envelope(
         hidden_b = nb.last_hidden.b_n
         out_bound = inputs.budgets_for(arch)[-1] * math.sqrt(hidden_b * hidden_b + 1.0)
         return loss_head_envelopes(head, dim, out_bound, tb)
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"loss: {exc}") from exc
 
@@ -277,29 +279,21 @@ def build_field_envelopes(doc: dict, where: str = "envelopes") -> FieldEnvelopes
 # serialization
 
 
-def layer_rows(per_layer: Sequence[LayerBounds]) -> list[dict]:
-    return [
-        {
-            "layer": u + 1,
-            "l_n": lb.l_n,
-            "l_grad_n": lb.l_grad_n,
-            "b_n": lb.b_n,
-            "b_grad_n": lb.b_grad_n,
-        }
-        for u, lb in enumerate(per_layer)
-    ]
-
-
 def certificate_to_dict(cert: Certificate) -> dict:
+    """Certificate document; without a loss head the l_phi keys are null."""
     return {
-        "kind": "network_loss_certificate",
+        "kind": "network_certificate" if cert.l_phi is None else "network_loss_certificate",
         "method": cert.method,
         "l_n_final": cert.l_n_final,
         "l_grad_n_final": cert.l_grad_n_final,
         "l_phi": cert.l_phi,
         "l_grad_phi": cert.l_grad_phi,
         "b_grad_phi": cert.b_grad_phi,
-        "per_layer": layer_rows(cert.per_layer),
+        "per_layer": [
+            {"layer": u, "l_n": lb.l_n, "l_grad_n": lb.l_grad_n,
+             "b_n": lb.b_n, "b_grad_n": lb.b_grad_n}
+            for u, lb in enumerate(cert.per_layer, 1)
+        ],
         "layer_budgets": None if cert.layer_budgets is None else list(cert.layer_budgets),
         "flags": list(cert.flags),
         "inputs_digest": cert.inputs_digest,
@@ -349,14 +343,17 @@ def ensure_writable(paths: Sequence[Path], force: bool) -> None:
         )
 
 
-def write_json(path: Path, obj: dict) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def write_json(path: str | Path, obj: dict) -> None:
+    Path(path).write_text(
+        json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
+    )
 
 
-def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
+def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
+    """The one CSV writer: comma-separated, LF line endings, cells through fmt."""
     lines = [",".join(header)]
     lines += [",".join(fmt(c) for c in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def samples_from_config(
@@ -385,6 +382,8 @@ def samples_from_config(
     seed = get(syn, "seed", int, default=0, where="train.synthetic")
     if n < 1:
         raise ConfigError("train.synthetic: n_samples must be positive")
+    if not (0.0 <= s_norm < math.inf and 0.0 <= t_norm < math.inf):
+        raise ConfigError("train.synthetic: input_norm and target_norm must be finite and nonnegative")
     rng = np.random.default_rng(seed)
     samples = tuple(
         Sample(

@@ -15,7 +15,6 @@ known smoothness constant.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,6 +23,7 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 from .bounds import ArchitectureSpec, check_adagrad_condition
+from .config import write_csv
 from .network import Sample, batch_backward, batch_forward, project_to_ball
 
 __all__ = [
@@ -63,7 +63,6 @@ class NetworkObjective:
         self.xs = np.stack([s.x for s in samples]).astype(float)
         self.ys = np.stack([s.y for s in samples]).astype(float)
         self.loss_head = loss_head
-        self.dim = arch.n_params
         self.n_samples = len(samples)
 
     def _loss(self, outs: np.ndarray) -> float:
@@ -170,21 +169,15 @@ class TrainTrace:
         ]
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["step", "phi", "grad_norm", "step_size", "param_norm", "descent_ok"])
-            for s in self.steps:
-                flag = "na" if s.descent_ok is None else ("1" if s.descent_ok else "0")
-                wr.writerow(
-                    [
-                        s.step,
-                        f"{s.phi:.17g}",
-                        f"{s.grad_norm:.17g}",
-                        f"{s.step_size:.17g}",
-                        f"{s.param_norm:.17g}",
-                        flag,
-                    ]
-                )
+        write_csv(
+            path,
+            ("step", "phi", "grad_norm", "step_size", "param_norm", "descent_ok"),
+            [
+                (s.step, s.phi, s.grad_norm, s.step_size, s.param_norm,
+                 "na" if s.descent_ok is None else ("1" if s.descent_ok else "0"))
+                for s in self.steps
+            ],
+        )
 
 
 def _descend(

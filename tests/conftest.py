@@ -47,3 +47,52 @@ def loop_backward(params, arch, x, seed):
 @pytest.fixture
 def rng():
     return np.random.default_rng(2024)
+
+
+# one small run of every CLI command: name -> (argv before --config, config)
+_TANH_231 = {
+    "name": "tanh-231-small",
+    "seed": 7,
+    "architecture": {"widths": [2, 3, 1], "activations": ["tanh"]},
+    "bounds": {"b_omega": 1.0, "sample_norms": [1.0, 0.5]},
+    "loss": {"kind": "squared_error", "target_bound": 1.0},
+    "refine": {"restarts": 1, "iters": 4},
+    "verify": {"n_pairs": 200, "input_norm": 1.0},
+    "train": {
+        "algorithm": "gd",
+        "steps": 5,
+        "synthetic": {"n_samples": 8, "input_norm": 1.0, "target_norm": 1.0, "seed": 3},
+    },
+}
+CODE_LINEAR = {
+    "name": "linear-scalar",
+    "seed": 5,
+    "code": {
+        "field": "linear_scalar",
+        "control": {"density": 1.0, "t_final": 1.0},
+        "x": [1.0],
+        "theta_box": [[-1.0], [1.0]],
+        "n_samples": 400,
+        "n_substeps": 32,
+        "check_envelopes": True,
+        "x_box_low": [-1.5],
+        "x_box_high": [1.5],
+    },
+}
+COMMAND_RUNS = {
+    "certify": (["certify"], _TANH_231),
+    "verify": (["verify"], _TANH_231),
+    "train": (["train"], _TANH_231),
+    "code certify": (
+        ["code", "certify"],
+        {"name": "zero-field", "code": {"envelopes": {}, "b_upsilon": 2.0, "x_norm": 1.5}},
+    ),
+    "code verify": (
+        ["code", "verify"],
+        {**CODE_LINEAR, "code": {**CODE_LINEAR["code"], "n_samples": 50}},
+    ),
+    "code equivalence": (
+        ["code", "equivalence"],
+        {"name": "dnn-equivalence", "code": {"seed": 9, "n_nets": 3, "max_hidden": 2}},
+    ),
+}

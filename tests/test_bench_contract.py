@@ -7,11 +7,16 @@ imported as a package.
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
+import pytest
+
 import lipcert.cli
 from lipcert.training import NetworkObjective
+
+from conftest import COMMAND_RUNS
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -50,3 +55,18 @@ def test_install_patches_and_restores(monkeypatch):
         assert lipcert.cli.NetworkObjective is not NetworkObjective
     assert lipcert.cli.run_gd is run_gd
     assert lipcert.cli.NetworkObjective is NetworkObjective
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_RUNS))
+def test_every_report_byte_goes_through_the_config_writers(monkeypatch, tmp_path, command):
+    # the benchmark's config.bytes_written counts write_json/write_csv output
+    tracer = load_tracer(monkeypatch).Tracer()
+    argv, doc = COMMAND_RUNS[command]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    with tracer.install():
+        code = tracer.run_op(0, lipcert.cli.main, [*argv, "--config", str(cfg), "--out", str(out)])
+    assert code == 0
+    on_disk = sum(p.stat().st_size for p in out.iterdir())
+    assert tracer.counters[0]["config.bytes_written"] == on_disk

@@ -7,6 +7,8 @@ import pytest
 
 from lipcert import ArchitectureSpec, BoundInputs, closed_form_bounds, cli, tanh
 
+from conftest import CODE_LINEAR, COMMAND_RUNS
+
 
 def write_cfg(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
@@ -49,6 +51,9 @@ NO_LOSS_CLOSED_FORM = """{
   ]
 }
 """
+# with one hidden layer the closed forms equal the recursion, so the two
+# documents differ only in their method
+NO_LOSS_RECURSIVE = NO_LOSS_CLOSED_FORM.replace('"closed_form"', '"recursive"')
 
 FULL = {
     "name": "tanh-231",
@@ -83,6 +88,7 @@ class TestCertify:
         assert cli.main(["certify", "--config", cfg, "--out", str(out)]) == 0
         path = out / "certificate_closed_form.json"
         assert path.read_text() == NO_LOSS_CLOSED_FORM
+        assert (out / "certificate_recursive.json").read_text() == NO_LOSS_RECURSIVE
         arch = ArchitectureSpec(widths=(2, 3, 1), activations=(tanh(),))
         cf = closed_form_bounds(arch, BoundInputs(b_omega=1.0), 1.0)
         rows = json.loads(path.read_text())["per_layer"]
@@ -160,6 +166,49 @@ class TestConfigErrors:
         }
         cfg = write_cfg(tmp_path, doc)
         assert cli.main([*command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize(
+        "loss, message",
+        [
+            ({"kind": "squared_error", "target_bound": "1"}, "key 'target_bound' has wrong type"),
+            ({"kind": "squared_error"}, "squared_error needs 'target_bound' or a dataset"),
+        ],
+    )
+    def test_loss_errors_name_the_section_once(self, tmp_path, capsys, loss, message):
+        cfg = write_cfg(tmp_path, {**NO_LOSS, "loss": loss})
+        assert cli.main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: loss: {message}\n"
+
+    @pytest.mark.parametrize(
+        "command, section, key, value",
+        [
+            ("certify", "architecture", "activations", ["nope"]),
+            ("verify", "bounds", "layer_budgets", [0.5]),
+            ("certify", "bounds", "moments", {"e_s2": 1.0, "e_s4": 0.5}),
+            ("certify", "bounds", "sample_norms", [[1.0]]),
+            ("verify", "verify", "input_norm", math.inf),
+            ("verify", "verify", "input_norm", math.nan),
+            ("verify", "verify", "x", [math.nan, 0.0]),
+            ("verify", "verify", "mode", "nope"),
+            ("train", "train", "radius_fraction", 2.0),
+            ("train", "synthetic", "input_norm", -1.0),
+            ("train", "synthetic", "target_norm", -1.0),
+            ("code verify", "code", "n_substeps", 0),
+            ("code verify", "code", "x_box_low", [-1.5, 0.0]),
+            ("code verify", "code", "x_box_high", [1.5, 0.0]),
+            ("code verify", "code", "n_envelope_samples", -1),
+            ("code equivalence", "code", "b_omega", -1.0),
+            ("code equivalence", "code", "tolerance", math.nan),
+        ],
+    )
+    def test_bad_input_exits_two_before_computing(self, tmp_path, command, section, key, value):
+        argv, doc = COMMAND_RUNS[command]
+        doc = json.loads(json.dumps(doc))
+        target = doc["train"]["synthetic"] if section == "synthetic" else doc[section]
+        target[key] = value
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+        assert not any(out.iterdir())
 
     def test_unknown_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -294,24 +343,7 @@ class TestCodeCommands:
         assert "B_X" in capsys.readouterr().out
 
     def test_linear_field_soundness(self, tmp_path):
-        cfg = write_cfg(
-            tmp_path,
-            {
-                "name": "linear-scalar",
-                "seed": 5,
-                "code": {
-                    "field": "linear_scalar",
-                    "control": {"density": 1.0, "t_final": 1.0},
-                    "x": [1.0],
-                    "theta_box": [[-1.0], [1.0]],
-                    "n_samples": 400,
-                    "n_substeps": 32,
-                    "check_envelopes": True,
-                    "x_box_low": [-1.5],
-                    "x_box_high": [1.5],
-                },
-            },
-        )
+        cfg = write_cfg(tmp_path, CODE_LINEAR)
         out = tmp_path / "out"
         assert cli.main(["code", "verify", "--config", cfg, "--out", str(out)]) == 0
         lines = (out / "code_soundness.csv").read_text().strip().split("\n")
@@ -380,3 +412,15 @@ class TestCodeCommands:
         out = tmp_path / "out"
         assert cli.main(["code", sub, "--config", cfg, "--out", str(out)]) == 2
         assert not (out / "run_meta.json").exists()
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_RUNS))
+def test_reports_use_lf_and_run_meta_lists_them(tmp_path, command):
+    argv, doc = COMMAND_RUNS[command]
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert meta["outputs"] == sorted(p.name for p in out.iterdir())
+    for p in out.iterdir():
+        data = p.read_bytes()
+        assert b"\r" not in data and data.endswith(b"\n"), p.name
