@@ -36,6 +36,7 @@ __all__ = [
     "linear_scalar_field",
     "random_smooth_field",
     "solve_code",
+    "solve_code_batch",
     "solve_first_variation",
     "solve_second_variation",
     "total_variation",
@@ -171,14 +172,16 @@ class FieldEnvelopes:
 class VectorFieldSpec:
     """A parametric field V(theta, t, x) with exact derivative callables.
 
+    Every callable takes row batches (thetas (K, n), t, xs (K, l)) and
+    returns one tensor per row, row k evaluated at (thetas[k], t, xs[k]).
     Tensor layouts (l = dim_state, n = dim_theta):
-      evaluate        -> (l,)
-      jacobian_x      -> (l, l)    [a, b]    = dV_a / dx_b
-      jacobian_theta  -> (l, n)    [a, p]    = dV_a / dtheta_p
-      d2_theta_theta  -> (l, n, n) [a, p, q] = d2 V_a / dtheta_p dtheta_q
-      d2_x_theta      -> (l, l, n) [a, b, p] = d2 V_a / dx_b dtheta_p
-      d2_theta_x      -> (l, n, l) [a, p, b] = d2 V_a / dtheta_p dx_b
-      d2_x_x          -> (l, l, l) [a, b, c] = d2 V_a / dx_b dx_c
+      evaluate        -> (K, l)
+      jacobian_x      -> (K, l, l)    [k, a, b]    = dV_a / dx_b
+      jacobian_theta  -> (K, l, n)    [k, a, p]    = dV_a / dtheta_p
+      d2_theta_theta  -> (K, l, n, n) [k, a, p, q] = d2 V_a / dtheta_p dtheta_q
+      d2_x_theta      -> (K, l, l, n) [k, a, b, p] = d2 V_a / dx_b dtheta_p
+      d2_theta_x      -> (K, l, n, l) [k, a, p, b] = d2 V_a / dtheta_p dx_b
+      d2_x_x          -> (K, l, l, l) [k, a, b, c] = d2 V_a / dx_b dx_c
 
     Derivative callables may be None when the corresponding solve order is
     never requested.  envelopes is optional and only needed for
@@ -279,24 +282,61 @@ def _event_grid(controls: Sequence[Control]) -> list[float]:
     return sorted(pts)
 
 
+def _increments(
+    fields: Sequence[VectorFieldSpec],
+    order: int,
+    t: float,
+    weights: Sequence[float],
+    thetas: np.ndarray,
+    xs: np.ndarray,
+    dX: np.ndarray | None,
+    ddX: np.ndarray | None,
+):
+    """Weighted field contributions at the current left-limit rows."""
+    k, l = xs.shape
+    inc_x = np.zeros((k, l))
+    inc_d = np.zeros(dX.shape) if order >= 1 else None
+    inc_dd = np.zeros(ddX.shape) if order >= 2 else None
+    for f, w in zip(fields, weights):
+        if w == 0.0:
+            continue
+        inc_x += w * f.evaluate(thetas, t, xs)
+        if order >= 1:
+            jx = f.jacobian_x(thetas, t, xs)
+            inc_d += w * (f.jacobian_theta(thetas, t, xs) + jx @ dX)
+            if order >= 2:
+                term = (
+                    f.d2_theta_theta(thetas, t, xs)
+                    + np.einsum("kabp,kbq->kapq", f.d2_x_theta(thetas, t, xs), dX)
+                    + np.einsum("kaqb,kbp->kapq", f.d2_theta_x(thetas, t, xs), dX)
+                    + np.einsum("kabc,kbp,kcq->kapq", f.d2_x_x(thetas, t, xs), dX, dX)
+                    + np.einsum("kab,kbpq->kapq", jx, ddX)
+                )
+                inc_dd += w * term
+    return inc_x, inc_d, inc_dd
+
+
 def _integrate(
     fields: Sequence[VectorFieldSpec],
     controls: Sequence[Control],
-    theta: np.ndarray,
-    x: np.ndarray,
+    thetas: np.ndarray,
+    xs: np.ndarray,
     n_substeps: int,
     order: int,
-) -> Trajectory:
+    path: list | None = None,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, np.ndarray]:
+    """The one Euler engine: K parameter rows (K, n) from K states (K, l).
+
+    Returns the final states (K, l), the final first variations (K, l, n)
+    for order >= 1, the final second variations (K, l, n, n) for order 2,
+    and a (K,) mask of the rows that turned non-finite.  Such a row is
+    frozen at its first non-finite state and leaves the batch; the other
+    rows keep stepping.  When path is a list, each recorded point (the start,
+    every substep, every flat segment end and every jump) is appended as
+    (t, states, first, second) copies of the rows still stepping.
+    """
     if n_substeps < 1:
         raise ValueError("n_substeps must be >= 1")
-    l = fields[0].dim_state
-    n = fields[0].dim_theta
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (n,):
-        raise ValueError(f"theta must have shape ({n},)")
-    state = np.asarray(x, dtype=float).copy()
-    if state.shape != (l,):
-        raise ValueError(f"x must have shape ({l},)")
     if order >= 1 and any(
         f.jacobian_x is None or f.jacobian_theta is None for f in fields
     ):
@@ -310,90 +350,125 @@ def _integrate(
     ):
         raise ValueError("second variation needs all second-derivative callables")
 
-    dX = np.zeros((l, n)) if order >= 1 else None
-    ddX = np.zeros((l, n, n)) if order >= 2 else None
-
-    times = [0.0]
-    states = [state.copy()]
-    dxs = [dX.copy()] if dX is not None else None
-    ddxs = [ddX.copy()] if ddX is not None else None
-    aborted = False
-
-    def increments(t: float, weights: Sequence[float]):
-        """Weighted field contributions at the *current* left-limit values."""
-        inc_x = np.zeros(l)
-        inc_d = np.zeros((l, n)) if order >= 1 else None
-        inc_dd = np.zeros((l, n, n)) if order >= 2 else None
-        for f, w in zip(fields, weights):
-            if w == 0.0:
-                continue
-            inc_x += w * f.evaluate(theta, t, state)
-            if order >= 1:
-                jt = f.jacobian_theta(theta, t, state)
-                jx = f.jacobian_x(theta, t, state)
-                inc_d += w * (jt + jx @ dX)
-                if order >= 2:
-                    d2tt = f.d2_theta_theta(theta, t, state)
-                    d2xt = f.d2_x_theta(theta, t, state)
-                    d2tx = f.d2_theta_x(theta, t, state)
-                    d2xx = f.d2_x_x(theta, t, state)
-                    term = d2tt.copy()
-                    term += np.einsum("abp,bq->apq", d2xt, dX)
-                    term += np.einsum("aqb,bp->apq", d2tx, dX)
-                    term += np.einsum("abc,bp,cq->apq", d2xx, dX, dX)
-                    term += np.einsum("ab,bpq->apq", jx, ddX)
-                    inc_dd += w * term
-        return inc_x, inc_d, inc_dd
+    k, l = xs.shape
+    n = thetas.shape[1]
+    state = np.array(xs, dtype=float)
+    dX = np.zeros((k, l, n)) if order >= 1 else None
+    ddX = np.zeros((k, l, n, n)) if order >= 2 else None
+    live = np.arange(k)
+    final_x = np.empty((k, l))
+    final_d = np.empty((k, l, n)) if order >= 1 else None
+    final_dd = np.empty((k, l, n, n)) if order >= 2 else None
+    frozen = np.zeros(k, dtype=bool)
 
     def record(t: float) -> None:
-        times.append(t)
-        states.append(state.copy())
-        if dxs is not None:
-            dxs.append(dX.copy())
-        if ddxs is not None:
-            ddxs.append(ddX.copy())
+        if path is not None:
+            path.append((
+                t,
+                state.copy(),
+                dX.copy() if dX is not None else None,
+                ddX.copy() if ddX is not None else None,
+            ))
 
+    def settle(rows: np.ndarray) -> None:
+        """Write the given (batch-local) rows to the finals."""
+        final_x[live[rows]] = state[rows]
+        if order >= 1:
+            final_d[live[rows]] = dX[rows]
+        if order >= 2:
+            final_dd[live[rows]] = ddX[rows]
+
+    def step(t: float, weights: Sequence[float], t_after: float) -> bool:
+        """One Euler or jump update; False once no row is left stepping."""
+        nonlocal thetas, state, dX, ddX, live
+        inc_x, inc_d, inc_dd = _increments(
+            fields, order, t, weights, thetas, state, dX, ddX
+        )
+        state += inc_x
+        if order >= 1:
+            dX += inc_d
+        if order >= 2:
+            ddX += inc_dd
+        record(t_after)
+        ok = np.isfinite(state).all(axis=1)
+        if not ok.all():
+            settle(~ok)
+            frozen[live[~ok]] = True
+            thetas, state, live = thetas[ok], state[ok], live[ok]
+            dX = dX[ok] if dX is not None else None
+            ddX = ddX[ok] if ddX is not None else None
+        return live.size > 0
+
+    record(0.0)
     grid = _event_grid(controls)
     for a, b_t in zip(grid, grid[1:]):
         densities = [c.density_at(a) for c in controls]
         if any(d != 0.0 for d in densities):
             dt = (b_t - a) / n_substeps
-            for k in range(n_substeps):
-                t = a + k * dt
-                inc_x, inc_d, inc_dd = increments(t, [d * dt for d in densities])
-                state += inc_x
-                if order >= 1:
-                    dX += inc_d
-                if order >= 2:
-                    ddX += inc_dd
-                record(a + (k + 1) * dt)
-                if not np.all(np.isfinite(state)):
-                    aborted = True
-                    break
-            if aborted:
+            weights = [d * dt for d in densities]
+            if not all(step(a + j * dt, weights, a + (j + 1) * dt) for j in range(n_substeps)):
                 break
         else:
             record(b_t)
         jump_w = [c.jump_sizes().get(b_t, 0.0) for c in controls]
-        if any(w != 0.0 for w in jump_w):
-            inc_x, inc_d, inc_dd = increments(b_t, jump_w)
-            state += inc_x
-            if order >= 1:
-                dX += inc_d
-            if order >= 2:
-                ddX += inc_dd
-            record(b_t)
-            if not np.all(np.isfinite(state)):
-                aborted = True
-                break
+        if any(w != 0.0 for w in jump_w) and not step(b_t, jump_w, b_t):
+            break
+    settle(np.arange(live.size))
+    return final_x, final_d, final_dd, frozen
 
+
+def _solve_path(
+    fields: VectorFieldSpec | Sequence[VectorFieldSpec],
+    controls: Control | Sequence[Control],
+    theta: np.ndarray,
+    x: np.ndarray,
+    n_substeps: int,
+    order: int,
+) -> Trajectory:
+    """Single-point solve: the engine at K = 1 with its path recorded."""
+    fl, cl = _as_field_list(fields, controls)
+    n = fl[0].dim_theta
+    l = fl[0].dim_state
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (n,):
+        raise ValueError(f"theta must have shape ({n},)")
+    x = np.asarray(x, dtype=float)
+    if x.shape != (l,):
+        raise ValueError(f"x must have shape ({l},)")
+    path: list = []
+    *_, frozen = _integrate(fl, cl, theta[None], x[None], n_substeps, order, path)
     return Trajectory(
-        times=np.asarray(times),
-        states=np.asarray(states),
-        first_variation=np.asarray(dxs) if dxs is not None else None,
-        second_variation=np.asarray(ddxs) if ddxs is not None else None,
-        aborted=aborted,
+        times=np.asarray([p[0] for p in path]),
+        states=np.asarray([p[1][0] for p in path]),
+        first_variation=np.asarray([p[2][0] for p in path]) if order >= 1 else None,
+        second_variation=np.asarray([p[3][0] for p in path]) if order >= 2 else None,
+        aborted=bool(frozen[0]),
     )
+
+
+def solve_code_batch(
+    fields: VectorFieldSpec | Sequence[VectorFieldSpec],
+    controls: Control | Sequence[Control],
+    thetas: np.ndarray,
+    xs: np.ndarray,
+    n_substeps: int = 100,
+) -> np.ndarray:
+    """Final states (K, l) of K parameter rows (K, n) started from xs (K, l).
+
+    Row i equals solve_code(fields, controls, thetas[i], xs[i],
+    n_substeps).final_state bit for bit, a row that turns non-finite
+    included; no path is recorded, so memory stays O(K l).
+    """
+    fl, cl = _as_field_list(fields, controls)
+    n = fl[0].dim_theta
+    l = fl[0].dim_state
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 2 or thetas.shape[1] != n:
+        raise ValueError(f"parameter rows must have shape (K, {n})")
+    xs = np.asarray(xs, dtype=float)
+    if xs.shape != (thetas.shape[0], l):
+        raise ValueError(f"states must have shape ({thetas.shape[0]}, {l})")
+    return _integrate(fl, cl, thetas, xs, n_substeps, order=0)[0]
 
 
 def solve_code(
@@ -411,8 +486,7 @@ def solve_code(
     just before it.  Simultaneous jumps of several controls share the same
     left limit.
     """
-    fl, cl = _as_field_list(fields, controls)
-    return _integrate(fl, cl, theta, x, n_substeps, order=0)
+    return _solve_path(fields, controls, theta, x, n_substeps, order=0)
 
 
 def solve_first_variation(
@@ -427,8 +501,7 @@ def solve_first_variation(
     The sensitivity satisfies the linear equation driven by the same
     controls, d(dX) = (d_theta V + d_x V . dX) du, started at zero.
     """
-    fl, cl = _as_field_list(fields, controls)
-    return _integrate(fl, cl, theta, x, n_substeps, order=1)
+    return _solve_path(fields, controls, theta, x, n_substeps, order=1)
 
 
 def solve_second_variation(
@@ -445,8 +518,7 @@ def solve_second_variation(
                   + d2V/dth_q dx . dX_p + dX_p . d2V/dx2 . dX_q
                   + dV/dx . ddX_pq] du.
     """
-    fl, cl = _as_field_list(fields, controls)
-    return _integrate(fl, cl, theta, x, n_substeps, order=2)
+    return _solve_path(fields, controls, theta, x, n_substeps, order=2)
 
 
 # ---------------------------------------------------------------------------
@@ -683,11 +755,12 @@ def verify_envelopes(
         t = float(rng.choice(np.asarray(t_points, dtype=float)))
         nx = float(np.linalg.norm(xv))
         where = f"sample {k} (t={t:.3g})"
+        th1, x1 = theta[None], xv[None]
         for i, f in enumerate(fl):
-            v = f.evaluate(theta, t, xv)
+            v = f.evaluate(th1, t, x1)[0]
             check(f"field {i} b_v", float(np.linalg.norm(v)), e.b_v * (1 + nx), where)
             if f.jacobian_theta is not None:
-                jt = f.jacobian_theta(theta, t, xv)
+                jt = f.jacobian_theta(th1, t, x1)[0]
                 check(
                     f"field {i} b_theta",
                     float(np.linalg.norm(jt)),
@@ -695,7 +768,7 @@ def verify_envelopes(
                     where,
                 )
             if f.jacobian_x is not None:
-                jx = f.jacobian_x(theta, t, xv)
+                jx = f.jacobian_x(th1, t, x1)[0]
                 check(f"field {i} lip_x", float(np.linalg.norm(jx, 2)), e.lip_x, where)
             for name, call, bnd, pw in (
                 ("b_theta_theta", f.d2_theta_theta, e.b_theta_theta, e.p_theta_theta),
@@ -704,10 +777,10 @@ def verify_envelopes(
                 ("b_x_x", f.d2_x_x, e.b_x_x, e.p_x_x),
             ):
                 if call is not None:
-                    tens = call(theta, t, xv)
+                    tens = call(th1, t, x1)[0]
                     check(
                         f"field {i} {name}",
-                        float(np.linalg.norm(np.asarray(tens).ravel())),
+                        float(np.linalg.norm(tens.ravel())),
                         bnd * (1 + nx**pw),
                         where,
                     )
@@ -740,12 +813,12 @@ def linear_scalar_field() -> VectorFieldSpec:
         dim_state=1,
         dim_theta=1,
         evaluate=lambda th, t, x: th * x,
-        jacobian_x=lambda th, t, x: np.array([[th[0]]]),
-        jacobian_theta=lambda th, t, x: np.array([[x[0]]]),
-        d2_theta_theta=lambda th, t, x: np.zeros((1, 1, 1)),
-        d2_x_theta=lambda th, t, x: np.ones((1, 1, 1)),
-        d2_theta_x=lambda th, t, x: np.ones((1, 1, 1)),
-        d2_x_x=lambda th, t, x: np.zeros((1, 1, 1)),
+        jacobian_x=lambda th, t, x: th[:, :, None],
+        jacobian_theta=lambda th, t, x: x[:, :, None],
+        d2_theta_theta=lambda th, t, x: np.zeros((len(th), 1, 1, 1)),
+        d2_x_theta=lambda th, t, x: np.ones((len(th), 1, 1, 1)),
+        d2_theta_x=lambda th, t, x: np.ones((len(th), 1, 1, 1)),
+        d2_x_x=lambda th, t, x: np.zeros((len(th), 1, 1, 1)),
         envelopes=env,
     )
 
@@ -765,35 +838,39 @@ def random_smooth_field(
     lin_x = rng.standard_normal((dim_state, dim_state)) * 0.1
     lin_t = rng.standard_normal((dim_state, dim_theta)) * 0.1
 
+    def mv(mat, rows):
+        """mat @ row for every row of (K, d) rows."""
+        return np.matmul(mat, rows[:, :, None])[:, :, 0]
+
     def z(th, xv):
-        return w @ xv + u @ th + cc
+        return mv(w, xv) + mv(u, th) + cc
 
     def val(th, t, xv):
-        return a @ np.tanh(z(th, xv)) + lin_x @ xv + lin_t @ th
+        return mv(a, np.tanh(z(th, xv))) + mv(lin_x, xv) + mv(lin_t, th)
 
     def jx(th, t, xv):
         d1 = 1.0 - np.tanh(z(th, xv)) ** 2
-        return np.einsum("ah,h,hb->ab", a, d1, w) + lin_x
+        return np.einsum("ah,kh,hb->kab", a, d1, w) + lin_x
 
     def jt(th, t, xv):
         d1 = 1.0 - np.tanh(z(th, xv)) ** 2
-        return np.einsum("ah,h,hp->ap", a, d1, u) + lin_t
+        return np.einsum("ah,kh,hp->kap", a, d1, u) + lin_t
 
     def d2(th, xv):
         tt = np.tanh(z(th, xv))
         return -2.0 * tt * (1.0 - tt * tt)
 
     def d2tt(th, t, xv):
-        return np.einsum("ah,h,hp,hq->apq", a, d2(th, xv), u, u)
+        return np.einsum("ah,kh,hp,hq->kapq", a, d2(th, xv), u, u)
 
     def d2xt(th, t, xv):
-        return np.einsum("ah,h,hb,hp->abp", a, d2(th, xv), w, u)
+        return np.einsum("ah,kh,hb,hp->kabp", a, d2(th, xv), w, u)
 
     def d2tx(th, t, xv):
-        return np.einsum("ah,h,hp,hb->apb", a, d2(th, xv), u, w)
+        return np.einsum("ah,kh,hp,hb->kapb", a, d2(th, xv), u, w)
 
     def d2xx(th, t, xv):
-        return np.einsum("ah,h,hb,hc->abc", a, d2(th, xv), w, w)
+        return np.einsum("ah,kh,hb,hc->kabc", a, d2(th, xv), w, w)
 
     return VectorFieldSpec(
         dim_state=dim_state,
@@ -832,43 +909,41 @@ def dnn_as_code(arch: ArchitectureSpec) -> tuple[VectorFieldSpec, Control]:
     def layer_index(t: float) -> int:
         return min(m + 1, max(1, int(math.ceil(t))))
 
-    def pieces(theta: np.ndarray, t: float, x: np.ndarray):
+    def pieces(thetas: np.ndarray, t: float, xs: np.ndarray):
         i = layer_index(t)
         w_sl, b_sl = slices[i - 1]
         out_w, in_w = arch.widths[i], arch.widths[i - 1]
-        w = theta[w_sl].reshape(out_w, in_w)
-        b = theta[b_sl]
-        xi = x[:in_w]
-        pre = w @ xi + b
+        w = thetas[:, w_sl].reshape(-1, out_w, in_w)
+        xi = xs[:, :in_w]
+        pre = np.matmul(w, xi[:, :, None])[:, :, 0] + thetas[:, b_sl]
         if i <= m:
             act = arch.activations[i - 1]
-            return i, w, xi, pre, act(pre), act.deriv(pre)
-        return i, w, xi, pre, pre, np.ones(out_w)
+            return i, w, xi, act(pre), act.deriv(pre)
+        return i, w, xi, pre, np.ones(pre.shape)
 
-    def val(theta, t, x):
-        i, _, _, _, post, _ = pieces(theta, t, x)
-        v = -np.asarray(x, dtype=float).copy()
-        v[: post.shape[0]] += post
+    def val(thetas, t, xs):
+        _, _, _, post, _ = pieces(thetas, t, xs)
+        v = -np.asarray(xs, dtype=float)
+        v[:, : post.shape[1]] += post
         return v
 
-    def jx(theta, t, x):
-        i, w, _, _, _, d1 = pieces(theta, t, x)
+    def jx(thetas, t, xs):
+        i, w, _, _, d1 = pieces(thetas, t, xs)
         out_w, in_w = arch.widths[i], arch.widths[i - 1]
-        j = -np.eye(lmax)
-        j[:out_w, :in_w] += d1[:, None] * w
+        j = np.tile(-np.eye(lmax), (len(thetas), 1, 1))
+        j[:, :out_w, :in_w] += d1[:, :, None] * w
         return j
 
-    def jt(theta, t, x):
-        i, _, xi, _, _, d1 = pieces(theta, t, x)
+    def jt(thetas, t, xs):
+        i, _, xi, _, d1 = pieces(thetas, t, xs)
         w_sl, b_sl = slices[i - 1]
         out_w, in_w = arch.widths[i], arch.widths[i - 1]
-        j = np.zeros((lmax, n))
-        block = np.einsum("o,c->oc", d1, xi)  # dV_a/dW_{a,c}
-        jw = np.zeros((out_w, out_w, in_w))
-        for o in range(out_w):
-            jw[o, o, :] = block[o]
-        j[:out_w, w_sl] = jw.reshape(out_w, out_w * in_w)
-        j[:out_w, b_sl] = np.diag(d1)
+        cols = np.arange(n)
+        rows = np.arange(out_w)
+        j = np.zeros((len(thetas), lmax, n))
+        # dV_a/dW_{a,c} = d1_a x_c sits in row a at the column of W_{a,c}
+        j[:, rows[:, None], cols[w_sl].reshape(out_w, in_w)] = d1[:, :, None] * xi[:, None, :]
+        j[:, rows, cols[b_sl]] = d1
         return j
 
     field = VectorFieldSpec(

@@ -54,16 +54,17 @@ class ConfigError(ValueError):
     """Invalid or missing configuration; maps to exit code 2."""
 
 
-def load_config(path: str | Path) -> dict:
+def load_config(path: str | Path, kind: str = "config") -> dict:
+    """Read a JSON object; kind names the file in error messages."""
     p = Path(path)
     if not p.is_file():
-        raise ConfigError(f"config file not found: {p}")
+        raise ConfigError(f"{kind} file not found: {p}")
     try:
         doc = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        raise ConfigError(f"{kind} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
+        raise ConfigError(f"{kind} root must be a JSON object")
     return doc
 
 

@@ -96,11 +96,10 @@ class NetworkObjective:
 class QuadraticObjective:
     """phi(theta) = l/2 ||theta||^2, whose gradient has Lipschitz constant l."""
 
-    def __init__(self, l: float, dim: int = 1) -> None:
+    def __init__(self, l: float) -> None:
         if not (l > 0 and math.isfinite(l)):
             raise ValueError("l must be a positive finite real")
         self.l = l
-        self.dim = dim
         self.n_samples = 1
 
     def value(self, theta: np.ndarray) -> float:

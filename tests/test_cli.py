@@ -1,11 +1,22 @@
 """End-to-end runs of the command line driver, in process via cli.main."""
 
+import dataclasses
 import json
 import math
+from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from lipcert import ArchitectureSpec, BoundInputs, closed_form_bounds, cli, tanh
+from lipcert import (
+    ArchitectureSpec,
+    BoundInputs,
+    closed_form_bounds,
+    cli,
+    linear_scalar_field,
+    tanh,
+)
 
 from conftest import CODE_LINEAR, COMMAND_RUNS
 
@@ -210,6 +221,15 @@ class TestConfigErrors:
         assert cli.main([*argv, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
         assert not any(out.iterdir())
 
+    def test_missing_certificate_names_the_certificate(self, tmp_path, capsys):
+        argv, doc = COMMAND_RUNS["verify"]
+        missing = tmp_path / "nope.json"
+        doc = {**doc, "verify": {**doc["verify"], "certificate_path": str(missing)}}
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: certificate file not found: {missing}\n"
+        assert not any(out.iterdir())
+
     def test_unknown_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])
@@ -353,6 +373,58 @@ class TestCodeCommands:
             cells = row.split(",")
             if cells[1] in {"b_x", "l_x"}:
                 assert float(cells[4]) >= 1.0
+
+    def test_one_field_call_per_euler_step(self, tmp_path, monkeypatch):
+        # every sampled theta is stepped together: 32 calls over all 10k rows,
+        # plus the 200 one-row envelope checks
+        batch_sizes = []
+
+        def counting_field():
+            field = linear_scalar_field()
+
+            def evaluate(thetas, t, xs):
+                batch_sizes.append(len(thetas))
+                return field.evaluate(thetas, t, xs)
+
+            return dataclasses.replace(field, evaluate=evaluate)
+
+        monkeypatch.setitem(cli._CODE_FIELDS, "linear_scalar", counting_field)
+        config = Path(__file__).parents[1] / "configs" / "code_linear.json"
+        out = tmp_path / "out"
+        assert cli.main(["code", "verify", "--config", str(config), "--out", str(out)]) == 0
+        assert sorted(Counter(batch_sizes).items()) == [(1, 200), (10_000, 32)]
+
+    # code_soundness.csv as written before the solves were batched: the first
+    # box overflows most finals to +-inf (inf - inf quotients are NaN), the
+    # second overflows all of them, so every quotient is NaN and L_X reads 0
+    OVERFLOW_HEAD = "config_id,constant_name,certificate,empirical,ratio,n_pairs,seed\n"
+    OVERFLOW_TAIL = "linear-scalar,envelope_violations,0,400,inf,200,5\n"
+
+    @pytest.mark.parametrize(
+        "box, soundness",
+        [
+            (
+                [[-1e12], [1e12]],
+                "linear-scalar,b_x,5.4365636569180902,inf,0,50,5\n"
+                "linear-scalar,l_x,17.496394026320345,inf,0,49,5\n",
+            ),
+            (
+                [[1e13], [2e13]],
+                "linear-scalar,b_x,5.4365636569180902,inf,0,50,5\n"
+                "linear-scalar,l_x,17.496394026320345,0,inf,49,5\n",
+            ),
+        ],
+        ids=["some_inf", "all_inf"],
+    )
+    def test_overflowing_samples_are_pinned(self, tmp_path, box, soundness):
+        doc = {**CODE_LINEAR, "code": {**CODE_LINEAR["code"], "theta_box": box, "n_samples": 50}}
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main(["code", "verify", "--config", write_cfg(tmp_path, doc), "--out", str(out)])
+        assert code == 4
+        assert (out / "code_soundness.csv").read_text() == (
+            self.OVERFLOW_HEAD + soundness + self.OVERFLOW_TAIL
+        )
 
     def test_dnn_equivalence_sweep(self, tmp_path):
         cfg = write_cfg(

@@ -24,6 +24,7 @@ from lipcert import (
     required_moment_order,
     sigmoid,
     solve_code,
+    solve_code_batch,
     solve_first_variation,
     solve_second_variation,
     tanh,
@@ -31,6 +32,7 @@ from lipcert import (
     verify_envelopes,
 )
 from lipcert.bounds import LossEnvelope
+from lipcert.code_net import _integrate
 
 from conftest import random_architecture
 
@@ -118,10 +120,15 @@ class TestEulerAccuracy:
         blow_up = VectorFieldSpec(
             dim_state=1,
             dim_theta=1,
-            evaluate=lambda th, t, x: np.array([math.exp(min(x[0], 700.0)) * 1e300]),
+            evaluate=lambda th, t, x: np.exp(np.minimum(x, 700.0)) * 1e300,
         )
-        traj = solve_code(blow_up, UNIT_DENSITY, np.array([1.0]), np.array([1.0]), 16)
+        with np.errstate(over="ignore"):
+            traj = solve_code(blow_up, UNIT_DENSITY, np.array([1.0]), np.array([1.0]), 16)
         assert traj.aborted
+        # the path is cut at the first non-finite state
+        assert not np.isfinite(traj.final_state).all()
+        assert np.isfinite(traj.states[:-1]).all()
+        assert len(traj.times) < 17
 
     def test_state_at_is_right_continuous_across_jumps(self):
         arch = ArchitectureSpec(widths=(1, 1), activations=())
@@ -134,6 +141,83 @@ class TestEulerAccuracy:
         post = traj.state_at(t_jump)
         w, b = params.layers[0]
         assert post[0] == pytest.approx(float(w[0, 0] * 0.7 + b[0]), rel=1e-12)
+
+
+# a jump, several density pieces, a zero-density segment, and a second
+# control whose jump coincides with one of the first
+MIXED = Control(
+    t_final=2.0,
+    jumps=((0.5, 0.7), (1.25, -0.4), (2.0, 0.3)),
+    density_breaks=(0.0, 0.5, 1.0, 1.5, 2.0),
+    density_values=(1.0, -0.5, 0.0, 2.0),
+)
+SECOND = Control(
+    t_final=2.0,
+    jumps=((1.25, 0.5),),
+    density_breaks=(0.0, 0.8, 2.0),
+    density_values=(0.3, 0.0),
+)
+
+
+class TestBatchedEngine:
+    """Each row of a batched solve equals its own single-point solve, bit for bit."""
+
+    def test_batch_equals_single_point_loop(self, rng):
+        fields = [random_smooth_field(rng, 2, 3), random_smooth_field(rng, 2, 3)]
+        thetas = rng.normal(size=(7, 3))
+        xs = rng.normal(size=(7, 2))
+        finals = solve_code_batch(fields, [MIXED, SECOND], thetas, xs, 5)
+        assert finals.shape == (7, 2)
+        for theta, x, final in zip(thetas, xs, finals):
+            traj = solve_code(fields, [MIXED, SECOND], theta, x, 5)
+            np.testing.assert_array_equal(final, traj.final_state)
+            assert not traj.aborted
+
+    def test_overflowing_row_freezes_and_spares_the_others(self):
+        field = linear_scalar_field()
+        thetas = np.array([[0.5], [1e200], [-0.3], [-1e200], [0.9]])
+        xs = np.ones((5, 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            finals = solve_code_batch(field, MIXED, thetas, xs, 16)
+            trajs = [solve_code(field, MIXED, th, x, 16) for th, x in zip(thetas, xs)]
+        assert [t.aborted for t in trajs] == [False, True, False, True, False]
+        for final, traj in zip(finals, trajs):
+            # an overflowing row stops at its first non-finite state
+            np.testing.assert_array_equal(final, traj.final_state)
+            assert np.isfinite(traj.states[:-1]).all()
+        assert not np.isfinite(finals[[1, 3]]).any()
+        calm = [0, 2, 4]
+        np.testing.assert_array_equal(
+            finals[calm], solve_code_batch(field, MIXED, thetas[calm], xs[calm], 16)
+        )
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_smooth_field_variations(self, rng, order):
+        fields = [random_smooth_field(rng, 3, 2), random_smooth_field(rng, 3, 2)]
+        solve = solve_first_variation if order == 1 else solve_second_variation
+        thetas = rng.normal(size=(6, 2)) * 0.5
+        xs = rng.normal(size=(6, 3))
+        finals = _integrate(fields, [MIXED, SECOND], thetas, xs, 4, order)
+        for k in range(6):
+            traj = solve(fields, [MIXED, SECOND], thetas[k], xs[k], 4)
+            np.testing.assert_array_equal(finals[0][k], traj.final_state)
+            np.testing.assert_array_equal(finals[1][k], traj.final_first_variation)
+            if order == 2:
+                np.testing.assert_array_equal(finals[2][k], traj.final_second_variation)
+
+    def test_dnn_first_variation(self, rng):
+        arch = ArchitectureSpec(widths=(3, 4, 2, 2), activations=(tanh(), sigmoid()))
+        field, control = dnn_as_code(arch)
+        thetas = np.stack([
+            flatten_params(init_params(arch, b_omega=1.0, seed=s)) for s in range(5)
+        ])
+        xs = np.stack([embed_input(arch, rng.normal(size=3)) for _ in range(5)])
+        final_x, final_d, _, frozen = _integrate([field], [control], thetas, xs, 2, 1)
+        assert not frozen.any()
+        for k in range(5):
+            traj = solve_first_variation(field, control, thetas[k], xs[k], 2)
+            np.testing.assert_array_equal(final_x[k], traj.final_state)
+            np.testing.assert_array_equal(final_d[k], traj.final_first_variation)
 
 
 class TestVariationEquations:

@@ -45,7 +45,7 @@ def tanh_problem(n_samples=8, seed=0, b_omega=1.0):
 class TestGradientDescent:
     def test_quadratic_converges_in_one_step(self):
         # phi(t) = L/2 t^2 with h = 1/L jumps straight to the minimizer
-        obj = QuadraticObjective(l=4.0, dim=3)
+        obj = QuadraticObjective(l=4.0)
         theta0 = np.array([1.0, -2.0, 0.5])
         trace = run_gd(obj, theta0, l_grad_phi=4.0, steps=3, b_omega=10.0)
         assert trace.steps[1].phi == pytest.approx(0.0, abs=1e-28)
@@ -123,7 +123,7 @@ _ADAGRAD_BAD = [
     ids=lambda v: v if isinstance(v, str) else ",".join(f"{k}={x}" for k, x in v.items()),
 )
 def test_trainers_reject_invalid_arguments(trainer, bad):
-    obj = QuadraticObjective(l=1.0, dim=2)
+    obj = QuadraticObjective(l=1.0)
     theta0 = np.array([0.3, -0.2])
     if trainer == "gd":
         run, kw = run_gd, dict(l_grad_phi=1.0, steps=3, b_omega=1.0, shrink=0.999)
