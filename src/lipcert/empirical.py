@@ -6,6 +6,13 @@ generate those quotients at scale.  The parameter-space maps (network
 output, parameter Jacobian, mean loss gradient) are thin closures over the
 batched engine in network, evaluated for a whole chunk of parameter rows at
 once; the test suite checks them against a plain per-sample loop.
+
+Parameter pairs are drawn in fixed blocks of PAIR_BLOCK pairs.  Block k
+reads one generator seeded with (seed, k) in a few whole-array calls and
+builds its pairs in place, so a pair depends only on (seed, its index):
+estimates do not depend on how the map evaluation is chunked, the first n
+pairs of a longer run are the pairs of an n-pair run, and the worst pair of
+an estimate can be regenerated from (seed, argmax_index).
 """
 
 from __future__ import annotations
@@ -23,8 +30,6 @@ from .network import (
     Sample,
     batch_backward,
     batch_forward,
-    sample_in_ball,
-    unflatten_params,
 )
 
 __all__ = [
@@ -49,16 +54,11 @@ class LipschitzEstimate:
     """Largest sampled difference quotient and where it occurred."""
 
     max_ratio: float
-    argmax_pair: tuple[np.ndarray, np.ndarray] | None
+    argmax_pair: tuple[np.ndarray, np.ndarray]
+    argmax_index: int  # (seed, argmax_index) regenerates argmax_pair
     n_pairs: int
     seed: int
     n_degenerate: int = 0
-
-    def argmax_params(self, arch: ArchitectureSpec) -> tuple[Params, Params]:
-        if self.argmax_pair is None:
-            raise ValueError("estimate holds no argmax pair")
-        a, b = self.argmax_pair
-        return unflatten_params(arch, a), unflatten_params(arch, b)
 
 
 # ---------------------------------------------------------------------------
@@ -116,41 +116,79 @@ def loss_gradient_map(
 # ---------------------------------------------------------------------------
 # pair sampling
 
+PAIR_BLOCK = 256
+"""Pairs per generator: pair k is drawn from default_rng([seed, k // PAIR_BLOCK])."""
 
-def _pair_for_index(
-    rng: np.random.Generator, mode: str, dim: int, b_omega: float, h: float
+_GLOBAL, _LOCAL, _COORDINATE = 0, 1, 2
+_MODE_KIND = {"global_pairs": _GLOBAL, "local_perturbation": _LOCAL, "coordinate": _COORDINATE}
+
+
+def _pair_plan(
+    idx: np.ndarray, mode: str, b_omega: float, h: float | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    if mode == "global_pairs":
-        return (
-            sample_in_ball(rng, dim, b_omega),
-            sample_in_ball(rng, dim, b_omega),
-        )
+    """Kind and step length of each pair index; the mixed plan cycles on idx % 4."""
+    if mode == "mixed":
+        q = idx % 4
+        kind = np.array([_GLOBAL, _LOCAL, _LOCAL, _COORDINATE])[q]
+        step = np.array([0.0, 1e-2, 1e-4, 1e-3 * b_omega])[q]
+        return kind, step
+    return np.full(idx.shape, _MODE_KIND[mode]), np.full(idx.shape, h or 0.0)
+
+
+def _scale_rows(g: np.ndarray, length: np.ndarray) -> None:
+    """Rescale each row of g in place to the given length; an all-zero row stays zero."""
+    nrm = np.sqrt(np.einsum("ij,ij->i", g, g))
+    g *= np.divide(length, nrm, out=np.zeros_like(nrm), where=nrm > 0)[:, None]
+
+
+def _draw_blocks(
+    seed: int, first: int, count: int, dim: int, b_omega: float, mode: str, h: float | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs of blocks first .. first + count - 1 as two (count * PAIR_BLOCK, dim) arrays.
+
+    Each block reads its generator default_rng([seed, block]) in one fixed
+    order, whatever the pairs' kinds: the Gaussian directions of both
+    points, two radial uniforms per pair, then a coordinate index and a sign
+    per pair.  The pairs are built in place in the two returned arrays.
+    """
+    rows = count * PAIR_BLOCK
+    a = np.empty((rows, dim))
+    b = np.empty((rows, dim))
+    u = np.empty((2, rows))
+    coord_j = np.empty(rows, dtype=np.int64)
+    coord_up = np.empty(rows, dtype=bool)
+    for i in range(count):
+        rng = np.random.default_rng([seed, first + i])
+        s = slice(i * PAIR_BLOCK, (i + 1) * PAIR_BLOCK)
+        rng.standard_normal(out=a[s])
+        rng.standard_normal(out=b[s])
+        u[:, s] = rng.random((2, PAIR_BLOCK))
+        coord_j[s] = rng.integers(dim, size=PAIR_BLOCK)
+        coord_up[s] = rng.random(PAIR_BLOCK) < 0.5
+
+    idx = np.arange(first * PAIR_BLOCK, first * PAIR_BLOCK + rows)
+    kind, step = _pair_plan(idx, mode, b_omega, h)
+    is_global = kind == _GLOBAL
+    # uniform in the ball: radius R u^(1/dim) along a Gaussian direction;
     # perturbation modes keep the base strictly h away from the boundary so
     # the perturbed point stays inside the open ball
-    margin = b_omega - h * (1.0 + 1e-9)
-    base = sample_in_ball(rng, dim, margin)
-    if mode == "local_perturbation":
-        g = rng.standard_normal(dim)
-        nrm = float(np.linalg.norm(g))
-        step = (h / nrm) * g if nrm > 0 else np.zeros(dim)
-    elif mode == "coordinate":
-        step = np.zeros(dim)
-        j = int(rng.integers(dim))
-        step[j] = h if rng.random() < 0.5 else -h
-    else:  # pragma: no cover - guarded by caller
-        raise ValueError(f"unknown mode {mode!r}")
-    return base, base + step
+    radius = np.where(is_global, b_omega, b_omega - step * (1.0 + 1e-9))
+    _scale_rows(a, radius * u[0] ** (1.0 / dim))
+    # second point: its own draw for global pairs, else base + step, where a
+    # local step is the Gaussian direction at length h and a coordinate step
+    # starts from zero and gets +-h on one entry
+    local_step = np.where(kind == _LOCAL, step, 0.0)
+    _scale_rows(b, np.where(is_global, b_omega * u[1] ** (1.0 / dim), local_step))
+    np.add(b, a, out=b, where=~is_global[:, None])
+    rows_c = np.flatnonzero(kind == _COORDINATE)
+    b[rows_c, coord_j[rows_c]] += np.where(coord_up[rows_c], step[rows_c], -step[rows_c])
+    return a, b
 
 
-def _mixed_plan(k: int, b_omega: float) -> tuple[str, float]:
-    which = k % 4
-    if which == 0:
-        return "global_pairs", 0.0
-    if which == 1:
-        return "local_perturbation", 1e-2
-    if which == 2:
-        return "local_perturbation", 1e-4
-    return "coordinate", 1e-3 * b_omega
+def _row_distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Euclidean distance between matching rows, with one (K, p) temporary."""
+    d = u - v
+    return np.sqrt(np.einsum("ij,ij->i", d, d))
 
 
 def empirical_lipschitz(
@@ -165,10 +203,15 @@ def empirical_lipschitz(
 ) -> LipschitzEstimate:
     """Max difference quotient of a batched map over sampled parameter pairs.
 
-    f maps a (K, dim) array of parameter rows to a (K, p) array of outputs.
-    Pair k draws all of its randomness from a generator seeded with
-    (seed, k), so estimates are independent of chunking and any prefix of
-    the pair sequence is reproducible on its own.
+    f maps a (K, dim) array of parameter rows to a (K, p) array of outputs,
+    and is called on at most chunk rows at a time.  Pairs come in blocks of
+    PAIR_BLOCK: block k draws all of its randomness from one generator
+    seeded with (seed, k), whatever n_pairs and chunk are.  So estimates do
+    not depend on chunking, the first n pairs of a longer run are exactly
+    the pairs of an n-pair run, and (seed, argmax_index) replays the worst
+    pair.  In the mixed plan pair k is a global pair, a local perturbation
+    of length 1e-2 or 1e-4, or a coordinate step of 1e-3 * b_omega as
+    k % 4 is 0, 1, 2 or 3.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -179,41 +222,36 @@ def empirical_lipschitz(
             h = 1e-3 * b_omega
         if not (0.0 < h < b_omega):
             raise ValueError("h must lie in (0, b_omega)")
+    if chunk < 1:
+        raise ValueError("chunk must be positive")
 
     best = -math.inf
-    best_pair: tuple[np.ndarray, np.ndarray] | None = None
+    best_index = -1
     n_degenerate = 0
-    for start in range(0, n_pairs, chunk):
-        stop = min(start + chunk, n_pairs)
-        k = stop - start
-        a = np.empty((k, dim))
-        b = np.empty((k, dim))
-        for i, idx in enumerate(range(start, stop)):
-            rng = np.random.default_rng([seed, idx])
-            if mode == "mixed":
-                pair_mode, pair_h = _mixed_plan(idx, b_omega)
-            else:
-                pair_mode, pair_h = mode, h or 0.0
-            a[i], b[i] = _pair_for_index(rng, pair_mode, dim, b_omega, pair_h)
-        fa = np.asarray(f(a), dtype=float)
-        fb = np.asarray(f(b), dtype=float)
-        dn = np.linalg.norm(a - b, axis=1)
-        # the arithmetic of np.linalg.norm without its extra (K, p)
-        # temporaries; fa itself may alias the caller's array, so no in-place
-        diff = fa - fb
-        np.multiply(diff, diff, out=diff)
-        fn = np.sqrt(np.add.reduce(diff, axis=1))
+    n_blocks = -(-n_pairs // PAIR_BLOCK)
+    per_pass = max(1, chunk // PAIR_BLOCK)
+    for first in range(0, n_blocks, per_pass):
+        a, b = _draw_blocks(seed, first, min(per_pass, n_blocks - first), dim, b_omega, mode, h)
+        offset = first * PAIR_BLOCK
+        rows = min(len(a), n_pairs - offset)
+        dn = _row_distances(a[:rows], b[:rows])
         ok = dn > 0.0
         n_degenerate += int(np.count_nonzero(~ok))
-        if np.any(ok):
-            ratios = np.where(ok, fn / np.where(ok, dn, 1.0), -math.inf)
+        for start in range(0, rows, chunk):
+            sl = slice(start, min(start + chunk, rows))
+            fa = np.asarray(f(a[sl]), dtype=float)
+            fn = _row_distances(fa, np.asarray(f(b[sl]), dtype=float))
+            q = fn / np.where(ok[sl], dn[sl], 1.0)
+            # a NaN quotient (inf - inf outputs) is skipped, never the argmax
+            ratios = np.where(ok[sl] & ~np.isnan(q), q, -math.inf)
             j = int(np.argmax(ratios))
             if ratios[j] > best:
                 best = float(ratios[j])
-                best_pair = (a[j].copy(), b[j].copy())
-    if best_pair is None:
+                best_index = offset + start + j
+                best_pair = (a[start + j].copy(), b[start + j].copy())
+    if best_index < 0:
         raise ValueError("every sampled pair was degenerate")
-    return LipschitzEstimate(best, best_pair, n_pairs, seed, n_degenerate)
+    return LipschitzEstimate(best, best_pair, best_index, n_pairs, seed, n_degenerate)
 
 
 def empirical_grad_lipschitz(

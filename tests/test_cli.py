@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -298,6 +299,21 @@ class TestVerify:
         body = (out / "soundness.csv").read_text().strip().split("\n")[1:]
         assert any(float(r.split(",")[4]) < 1.0 for r in body)
 
+    # soundness.csv of the shipped config, pinned byte for byte: the
+    # certificate column is the recursion's, the empirical column is the
+    # block-seeded pair sampler's, so a faster sampler must draw the same pairs
+    SHIPPED_SOUNDNESS = (
+        "config_id,constant_name,certificate,empirical,ratio,n_pairs,seed\n"
+        "tanh-231,l_n,2.4494897427831779,1.1269540646943472,2.1735488779194645,10000,7\n"
+        "tanh-231,l_grad_n,3.7317456941659262,1.4142126562735071,2.6387443766761276,10000,8\n"
+    )
+
+    def test_shipped_config_soundness_is_pinned(self, tmp_path):
+        config = Path(__file__).parents[1] / "configs" / "tanh_231.json"
+        out = tmp_path / "out"
+        assert cli.main(["verify", "--config", str(config), "--out", str(out)]) == 0
+        assert (out / "soundness.csv").read_text() == self.SHIPPED_SOUNDNESS
+
 
 class TestTrain:
     def test_certified_run_has_no_violations(self, tmp_path):
@@ -394,29 +410,32 @@ class TestCodeCommands:
         assert cli.main(["code", "verify", "--config", str(config), "--out", str(out)]) == 0
         assert sorted(Counter(batch_sizes).items()) == [(1, 200), (10_000, 32)]
 
-    # code_soundness.csv as written before the solves were batched: the first
-    # box overflows most finals to +-inf (inf - inf quotients are NaN), the
-    # second overflows all of them, so every quotient is NaN and L_X reads 0
+    # code_soundness.csv, pinned: the first box overflows most finals to +-inf
+    # (inf - inf quotients are NaN), the second overflows all of them, so
+    # every quotient is NaN and L_X reads 0; the l_x row's n_pairs counts the
+    # quotients that are not NaN, 24 and 0 of 49
     OVERFLOW_HEAD = "config_id,constant_name,certificate,empirical,ratio,n_pairs,seed\n"
     OVERFLOW_TAIL = "linear-scalar,envelope_violations,0,400,inf,200,5\n"
 
     @pytest.mark.parametrize(
-        "box, soundness",
+        "box, soundness, no_pair",
         [
             (
                 [[-1e12], [1e12]],
                 "linear-scalar,b_x,5.4365636569180902,inf,0,50,5\n"
-                "linear-scalar,l_x,17.496394026320345,inf,0,49,5\n",
+                "linear-scalar,l_x,17.496394026320345,inf,0,24,5\n",
+                False,
             ),
             (
                 [[1e13], [2e13]],
                 "linear-scalar,b_x,5.4365636569180902,inf,0,50,5\n"
-                "linear-scalar,l_x,17.496394026320345,0,inf,49,5\n",
+                "linear-scalar,l_x,17.496394026320345,0,inf,0,5\n",
+                True,
             ),
         ],
         ids=["some_inf", "all_inf"],
     )
-    def test_overflowing_samples_are_pinned(self, tmp_path, box, soundness):
+    def test_overflowing_samples_are_pinned(self, tmp_path, capsys, box, soundness, no_pair):
         doc = {**CODE_LINEAR, "code": {**CODE_LINEAR["code"], "theta_box": box, "n_samples": 50}}
         out = tmp_path / "out"
         with np.errstate(over="ignore", invalid="ignore"):
@@ -425,6 +444,17 @@ class TestCodeCommands:
         assert (out / "code_soundness.csv").read_text() == (
             self.OVERFLOW_HEAD + soundness + self.OVERFLOW_TAIL
         )
+        assert ("l_x: no usable pair\n" in capsys.readouterr().err) == no_pair
+
+    def test_overflowing_samples_warn_nothing(self, tmp_path):
+        # the non-finite outcome is already in code_soundness.csv; numpy's
+        # overflow and inf - inf warnings would only add noise to stderr
+        doc = {**CODE_LINEAR, "code": {**CODE_LINEAR["code"], "theta_box": [[-1e12], [1e12]], "n_samples": 50}}
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(["code", "verify", "--config", write_cfg(tmp_path, doc), "--out", str(out)])
+        assert code == 4
 
     def test_dnn_equivalence_sweep(self, tmp_path):
         cfg = write_cfg(

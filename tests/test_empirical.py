@@ -31,7 +31,21 @@ from lipcert import (
     worst_case_construction,
 )
 
+from lipcert.empirical import PAIR_BLOCK, _draw_blocks, _scale_rows
+
 from conftest import loop_backward, loop_forward, random_architecture
+
+
+def recorded_run(f, dim, n_pairs, seed, b_omega=1.0, **kwargs):
+    """empirical_lipschitz with a map that keeps its rows: (estimate, first points, second points)."""
+    calls = []
+
+    def recording(thetas):
+        calls.append(np.array(thetas))
+        return f(thetas)
+
+    est = empirical_lipschitz(recording, dim, b_omega, n_pairs, seed, **kwargs)
+    return est, np.concatenate(calls[0::2]), np.concatenate(calls[1::2])
 
 
 class TestBatchedMaps:
@@ -150,22 +164,43 @@ class TestEmpiricalLipschitz:
         assert est.max_ratio >= 2.97
 
     def test_chunking_does_not_change_result(self):
+        # 600 pairs is not a whole number of blocks; chunks of 255 and 257
+        # straddle block boundaries
         arch = ArchitectureSpec(widths=(2, 3, 1), activations=(tanh(),))
         f = network_output_map(arch, np.array([0.5, -0.5]))
-        a = empirical_lipschitz(f, arch.n_params, 1.0, 500, seed=7, chunk=64)
-        b = empirical_lipschitz(f, arch.n_params, 1.0, 500, seed=7, chunk=499)
-        assert a.max_ratio == b.max_ratio
-        for u, v in zip(a.argmax_pair, b.argmax_pair):
-            np.testing.assert_array_equal(u, v)
+        ref, ref_a, ref_b = recorded_run(f, arch.n_params, 600, seed=7, chunk=1024)
+        for chunk in (1, 64, 255, 257):
+            est, a, b = recorded_run(f, arch.n_params, 600, seed=7, chunk=chunk)
+            np.testing.assert_array_equal(a, ref_a)
+            np.testing.assert_array_equal(b, ref_b)
+            assert (est.max_ratio, est.argmax_index) == (ref.max_ratio, ref.argmax_index)
+            for u, v in zip(est.argmax_pair, ref.argmax_pair):
+                np.testing.assert_array_equal(u, v)
 
     def test_prefix_reproducibility(self):
-        # the first n pairs of a longer run are the same pairs, so the max
-        # over a prefix is dominated by the max over the full run
+        # the first n pairs of a longer run are exactly the pairs of an
+        # n-pair run, so the long run's max dominates the short run's
         arch = ArchitectureSpec(widths=(1, 2, 1), activations=(tanh(),))
         f = network_output_map(arch, np.array([1.0]))
-        short = empirical_lipschitz(f, arch.n_params, 1.0, 200, seed=3)
-        long = empirical_lipschitz(f, arch.n_params, 1.0, 400, seed=3)
+        short, short_a, short_b = recorded_run(f, arch.n_params, 200, seed=3)
+        long, long_a, long_b = recorded_run(f, arch.n_params, 400, seed=3)
+        assert len(short_a) == 200 and len(long_a) == 400
+        np.testing.assert_array_equal(long_a[:200], short_a)
+        np.testing.assert_array_equal(long_b[:200], short_b)
         assert long.max_ratio >= short.max_ratio
+
+    def test_worst_pair_replays_from_its_index(self):
+        arch = ArchitectureSpec(widths=(2, 3, 1), activations=(tanh(),))
+        f = network_output_map(arch, np.array([0.5, -0.5]))
+        est = empirical_lipschitz(f, arch.n_params, 0.8, 700, seed=4, mode="global_pairs")
+        block, row = divmod(est.argmax_index, PAIR_BLOCK)
+        a, b = _draw_blocks(4, block, 1, arch.n_params, 0.8, "global_pairs", None)
+        np.testing.assert_array_equal(a[row], est.argmax_pair[0])
+        np.testing.assert_array_equal(b[row], est.argmax_pair[1])
+        quot = np.linalg.norm(f(b[row : row + 1]) - f(a[row : row + 1])) / np.linalg.norm(
+            b[row] - a[row]
+        )
+        assert quot == pytest.approx(est.max_ratio, rel=1e-12)
 
     def test_never_exceeds_certificate(self, rng):
         for _ in range(5):
@@ -189,6 +224,57 @@ class TestEmpiricalLipschitz:
         g = lambda t: t
         est = empirical_grad_lipschitz(g, dim=3, b_omega=2.0, n_pairs=300, seed=5)
         assert est.max_ratio == pytest.approx(1.0, rel=1e-9)
+
+
+class TestPairSampler:
+    """The pairs empirical_lipschitz feeds its map, read back by a recording map."""
+
+    @pytest.mark.parametrize("dim, b_omega", [(1, 0.5), (5, 2.0), (40, 1.0)])
+    def test_points_lie_strictly_inside_the_ball(self, dim, b_omega):
+        _, a, b = recorded_run(lambda t: t, dim, 600, seed=1, b_omega=b_omega)
+        assert np.linalg.norm(a, axis=1).max() < b_omega
+        assert np.linalg.norm(b, axis=1).max() < b_omega
+
+    def test_local_steps_have_length_h(self):
+        _, a, b = recorded_run(lambda t: t, 6, 300, seed=2, mode="local_perturbation", h=0.05)
+        np.testing.assert_allclose(np.linalg.norm(b - a, axis=1), 0.05, rtol=1e-12)
+        assert np.all(np.count_nonzero(b - a, axis=1) > 1)
+
+    def test_coordinate_steps_move_one_entry_by_h(self):
+        _, a, b = recorded_run(lambda t: t, 6, 300, seed=2, mode="coordinate", h=0.05)
+        d = b - a
+        assert np.all(np.count_nonzero(d, axis=1) == 1)
+        np.testing.assert_allclose(np.abs(d.sum(axis=1)), 0.05, rtol=1e-12)
+        # both signs and every coordinate occur
+        assert set(np.sign(d.sum(axis=1))) == {-1.0, 1.0}
+        assert set(np.flatnonzero(d) % 6) == set(range(6))
+
+    def test_mixed_plan_cycles_by_index(self):
+        # pair k is global, local 1e-2, local 1e-4 or coordinate 1e-3 * b_omega
+        # as k % 4 is 0, 1, 2 or 3
+        b_omega = 2.0
+        _, a, b = recorded_run(lambda t: t, 6, 600, seed=9, b_omega=b_omega)
+        d = b - a
+        dn = np.linalg.norm(d, axis=1)
+        nonzero = np.count_nonzero(d, axis=1)
+        for length in (1e-2, 1e-4, 1e-3 * b_omega):
+            assert np.all(np.abs(dn[0::4] / length - 1.0) > 1e-6)
+        # b - a carries the rounding of base + step, a few ulps of b_omega
+        atol = 4 * np.finfo(float).eps * b_omega
+        np.testing.assert_allclose(dn[1::4], 1e-2, rtol=1e-12, atol=atol)
+        np.testing.assert_allclose(dn[2::4], 1e-4, rtol=1e-12, atol=atol)
+        assert np.all(nonzero[1::4] > 1) and np.all(nonzero[2::4] > 1)
+        assert np.all(nonzero[3::4] == 1)
+        np.testing.assert_allclose(dn[3::4], 1e-3 * b_omega, rtol=1e-12, atol=atol)
+
+    def test_zero_direction_is_left_at_zero(self):
+        # a Gaussian row of zeros has probability zero; if it came it would
+        # give the origin or a zero step, never a division by zero
+        g = np.array([[0.0, 0.0], [3.0, 4.0]])
+        with np.errstate(all="raise"):
+            _scale_rows(g, np.array([1.0, 2.0]))
+        np.testing.assert_array_equal(g[0], [0.0, 0.0])
+        np.testing.assert_allclose(g[1], [1.2, 1.6], rtol=1e-15)
 
 
 class TestDirectedAffine:
