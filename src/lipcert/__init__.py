@@ -9,6 +9,8 @@ controlled ODEs.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .activations import (
     Activation,
     ActivationEnvelope,
@@ -104,87 +106,8 @@ from .training import (
     run_gd,
 )
 
-__all__ = [
-    "Activation",
-    "ActivationEnvelope",
-    "ArchitectureSpec",
-    "BoundInputs",
-    "Certificate",
-    "ClosedFormBounds",
-    "CodeCertificate",
-    "Control",
-    "FieldEnvelopes",
-    "ForwardTrace",
-    "LayerBounds",
-    "LipschitzEstimate",
-    "LossEnvelope",
-    "NetworkBounds",
-    "NetworkObjective",
-    "Params",
-    "PseudoHuber",
-    "QuadraticObjective",
-    "RefinementSearch",
-    "Sample",
-    "SampleMoments",
-    "SquaredError",
-    "TrainTrace",
-    "Trajectory",
-    "VectorFieldSpec",
-    "WorstCasePair",
-    "batch_backward",
-    "batch_forward",
-    "chain_output",
-    "closed_form_bounds",
-    "closed_form_certificate",
-    "closed_form_network_bounds",
-    "code_certificate",
-    "code_loss_certificate",
-    "dataset_norms",
-    "derive_adagrad_params",
-    "derive_gd_step",
-    "directed_affine_pair",
-    "dnn_as_code",
-    "embed_input",
-    "empirical_grad_lipschitz",
-    "empirical_lipschitz",
-    "finite_diff_gradient",
-    "flatten_params",
-    "forward",
-    "grad_params",
-    "init_params",
-    "layer_slices",
-    "input_base",
-    "layer_step",
-    "linear_scalar_field",
-    "load_dataset_csv",
-    "load_params",
-    "loss_certificate",
-    "loss_gradient_map",
-    "loss_head_envelopes",
-    "make_activation",
-    "network_certificate",
-    "network_jacobian_map",
-    "network_output_map",
-    "param_jacobian",
-    "param_norm",
-    "project_to_ball",
-    "random_smooth_field",
-    "required_moment_order",
-    "refine_over_layer_budgets",
-    "run_adagrad_norm",
-    "run_gd",
-    "sample_in_ball",
-    "save_params",
-    "saturated_linear",
-    "sigmoid",
-    "smoothed_relu",
-    "solve_code",
-    "solve_code_batch",
-    "solve_first_variation",
-    "solve_second_variation",
-    "tanh",
-    "total_variation",
-    "unflatten_params",
-    "verify_envelopes",
-    "worst_case_construction",
-]
+# every public name imported above, and none of the submodules
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -23,13 +23,12 @@ raising.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import itertools
 import json
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .activations import Activation, ActivationEnvelope
 
@@ -364,7 +363,8 @@ class Certificate:
     l_phi / l_grad_phi are dataset averages of the per-sample loss constants,
     or None for a certificate of the network alone.  b_grad_phi equals l_phi:
     a bound on the loss Lipschitz constant is also a bound on the loss
-    gradient's norm.
+    gradient's norm.  A refined certificate also holds lower_estimate (its
+    l_grad_phi at layer_budgets) and the box splits its l_grad_phi search used.
     """
 
     per_layer: tuple[LayerBounds, ...]
@@ -376,10 +376,18 @@ class Certificate:
     inputs_digest: str
     flags: tuple[str, ...] = ()
     layer_budgets: tuple[float, ...] | None = None
+    lower_estimate: float | None = None
+    splits: int | None = None
 
     @property
     def b_grad_phi(self) -> float | None:
         return self.l_phi
+
+    @property
+    def gap(self) -> float | None:
+        """Relative distance of l_grad_phi above lower_estimate (refined only)."""
+        lower, upper = self.lower_estimate, self.l_grad_phi
+        return None if lower is None else 0.0 if lower >= upper else 1.0 - lower / upper
 
     @property
     def overflowed(self) -> bool:
@@ -425,11 +433,8 @@ def _resolve_norms(
     inputs: BoundInputs, dataset_norms: Sequence[float] | None
 ) -> tuple[tuple[float, ...] | None, SampleMoments | None]:
     if dataset_norms is not None:
-        if len(dataset_norms) == 0:
-            raise ValueError("dataset_norms must be nonempty")
-        if any(s < 0 or not math.isfinite(s) for s in dataset_norms):
-            raise ValueError("sample norms must be finite and nonnegative")
-        return tuple(float(s) for s in dataset_norms), None
+        # BoundInputs validates them
+        inputs = replace(inputs, sample_norms=tuple(float(s) for s in dataset_norms))
     if inputs.sample_norms is not None:
         return inputs.sample_norms, None
     if inputs.moments is not None:
@@ -729,85 +734,75 @@ def _moment_certificate(
 
 @dataclass(frozen=True)
 class RefinementSearch:
-    restarts: int = 8
-    iters: int = 200
-    seed: int = 0
-    angle_tol: float = 1e-10
+    """Effort of the budget search: (restarts + 1) * iters box splits per constant."""
+
+    restarts: int = 4
+    iters: int = 60
 
     def __post_init__(self) -> None:
         if self.restarts < 0 or self.iters < 0:
             raise ValueError("restarts and iters must be nonnegative")
 
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(f: Callable[[float], float], a: float, b: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximization on [a, b]; returns (argmax, max)."""
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-    xm = 0.5 * (a + b)
-    return xm, f(xm)
+    @property
+    def max_splits(self) -> int:
+        return (self.restarts + 1) * self.iters
 
 
-def _max_on_sphere(
-    f: Callable[[Sequence[float]], float],
-    dim: int,
-    radius: float,
-    search: RefinementSearch,
-) -> tuple[float, tuple[float, ...]]:
-    """Maximize f over the nonnegative sphere of the given radius.
+_SPLIT_RTOL = 1e-9  # a box this close above the best value found is not split
 
-    Coordinate-pair ascent: each move redistributes the mass of two
-    coordinates along their circle via golden-section search, preserving the
-    total norm exactly.  Deterministic for a fixed seed.
+
+def _sup_over_splits(
+    f: Callable[[Sequence[float]], float], dim: int, b_omega: float, max_splits: int
+) -> tuple[float, tuple[float, ...], int]:
+    """Upper bound on sup f over nonnegative splits with sum(D_u^2) <= b_omega^2.
+
+    Branch and bound over boxes [lo, hi] of budget vectors, starting from
+    [0, b_omega]^dim.  f is nondecreasing in every budget, so on the part of
+    a box inside the ball it is at most f(u), with u the box's upper corner
+    clipped to the ball, u_i = min(hi_i, sqrt(b^2 - sum_{j != i} lo_j^2));
+    the root's u is (b, ..., b), the uniform split.  A box's lower estimate
+    is f where the segment lo -> u leaves the ball.  The box with the largest
+    bound is halved along its longest edge, boxes outside the ball are
+    dropped, and the search stops once that bound is within _SPLIT_RTOL of
+    the best lower estimate or after max_splits splits.
+
+    Returns (upper, split, splits): the largest bound still open, the split
+    with the best lower estimate, and the splits used.
     """
-    uniform = (radius / math.sqrt(dim),) * dim
-    best_d, best_v = uniform, f(uniform)
-    if dim == 1:
-        return f((radius,)), (radius,)
-    rng = np.random.default_rng(search.seed)
-    starts: list[tuple[float, ...]] = [uniform]
-    for _ in range(search.restarts):
-        g = np.abs(rng.standard_normal(dim))
-        nrm = float(np.linalg.norm(g))
-        if nrm == 0.0:
-            continue
-        starts.append(tuple(float(x) for x in (radius / nrm) * g))
-    pairs = list(itertools.combinations(range(dim), 2))
-    for d0 in starts:
-        d = list(d0)
-        val = f(d)
-        for it in range(search.iters):
-            i, j = pairs[it % len(pairs)]
-            r = math.hypot(d[i], d[j])
-            if r == 0.0:
-                continue
+    bsq = b_omega * b_omega
+    heap: list[tuple[float, int, tuple[float, ...], tuple[float, ...]]] = []
+    order = itertools.count()
+    lower, split = -math.inf, ()
 
-            def slice_obj(phi: float) -> float:
-                trial = list(d)
-                trial[i] = r * math.cos(phi)
-                trial[j] = r * math.sin(phi)
-                return f(trial)
+    def push(lo: tuple[float, ...], hi: tuple[float, ...]) -> None:
+        nonlocal lower, split
+        sq = [x * x for x in lo]
+        if math.fsum(sq) > bsq:
+            return
+        u = [min(h, math.sqrt(max(bsq - math.fsum(sq[:i] + sq[i + 1 :]), 0.0)))
+             for i, h in enumerate(hi)]
+        # lo + t v with v = u - lo leaves the ball at the root t of a quadratic
+        v = [b - a for a, b in zip(lo, u)]
+        vv, lv = math.fsum(x * x for x in v), math.fsum(x * y for x, y in zip(lo, v))
+        disc = max(lv * lv - vv * (math.fsum(sq) - bsq), 0.0)
+        t = min(1.0, (math.sqrt(disc) - lv) / vv) if vv else 0.0
+        point = tuple(x + t * y for x, y in zip(lo, v))
+        value = f(point)
+        if value > lower:
+            lower, split = value, point
+        heapq.heappush(heap, (-f(u), next(order), lo, hi))
 
-            phi_star, v_star = _golden_max(slice_obj, 0.0, 0.5 * math.pi, search.angle_tol)
-            if v_star > val:
-                d[i] = r * math.cos(phi_star)
-                d[j] = r * math.sin(phi_star)
-                val = v_star
-        if val > best_v:
-            best_v, best_d = val, tuple(d)
-    return best_v, best_d
+    push((0.0,) * dim, (b_omega,) * dim)
+    splits = 0
+    while splits < max_splits and -heap[0][0] > lower * (1.0 + _SPLIT_RTOL):
+        _, _, lo, hi = heapq.heappop(heap)
+        # longest edge; ties go to the later layer, whose budget counts for more
+        i = max(range(dim), key=lambda k: (hi[k] - lo[k], k))
+        mid = 0.5 * (lo[i] + hi[i])
+        push(lo, hi[:i] + (mid,) + hi[i + 1 :])
+        push(lo[:i] + (mid,) + lo[i + 1 :], hi)
+        splits += 1
+    return -heap[0][0], split, splits
 
 
 def refine_over_layer_budgets(
@@ -819,12 +814,14 @@ def refine_over_layer_budgets(
 ) -> Certificate:
     """Tighten the uniform certificate by splitting the radius across layers.
 
-    Any split D with sum(D_u^2) = b_omega^2 yields valid constants, and each
-    constant is monotone in every budget, so maximizing each of the four
-    reported constants over the split keeps them valid while never exceeding
-    the all-layers-get-b_omega certificate.  The four maximizations run
-    independently; the stored per-layer table comes from the l_grad_phi
-    maximizer (the constant that drives step sizes).
+    Any split D with sum(D_u^2) <= b_omega^2 yields valid constants, so their
+    supremum over all splits is a certificate on the whole ball.  Each of
+    the four reported constants is an upper bound on that supremum from its
+    own branch and bound (_sup_over_splits, at most search.max_splits box
+    splits), capped by the uniform certificate: rigorous at any effort, and
+    tighter with more.  The layer budgets and per-layer table come from the
+    best split of the l_grad_phi search, scaled onto the sphere (never
+    worse, by monotonicity); lower_estimate is l_grad_phi there.
     """
     norms, moments = _resolve_norms(inputs, dataset_norms)
     if moments is not None:
@@ -832,33 +829,32 @@ def refine_over_layer_budgets(
     if arch.m < 1:
         raise ValueError("budget refinement needs at least one hidden layer")
     b = inputs.b_omega
-    dim = arch.m + 1
     s_max = max(norms)
-
-    def obj_l_n(d: Sequence[float]) -> float:
-        return _network_bounds(arch, d, s_max).l_n
-
-    def obj_l_grad_n(d: Sequence[float]) -> float:
-        return _network_bounds(arch, d, s_max).l_grad_n
 
     def loss_averages(d: Sequence[float]) -> tuple[float, float]:
         hidden = [_network_bounds(arch, d, s).last_hidden for s in norms]
         return _head_averages(loss, d[-1], hidden)
 
-    l_n, _ = _max_on_sphere(obj_l_n, dim, b, search)
-    l_grad_n, _ = _max_on_sphere(obj_l_grad_n, dim, b, search)
-    l_phi, _ = _max_on_sphere(lambda d: loss_averages(d)[0], dim, b, search)
-    l_grad_phi, d_star = _max_on_sphere(lambda d: loss_averages(d)[1], dim, b, search)
-
     uniform = loss_certificate(arch, inputs, loss, norms)
-    flags = _overflow_flags(l_n, l_grad_n, l_phi, l_grad_phi)
-    improved = l_grad_phi < uniform.l_grad_phi * (1.0 - 1e-15)
-    if not improved:
-        flags = flags + ("no_improvement",)
+    searches = [
+        (_sup_over_splits(f, arch.m + 1, b, search.max_splits), cap)
+        for f, cap in (
+            (lambda d: _network_bounds(arch, d, s_max).l_n, uniform.l_n_final),
+            (lambda d: _network_bounds(arch, d, s_max).l_grad_n, uniform.l_grad_n_final),
+            (lambda d: loss_averages(d)[0], uniform.l_phi),
+            (lambda d: loss_averages(d)[1], uniform.l_grad_phi),
+        )
+    ]
+    l_n, l_grad_n, l_phi, l_grad_phi = (min(r[0], cap) for r, cap in searches)
+    _, split, splits = searches[-1][0]
+    scale = b / math.sqrt(math.fsum(d * d for d in split))
+    d_star = tuple(d * scale for d in split)
 
-    table = _network_bounds(arch, d_star, s_max).per_layer
+    flags = _overflow_flags(l_n, l_grad_n, l_phi, l_grad_phi)
+    if not l_grad_phi < uniform.l_grad_phi * (1.0 - 1e-15):
+        flags = flags + ("no_improvement",)
     return Certificate(
-        per_layer=table,
+        per_layer=_network_bounds(arch, d_star, s_max).per_layer,
         l_n_final=l_n,
         l_grad_n_final=l_grad_n,
         l_phi=l_phi,
@@ -867,6 +863,8 @@ def refine_over_layer_budgets(
         inputs_digest=_certificate_digest(arch, inputs, loss, norms, None, "refined_budgets"),
         flags=flags,
         layer_budgets=d_star,
+        lower_estimate=loss_averages(d_star)[1],
+        splits=splits,
     )
 
 

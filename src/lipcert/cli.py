@@ -213,6 +213,11 @@ def cmd_certify(cfg: dict, args, out: Path) -> int:
         sample_norms=inputs.sample_norms,
         moments=inputs.moments,
     )
+    # the closed-form and refined certificates hold on the whole ball, so
+    # their loss envelope must too, whatever split the recursion uses
+    env_ball = env
+    if inputs.layer_budgets is not None:
+        env_ball = resolve_loss_envelope(cfg, arch, uniform, s_max, target_bound)
 
     certs: dict[str, Certificate] = {}
     if env is None:
@@ -236,7 +241,9 @@ def cmd_certify(cfg: dict, args, out: Path) -> int:
     else:
         certs["recursive"] = loss_certificate(arch, inputs, env, dataset_norms=norms)
         if norms is not None:
-            certs["closed_form"] = closed_form_certificate(arch, uniform, env, dataset_norms=norms)
+            certs["closed_form"] = closed_form_certificate(
+                arch, uniform, env_ball, dataset_norms=norms
+            )
         else:
             log.info("moment-mode certify: closed forms need explicit norms; skipped")
         if search is not None:
@@ -245,7 +252,7 @@ def cmd_certify(cfg: dict, args, out: Path) -> int:
             if norms is None:
                 raise ConfigError("refine: budget refinement needs explicit sample norms")
             certs["refined"] = refine_over_layer_budgets(
-                arch, uniform, env, dataset_norms=norms, search=search
+                arch, uniform, env_ball, dataset_norms=norms, search=search
             )
 
     _gate(
@@ -273,6 +280,12 @@ def cmd_certify(cfg: dict, args, out: Path) -> int:
     )
     for u, lb in enumerate(certs["recursive"].per_layer, 1):
         print(f"  layer {u}: l_n={lb.l_n:.6g} l_grad_n={lb.l_grad_n:.6g} b_n={lb.b_n:.6g}")
+    ref = certs.get("refined")
+    if ref is not None:
+        print(
+            f"  refined: l_grad_phi={ref.l_grad_phi:.6g} lower_estimate={ref.lower_estimate:.6g}"
+            f" gap={ref.gap:.3g} splits={ref.splits}/{search.max_splits}"
+        )
     flags = sorted({f for c in certs.values() for f in c.flags})
     if flags:
         print(f"  flags: {', '.join(flags)}")

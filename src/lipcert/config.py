@@ -230,9 +230,8 @@ def build_refinement_search(cfg: dict) -> RefinementSearch | None:
         return None
     try:
         return RefinementSearch(
-            restarts=get(doc, "restarts", int, default=4, where="refine"),
-            iters=get(doc, "iters", int, default=60, where="refine"),
-            seed=get(doc, "seed", int, default=0, where="refine"),
+            restarts=get(doc, "restarts", int, default=RefinementSearch.restarts, where="refine"),
+            iters=get(doc, "iters", int, default=RefinementSearch.iters, where="refine"),
         )
     except ValueError as exc:
         raise ConfigError(f"refine: {exc}") from exc
@@ -281,7 +280,10 @@ def build_field_envelopes(doc: dict, where: str = "envelopes") -> FieldEnvelopes
 
 
 def certificate_to_dict(cert: Certificate) -> dict:
-    """Certificate document; without a loss head the l_phi keys are null."""
+    """Certificate document; without a loss head the l_phi keys are null.
+
+    Only a refined certificate has the lower_estimate and gap keys.
+    """
     return {
         "kind": "network_certificate" if cert.l_phi is None else "network_loss_certificate",
         "method": cert.method,
@@ -290,6 +292,8 @@ def certificate_to_dict(cert: Certificate) -> dict:
         "l_phi": cert.l_phi,
         "l_grad_phi": cert.l_grad_phi,
         "b_grad_phi": cert.b_grad_phi,
+        **({} if cert.lower_estimate is None else
+           {"lower_estimate": cert.lower_estimate, "gap": cert.gap}),
         "per_layer": [
             {"layer": u, "l_n": lb.l_n, "l_grad_n": lb.l_grad_n,
              "b_n": lb.b_n, "b_grad_n": lb.b_grad_n}

@@ -130,7 +130,8 @@ def _pair_plan(
     if mode == "mixed":
         q = idx % 4
         kind = np.array([_GLOBAL, _LOCAL, _LOCAL, _COORDINATE])[q]
-        step = np.array([0.0, 1e-2, 1e-4, 1e-3 * b_omega])[q]
+        cap = 0.5 * b_omega
+        step = np.array([0.0, min(1e-2, cap), min(1e-4, cap), 1e-3 * b_omega])[q]
         return kind, step
     return np.full(idx.shape, _MODE_KIND[mode]), np.full(idx.shape, h or 0.0)
 
@@ -210,8 +211,8 @@ def empirical_lipschitz(
     not depend on chunking, the first n pairs of a longer run are exactly
     the pairs of an n-pair run, and (seed, argmax_index) replays the worst
     pair.  In the mixed plan pair k is a global pair, a local perturbation
-    of length 1e-2 or 1e-4, or a coordinate step of 1e-3 * b_omega as
-    k % 4 is 0, 1, 2 or 3.
+    of length 1e-2 or 1e-4 (at most b_omega / 2, so both points stay in the
+    ball), or a coordinate step of 1e-3 * b_omega as k % 4 is 0, 1, 2 or 3.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")

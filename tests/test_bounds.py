@@ -28,7 +28,7 @@ from lipcert import (
     smoothed_relu,
     tanh,
 )
-from lipcert.bounds import RefinementSearch, _network_bounds
+from lipcert.bounds import RefinementSearch, _head_averages, _network_bounds
 
 from conftest import random_architecture
 
@@ -398,6 +398,84 @@ class TestRefinement:
             refine_over_layer_budgets(
                 arch, BoundInputs(b_omega=1.0), LossEnvelope(1.0, 1.0), [1.0]
             )
+
+    def test_constants_are_nondecreasing_in_every_budget(self):
+        # the premise of the branch and bound: raising one layer's budget
+        # never lowers l_n, l_grad_n or either loss average
+        rng = np.random.default_rng(12)
+        kinds = (
+            tanh(), sigmoid(), smoothed_relu(0.1), make_activation("saturated_linear", c=2.0, r_sat=1.0)
+        )
+        loss = LossEnvelope(1.5, 0.7)
+        checks = 0
+        for _ in range(30):
+            m = int(rng.integers(1, 4))
+            arch = ArchitectureSpec(
+                widths=tuple(int(w) for w in rng.integers(1, 7, size=m + 2)),
+                activations=tuple(kinds[k] for k in rng.integers(0, 4, size=m)),
+            )
+            norms = [float(s) for s in rng.uniform(0.0, 2.0, size=2)]
+
+            def constants(d):
+                hidden = [_network_bounds(arch, d, s).last_hidden for s in norms]
+                nb = _network_bounds(arch, d, max(norms))
+                return (nb.l_n, nb.l_grad_n) + _head_averages(loss, d[-1], hidden)
+
+            for _ in range(10):
+                d = rng.uniform(0.0, 2.0, size=arch.m + 1)
+                base = constants(d)
+                for i in range(arch.m + 1):
+                    up = d.copy()
+                    up[i] += float(rng.uniform(0.0, 1.0))
+                    assert all(a >= b for a, b in zip(constants(up), base))
+                    checks += 1
+        assert checks > 500
+
+    def test_refined_bound_dominates_every_sampled_split(self):
+        # an independent oracle: the recursion at random feasible splits,
+        # pushed towards the corners of the sphere, may never beat the
+        # refined l_grad_phi, even at the smallest search effort
+        rng = np.random.default_rng(4)
+        loss = LossEnvelope(1.0, 1.0)
+        search = RefinementSearch(restarts=1, iters=4)
+        for _ in range(12):
+            arch = random_architecture(rng, max_width=5, max_hidden=3, min_hidden=2)
+            b = float(rng.choice([0.5, 1.0, 2.0]))
+            norms = [1.0]
+            ref = refine_over_layer_budgets(arch, BoundInputs(b_omega=b), loss, norms, search)
+            g = rng.random((4000, arch.m + 1)) ** rng.choice([1.0, 4.0, 16.0], size=(4000, 1))
+            splits = b * g / np.linalg.norm(g, axis=1, keepdims=True)
+            sampled = max(
+                _head_averages(loss, d[-1], [_network_bounds(arch, d, 1.0).last_hidden])[1]
+                for d in splits
+            )
+            assert ref.l_grad_phi >= sampled
+            assert ref.lower_estimate <= ref.l_grad_phi
+            assert 0.0 <= ref.gap < 1.0
+            assert ref.splits <= search.max_splits
+
+    def test_lower_estimate_is_l_grad_phi_at_the_reported_split(self):
+        rng = np.random.default_rng(21)
+        arch, inputs, loss, norms = self._setup(rng, min_hidden=2)
+        ref = refine_over_layer_budgets(
+            arch, inputs, loss, norms, RefinementSearch(restarts=0, iters=10)
+        )
+        hidden = [_network_bounds(arch, ref.layer_budgets, s).last_hidden for s in norms]
+        assert ref.lower_estimate == _head_averages(loss, ref.layer_budgets[-1], hidden)[1]
+        assert ref.gap == pytest.approx(1.0 - ref.lower_estimate / ref.l_grad_phi, abs=1e-15)
+
+    def test_more_effort_never_loosens_the_bound(self):
+        rng = np.random.default_rng(6)
+        for _ in range(5):
+            arch, inputs, loss, norms = self._setup(rng, min_hidden=2)
+            values = [
+                refine_over_layer_budgets(
+                    arch, inputs, loss, norms, RefinementSearch(restarts=0, iters=n)
+                ).l_grad_phi
+                for n in (0, 4, 40)
+            ]
+            assert values[0] == loss_certificate(arch, inputs, loss, norms).l_grad_phi
+            assert values[0] >= values[1] >= values[2]
 
 
 # ---------------------------------------------------------------------------

@@ -133,8 +133,69 @@ class TestCertify:
         a, b = tmp_path / "a", tmp_path / "b"
         assert cli.main(["certify", "--config", cfg, "--out", str(a)]) == 0
         assert cli.main(["certify", "--config", cfg, "--out", str(b)]) == 0
-        for name in ("certificate_recursive.json", "run_meta.json"):
+        for name in ("certificate_recursive.json", "certificate_refined.json", "run_meta.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_refined_report_states_its_gap(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, FULL)
+        out = tmp_path / "out"
+        assert cli.main(["certify", "--config", cfg, "--out", str(out)]) == 0
+        ref = json.loads((out / "certificate_refined.json").read_text())
+        assert ref["lower_estimate"] <= ref["l_grad_phi"]
+        assert ref["gap"] == pytest.approx(1.0 - ref["lower_estimate"] / ref["l_grad_phi"])
+        for name in ("certificate_recursive.json", "certificate_closed_form.json"):
+            doc = json.loads((out / name).read_text())
+            assert "lower_estimate" not in doc and "gap" not in doc
+        lines = [l for l in capsys.readouterr().out.splitlines() if "refined:" in l]
+        assert len(lines) == 1
+        assert f"l_grad_phi={ref['l_grad_phi']:.6g}" in lines[0]
+        assert f"lower_estimate={ref['lower_estimate']:.6g}" in lines[0]
+        assert f"gap={ref['gap']:.3g}" in lines[0]
+        assert lines[0].endswith("/120")  # (restarts + 1) * iters splits at most
+
+    def test_refine_seed_is_accepted_and_ignored(self, tmp_path):
+        runs = {}
+        for label, refine in (("plain", FULL["refine"]), ("seeded", {**FULL["refine"], "seed": 99})):
+            cfg = write_cfg(tmp_path, {**FULL, "refine": refine}, name=f"{label}.json")
+            runs[label] = tmp_path / label
+            assert cli.main(["certify", "--config", cfg, "--out", str(runs[label])]) == 0
+        name = "certificate_refined.json"
+        assert (runs["plain"] / name).read_bytes() == (runs["seeded"] / name).read_bytes()
+
+    def test_whole_ball_certificates_ignore_layer_budgets(self, tmp_path):
+        # the closed-form and refined certificates cover the whole b_omega
+        # ball, so a split in bounds.layer_budgets must not shrink the output
+        # bound in their squared-error envelope
+        doc = {
+            "name": "split",
+            "architecture": {"widths": [2, 3, 1], "activations": ["tanh"]},
+            "bounds": {"b_omega": 1.0, "sample_norms": [1.0]},
+            "loss": {"kind": "squared_error", "target_bound": 1.0},
+            "refine": {"restarts": 1, "iters": 4},
+        }
+        split = {**doc, "bounds": {**doc["bounds"], "layer_budgets": [0.99, 0.1]}}
+        outs = []
+        for label, d in (("ball", doc), ("split", split)):
+            outs.append(tmp_path / label)
+            assert cli.main(["certify", "--config", write_cfg(tmp_path, d, f"{label}.json"),
+                             "--out", str(outs[-1])]) == 0
+        for name in ("certificate_closed_form.json", "certificate_refined.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        rec = [json.loads((o / "certificate_recursive.json").read_text()) for o in outs]
+        assert rec[1]["l_grad_phi"] < rec[0]["l_grad_phi"]
+
+    def test_shipped_config_refines_to_the_uniform_values(self, tmp_path):
+        # with one hidden layer the first budget drops out of every constant,
+        # so the supremum over splits is the uniform certificate
+        config = Path(__file__).parents[1] / "configs" / "tanh_231.json"
+        out = tmp_path / "out"
+        assert cli.main(["certify", "--config", str(config), "--out", str(out)]) == 0
+        rec = json.loads((out / "certificate_recursive.json").read_text())
+        ref = json.loads((out / "certificate_refined.json").read_text())
+        for key in ("l_n_final", "l_grad_n_final", "l_phi", "l_grad_phi"):
+            assert ref[key] == rec[key]
+        assert "no_improvement" in ref["flags"]
+        assert ref["gap"] < 1e-9
 
     def test_refuses_overwrite_without_force(self, tmp_path):
         cfg = write_cfg(tmp_path, TRIVIAL)

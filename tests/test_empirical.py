@@ -229,7 +229,7 @@ class TestEmpiricalLipschitz:
 class TestPairSampler:
     """The pairs empirical_lipschitz feeds its map, read back by a recording map."""
 
-    @pytest.mark.parametrize("dim, b_omega", [(1, 0.5), (5, 2.0), (40, 1.0)])
+    @pytest.mark.parametrize("dim, b_omega", [(1, 0.5), (5, 2.0), (40, 1.0), (4, 0.005)])
     def test_points_lie_strictly_inside_the_ball(self, dim, b_omega):
         _, a, b = recorded_run(lambda t: t, dim, 600, seed=1, b_omega=b_omega)
         assert np.linalg.norm(a, axis=1).max() < b_omega
