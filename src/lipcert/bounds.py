@@ -22,6 +22,7 @@ raising.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import heapq
 import itertools
@@ -58,13 +59,7 @@ __all__ = [
 
 def _prod(*xs: float) -> float:
     """Product where an exact zero factor wins over inf (a dropped bound term)."""
-    out = 1.0
-    for x in xs:
-        if x == 0.0:
-            return 0.0
-    for x in xs:
-        out *= x
-    return out
+    return math.prod(xs, start=1.0) if all(xs) else 0.0
 
 
 def _sq(x: float) -> float:
@@ -285,7 +280,7 @@ def layer_step(
 
     cross = _prod(n3, c1, d, l2) + _prod(b2, c2, d, d, l1)
     carry = _prod(
-        _prod(b2, b2), _sq(_prod(n3, c1) + _prod(d, c2) * math.sqrt(b1 * b1 + 1.0))
+        _prod(b2, b2), _sq(_prod(n3, c1) + _prod(d, c2, math.sqrt(b1 * b1 + 1.0)))
     )
     beta = cross * cross + carry
 
@@ -336,7 +331,7 @@ def _network_bounds(
             # coordinate, so in the Euclidean norm it grows by sqrt(width)
             gap = math.sqrt(arch.widths[u]) * env.relu_epsilon
             b_n = budgets[u - 1] * math.sqrt(state.b_n * state.b_n + 1.0) + gap
-            lb = replace(lb, b_n=b_n)
+            lb = LayerBounds(lb.l_n, lb.l_grad_n, b_n, lb.alpha, lb.beta)
         per_layer.append(lb)
         state = lb
     final = layer_step(state, None, arch.widths[m + 1], budgets[m])
@@ -565,7 +560,7 @@ def closed_form_bounds(
         l_prev, b_prev = prev.l_n, prev.b_n
         t1 = _prod(2.0, l_prev, l_prev, spp, spp, bsq, bsq, l_prev, l_prev)
         t2 = _prod(l_prev, l_prev) * _sq(
-            _prod(ell, sp) + _prod(b, spp) * math.sqrt(b_prev * b_prev + 1.0)
+            _prod(ell, sp) + _prod(b, spp, math.sqrt(b_prev * b_prev + 1.0))
         )
         return t1 + t2
 
@@ -656,7 +651,7 @@ def _poly_head_sq_constants(
             + 2.0 * _prod(c2, c2, d, d, l1_sq)
             + _prod(c2, c2) * (b1 * b1 + 1.0) * (3.0 * b1 * b1 + 2.0)
         )
-        carry_coef = _sq(_prod(n3, c1) + _prod(d, c2) * math.sqrt(b1 * b1 + 1.0))
+        carry_coef = _sq(_prod(n3, c1) + _prod(d, c2, math.sqrt(b1 * b1 + 1.0)))
         beta_w = (
             2.0 * _prod(n3, n3, c1, c1, d, d, lg_sq)
             + 2.0 * _prod(c2, c2, d, d, d, d, l1_sq, l1_sq)
@@ -752,7 +747,7 @@ _SPLIT_RTOL = 1e-9  # a box this close above the best value found is not split
 
 
 def _sup_over_splits(
-    f: Callable[[Sequence[float]], float], dim: int, b_omega: float, max_splits: int
+    f: Callable[[tuple[float, ...]], float], dim: int, b_omega: float, max_splits: int
 ) -> tuple[float, tuple[float, ...], int]:
     """Upper bound on sup f over nonnegative splits with sum(D_u^2) <= b_omega^2.
 
@@ -779,8 +774,8 @@ def _sup_over_splits(
         sq = [x * x for x in lo]
         if math.fsum(sq) > bsq:
             return
-        u = [min(h, math.sqrt(max(bsq - math.fsum(sq[:i] + sq[i + 1 :]), 0.0)))
-             for i, h in enumerate(hi)]
+        u = tuple(min(h, math.sqrt(max(bsq - math.fsum(sq[:i] + sq[i + 1 :]), 0.0)))
+                  for i, h in enumerate(hi))
         # lo + t v with v = u - lo leaves the ball at the root t of a quadratic
         v = [b - a for a, b in zip(lo, u)]
         vv, lv = math.fsum(x * x for x in v), math.fsum(x * y for x, y in zip(lo, v))
@@ -822,6 +817,11 @@ def refine_over_layer_budgets(
     tighter with more.  The layer budgets and per-layer table come from the
     best split of the l_grad_phi search, scaled onto the sphere (never
     worse, by monotonicity); lower_estimate is l_grad_phi there.
+
+    One recursion at a budget vector gives all four constants, so each
+    (budgets, norm) recursion and each budget vector's loss averages are
+    computed once per call, shared by the four searches, the uniform
+    certificate and the lookups at the reported split.
     """
     norms, moments = _resolve_norms(inputs, dataset_norms)
     if moments is not None:
@@ -831,16 +831,23 @@ def refine_over_layer_budgets(
     b = inputs.b_omega
     s_max = max(norms)
 
-    def loss_averages(d: Sequence[float]) -> tuple[float, float]:
-        hidden = [_network_bounds(arch, d, s).last_hidden for s in norms]
-        return _head_averages(loss, d[-1], hidden)
+    @functools.cache
+    def bounds_at(d: tuple[float, ...], s: float) -> NetworkBounds:
+        return _network_bounds(arch, d, s)
 
-    uniform = loss_certificate(arch, inputs, loss, norms)
+    @functools.cache
+    def loss_averages(d: tuple[float, ...]) -> tuple[float, float]:
+        return _head_averages(loss, d[-1], [bounds_at(d, s).last_hidden for s in norms])
+
+    uniform = _averaged_certificate(
+        arch, inputs, loss, norms,
+        functools.partial(bounds_at, tuple(inputs.budgets_for(arch))), "recursive",
+    )
     searches = [
         (_sup_over_splits(f, arch.m + 1, b, search.max_splits), cap)
         for f, cap in (
-            (lambda d: _network_bounds(arch, d, s_max).l_n, uniform.l_n_final),
-            (lambda d: _network_bounds(arch, d, s_max).l_grad_n, uniform.l_grad_n_final),
+            (lambda d: bounds_at(d, s_max).l_n, uniform.l_n_final),
+            (lambda d: bounds_at(d, s_max).l_grad_n, uniform.l_grad_n_final),
             (lambda d: loss_averages(d)[0], uniform.l_phi),
             (lambda d: loss_averages(d)[1], uniform.l_grad_phi),
         )
@@ -854,7 +861,7 @@ def refine_over_layer_budgets(
     if not l_grad_phi < uniform.l_grad_phi * (1.0 - 1e-15):
         flags = flags + ("no_improvement",)
     return Certificate(
-        per_layer=_network_bounds(arch, d_star, s_max).per_layer,
+        per_layer=bounds_at(d_star, s_max).per_layer,
         l_n_final=l_n,
         l_grad_n_final=l_grad_n,
         l_phi=l_phi,

@@ -275,8 +275,12 @@ class SquaredError:
     kind = "squared_error"
 
     def value(self, out: np.ndarray, y: np.ndarray) -> float:
-        r = out - y
-        return float(np.dot(r, r))
+        return float(self.values(out, y))
+
+    def values(self, outs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """g of every row of outs against the same row of ys."""
+        r = outs - ys
+        return np.vecdot(r, r)
 
     def grad_x(self, out: np.ndarray, y: np.ndarray) -> np.ndarray:
         return 2.0 * (out - y)
@@ -297,8 +301,12 @@ class PseudoHuber:
         self.delta = delta
 
     def value(self, out: np.ndarray, y: np.ndarray) -> float:
-        u = (out - y) / self.delta
-        return float(self.delta**2 * np.sum(np.sqrt(1.0 + u * u) - 1.0))
+        return float(self.values(out, y))
+
+    def values(self, outs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """g of every row of outs against the same row of ys."""
+        u = (outs - ys) / self.delta
+        return self.delta**2 * np.sum(np.sqrt(1.0 + u * u) - 1.0, axis=-1)
 
     def grad_x(self, out: np.ndarray, y: np.ndarray) -> np.ndarray:
         r = out - y

@@ -66,8 +66,7 @@ class NetworkObjective:
         self.n_samples = len(samples)
 
     def _loss(self, outs: np.ndarray) -> float:
-        losses = (self.loss_head.value(o, y) for o, y in zip(outs, self.ys))
-        return math.fsum(losses) / self.n_samples
+        return math.fsum(self.loss_head.values(outs, self.ys).tolist()) / self.n_samples
 
     def value(self, theta: np.ndarray) -> float:
         _, feats = batch_forward(self.arch, np.asarray(theta, dtype=float)[None], self.xs)

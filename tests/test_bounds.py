@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from lipcert import (
     ActivationEnvelope,
     ArchitectureSpec,
     BoundInputs,
+    LayerBounds,
     LossEnvelope,
     SampleMoments,
     batch_forward,
@@ -28,6 +30,7 @@ from lipcert import (
     smoothed_relu,
     tanh,
 )
+from lipcert import bounds
 from lipcert.bounds import RefinementSearch, _head_averages, _network_bounds
 
 from conftest import random_architecture
@@ -69,6 +72,15 @@ class TestLayerStep:
     def test_output_bound_scales_with_width(self):
         lb = layer_step(input_base(0.0), env(1.0, 1.0, smax=0.5), 9, 1.0)
         assert lb.b_n == pytest.approx(3.0 * 0.5)
+
+    def test_dropped_carry_term_with_unbounded_features_is_not_nan(self):
+        # a zero curvature bound (identity head) or a zero budget drops the
+        # carry term's curvature part even when the feature bound is inf
+        prev = LayerBounds(1.0, 2.0, math.inf, 0.0, 0.0)
+        finite = LayerBounds(1.0, 2.0, 5.0, 0.0, 0.0)
+        identity = layer_step(prev, None, 2, 1.0).l_grad_n
+        assert identity == layer_step(finite, None, 2, 1.0).l_grad_n
+        assert math.isinf(layer_step(prev, env(1.0, 1.0), 2, 0.0).l_grad_n)
 
     def test_rejects_negative_budget(self):
         with pytest.raises(ValueError):
@@ -463,6 +475,28 @@ class TestRefinement:
         hidden = [_network_bounds(arch, ref.layer_budgets, s).last_hidden for s in norms]
         assert ref.lower_estimate == _head_averages(loss, ref.layer_budgets[-1], hidden)[1]
         assert ref.gap == pytest.approx(1.0 - ref.lower_estimate / ref.l_grad_phi, abs=1e-15)
+
+    def test_one_recursion_per_budget_vector_and_norm(self, monkeypatch):
+        # the four searches, the uniform certificate and the lookups at the
+        # reported split share one evaluation per (budgets, norm)
+        calls = Counter()
+
+        def counted(arch, budgets, s):
+            calls[tuple(budgets), s] += 1
+            return network_bounds(arch, budgets, s)
+
+        network_bounds = bounds._network_bounds
+        monkeypatch.setattr(bounds, "_network_bounds", counted)
+        arch = ArchitectureSpec(
+            widths=(3, 5, 4, 6, 2), activations=(tanh(), smoothed_relu(0.5), sigmoid())
+        )
+        for iters in (0, 4, 30):
+            calls.clear()
+            refine_over_layer_budgets(
+                arch, BoundInputs(b_omega=1.5), LossEnvelope(1.0, 1.0), [0.5, 1.25],
+                RefinementSearch(restarts=1, iters=iters),
+            )
+            assert calls and max(calls.values()) == 1
 
     def test_more_effort_never_loosens_the_bound(self):
         rng = np.random.default_rng(6)

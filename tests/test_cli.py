@@ -83,6 +83,65 @@ FULL = {
 }
 
 
+# three hidden layers of mixed kinds and two sample norms, on which eight
+# box splits already bring the refined l_grad_phi well below the uniform
+# 902.955; its certificate_refined.json is pinned byte for byte
+DEEP_MIXED = {
+    "name": "mixed-3-hidden",
+    "architecture": {
+        "widths": [3, 5, 4, 6, 2],
+        "activations": ["tanh", {"kind": "saturated_linear", "c": 1.5, "r_sat": 2.0}, "sigmoid"],
+    },
+    "bounds": {"b_omega": 1.5, "sample_norms": [0.5, 1.25]},
+    "loss": {"kind": "pseudo_huber", "delta": 1.0},
+    "refine": {"restarts": 1, "iters": 4},
+}
+
+DEEP_MIXED_REFINED = """{
+  "b_grad_phi": 5.092771225391198,
+  "flags": [],
+  "gap": 0.24739017493962268,
+  "inputs_digest": "7ade9161ed7e0feb",
+  "kind": "network_loss_certificate",
+  "l_grad_n_final": 627.9640572980578,
+  "l_grad_phi": 418.6670744070128,
+  "l_n_final": 3.6102550725035476,
+  "l_phi": 5.092771225391198,
+  "layer_budgets": [
+    0.34539537654258795,
+    0.34539537654258795,
+    1.002846964328558,
+    1.002846964328558
+  ],
+  "lower_estimate": 315.0929536280019,
+  "method": "refined_budgets",
+  "per_layer": [
+    {
+      "b_grad_n": 1.6007810593582121,
+      "b_n": 2.23606797749979,
+      "l_grad_n": 3.186705601807703,
+      "l_n": 1.6007810593582121,
+      "layer": 1
+    },
+    {
+      "b_grad_n": 3.76667324518714,
+      "b_n": 5.699999999999999,
+      "l_grad_n": 145.29484402616393,
+      "l_n": 3.76667324518714,
+      "layer": 2
+    },
+    {
+      "b_grad_n": 1.7276922253384894,
+      "b_n": 2.449489742783178,
+      "l_grad_n": 220.1424427454713,
+      "l_n": 1.7276922253384894,
+      "layer": 3
+    }
+  ]
+}
+"""
+
+
 class TestCertify:
     def test_trivial_affine(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, TRIVIAL)
@@ -196,6 +255,13 @@ class TestCertify:
             assert ref[key] == rec[key]
         assert "no_improvement" in ref["flags"]
         assert ref["gap"] < 1e-9
+
+    def test_deep_mixed_refined_certificate_is_pinned(self, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main(["certify", "--config", write_cfg(tmp_path, DEEP_MIXED), "--out", str(out)]) == 0
+        assert (out / "certificate_refined.json").read_text() == DEEP_MIXED_REFINED
+        rec = json.loads((out / "certificate_recursive.json").read_text())
+        assert json.loads(DEEP_MIXED_REFINED)["l_grad_phi"] < 0.5 * rec["l_grad_phi"]
 
     def test_refuses_overwrite_without_force(self, tmp_path):
         cfg = write_cfg(tmp_path, TRIVIAL)
@@ -319,6 +385,44 @@ class TestOverflow:
         assert code == 0
         doc = json.loads((out / "certificate_recursive.json").read_text())
         assert math.isinf(doc["l_grad_n_final"])
+
+
+    # a smoothed-ReLU layer on a huge ball: its output bound, and every
+    # later feature bound, is inf
+    UNBOUNDED = {
+        "name": "unbounded-features",
+        "architecture": {"widths": [1, 2, 1], "activations": [{"kind": "smoothed_relu", "delta": 0.5}]},
+        "bounds": {"b_omega": 1e160, "sample_norms": [1.0]},
+        "loss": {"kind": "pseudo_huber", "delta": 1.0},
+        "refine": {"restarts": 1, "iters": 4},
+        "verify": {"n_pairs": 200, "input_norm": 1.0},
+    }
+
+    @pytest.mark.parametrize("command", ["certify", "verify"])
+    def test_unbounded_features_report_inf_not_nan(self, tmp_path, command):
+        out = tmp_path / "out"
+        argv = [command, "--config", write_cfg(tmp_path, self.UNBOUNDED), "--out", str(out)]
+        assert cli.main(argv + ["--allow-inf"]) == 0
+        for path in out.iterdir():
+            assert "nan" not in path.read_text().lower(), path.name
+        if command == "certify":
+            for name in ("recursive", "closed_form", "refined"):
+                doc = json.loads((out / f"certificate_{name}.json").read_text())
+                assert math.isinf(doc["l_grad_n_final"])
+
+    def test_overflowing_verify_warns_nothing(self, tmp_path):
+        # the overflow already shows in soundness.csv; numpy's overflow and
+        # inf - inf warnings would only add noise to stderr
+        out = tmp_path / "out"
+        argv = ["verify", "--config", write_cfg(tmp_path, self.UNBOUNDED), "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(argv + ["--allow-inf"]) == 0
+        assert (out / "soundness.csv").read_text() == (
+            "config_id,constant_name,certificate,empirical,ratio,n_pairs,seed\n"
+            "unbounded-features,l_n,inf,0,inf,200,0\n"
+            "unbounded-features,l_grad_n,inf,0,inf,200,1\n"
+        )
 
 
 class TestVerify:
