@@ -452,24 +452,32 @@ def _head_averages(
     )
 
 
+def _sample_averages(
+    loss: LossEnvelope,
+    d_head: float,
+    norms: Sequence[float],
+    bounds_at: Callable[[float], NetworkBounds],
+) -> tuple[float, float]:
+    """_head_averages over the sample norms, one bounds_at(s) per distinct norm."""
+    hidden = {s: bounds_at(s).last_hidden for s in dict.fromkeys(norms)}
+    return _head_averages(loss, d_head, [hidden[s] for s in norms])
+
+
 def _averaged_certificate(
     arch: ArchitectureSpec,
     inputs: BoundInputs,
     loss: LossEnvelope,
     norms: Sequence[float],
-    bounds_at: Callable[[float], NetworkBounds],
+    nb_max: NetworkBounds,
+    averages: tuple[float, float],
     method: str,
 ) -> Certificate:
     """Loss constants averaged over the norms; network constants at the largest.
 
-    bounds_at(s) gives the network bounds for an input of norm s; the
-    per-sample loss heads are averaged with equal weights in dataset order.
+    nb_max is the network bounds for an input of the largest norm and
+    averages the (L_phi, L_grad_phi) means from _sample_averages.
     """
-    d_head = inputs.budgets_for(arch)[-1]
-    l_phi, l_grad_phi = _head_averages(
-        loss, d_head, [bounds_at(s).last_hidden for s in norms]
-    )
-    nb_max = bounds_at(max(norms))
+    l_phi, l_grad_phi = averages
     return Certificate(
         per_layer=nb_max.per_layer,
         l_n_final=nb_max.l_n,
@@ -500,8 +508,10 @@ def loss_certificate(
     budgets = inputs.budgets_for(arch)
     if moments is not None:
         return _moment_certificate(arch, inputs, loss, moments)
+    bounds_at = functools.partial(_network_bounds, arch, budgets)
     return _averaged_certificate(
-        arch, inputs, loss, norms, lambda s: _network_bounds(arch, budgets, s), "recursive"
+        arch, inputs, loss, norms, bounds_at(max(norms)),
+        _sample_averages(loss, budgets[-1], norms, bounds_at), "recursive",
     )
 
 
@@ -617,9 +627,11 @@ def closed_form_certificate(
     norms, moments = _resolve_norms(inputs, dataset_norms)
     if moments is not None:
         raise ValueError("closed-form certificate needs explicit sample norms")
+    bounds_at = functools.partial(closed_form_network_bounds, arch, inputs)
     return _averaged_certificate(
-        arch, inputs, loss, norms,
-        lambda s: closed_form_network_bounds(arch, inputs, s), "closed_form",
+        arch, inputs, loss, norms, bounds_at(max(norms)),
+        _sample_averages(loss, inputs.budgets_for(arch)[-1], norms, bounds_at),
+        "closed_form",
     )
 
 
@@ -831,23 +843,28 @@ def refine_over_layer_budgets(
     b = inputs.b_omega
     s_max = max(norms)
 
+    # only the bounds at s_max are read again, so the other norms' recursions
+    # are dropped once their loss averages are taken
     @functools.cache
-    def bounds_at(d: tuple[float, ...], s: float) -> NetworkBounds:
-        return _network_bounds(arch, d, s)
+    def bounds_at(d: tuple[float, ...]) -> NetworkBounds:
+        return _network_bounds(arch, d, s_max)
 
     @functools.cache
     def loss_averages(d: tuple[float, ...]) -> tuple[float, float]:
-        return _head_averages(loss, d[-1], [bounds_at(d, s).last_hidden for s in norms])
+        return _sample_averages(
+            loss, d[-1], norms,
+            lambda s: bounds_at(d) if s == s_max else _network_bounds(arch, d, s),
+        )
 
+    d_uniform = tuple(inputs.budgets_for(arch))
     uniform = _averaged_certificate(
-        arch, inputs, loss, norms,
-        functools.partial(bounds_at, tuple(inputs.budgets_for(arch))), "recursive",
+        arch, inputs, loss, norms, bounds_at(d_uniform), loss_averages(d_uniform), "recursive"
     )
     searches = [
         (_sup_over_splits(f, arch.m + 1, b, search.max_splits), cap)
         for f, cap in (
-            (lambda d: bounds_at(d, s_max).l_n, uniform.l_n_final),
-            (lambda d: bounds_at(d, s_max).l_grad_n, uniform.l_grad_n_final),
+            (lambda d: bounds_at(d).l_n, uniform.l_n_final),
+            (lambda d: bounds_at(d).l_grad_n, uniform.l_grad_n_final),
             (lambda d: loss_averages(d)[0], uniform.l_phi),
             (lambda d: loss_averages(d)[1], uniform.l_grad_phi),
         )
@@ -861,7 +878,7 @@ def refine_over_layer_budgets(
     if not l_grad_phi < uniform.l_grad_phi * (1.0 - 1e-15):
         flags = flags + ("no_improvement",)
     return Certificate(
-        per_layer=bounds_at(d_star, s_max).per_layer,
+        per_layer=bounds_at(d_star).per_layer,
         l_n_final=l_n,
         l_grad_n_final=l_grad_n,
         l_phi=l_phi,

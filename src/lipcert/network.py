@@ -279,8 +279,9 @@ class SquaredError:
 
     def values(self, outs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """g of every row of outs against the same row of ys."""
-        r = outs - ys
-        return np.vecdot(r, r)
+        r = (outs - ys)[..., None, :]
+        # a (1, n) @ (n, 1) product runs numpy's vector dot, the one np.dot(r, r) runs
+        return np.matmul(r, r.swapaxes(-1, -2))[..., 0, 0]
 
     def grad_x(self, out: np.ndarray, y: np.ndarray) -> np.ndarray:
         return 2.0 * (out - y)

@@ -1,4 +1,5 @@
 import math
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -478,7 +479,8 @@ class TestRefinement:
 
     def test_one_recursion_per_budget_vector_and_norm(self, monkeypatch):
         # the four searches, the uniform certificate and the lookups at the
-        # reported split share one evaluation per (budgets, norm)
+        # reported split share one evaluation per (budgets, norm), a repeated
+        # sample norm included
         calls = Counter()
 
         def counted(arch, budgets, s):
@@ -493,10 +495,33 @@ class TestRefinement:
         for iters in (0, 4, 30):
             calls.clear()
             refine_over_layer_budgets(
-                arch, BoundInputs(b_omega=1.5), LossEnvelope(1.0, 1.0), [0.5, 1.25],
+                arch, BoundInputs(b_omega=1.5), LossEnvelope(1.0, 1.0), [0.5, 1.25, 0.5],
                 RefinementSearch(restarts=1, iters=iters),
             )
             assert calls and max(calls.values()) == 1
+
+    def test_memo_drops_the_smaller_norms(self, monkeypatch):
+        # recursions at the smaller sample norms are dropped once their loss
+        # averages are taken, so the rows of a dataset do not multiply the memo
+        norms = [0.25, 0.5, 0.75, 1.0]
+        kept, alive = [], []
+
+        def tracked(arch, budgets, s):
+            alive.append(sum(ref() is not None for ref in kept))
+            nb = network_bounds(arch, budgets, s)
+            if s < max(norms):
+                kept.append(weakref.ref(nb))
+            return nb
+
+        network_bounds = bounds._network_bounds
+        monkeypatch.setattr(bounds, "_network_bounds", tracked)
+        arch = ArchitectureSpec(widths=(3, 5, 4, 2), activations=(tanh(), sigmoid()))
+        refine_over_layer_budgets(
+            arch, BoundInputs(b_omega=1.5), LossEnvelope(1.0, 1.0), norms,
+            RefinementSearch(restarts=1, iters=10),
+        )
+        assert len(kept) > 3 * len(norms)
+        assert max(alive) < len(norms)
 
     def test_more_effort_never_loosens_the_bound(self):
         rng = np.random.default_rng(6)
