@@ -257,9 +257,9 @@ def layer_step(
         raise ValueError("width_out must be a positive integer")
     if budget < 0 or math.isnan(budget):
         raise ValueError("budget must be nonnegative")
-    for name in ("l_n", "l_grad_n", "b_n"):
-        if getattr(prev, name) < 0:
-            raise ValueError(f"prev.{name} must be nonnegative")
+    if prev.l_n < 0 or prev.l_grad_n < 0 or prev.b_n < 0:
+        name = "l_n" if prev.l_n < 0 else "l_grad_n" if prev.l_grad_n < 0 else "b_n"
+        raise ValueError(f"prev.{name} must be nonnegative")
     c1, c2, b3 = _head_constants(env)
 
     l1, l2 = prev.l_n, prev.l_grad_n
@@ -397,7 +397,7 @@ def _digest(payload: dict) -> str:
 def _certificate_digest(
     arch: ArchitectureSpec,
     inputs: BoundInputs,
-    loss: LossEnvelope,
+    loss: LossEnvelope | None,
     norms: Sequence[float] | None,
     moments: SampleMoments | None,
     method: str,
@@ -416,7 +416,9 @@ def _certificate_digest(
         ],
         "b_omega": inputs.b_omega,
         "layer_budgets": None if inputs.layer_budgets is None else list(inputs.layer_budgets),
-        "loss": [loss.g_p_max, loss.g_pp_max, loss.lip_g_value, loss.lip_dg_value],
+        "loss": None if loss is None else [
+            loss.g_p_max, loss.g_pp_max, loss.lip_g_value, loss.lip_dg_value
+        ],
         "norms": None if norms is None else list(norms),
         "moments": None if moments is None else [moments.e_s2, moments.e_s4],
         "method": method,
@@ -437,8 +439,8 @@ def _resolve_norms(
     raise ValueError("no sample norms or moments supplied")
 
 
-def _overflow_flags(*values: float) -> tuple[str, ...]:
-    return ("overflow",) if any(math.isinf(v) for v in values) else ()
+def _overflow_flags(*values: float | None) -> tuple[str, ...]:
+    return ("overflow",) if any(v is not None and math.isinf(v) for v in values) else ()
 
 
 def _head_averages(
@@ -453,29 +455,34 @@ def _head_averages(
 
 
 def _sample_averages(
-    loss: LossEnvelope,
+    loss: LossEnvelope | None,
     d_head: float,
     norms: Sequence[float],
     bounds_at: Callable[[float], NetworkBounds],
-) -> tuple[float, float]:
-    """_head_averages over the sample norms, one bounds_at(s) per distinct norm."""
-    hidden = {s: bounds_at(s).last_hidden for s in dict.fromkeys(norms)}
-    return _head_averages(loss, d_head, [hidden[s] for s in norms])
+) -> tuple[NetworkBounds, tuple[float | None, float | None]]:
+    """Bounds at the largest norm and the _head_averages over the sample norms.
+
+    bounds_at(s) runs once per distinct norm; without a loss the means are None.
+    """
+    nbs = {s: bounds_at(s) for s in dict.fromkeys(norms)}
+    if loss is None:
+        return nbs[max(norms)], (None, None)
+    return nbs[max(norms)], _head_averages(loss, d_head, [nbs[s].last_hidden for s in norms])
 
 
 def _averaged_certificate(
     arch: ArchitectureSpec,
     inputs: BoundInputs,
-    loss: LossEnvelope,
+    loss: LossEnvelope | None,
     norms: Sequence[float],
     nb_max: NetworkBounds,
-    averages: tuple[float, float],
+    averages: tuple[float | None, float | None],
     method: str,
 ) -> Certificate:
     """Loss constants averaged over the norms; network constants at the largest.
 
-    nb_max is the network bounds for an input of the largest norm and
-    averages the (L_phi, L_grad_phi) means from _sample_averages.
+    nb_max and averages are the two results of _sample_averages; without a
+    loss the certificate is the network's alone (l_phi, l_grad_phi None).
     """
     l_phi, l_grad_phi = averages
     return Certificate(
@@ -494,24 +501,26 @@ def _averaged_certificate(
 def loss_certificate(
     arch: ArchitectureSpec,
     inputs: BoundInputs,
-    loss: LossEnvelope,
+    loss: LossEnvelope | None,
     dataset_norms: Sequence[float] | None = None,
 ) -> Certificate:
     """Recursive certificate for the mean loss over a finite dataset.
 
     With explicit sample norms the per-sample constants are averaged with
-    equal weights in dataset order.  With SampleMoments instead, a
+    equal weights in dataset order; with loss None the certificate is the
+    network's alone, at the largest norm.  With SampleMoments instead, a
     closed-form polynomial envelope in S^2 is integrated exactly (see
     _moment_certificate).
     """
     norms, moments = _resolve_norms(inputs, dataset_norms)
     budgets = inputs.budgets_for(arch)
     if moments is not None:
+        if loss is None:
+            raise ValueError("moment mode needs a loss envelope")
         return _moment_certificate(arch, inputs, loss, moments)
     bounds_at = functools.partial(_network_bounds, arch, budgets)
     return _averaged_certificate(
-        arch, inputs, loss, norms, bounds_at(max(norms)),
-        _sample_averages(loss, budgets[-1], norms, bounds_at), "recursive",
+        arch, inputs, loss, norms, *_sample_averages(loss, budgets[-1], norms, bounds_at), "recursive"
     )
 
 
@@ -536,17 +545,21 @@ def closed_form_bounds(
     layers, so each entry dominates the corresponding recursive constant.
     Unbounded activations push sigma_max to +inf and the bounds saturate.
     """
+    b = inputs.b_omega
+    return _closed_forms(arch, _network_bounds(arch, (b,) * (arch.m + 1), s))
+
+
+def _closed_forms(arch: ArchitectureSpec, nb: NetworkBounds) -> ClosedFormBounds:
+    """closed_form_bounds given the uniform recursion nb at radius b_omega."""
     m = arch.m
     if m == 0:
         return ClosedFormBounds((), ())
-    b = inputs.b_omega
+    b, s = nb.budgets[0], nb.s
     bsq = b * b
     ell = float(max(arch.widths[1 : m + 1]))
     sp = max(a.envelope.sigma_p_max for a in arch.activations)
     spp = max(a.envelope.sigma_pp_max for a in arch.activations)
     smax = max(a.envelope.sigma_max for a in arch.activations)
-
-    nb = _network_bounds(arch, (b,) * (m + 1), s)
 
     # value route: ratio bsq*sp^2 per layer, inhomogeneity ell*smax^2 + 1
     r1 = _prod(bsq, sp, sp)
@@ -603,7 +616,7 @@ def closed_form_network_bounds(
     nb = network_certificate(arch, inputs, s)
     if arch.m == 0:
         return nb
-    cf = closed_form_bounds(arch, inputs, s)
+    cf = _closed_forms(arch, nb)
     per_layer = tuple(
         replace(lb, l_n=math.sqrt(cf.l_n_sq[u]), l_grad_n=math.sqrt(cf.l_grad_n_sq[u]))
         for u, lb in enumerate(nb.per_layer)
@@ -615,22 +628,21 @@ def closed_form_network_bounds(
 def closed_form_certificate(
     arch: ArchitectureSpec,
     inputs: BoundInputs,
-    loss: LossEnvelope,
+    loss: LossEnvelope | None,
     dataset_norms: Sequence[float] | None = None,
 ) -> Certificate:
     """Certificate whose hidden-layer constants come from the closed forms.
 
     The head steps reuse the one-step composition formulas with the (larger)
     closed-form layer constants, so every field dominates the recursive
-    certificate's counterpart.
+    certificate's counterpart; with loss None it is the network's alone.
     """
     norms, moments = _resolve_norms(inputs, dataset_norms)
     if moments is not None:
         raise ValueError("closed-form certificate needs explicit sample norms")
     bounds_at = functools.partial(closed_form_network_bounds, arch, inputs)
     return _averaged_certificate(
-        arch, inputs, loss, norms, bounds_at(max(norms)),
-        _sample_averages(loss, inputs.budgets_for(arch)[-1], norms, bounds_at),
+        arch, inputs, loss, norms, *_sample_averages(loss, inputs.b_omega, norms, bounds_at),
         "closed_form",
     )
 
@@ -854,7 +866,7 @@ def refine_over_layer_budgets(
         return _sample_averages(
             loss, d[-1], norms,
             lambda s: bounds_at(d) if s == s_max else _network_bounds(arch, d, s),
-        )
+        )[1]
 
     d_uniform = tuple(inputs.budgets_for(arch))
     uniform = _averaged_certificate(
@@ -871,7 +883,10 @@ def refine_over_layer_budgets(
     ]
     l_n, l_grad_n, l_phi, l_grad_phi = (min(r[0], cap) for r, cap in searches)
     _, split, splits = searches[-1][0]
-    scale = b / math.sqrt(math.fsum(d * d for d in split))
+    # hypot only where the squares overflow (b_omega above about 1e154): its
+    # bits differ from the fsum on many splits
+    norm = math.sqrt(math.fsum(d * d for d in split))
+    scale = b / (norm if math.isfinite(norm) else math.hypot(*split))
     d_star = tuple(d * scale for d in split)
 
     flags = _overflow_flags(l_n, l_grad_n, l_phi, l_grad_phi)

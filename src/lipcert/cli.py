@@ -18,6 +18,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 from typing import Callable
@@ -25,14 +26,12 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .activations import saturated_linear
+from .activations import saturated_linear, tanh
 from .bounds import (
     ArchitectureSpec,
     BoundInputs,
-    Certificate,
     LossEnvelope,
     closed_form_certificate,
-    closed_form_network_bounds,
     derive_adagrad_params,
     loss_certificate,
     network_certificate,
@@ -80,7 +79,7 @@ from .empirical import (
     network_output_map,
     worst_case_construction,
 )
-from .network import dataset_norms, flatten_params, init_params, loss_head_envelopes
+from .network import dataset_norms, flatten_params, forward, init_params, loss_head_envelopes
 from .training import NetworkObjective, run_adagrad_norm, run_gd
 
 EXIT_OK = 0
@@ -208,52 +207,30 @@ def cmd_certify(cfg: dict, args, out: Path) -> int:
     env = resolve_loss_envelope(cfg, arch, inputs, s_max, target_bound)
     search = build_refinement_search(cfg)
 
-    uniform = BoundInputs(
-        b_omega=inputs.b_omega,
-        sample_norms=inputs.sample_norms,
-        moments=inputs.moments,
-    )
     # the closed-form and refined certificates hold on the whole ball, so
     # their loss envelope must too, whatever split the recursion uses
+    uniform = replace(inputs, layer_budgets=None)
     env_ball = env
     if inputs.layer_budgets is not None:
         env_ball = resolve_loss_envelope(cfg, arch, uniform, s_max, target_bound)
+    if env is None and norms is None:
+        raise ConfigError("certify without a loss section needs explicit sample norms")
 
-    certs: dict[str, Certificate] = {}
-    if env is None:
-        if norms is None:
-            raise ConfigError("certify without a loss section needs explicit sample norms")
-        for method, nb, budgets in (
-            ("recursive", network_certificate(arch, inputs, s_max), inputs.layer_budgets),
-            ("closed_form", closed_form_network_bounds(arch, uniform, s_max), None),
-        ):
-            certs[method] = Certificate(
-                per_layer=nb.per_layer,
-                l_n_final=nb.l_n,
-                l_grad_n_final=nb.l_grad_n,
-                l_phi=None,
-                l_grad_phi=None,
-                method=method,
-                inputs_digest=config_digest(cfg),
-                flags=("overflow",) if math.isinf(nb.l_n) or math.isinf(nb.l_grad_n) else (),
-                layer_budgets=budgets,
-            )
+    # without a loss section both certificates are the network's alone
+    certs = {"recursive": loss_certificate(arch, inputs, env, dataset_norms=norms)}
+    if norms is not None:
+        certs["closed_form"] = closed_form_certificate(arch, uniform, env_ball, dataset_norms=norms)
     else:
-        certs["recursive"] = loss_certificate(arch, inputs, env, dataset_norms=norms)
-        if norms is not None:
-            certs["closed_form"] = closed_form_certificate(
-                arch, uniform, env_ball, dataset_norms=norms
-            )
-        else:
-            log.info("moment-mode certify: closed forms need explicit norms; skipped")
-        if search is not None:
-            if arch.m < 1:
-                raise ConfigError("refine: budget refinement needs a hidden layer")
-            if norms is None:
-                raise ConfigError("refine: budget refinement needs explicit sample norms")
-            certs["refined"] = refine_over_layer_budgets(
-                arch, uniform, env_ball, dataset_norms=norms, search=search
-            )
+        log.info("moment-mode certify: closed forms need explicit norms; skipped")
+    # the refinement searches over the loss constants, so it needs a loss
+    if search is not None and env is not None:
+        if arch.m < 1:
+            raise ConfigError("refine: budget refinement needs a hidden layer")
+        if norms is None:
+            raise ConfigError("refine: budget refinement needs explicit sample norms")
+        certs["refined"] = refine_over_layer_budgets(
+            arch, uniform, env_ball, dataset_norms=norms, search=search
+        )
 
     _gate(
         [v for c in certs.values() for v in (c.l_n_final, c.l_grad_n_final, c.l_phi, c.l_grad_phi)],
@@ -673,8 +650,6 @@ def cmd_code_verify(cfg: dict, args, out: Path) -> int:
 
 
 def cmd_code_equivalence(cfg: dict, args, out: Path) -> int:
-    from .activations import tanh
-
     cdoc = section(cfg, "code")
     top_seed = get(cfg, "seed", int, default=0)
     seed = get(cdoc, "seed", int, default=top_seed, where="code")
@@ -689,8 +664,6 @@ def cmd_code_equivalence(cfg: dict, args, out: Path) -> int:
         raise ConfigError("code.b_omega must be a positive finite real")
     if not tol >= 0.0:
         raise ConfigError("code.tolerance must be nonnegative")
-
-    from .network import forward, unflatten_params
 
     rng = np.random.default_rng(seed)
     rows = []

@@ -13,6 +13,7 @@ from lipcert import (
     BoundInputs,
     LayerBounds,
     LossEnvelope,
+    PseudoHuber,
     SampleMoments,
     batch_forward,
     closed_form_bounds,
@@ -23,6 +24,7 @@ from lipcert import (
     input_base,
     layer_step,
     loss_certificate,
+    loss_head_envelopes,
     make_activation,
     network_certificate,
     network_output_map,
@@ -86,6 +88,13 @@ class TestLayerStep:
     def test_rejects_negative_budget(self):
         with pytest.raises(ValueError):
             layer_step(input_base(0.0), env(1.0, 1.0), 1, -1.0)
+
+    @pytest.mark.parametrize("field", ["l_n", "l_grad_n", "b_n"])
+    def test_rejects_negative_prev_field(self, field):
+        values = {"l_n": 1.0, "l_grad_n": 1.0, "b_n": 1.0, "alpha": 0.0, "beta": 0.0}
+        prev = LayerBounds(**{**values, field: -1.0})
+        with pytest.raises(ValueError, match=f"prev.{field} must"):
+            layer_step(prev, env(1.0, 1.0), 1, 1.0)
 
     @given(
         s=st.floats(0.0, 4.0),
@@ -237,6 +246,32 @@ class TestLossCertificate:
         b = loss_certificate(arch, inputs, loss, dataset_norms=[1.0, 3.0])
         assert a == b
 
+    def test_without_loss_is_the_network_at_the_largest_norm(self):
+        arch = ArchitectureSpec(widths=(2, 4, 3), activations=(smoothed_relu(0.5),))
+        inputs = BoundInputs(b_omega=2.0, layer_budgets=(1.0, 1.5))
+        cert = loss_certificate(arch, inputs, None, dataset_norms=[1.0, 3.0])
+        nb = network_certificate(arch, inputs, 3.0)
+        assert cert.per_layer == nb.per_layer
+        assert (cert.l_n_final, cert.l_grad_n_final) == (nb.l_n, nb.l_grad_n)
+        assert (cert.l_phi, cert.l_grad_phi, cert.flags) == (None, None, ())
+        assert cert.layer_budgets == (1.0, 1.5)
+
+    @pytest.mark.parametrize("loss", [LossEnvelope(1.0, 1.0), None])
+    @pytest.mark.parametrize("build", [loss_certificate, closed_form_certificate])
+    def test_one_recursion_per_sample_norm(self, monkeypatch, build, loss):
+        # the largest norm's recursion is the one its average already took
+        calls = []
+
+        def counted(arch, budgets, s):
+            calls.append(s)
+            return network_bounds(arch, budgets, s)
+
+        network_bounds = bounds._network_bounds
+        monkeypatch.setattr(bounds, "_network_bounds", counted)
+        arch = ArchitectureSpec(widths=(2, 3, 1), activations=(tanh(),))
+        build(arch, BoundInputs(b_omega=1.0), loss, dataset_norms=(1.0, 0.5, 1.0))
+        assert sorted(calls) == [0.5, 1.0]
+
 
 class TestMomentMode:
     def test_degenerate_distribution_dominates_exact_norms(self):
@@ -277,6 +312,12 @@ class TestMomentMode:
                 BoundInputs(b_omega=1.0, moments=SampleMoments(1.0, 1.0)),
                 LossEnvelope(1.0, 1.0),
             )
+
+    def test_missing_loss_rejected(self):
+        # the moments bound only the loss constants
+        arch = ArchitectureSpec(widths=(1, 1, 1), activations=(tanh(),))
+        with pytest.raises(ValueError, match="needs a loss"):
+            loss_certificate(arch, BoundInputs(b_omega=1.0, moments=SampleMoments(1.0, 1.0)), None)
 
     def test_inconsistent_moments_rejected(self):
         with pytest.raises(ValueError):
@@ -395,6 +436,16 @@ class TestRefinement:
             RefinementSearch(restarts=1, iters=30),
         )
         assert "no_improvement" in ref.flags
+
+    def test_budgets_on_sphere_where_their_squares_overflow(self):
+        arch = ArchitectureSpec(widths=(1, 2, 1), activations=(smoothed_relu(0.5),))
+        loss = loss_head_envelopes(PseudoHuber(1.0), 1, math.inf, math.inf)
+        ref = refine_over_layer_budgets(
+            arch, BoundInputs(b_omega=1e160), loss, [1.0], RefinementSearch(restarts=1, iters=4)
+        )
+        assert all(d > 0.0 for d in ref.layer_budgets)
+        assert math.hypot(*ref.layer_budgets) == pytest.approx(1e160, rel=1e-12)
+        assert ref.lower_estimate <= ref.l_grad_phi
 
     def test_budget_vector_on_sphere(self):
         rng = np.random.default_rng(8)

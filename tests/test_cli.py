@@ -44,7 +44,7 @@ NO_LOSS = {
 NO_LOSS_CLOSED_FORM = """{
   "b_grad_phi": null,
   "flags": [],
-  "inputs_digest": "08dad42f74d1a72d",
+  "inputs_digest": "cf621b7ea0193443",
   "kind": "network_certificate",
   "l_grad_n_final": 3.731745694165926,
   "l_grad_phi": null,
@@ -64,8 +64,10 @@ NO_LOSS_CLOSED_FORM = """{
 }
 """
 # with one hidden layer the closed forms equal the recursion, so the two
-# documents differ only in their method
-NO_LOSS_RECURSIVE = NO_LOSS_CLOSED_FORM.replace('"closed_form"', '"recursive"')
+# documents differ only in their method and the digest that covers it
+NO_LOSS_RECURSIVE = NO_LOSS_CLOSED_FORM.replace('"closed_form"', '"recursive"').replace(
+    "cf621b7ea0193443", "717fe4ebabf2a1ad"
+)
 
 FULL = {
     "name": "tanh-231",
