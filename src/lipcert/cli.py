@@ -19,7 +19,7 @@ import math
 import os
 import sys
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable
 
@@ -204,17 +204,26 @@ def cmd_certify(cfg: dict, args, out: Path) -> int:
         raise ConfigError("certify needs bounds.sample_norms, bounds.moments, or a dataset")
     s_max = max(norms) if norms is not None else math.sqrt(inputs.moments.e_s2)
 
-    env = resolve_loss_envelope(cfg, arch, inputs, s_max, target_bound)
     search = build_refinement_search(cfg)
+    has_loss = section(cfg, "loss", required=False) is not None
+    if not has_loss and norms is None:
+        raise ConfigError("certify without a loss section needs explicit sample norms")
+    if search is not None:
+        # the refinement searches over the loss constants, so it needs a loss
+        if not has_loss:
+            raise ConfigError("refine: budget refinement needs a loss section")
+        if arch.m < 1:
+            raise ConfigError("refine: budget refinement needs a hidden layer")
+        if norms is None:
+            raise ConfigError("refine: budget refinement needs explicit sample norms")
 
+    env = resolve_loss_envelope(cfg, arch, inputs, s_max, target_bound)
     # the closed-form and refined certificates hold on the whole ball, so
     # their loss envelope must too, whatever split the recursion uses
     uniform = replace(inputs, layer_budgets=None)
     env_ball = env
     if inputs.layer_budgets is not None:
         env_ball = resolve_loss_envelope(cfg, arch, uniform, s_max, target_bound)
-    if env is None and norms is None:
-        raise ConfigError("certify without a loss section needs explicit sample norms")
 
     # without a loss section both certificates are the network's alone
     certs = {"recursive": loss_certificate(arch, inputs, env, dataset_norms=norms)}
@@ -222,12 +231,7 @@ def cmd_certify(cfg: dict, args, out: Path) -> int:
         certs["closed_form"] = closed_form_certificate(arch, uniform, env_ball, dataset_norms=norms)
     else:
         log.info("moment-mode certify: closed forms need explicit norms; skipped")
-    # the refinement searches over the loss constants, so it needs a loss
-    if search is not None and env is not None:
-        if arch.m < 1:
-            raise ConfigError("refine: budget refinement needs a hidden layer")
-        if norms is None:
-            raise ConfigError("refine: budget refinement needs explicit sample norms")
+    if search is not None:
         certs["refined"] = refine_over_layer_budgets(
             arch, uniform, env_ball, dataset_norms=norms, search=search
         )
@@ -704,7 +708,9 @@ def cmd_code_equivalence(cfg: dict, args, out: Path) -> int:
 # entry point
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later main call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="path to the JSON run config")
     common.add_argument("--out", default=".", help="output directory (default: cwd)")

@@ -1,10 +1,10 @@
 """End-to-end runs of the command line driver, in process via cli.main."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import warnings
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +13,7 @@ import pytest
 from lipcert import (
     ArchitectureSpec,
     BoundInputs,
+    bounds,
     closed_form_bounds,
     cli,
     linear_scalar_field,
@@ -351,6 +352,43 @@ class TestConfigErrors:
         assert cli.main([*argv, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                {**NO_LOSS, "refine": {"restarts": 1, "iters": 4}},
+                "refine: budget refinement needs a loss section",
+            ),
+            (
+                {**TRIVIAL, "loss": {"kind": "pseudo_huber", "delta": 1.0}, "refine": {}},
+                "refine: budget refinement needs a hidden layer",
+            ),
+            (
+                {
+                    **FULL,
+                    "bounds": {"b_omega": 1.0, "moments": {"e_s2": 1.0, "e_s4": 1.0}},
+                    "refine": {"restarts": 1, "iters": 4},
+                },
+                "refine: budget refinement needs explicit sample norms",
+            ),
+        ],
+        ids=["no_loss", "no_hidden_layer", "moments"],
+    )
+    def test_bad_refine_fails_before_any_recursion(self, tmp_path, capsys, monkeypatch, doc, message):
+        calls = []
+        network_bounds = bounds._network_bounds
+
+        def counted(*args):
+            calls.append(args)
+            return network_bounds(*args)
+
+        monkeypatch.setattr(bounds, "_network_bounds", counted)
+        out = tmp_path / "out"
+        assert cli.main(["certify", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(out.iterdir())
+        assert calls == []
+
     def test_missing_certificate_names_the_certificate(self, tmp_path, capsys):
         argv, doc = COMMAND_RUNS["verify"]
         missing = tmp_path / "nope.json"
@@ -558,8 +596,8 @@ class TestCodeCommands:
                 assert float(cells[4]) >= 1.0
 
     def test_one_field_call_per_euler_step(self, tmp_path, monkeypatch):
-        # every sampled theta is stepped together: 32 calls over all 10k rows,
-        # plus the 200 one-row envelope checks
+        # every sampled theta is stepped together: 32 calls over all 10k rows;
+        # the 200 envelope samples take one call per time point (3 of them)
         batch_sizes = []
 
         def counting_field():
@@ -575,7 +613,10 @@ class TestCodeCommands:
         config = Path(__file__).parents[1] / "configs" / "code_linear.json"
         out = tmp_path / "out"
         assert cli.main(["code", "verify", "--config", str(config), "--out", str(out)]) == 0
-        assert sorted(Counter(batch_sizes).items()) == [(1, 200), (10_000, 32)]
+        # the Euler solve runs first, then the envelope check
+        assert batch_sizes[:32] == [10_000] * 32
+        envelope = batch_sizes[32:]
+        assert len(envelope) <= 3 and sum(envelope) == 200
 
     # code_soundness.csv, pinned: the first box overflows most finals to +-inf
     # (inf - inf quotients are NaN), the second overflows all of them, so
@@ -584,25 +625,31 @@ class TestCodeCommands:
     OVERFLOW_HEAD = "config_id,constant_name,certificate,empirical,ratio,n_pairs,seed\n"
     OVERFLOW_TAIL = "linear-scalar,envelope_violations,0,400,inf,200,5\n"
 
+    # stderr holds the 400 envelope violation records in sample order and
+    # the exit-4 summary; its sha256 prefix is pinned
     @pytest.mark.parametrize(
-        "box, soundness, no_pair",
+        "box, soundness, no_pair, stderr_sha",
         [
             (
                 [[-1e12], [1e12]],
                 "linear-scalar,b_x,5.4365636569180902,inf,0,50,5\n"
                 "linear-scalar,l_x,17.496394026320345,inf,0,24,5\n",
                 False,
+                "3b60516f116b7646",
             ),
             (
                 [[1e13], [2e13]],
                 "linear-scalar,b_x,5.4365636569180902,inf,0,50,5\n"
                 "linear-scalar,l_x,17.496394026320345,0,inf,0,5\n",
                 True,
+                "b2d1ce7cb18c7b56",
             ),
         ],
         ids=["some_inf", "all_inf"],
     )
-    def test_overflowing_samples_are_pinned(self, tmp_path, capsys, box, soundness, no_pair):
+    def test_overflowing_samples_are_pinned(
+        self, tmp_path, capsys, box, soundness, no_pair, stderr_sha
+    ):
         doc = {**CODE_LINEAR, "code": {**CODE_LINEAR["code"], "theta_box": box, "n_samples": 50}}
         out = tmp_path / "out"
         with np.errstate(over="ignore", invalid="ignore"):
@@ -611,7 +658,10 @@ class TestCodeCommands:
         assert (out / "code_soundness.csv").read_text() == (
             self.OVERFLOW_HEAD + soundness + self.OVERFLOW_TAIL
         )
-        assert ("l_x: no usable pair\n" in capsys.readouterr().err) == no_pair
+        err = capsys.readouterr().err
+        assert ("l_x: no usable pair\n" in err) == no_pair
+        assert err.count("envelope violation: ") == 400
+        assert hashlib.sha256(err.encode()).hexdigest()[:16] == stderr_sha
 
     def test_overflowing_samples_warn_nothing(self, tmp_path):
         # the non-finite outcome is already in code_soundness.csv; numpy's
@@ -693,3 +743,36 @@ def test_reports_use_lf_and_run_meta_lists_them(tmp_path, command):
     for p in out.iterdir():
         data = p.read_bytes()
         assert b"\r" not in data and data.endswith(b"\n"), p.name
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # a parser that already failed on bad argv and printed --version must
+    # parse the next commands exactly as a freshly built one does
+    runs = {
+        "code_verify": (["code", "verify"], write_cfg(tmp_path, CODE_LINEAR, name="code.json")),
+        "certify": (["certify"], write_cfg(tmp_path, FULL, name="full.json")),
+    }
+
+    def run_all(label):
+        for name, (argv, cfg) in runs.items():
+            assert cli.main([*argv, "--config", cfg, "--out", str(tmp_path / label / name)]) == 0
+        return capsys.readouterr()
+
+    cli.build_parser.cache_clear()
+    fresh = run_all("fresh")
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["certify", "--seed", "not-an-int"])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("lipcert ")
+    assert run_all("reused") == fresh
+    for name in runs:
+        a, b = tmp_path / "fresh" / name, tmp_path / "reused" / name
+        reports = sorted(p.name for p in a.iterdir())
+        assert reports == sorted(p.name for p in b.iterdir())
+        for report in reports:
+            assert (a / report).read_bytes() == (b / report).read_bytes(), report

@@ -433,6 +433,110 @@ class TestEnvelopeVerifier:
         assert out and any("b_v" in msg for msg in out)
 
 
+def _reference_verify_envelopes(fields, envelopes, theta_box, x_box, t_points, n_samples, seed):
+    """The one-sample-at-a-time envelope check, kept as the oracle of the batched one."""
+    fl = [fields] if isinstance(fields, VectorFieldSpec) else list(fields)
+    rng = np.random.default_rng(seed)
+    t_lo, t_hi = (np.asarray(v, dtype=float) for v in theta_box)
+    x_lo, x_hi = (np.asarray(v, dtype=float) for v in x_box)
+    e = envelopes
+    out = []
+
+    def check(tag, val, bound, where):
+        if val > bound * (1.0 + 1e-12):
+            out.append(f"{tag}: {val:.6g} > {bound:.6g} at {where}")
+
+    for k in range(n_samples):
+        theta = t_lo + (t_hi - t_lo) * rng.random(t_lo.shape)
+        xv = x_lo + (x_hi - x_lo) * rng.random(x_lo.shape)
+        t = float(rng.choice(np.asarray(t_points, dtype=float)))
+        nx = float(np.linalg.norm(xv))
+        where = f"sample {k} (t={t:.3g})"
+        th1, x1 = theta[None], xv[None]
+        for i, f in enumerate(fl):
+            v = f.evaluate(th1, t, x1)[0]
+            check(f"field {i} b_v", float(np.linalg.norm(v)), e.b_v * (1 + nx), where)
+            if f.jacobian_theta is not None:
+                jt = f.jacobian_theta(th1, t, x1)[0]
+                check(
+                    f"field {i} b_theta",
+                    float(np.linalg.norm(jt)),
+                    e.b_theta * (1 + nx**e.p_theta),
+                    where,
+                )
+            if f.jacobian_x is not None:
+                jx = f.jacobian_x(th1, t, x1)[0]
+                check(f"field {i} lip_x", float(np.linalg.norm(jx, 2)), e.lip_x, where)
+            for name, call, bnd, pw in (
+                ("b_theta_theta", f.d2_theta_theta, e.b_theta_theta, e.p_theta_theta),
+                ("b_x_theta", f.d2_x_theta, e.b_x_theta, e.p_x_theta),
+                ("b_theta_x", f.d2_theta_x, e.b_theta_x, e.p_theta_x),
+                ("b_x_x", f.d2_x_x, e.b_x_x, e.p_x_x),
+            ):
+                if call is not None:
+                    tens = call(th1, t, x1)[0]
+                    check(
+                        f"field {i} {name}",
+                        float(np.linalg.norm(tens.ravel())),
+                        bnd * (1 + nx**pw),
+                        where,
+                    )
+    return out
+
+
+def _random_envelopes(rng, scale):
+    bounds = ("b_v", "b_theta", "b_theta_theta", "b_x_theta", "b_theta_x", "b_x_x", "lip_x")
+    powers = ("p_theta", "p_theta_theta", "p_x_theta", "p_theta_x", "p_x_x")
+    return FieldEnvelopes(
+        **{k: float(rng.uniform(0.0, scale)) for k in bounds},
+        **{k: float(rng.choice([0.0, 0.5, 1.0, 2.0])) for k in powers},
+    )
+
+
+class TestBatchedEnvelopeCheck:
+    """verify_envelopes returns the oracle's records, string for string, in its order."""
+
+    @pytest.mark.parametrize("case", range(12))
+    def test_random_smooth_fields_match_the_oracle(self, case):
+        rng = np.random.default_rng(case)
+        dim_state, dim_theta = case % 3 + 1, case % 4 + 1
+        fields = [random_smooth_field(rng, dim_state, dim_theta) for _ in range(case % 2 + 1)]
+        # small envelopes understate the fields, so most samples break several
+        env = _random_envelopes(rng, 0.5 if case % 2 else 3.0)
+        r = float(rng.uniform(0.5, 3.0))
+        boxes = (
+            (-r * np.ones(dim_theta), r * np.ones(dim_theta)),
+            (-2.0 * np.ones(dim_state), 2.0 * np.ones(dim_state)),
+        )
+        t_points = [0.0, 0.5, 1.0, 0.5][: case % 4 + 1]
+        args = (fields if len(fields) > 1 else fields[0], env, *boxes, t_points, 150, case)
+        expected = _reference_verify_envelopes(*args)
+        assert verify_envelopes(*args) == expected
+        if case % 2:
+            assert len(expected) > 150
+
+    @pytest.mark.parametrize("box", [(-1e12, 1e12), (1e12, 2e12), (-1e13, 1e13), (1e13, 2e13)])
+    def test_large_linear_scalar_boxes_match_the_oracle(self, box):
+        field = linear_scalar_field()
+        lo, hi = box
+        boxes = ((np.array([lo]), np.array([hi])), (np.array([-1.5]), np.array([1.5])))
+        args = (field, field.envelopes, *boxes, [0.0, 0.5, 1.0], 200, 5)
+        expected = _reference_verify_envelopes(*args)
+        assert len(expected) >= 200
+        assert verify_envelopes(*args) == expected
+
+    def test_time_point_draw_matches_choice(self):
+        # the check draws a time point's index with rng.integers; that is the
+        # same stream as rng.choice over the points
+        for seed in range(50):
+            for n_points in (1, 2, 3, 5):
+                tp = np.linspace(0.0, 1.0, n_points)
+                a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+                for _ in range(50):
+                    assert tp[a.integers(len(tp))] == b.choice(tp)
+                assert a.random() == b.random()
+
+
 class TestTrajectoryOutput:
     def test_csv_includes_variation_column(self, tmp_path):
         field = linear_scalar_field()
