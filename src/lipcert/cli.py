@@ -535,9 +535,11 @@ def cmd_code_certify(cfg: dict, args, out: Path) -> int:
     if loss_env is not None:
         norms = get(cdoc, "sample_norms", list, default=None, where="code")
         mdoc = get(cdoc, "moments", dict, default=None, where="code")
+        if norms is not None:
+            norms = _vector(norms, len(norms), "code.sample_norms")
         try:
             if norms is not None:
-                cert = code_loss_certificate(cert, loss_env, sample_norms=[float(s) for s in norms])
+                cert = code_loss_certificate(cert, loss_env, sample_norms=norms)
             elif mdoc is not None:
                 moments = {}
                 for k, v in mdoc.items():

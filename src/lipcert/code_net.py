@@ -14,6 +14,7 @@ case of a single pure-jump control with unit jumps at integer times.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -284,36 +285,32 @@ def _event_grid(controls: Sequence[Control]) -> list[float]:
 
 def _increments(
     fields: Sequence[VectorFieldSpec],
-    order: int,
     t: float,
     weights: Sequence[float],
     thetas: np.ndarray,
-    xs: np.ndarray,
-    dX: np.ndarray | None,
-    ddX: np.ndarray | None,
-):
-    """Weighted field contributions at the current left-limit rows."""
-    k, l = xs.shape
-    inc_x = np.zeros((k, l))
-    inc_d = np.zeros(dX.shape) if order >= 1 else None
-    inc_dd = np.zeros(ddX.shape) if order >= 2 else None
+    ys: list[np.ndarray],
+) -> list[np.ndarray]:
+    """Weighted field contributions at the current left-limit rows, one per entry of ys."""
+    xs = ys[0]
+    incs = [np.zeros(y.shape) for y in ys]
     for f, w in zip(fields, weights):
         if w == 0.0:
             continue
-        inc_x += w * f.evaluate(thetas, t, xs)
-        if order >= 1:
+        incs[0] += w * f.evaluate(thetas, t, xs)
+        if len(ys) > 1:
+            dX = ys[1]
             jx = f.jacobian_x(thetas, t, xs)
-            inc_d += w * (f.jacobian_theta(thetas, t, xs) + jx @ dX)
-            if order >= 2:
+            incs[1] += w * (f.jacobian_theta(thetas, t, xs) + jx @ dX)
+            if len(ys) > 2:
                 term = (
                     f.d2_theta_theta(thetas, t, xs)
                     + np.einsum("kabp,kbq->kapq", f.d2_x_theta(thetas, t, xs), dX)
                     + np.einsum("kaqb,kbp->kapq", f.d2_theta_x(thetas, t, xs), dX)
                     + np.einsum("kabc,kbp,kcq->kapq", f.d2_x_x(thetas, t, xs), dX, dX)
-                    + np.einsum("kab,kbpq->kapq", jx, ddX)
+                    + np.einsum("kab,kbpq->kapq", jx, ys[2])
                 )
-                inc_dd += w * term
-    return inc_x, inc_d, inc_dd
+                incs[2] += w * term
+    return incs
 
 
 def _integrate(
@@ -324,16 +321,17 @@ def _integrate(
     n_substeps: int,
     order: int,
     path: list | None = None,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, np.ndarray]:
+) -> tuple[list[np.ndarray], np.ndarray]:
     """The one Euler engine: K parameter rows (K, n) from K states (K, l).
 
-    Returns the final states (K, l), the final first variations (K, l, n)
-    for order >= 1, the final second variations (K, l, n, n) for order 2,
-    and a (K,) mask of the rows that turned non-finite.  Such a row is
-    frozen at its first non-finite state and leaves the batch; the other
-    rows keep stepping.  When path is a list, each recorded point (the start,
-    every substep, every flat segment end and every jump) is appended as
-    (t, states, first, second) copies of the rows still stepping.
+    The solution is the list [states (K, l), first variations (K, l, n),
+    second variations (K, l, n, n)] cut to its first order + 1 entries.
+    Returns that list at the final time and a (K,) mask of the rows that
+    turned non-finite.  Such a row is frozen at its first non-finite state
+    and leaves the batch; the other rows keep stepping.  When path is a
+    list, each recorded point (the start, every substep, every flat segment
+    end and every jump) is appended as (t, copies of the solution list) for
+    the rows still stepping.
     """
     if n_substeps < 1:
         raise ValueError("n_substeps must be >= 1")
@@ -352,51 +350,34 @@ def _integrate(
 
     k, l = xs.shape
     n = thetas.shape[1]
-    state = np.array(xs, dtype=float)
-    dX = np.zeros((k, l, n)) if order >= 1 else None
-    ddX = np.zeros((k, l, n, n)) if order >= 2 else None
+    ys = [np.array(xs, dtype=float)]
+    ys += [np.zeros((k, l) + (n,) * j) for j in range(1, order + 1)]
+    finals = [np.empty(y.shape) for y in ys]
     live = np.arange(k)
-    final_x = np.empty((k, l))
-    final_d = np.empty((k, l, n)) if order >= 1 else None
-    final_dd = np.empty((k, l, n, n)) if order >= 2 else None
     frozen = np.zeros(k, dtype=bool)
 
     def record(t: float) -> None:
         if path is not None:
-            path.append((
-                t,
-                state.copy(),
-                dX.copy() if dX is not None else None,
-                ddX.copy() if ddX is not None else None,
-            ))
+            path.append((t, [y.copy() for y in ys]))
 
     def settle(rows: np.ndarray) -> None:
         """Write the given (batch-local) rows to the finals."""
-        final_x[live[rows]] = state[rows]
-        if order >= 1:
-            final_d[live[rows]] = dX[rows]
-        if order >= 2:
-            final_dd[live[rows]] = ddX[rows]
+        for final, y in zip(finals, ys):
+            final[live[rows]] = y[rows]
 
     def step(t: float, weights: Sequence[float], t_after: float) -> bool:
         """One Euler or jump update; False once no row is left stepping."""
-        nonlocal thetas, state, dX, ddX, live
-        inc_x, inc_d, inc_dd = _increments(
-            fields, order, t, weights, thetas, state, dX, ddX
-        )
-        state += inc_x
-        if order >= 1:
-            dX += inc_d
-        if order >= 2:
-            ddX += inc_dd
+        nonlocal thetas, ys, live
+        for y, inc in zip(ys, _increments(fields, t, weights, thetas, ys)):
+            y += inc
         record(t_after)
-        ok = np.isfinite(state).all(axis=1)
-        if not ok.all():
+        # one reduction in the common case; the row mask only after an overflow
+        if not np.isfinite(ys[0]).all():
+            ok = np.isfinite(ys[0]).all(axis=1)
             settle(~ok)
             frozen[live[~ok]] = True
-            thetas, state, live = thetas[ok], state[ok], live[ok]
-            dX = dX[ok] if dX is not None else None
-            ddX = ddX[ok] if ddX is not None else None
+            thetas, live = thetas[ok], live[ok]
+            ys = [y[ok] for y in ys]
         return live.size > 0
 
     record(0.0)
@@ -414,7 +395,7 @@ def _integrate(
         if any(w != 0.0 for w in jump_w) and not step(b_t, jump_w, b_t):
             break
     settle(np.arange(live.size))
-    return final_x, final_d, final_dd, frozen
+    return finals, frozen
 
 
 def _solve_path(
@@ -436,13 +417,11 @@ def _solve_path(
     if x.shape != (l,):
         raise ValueError(f"x must have shape ({l},)")
     path: list = []
-    *_, frozen = _integrate(fl, cl, theta[None], x[None], n_substeps, order, path)
+    _, frozen = _integrate(fl, cl, theta[None], x[None], n_substeps, order, path)
+    # states, then the variations the order asks for; the rest stay None
+    series = [np.asarray([ys[j][0] for _, ys in path]) for j in range(order + 1)]
     return Trajectory(
-        times=np.asarray([p[0] for p in path]),
-        states=np.asarray([p[1][0] for p in path]),
-        first_variation=np.asarray([p[2][0] for p in path]) if order >= 1 else None,
-        second_variation=np.asarray([p[3][0] for p in path]) if order >= 2 else None,
-        aborted=bool(frozen[0]),
+        np.asarray([t for t, _ in path]), *series, aborted=bool(frozen[0])
     )
 
 
@@ -468,7 +447,8 @@ def solve_code_batch(
     xs = np.asarray(xs, dtype=float)
     if xs.shape != (thetas.shape[0], l):
         raise ValueError(f"states must have shape ({thetas.shape[0]}, {l})")
-    return _integrate(fl, cl, thetas, xs, n_substeps, order=0)[0]
+    finals, _ = _integrate(fl, cl, thetas, xs, n_substeps, order=0)
+    return finals[0]
 
 
 def solve_code(
@@ -599,67 +579,10 @@ def required_moment_order(envelopes: FieldEnvelopes) -> float:
     )
 
 
-class _SparsePoly:
-    """Polynomial in one symbol with nonnegative real powers, as {power: coef}."""
-
-    def __init__(self, terms: dict[float, float] | None = None) -> None:
-        self.terms = dict(terms or {})
-
-    @classmethod
-    def const(cls, c: float) -> "_SparsePoly":
-        return cls({0.0: c})
-
-    def add(self, other: "_SparsePoly") -> "_SparsePoly":
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            out[p] = out.get(p, 0.0) + c
-        return _SparsePoly(out)
-
-    def scale(self, c: float) -> "_SparsePoly":
-        return _SparsePoly({p: c * v for p, v in self.terms.items()})
-
-    def mul(self, other: "_SparsePoly") -> "_SparsePoly":
-        out: dict[float, float] = {}
-        for p1, c1 in self.terms.items():
-            for p2, c2 in other.terms.items():
-                p = p1 + p2
-                out[p] = out.get(p, 0.0) + c1 * c2
-        return _SparsePoly(out)
-
-
-def _one_plus_power(coef: float, power: float) -> _SparsePoly:
-    """coef * (1 + B^power); safe when power is 0 (terms merge by addition)."""
-    return _SparsePoly({0.0: coef}).add(_SparsePoly({power: coef}))
-
-
-def _poly_loss_constants(
-    e: FieldEnvelopes, b_upsilon: float
-) -> tuple[_SparsePoly, _SparsePoly, _SparsePoly, float, float]:
-    """(L_X, L_X^2, L_dX) as polynomials in B_X, plus the affine B_X map.
-
-    B_X(S) = kappa * (S + a) with a = b_v * b_upsilon, kappa = exp(a); the
-    polynomials use B_X as their symbol so expectations reduce to moments of
-    (S + a).
-    """
-    growth = e.b_v * b_upsilon
-    amp = math.exp(e.lip_x * b_upsilon)
-    l_x = _one_plus_power(e.b_theta * b_upsilon * amp, e.p_theta)
-    l_x_sq = l_x.mul(l_x)
-    c_tt = _one_plus_power(e.b_theta_theta, e.p_theta_theta)
-    c_tt = c_tt.add(_one_plus_power(e.b_x_theta, e.p_x_theta).mul(l_x))
-    c_tt = c_tt.add(_one_plus_power(e.b_theta_x, e.p_theta_x).mul(l_x))
-    c_tt = c_tt.add(_one_plus_power(e.b_x_x, e.p_x_x).mul(l_x_sq))
-    c_tt = c_tt.scale(b_upsilon)
-    l_dx = c_tt.scale(amp)
-    return l_x, l_x_sq, l_dx, growth, math.exp(growth)
-
-
 def _expected_power(
     power: float, a: float, kappa: float, moments: dict[int, float]
 ) -> float:
-    """E[B_X^power] with B_X = kappa (S + a), via binomial expansion."""
-    if power == 0.0:
-        return 1.0
+    """E[B_X^power], B_X = kappa (S + a), binomially from moments {k >= 0: E[S^k]}."""
     if abs(power - round(power)) > 1e-12:
         raise ValueError(
             f"moment mode needs integer norm powers; got exponent {power}"
@@ -667,16 +590,32 @@ def _expected_power(
     p = int(round(power))
     total = 0.0
     for k in range(p + 1):
-        if k == 0:
-            mk = 1.0
-        elif k in moments:
-            mk = moments[k]
-        else:
+        if k not in moments:
             raise ValueError(
                 f"moment mode needs E[S^{k}] (powers up to {p} required)"
             )
-        total += math.comb(p, k) * a ** (p - k) * mk
+        total += math.comb(p, k) * a ** (p - k) * moments[k]
     return kappa**p * total
+
+
+def _full_moments(moments: dict[int, float]) -> dict[int, float]:
+    """Raw moments {k: E[S^k]} with E[S^0] = 1 added, once some S >= 0 has them.
+
+    Besides their signs, the moments of a nonnegative S are log-convex in k:
+    E[S^k]^2 <= E[S^(k-1)] E[S^(k+1)] wherever both neighbours are given,
+    checked to a relative 1e-12 so that moments averaged from data pass.
+    """
+    for k, v in moments.items():
+        if not (isinstance(k, int) and k >= 1):
+            raise ValueError(f"moment keys must be positive integers, got {k!r}")
+        if not (math.isfinite(v) and v >= 0):
+            raise ValueError(f"E[S^{k}] must be finite and nonnegative, got {v!r}")
+    m = {0: 1.0, **moments}
+    for k in moments:
+        lo, hi = m.get(k - 1), m.get(k + 1)
+        if lo is not None and hi is not None and m[k] * m[k] > lo * hi * (1.0 + 1e-12):
+            raise ValueError(f"E[S^{k}]^2 <= E[S^{k - 1}] E[S^{k + 1}] must hold")
+    return m
 
 
 def code_loss_certificate(
@@ -688,9 +627,11 @@ def code_loss_certificate(
     """Loss-level constants: L_phi = E[L_g L_X], L_grad_phi = E[L_dg L_X^2 + L_g L_dX].
 
     With explicit sample norms the per-sample certificates are recomputed at
-    each norm and averaged.  With raw moments {k: E[S^k]} the constants are
-    expanded as polynomials in the affine state bound and integrated
-    termwise; integer exponent envelopes are required for that route.
+    each norm and averaged.  With raw moments {k: E[S^k]} each constant is a
+    product of factors (1 + B_X^p) with B_X = kappa (S + a), a = b_v b_upsilon
+    and kappa = exp(a); its mean is a sum of E[B_X^q] over the subsets of
+    those factors, each a binomial sum of raw moments.  That route needs
+    integer exponent envelopes and moments some distribution of S >= 0 has.
     """
     lg = loss.lip_g_value
     ldg = loss.lip_dg_value
@@ -710,17 +651,31 @@ def code_loss_certificate(
         )
     if moments is None:
         raise ValueError("need sample_norms or moments")
-    l_x, l_x_sq, l_dx, a, kappa = _poly_loss_constants(cert.envelopes, cert.b_upsilon)
+    moments = _full_moments(moments)
+    e, bu = cert.envelopes, cert.b_upsilon
+    a = e.b_v * bu
+    kappa = math.exp(a)
+    amp = math.exp(e.lip_x * bu)
+    c = e.b_theta * bu * amp  # L_X = c (1 + B_X^p_theta)
 
-    def expect(poly: _SparsePoly) -> float:
-        return math.fsum(
-            c * _expected_power(p, a, kappa, moments) for p, c in poly.terms.items()
+    def mean(coef: float, *powers: float) -> float:
+        """coef * E[prod_p (1 + B_X^p)], one moment term per subset of powers."""
+        return coef * math.fsum(
+            _expected_power(sum(sub), a, kappa, moments)
+            for r in range(len(powers) + 1)
+            for sub in itertools.combinations(powers, r)
         )
 
+    l_dx = bu * (
+        mean(e.b_theta_theta, e.p_theta_theta)
+        + mean(e.b_x_theta * c, e.p_x_theta, e.p_theta)
+        + mean(e.b_theta_x * c, e.p_theta_x, e.p_theta)
+        + mean(e.b_x_x * c * c, e.p_x_x, e.p_theta, e.p_theta)
+    ) * amp
     return replace(
         cert,
-        l_phi=lg * expect(l_x),
-        l_grad_phi=ldg * expect(l_x_sq) + lg * expect(l_dx),
+        l_phi=lg * mean(c, e.p_theta),
+        l_grad_phi=ldg * mean(c * c, e.p_theta, e.p_theta) + lg * l_dx,
     )
 
 

@@ -383,6 +383,10 @@ def load_dataset_csv(
         raise ValueError(
             f"expected {input_dim + target_dim} columns, found {raw.shape[1]}"
         )
+    bad = np.argwhere(~np.isfinite(raw))
+    if bad.size:
+        row, col = bad[0] + 1
+        raise ValueError(f"row {row}, column {col} is not a finite number")
     return tuple(
         Sample(row[:input_dim].copy(), row[input_dim:].copy()) for row in raw
     )

@@ -132,7 +132,6 @@ class TrainTrace:
     final_phi: float = math.nan
     final_theta: np.ndarray | None = None
     aborted: bool = False
-    notes: tuple[str, ...] = ()
 
     @property
     def n_descent_violations(self) -> int:
@@ -207,7 +206,6 @@ def _descend(
     for j in range(steps):
         if not math.isfinite(phi):
             trace.aborted = True
-            trace.notes += ("non-finite objective",)
             break
         gn = float(np.linalg.norm(g))
         h = step_size(gn)

@@ -389,6 +389,22 @@ class TestConfigErrors:
         assert not any(out.iterdir())
         assert calls == []
 
+    @pytest.mark.parametrize("command", ["certify", "train"])
+    @pytest.mark.parametrize(
+        "rows, cell",
+        [("0.5,0.1,0.2\nnan,0.3,0.4\n", "row 2, column 1"), ("0.5,0.1,0.2\n0.3,0.3,inf\n", "row 2, column 3")],
+        ids=["nan_x", "inf_y"],
+    )
+    def test_non_finite_dataset_cell_exits_two(self, tmp_path, capsys, command, rows, cell):
+        csv = tmp_path / "data.csv"
+        csv.write_text(rows)
+        argv, doc = COMMAND_RUNS[command]
+        doc = {**doc, "dataset": {"path": str(csv)}}
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: dataset: {cell} is not a finite number\n"
+        assert not any(out.iterdir())
+
     def test_missing_certificate_names_the_certificate(self, tmp_path, capsys):
         argv, doc = COMMAND_RUNS["verify"]
         missing = tmp_path / "nope.json"
@@ -711,6 +727,37 @@ class TestCodeCommands:
         out = tmp_path / "out"
         assert cli.main(["code", "certify", "--config", cfg, "--out", str(out)]) == 2
         assert not (out / "code_certificate.json").exists()
+
+    LOSS_DOC = {
+        "name": "linear-scalar-loss",
+        "loss": {"kind": "envelope", "g_p_max": 1.0, "g_pp_max": 1.0, "lip_g": 1.5, "lip_dg": 0.5},
+        "code": {"field": "linear_scalar", "b_upsilon": 1.0, "x_norm": 1.0},
+    }
+
+    def test_sample_norm_certificate_is_pinned(self, tmp_path):
+        doc = {**self.LOSS_DOC, "code": {**self.LOSS_DOC["code"], "sample_norms": [0.25, 1.0, 1.5]}}
+        out = tmp_path / "out"
+        assert cli.main(["code", "certify", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+        digest = hashlib.sha256((out / "code_certificate.json").read_bytes()).hexdigest()
+        assert digest == "71efdc2489f43971d6d14444053f8e61b37831a5975e99eb791c2b257d00c87a"
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("moments", {"1": -5, "2": 0}, "code: E[S^1] must be finite and nonnegative, got -5.0"),
+            ("moments", {"1": math.nan, "2": 1}, "code: E[S^1] must be finite and nonnegative, got nan"),
+            ("moments", {"1": 1, "2": 0.25}, "code: E[S^1]^2 <= E[S^0] E[S^2] must hold"),
+            ("moments", {"0": 1, "1": 1, "2": 1}, "code: moment keys must be positive integers, got 0"),
+            ("sample_norms", [1.0, None], "code.sample_norms must be a list of numbers"),
+        ],
+        ids=["negative", "nan", "not_log_convex", "zeroth", "null_norm"],
+    )
+    def test_impossible_norm_distribution_exits_two(self, tmp_path, capsys, key, value, message):
+        doc = {**self.LOSS_DOC, "code": {**self.LOSS_DOC["code"], key: value}}
+        out = tmp_path / "out"
+        assert cli.main(["code", "certify", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(out.iterdir())
 
     @pytest.mark.parametrize("sub", ["certify", "verify"])
     def test_overflowing_envelopes_exits_two(self, tmp_path, sub):

@@ -197,7 +197,7 @@ class TestBatchedEngine:
         solve = solve_first_variation if order == 1 else solve_second_variation
         thetas = rng.normal(size=(6, 2)) * 0.5
         xs = rng.normal(size=(6, 3))
-        finals = _integrate(fields, [MIXED, SECOND], thetas, xs, 4, order)
+        finals, _ = _integrate(fields, [MIXED, SECOND], thetas, xs, 4, order)
         for k in range(6):
             traj = solve(fields, [MIXED, SECOND], thetas[k], xs[k], 4)
             np.testing.assert_array_equal(finals[0][k], traj.final_state)
@@ -212,7 +212,7 @@ class TestBatchedEngine:
             flatten_params(init_params(arch, b_omega=1.0, seed=s)) for s in range(5)
         ])
         xs = np.stack([embed_input(arch, rng.normal(size=3)) for _ in range(5)])
-        final_x, final_d, _, frozen = _integrate([field], [control], thetas, xs, 2, 1)
+        (final_x, final_d), frozen = _integrate([field], [control], thetas, xs, 2, 1)
         assert not frozen.any()
         for k in range(5):
             traj = solve_first_variation(field, control, thetas[k], xs[k], 2)
@@ -382,6 +382,29 @@ class TestGrowthCertificates:
         by_moments = code_loss_certificate(cert, loss, moments=moments)
         assert by_moments.l_phi == pytest.approx(by_samples.l_phi, rel=1e-9)
         assert by_moments.l_grad_phi == pytest.approx(by_samples.l_grad_phi, rel=1e-9)
+
+    def test_moment_route_equals_sample_norms_on_empirical_moments(self):
+        # the moment route sums one moment term per subset of the (1 + B_X^p)
+        # factors of each constant; a subset dropped or counted twice moves
+        # the mean far beyond rounding
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            env = FieldEnvelopes(
+                *rng.uniform(0.0, 2.0, size=6).tolist(),
+                rng.uniform(0.0, 1.0),
+                *rng.integers(0, 3, size=5).astype(float).tolist(),
+            )
+            cert = code_certificate(env, b_upsilon=rng.uniform(0.0, 1.5), x_norm=1.0)
+            loss = LossEnvelope(1.0, 1.0, lip_g=rng.uniform(0.1, 2.0), lip_dg=rng.uniform(0.1, 2.0))
+            norms = rng.uniform(0.0, 2.0, size=rng.integers(1, 4)).tolist()
+            moments = {
+                k: math.fsum(s**k for s in norms) / len(norms)
+                for k in range(1, int(required_moment_order(env)) + 1)
+            }
+            by_samples = code_loss_certificate(cert, loss, sample_norms=norms)
+            by_moments = code_loss_certificate(cert, loss, moments=moments)
+            assert by_moments.l_phi == pytest.approx(by_samples.l_phi, rel=1e-12, abs=0.0)
+            assert by_moments.l_grad_phi == pytest.approx(by_samples.l_grad_phi, rel=1e-12, abs=0.0)
 
     def test_moment_route_rejects_fractional_powers(self):
         env = FieldEnvelopes(
