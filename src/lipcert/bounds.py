@@ -44,11 +44,13 @@ __all__ = [
     "RefinementSearch",
     "SampleMoments",
     "check_adagrad_condition",
+    "check_moment_mode",
     "closed_form_bounds",
     "closed_form_certificate",
     "closed_form_network_bounds",
     "derive_adagrad_params",
     "derive_gd_step",
+    "full_moments",
     "input_base",
     "layer_step",
     "loss_certificate",
@@ -108,6 +110,42 @@ class ArchitectureSpec:
         )
 
 
+def full_moments(moments: dict[int, float]) -> dict[int, float]:
+    """Raw moments {k: E[S^k]} with E[S^0] = 1 added, once some S >= 0 has them.
+
+    Besides their signs: a zero moment means S = 0 almost surely, so every
+    higher given moment is 0 too; and the moments of S >= 0 are log-convex
+    in k, E[S^k]^(c-a) <= E[S^a]^(c-k) E[S^c]^(k-a) for consecutive given
+    keys a < k < c, checked in logs to a relative 1e-12 so that moments
+    averaged from data pass.
+    """
+    for k, v in moments.items():
+        if not (isinstance(k, int) and k >= 1):
+            raise ValueError(f"moment keys must be positive integers, got {k!r}")
+        if not (math.isfinite(v) and v >= 0):
+            raise ValueError(f"E[S^{k}] must be finite and nonnegative, got {v!r}")
+    m = {0: 1.0, **moments}
+    keys = sorted(m)
+    for k, c in itertools.pairwise(keys):
+        if m[k] == 0 and m[c] != 0:
+            raise ValueError(f"E[S^{k}] = 0 forces E[S^{c}] = 0")
+    for a, k, c in zip(keys, keys[1:], keys[2:]):
+        if m[k] == 0:  # then m[c] is 0 as well
+            continue
+        rhs = -math.inf if m[c] == 0 else (c - k) * math.log(m[a]) + (k - a) * math.log(m[c])
+        if (c - a) * math.log(m[k]) > rhs + math.log1p(1e-12):
+            g = math.gcd(c - a, c - k, k - a)
+            raise ValueError(
+                f"{_moment_power(k, (c - a) // g)} <= {_moment_power(a, (c - k) // g)} "
+                f"{_moment_power(c, (k - a) // g)} must hold"
+            )
+    return m
+
+
+def _moment_power(k: int, e: int) -> str:
+    return f"E[S^{k}]" if e == 1 else f"E[S^{k}]^{e}"
+
+
 @dataclass(frozen=True)
 class SampleMoments:
     """Second and fourth raw moments of the input norm distribution."""
@@ -116,12 +154,7 @@ class SampleMoments:
     e_s4: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.e_s2) and math.isfinite(self.e_s4)):
-            raise ValueError("moments must be finite")
-        if self.e_s2 < 0 or self.e_s4 < 0:
-            raise ValueError("moments must be nonnegative")
-        if self.e_s4 < self.e_s2 * self.e_s2:
-            raise ValueError("E[S^4] >= E[S^2]^2 must hold")
+        full_moments({2: self.e_s2, 4: self.e_s4})
 
 
 @dataclass(frozen=True)
@@ -196,6 +229,10 @@ class LossEnvelope:
     @property
     def lip_dg_value(self) -> float:
         return self.g_pp_max if self.lip_dg is None else self.lip_dg
+
+
+# a loss envelope, None (the network alone) or a function of the output bound
+LossInput = LossEnvelope | Callable[[float], LossEnvelope] | None
 
 
 @dataclass(frozen=True)
@@ -454,35 +491,45 @@ def _head_averages(
     )
 
 
+def _loss_at(loss: LossInput, d_head: float, nb: NetworkBounds) -> LossEnvelope | None:
+    """loss, or for a function of the output bound its value at nb's bound
+    d_head * sqrt(B^2 + 1), with B the last hidden layer's b_n."""
+    if loss is None or isinstance(loss, LossEnvelope):
+        return loss
+    b = nb.last_hidden.b_n
+    return loss(d_head * math.sqrt(b * b + 1.0))
+
+
 def _sample_averages(
-    loss: LossEnvelope | None,
+    loss: LossInput,
     d_head: float,
     norms: Sequence[float],
     bounds_at: Callable[[float], NetworkBounds],
-) -> tuple[NetworkBounds, tuple[float | None, float | None]]:
-    """Bounds at the largest norm and the _head_averages over the sample norms.
+) -> tuple[NetworkBounds, LossEnvelope | None, tuple[float | None, float | None]]:
+    """Bounds at the largest norm, the loss envelope there and the _head_averages.
 
     bounds_at(s) runs once per distinct norm; without a loss the means are None.
     """
     nbs = {s: bounds_at(s) for s in dict.fromkeys(norms)}
-    if loss is None:
-        return nbs[max(norms)], (None, None)
-    return nbs[max(norms)], _head_averages(loss, d_head, [nbs[s].last_hidden for s in norms])
+    env = _loss_at(loss, d_head, nbs[max(norms)])
+    hidden = [nbs[s].last_hidden for s in norms]
+    means = (None, None) if env is None else _head_averages(env, d_head, hidden)
+    return nbs[max(norms)], env, means
 
 
 def _averaged_certificate(
     arch: ArchitectureSpec,
     inputs: BoundInputs,
-    loss: LossEnvelope | None,
     norms: Sequence[float],
     nb_max: NetworkBounds,
+    loss: LossEnvelope | None,
     averages: tuple[float | None, float | None],
     method: str,
 ) -> Certificate:
     """Loss constants averaged over the norms; network constants at the largest.
 
-    nb_max and averages are the two results of _sample_averages; without a
-    loss the certificate is the network's alone (l_phi, l_grad_phi None).
+    nb_max, loss and averages are the results of _sample_averages; without
+    a loss the certificate is the network's alone (l_phi, l_grad_phi None).
     """
     l_phi, l_grad_phi = averages
     return Certificate(
@@ -501,7 +548,7 @@ def _averaged_certificate(
 def loss_certificate(
     arch: ArchitectureSpec,
     inputs: BoundInputs,
-    loss: LossEnvelope | None,
+    loss: LossInput,
     dataset_norms: Sequence[float] | None = None,
 ) -> Certificate:
     """Recursive certificate for the mean loss over a finite dataset.
@@ -520,7 +567,7 @@ def loss_certificate(
         return _moment_certificate(arch, inputs, loss, moments)
     bounds_at = functools.partial(_network_bounds, arch, budgets)
     return _averaged_certificate(
-        arch, inputs, loss, norms, *_sample_averages(loss, budgets[-1], norms, bounds_at), "recursive"
+        arch, inputs, norms, *_sample_averages(loss, budgets[-1], norms, bounds_at), "recursive"
     )
 
 
@@ -628,7 +675,7 @@ def closed_form_network_bounds(
 def closed_form_certificate(
     arch: ArchitectureSpec,
     inputs: BoundInputs,
-    loss: LossEnvelope | None,
+    loss: LossInput,
     dataset_norms: Sequence[float] | None = None,
 ) -> Certificate:
     """Certificate whose hidden-layer constants come from the closed forms.
@@ -642,7 +689,7 @@ def closed_form_certificate(
         raise ValueError("closed-form certificate needs explicit sample norms")
     bounds_at = functools.partial(closed_form_network_bounds, arch, inputs)
     return _averaged_certificate(
-        arch, inputs, loss, norms, *_sample_averages(loss, inputs.b_omega, norms, bounds_at),
+        arch, inputs, norms, *_sample_averages(loss, inputs.b_omega, norms, bounds_at),
         "closed_form",
     )
 
@@ -685,8 +732,6 @@ def _poly_head_sq_constants(
 
     for u in range(1, m + 1):
         env = arch.activations[u - 1].envelope
-        if not math.isfinite(env.sigma_max):
-            raise ValueError("moment mode requires bounded activations")
         l1_sq, lg_sq = step_sq(
             env.sigma_p_max, env.sigma_pp_max, float(arch.widths[u]), budgets[u - 1]
         )
@@ -694,10 +739,21 @@ def _poly_head_sq_constants(
     return step_sq(loss.g_p_max, loss.g_pp_max, 1.0, budgets[-1])
 
 
+def check_moment_mode(arch: ArchitectureSpec, inputs: BoundInputs) -> None:
+    """Raise ValueError unless the moment mode covers arch and inputs.
+
+    Its polynomial envelopes need the uniform budget and bounded activations.
+    """
+    if inputs.layer_budgets is not None:
+        raise ValueError("moment mode is defined for the uniform budget only")
+    if not all(math.isfinite(a.envelope.sigma_max) for a in arch.activations):
+        raise ValueError("moment mode requires bounded activations")
+
+
 def _moment_certificate(
     arch: ArchitectureSpec,
     inputs: BoundInputs,
-    loss: LossEnvelope,
+    loss: LossInput,
     moments: SampleMoments,
 ) -> Certificate:
     """Certificate from norm moments via polynomial envelopes in t = S^2.
@@ -712,8 +768,9 @@ def _moment_certificate(
     is informational in this mode; only l_phi / l_grad_phi / b_grad_phi are
     certified expectations.
     """
-    if inputs.layer_budgets is not None:
-        raise ValueError("moment mode is defined for the uniform budget only")
+    check_moment_mode(arch, inputs)
+    nb = _network_bounds(arch, inputs.budgets_for(arch), math.sqrt(moments.e_s2))
+    loss = _loss_at(loss, nb.budgets[-1], nb)
     v0 = _poly_head_sq_constants(arch, inputs, loss, 0.0)
     v1 = _poly_head_sq_constants(arch, inputs, loss, 1.0)
     v2 = _poly_head_sq_constants(arch, inputs, loss, math.sqrt(2.0))
@@ -732,8 +789,6 @@ def _moment_certificate(
         raise ValueError("moment envelope produced a negative bound")
     l_phi = math.sqrt(e_phi_sq)
     l_grad_phi = math.sqrt(e_gphi_sq)
-    s_eff = math.sqrt(moments.e_s2)
-    nb = _network_bounds(arch, inputs.budgets_for(arch), s_eff)
     return Certificate(
         per_layer=nb.per_layer,
         l_n_final=nb.l_n,
@@ -827,7 +882,7 @@ def _sup_over_splits(
 def refine_over_layer_budgets(
     arch: ArchitectureSpec,
     inputs: BoundInputs,
-    loss: LossEnvelope,
+    loss: LossInput,
     dataset_norms: Sequence[float] | None = None,
     search: RefinementSearch = RefinementSearch(),
 ) -> Certificate:
@@ -861,16 +916,18 @@ def refine_over_layer_budgets(
     def bounds_at(d: tuple[float, ...]) -> NetworkBounds:
         return _network_bounds(arch, d, s_max)
 
+    loss = _loss_at(loss, b, bounds_at((b,) * (arch.m + 1)))  # the whole ball's output bound
+
     @functools.cache
     def loss_averages(d: tuple[float, ...]) -> tuple[float, float]:
         return _sample_averages(
             loss, d[-1], norms,
             lambda s: bounds_at(d) if s == s_max else _network_bounds(arch, d, s),
-        )[1]
+        )[2]
 
     d_uniform = tuple(inputs.budgets_for(arch))
     uniform = _averaged_certificate(
-        arch, inputs, loss, norms, bounds_at(d_uniform), loss_averages(d_uniform), "recursive"
+        arch, inputs, norms, bounds_at(d_uniform), loss, loss_averages(d_uniform), "recursive"
     )
     searches = [
         (_sup_over_splits(f, arch.m + 1, b, search.max_splits), cap)

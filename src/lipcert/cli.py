@@ -30,7 +30,7 @@ from .activations import saturated_linear, tanh
 from .bounds import (
     ArchitectureSpec,
     BoundInputs,
-    LossEnvelope,
+    check_moment_mode,
     closed_form_certificate,
     derive_adagrad_params,
     loss_certificate,
@@ -60,7 +60,6 @@ from .config import (
     code_certificate_to_dict,
     config_digest,
     ensure_writable,
-    envelope_loss,
     get,
     load_config,
     resolve_loss_envelope,
@@ -79,7 +78,7 @@ from .empirical import (
     network_output_map,
     worst_case_construction,
 )
-from .network import dataset_norms, flatten_params, forward, init_params, loss_head_envelopes
+from .network import dataset_norms, flatten_params, forward, init_params
 from .training import NetworkObjective, run_adagrad_norm, run_gd
 
 EXIT_OK = 0
@@ -216,24 +215,27 @@ def cmd_certify(cfg: dict, args, out: Path) -> int:
             raise ConfigError("refine: budget refinement needs a hidden layer")
         if norms is None:
             raise ConfigError("refine: budget refinement needs explicit sample norms")
+    if norms is None:
+        try:
+            check_moment_mode(arch, inputs)
+        except ValueError as exc:
+            raise ConfigError(f"bounds: {exc}") from exc
 
-    env = resolve_loss_envelope(cfg, arch, inputs, s_max, target_bound)
+    env = resolve_loss_envelope(cfg, arch.widths[-1], target_bound)
     # the closed-form and refined certificates hold on the whole ball, so
-    # their loss envelope must too, whatever split the recursion uses
+    # they run at the uniform budget, whatever split the recursion uses;
+    # each derives a squared-error envelope from its own output bound
     uniform = replace(inputs, layer_budgets=None)
-    env_ball = env
-    if inputs.layer_budgets is not None:
-        env_ball = resolve_loss_envelope(cfg, arch, uniform, s_max, target_bound)
 
     # without a loss section both certificates are the network's alone
     certs = {"recursive": loss_certificate(arch, inputs, env, dataset_norms=norms)}
     if norms is not None:
-        certs["closed_form"] = closed_form_certificate(arch, uniform, env_ball, dataset_norms=norms)
+        certs["closed_form"] = closed_form_certificate(arch, uniform, env, dataset_norms=norms)
     else:
         log.info("moment-mode certify: closed forms need explicit norms; skipped")
     if search is not None:
         certs["refined"] = refine_over_layer_budgets(
-            arch, uniform, env_ball, dataset_norms=norms, search=search
+            arch, uniform, env, dataset_norms=norms, search=search
         )
 
     _gate(
@@ -410,7 +412,7 @@ def cmd_train(cfg: dict, args, out: Path) -> int:
     override = get(tdoc, "l_grad_phi_override", float, default=None, where="train")
 
     norms = dataset_norms(samples)
-    env = resolve_loss_envelope(cfg, arch, inputs, max(norms), target_bound)
+    env = resolve_loss_envelope(cfg, arch.widths[-1], target_bound)
     cert = loss_certificate(arch, inputs, env, dataset_norms=norms)
     if math.isinf(cert.l_grad_phi):
         print("certificate overflowed: no finite certified step size exists", file=sys.stderr)
@@ -500,22 +502,6 @@ def _code_x_norm(cdoc: dict):
     return xn, x
 
 
-def _code_loss_envelope(cfg: dict, cdoc: dict) -> LossEnvelope | None:
-    head, doc = build_loss(cfg, required=False)
-    if doc is None:
-        return None
-    kind = doc["kind"]
-    if kind == "envelope":
-        return envelope_loss(doc)
-    if kind == "pseudo_huber":
-        dim = get(cdoc, "dim_state", int, default=1, where="code")
-        return loss_head_envelopes(head, dim, math.inf, math.inf)
-    raise ConfigError(
-        "code loss bounds need kind 'envelope' or 'pseudo_huber' "
-        "(squared_error has no certified output bound here)"
-    )
-
-
 def _code_certificate(env, bu: float, xn: float):
     """Grönwall certificate; envelopes it cannot handle are bad input (exit 2)."""
     try:
@@ -531,25 +517,29 @@ def cmd_code_certify(cfg: dict, args, out: Path) -> int:
     xn, _ = _code_x_norm(cdoc)
     cert = _code_certificate(env, bu, xn)
 
-    loss_env = _code_loss_envelope(cfg, cdoc)
+    loss_env = resolve_loss_envelope(cfg, get(cdoc, "dim_state", int, default=1, where="code"))
+    if callable(loss_env):  # squared error, a function of the output bound
+        raise ConfigError(
+            "code loss bounds need kind 'envelope' or 'pseudo_huber' "
+            "(squared_error has no certified output bound here)"
+        )
     if loss_env is not None:
         norms = get(cdoc, "sample_norms", list, default=None, where="code")
         mdoc = get(cdoc, "moments", dict, default=None, where="code")
+        moments = None
         if norms is not None:
             norms = _vector(norms, len(norms), "code.sample_norms")
+        elif mdoc is not None:
+            moments = {}
+            for k, v in mdoc.items():
+                try:
+                    moments[int(k)] = float(v)
+                except (TypeError, ValueError):
+                    raise ConfigError(f"code.moments: bad entry {k!r}: {v!r}") from None
+        else:
+            raise ConfigError("code loss bounds need 'sample_norms' or 'moments'")
         try:
-            if norms is not None:
-                cert = code_loss_certificate(cert, loss_env, sample_norms=norms)
-            elif mdoc is not None:
-                moments = {}
-                for k, v in mdoc.items():
-                    try:
-                        moments[int(k)] = float(v)
-                    except (TypeError, ValueError):
-                        raise ConfigError(f"code.moments: bad entry {k!r}: {v!r}")
-                cert = code_loss_certificate(cert, loss_env, moments=moments)
-            else:
-                raise ConfigError("code loss bounds need 'sample_norms' or 'moments'")
+            cert = code_loss_certificate(cert, loss_env, sample_norms=norms, moments=moments)
         except ValueError as exc:
             raise ConfigError(f"code: {exc}") from exc
 

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import ArchitectureSpec, LossEnvelope
+from .bounds import ArchitectureSpec, LossEnvelope, full_moments
 from .network import layer_slices
 
 __all__ = [
@@ -598,26 +598,6 @@ def _expected_power(
     return kappa**p * total
 
 
-def _full_moments(moments: dict[int, float]) -> dict[int, float]:
-    """Raw moments {k: E[S^k]} with E[S^0] = 1 added, once some S >= 0 has them.
-
-    Besides their signs, the moments of a nonnegative S are log-convex in k:
-    E[S^k]^2 <= E[S^(k-1)] E[S^(k+1)] wherever both neighbours are given,
-    checked to a relative 1e-12 so that moments averaged from data pass.
-    """
-    for k, v in moments.items():
-        if not (isinstance(k, int) and k >= 1):
-            raise ValueError(f"moment keys must be positive integers, got {k!r}")
-        if not (math.isfinite(v) and v >= 0):
-            raise ValueError(f"E[S^{k}] must be finite and nonnegative, got {v!r}")
-    m = {0: 1.0, **moments}
-    for k in moments:
-        lo, hi = m.get(k - 1), m.get(k + 1)
-        if lo is not None and hi is not None and m[k] * m[k] > lo * hi * (1.0 + 1e-12):
-            raise ValueError(f"E[S^{k}]^2 <= E[S^{k - 1}] E[S^{k + 1}] must hold")
-    return m
-
-
 def code_loss_certificate(
     cert: CodeCertificate,
     loss: LossEnvelope,
@@ -651,7 +631,7 @@ def code_loss_certificate(
         )
     if moments is None:
         raise ValueError("need sample_norms or moments")
-    moments = _full_moments(moments)
+    moments = full_moments(moments)
     e, bu = cert.envelopes, cert.b_upsilon
     a = e.b_v * bu
     kappa = math.exp(a)

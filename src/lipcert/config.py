@@ -10,11 +10,12 @@ identical inputs produce identical bytes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .activations import Activation, make_activation
 from .bounds import (
@@ -24,7 +25,6 @@ from .bounds import (
     LossEnvelope,
     RefinementSearch,
     SampleMoments,
-    network_certificate,
 )
 from .code_net import CodeCertificate, Control, FieldEnvelopes
 from .network import PseudoHuber, Sample, SquaredError, loss_head_envelopes
@@ -188,18 +188,24 @@ def envelope_loss(doc: dict) -> LossEnvelope:
         raise ConfigError(f"loss: {exc}") from exc
 
 
-def resolve_loss_envelope(
-    cfg: dict,
-    arch: ArchitectureSpec,
-    inputs: BoundInputs,
-    s_max: float,
-    target_bound: float | None = None,
-) -> LossEnvelope | None:
-    """Loss derivative bounds; squared error needs the certified output bound.
+def _head_envelope(head, dim: int, output_bound: float, target_bound: float) -> LossEnvelope:
+    """loss_head_envelopes, with its errors reported against the loss section."""
+    try:
+        return loss_head_envelopes(head, dim, output_bound, target_bound)
+    except ValueError as exc:
+        raise ConfigError(f"loss: {exc}") from exc
 
-    The output of the affine head on the b_omega ball is bounded by
-    D * sqrt(B_hidden^2 + 1), with B_hidden the certified bound on the last
-    feature layer at the largest sample norm.
+
+def resolve_loss_envelope(
+    cfg: dict, dim: int, target_bound: float | None = None
+) -> LossEnvelope | Callable[[float], LossEnvelope] | None:
+    """The loss argument of the certificate routines for a net of output width dim.
+
+    An envelope or pseudo-Huber loss has fixed derivative bounds.  Squared
+    error's depend on a bound on the network output, which the certificate
+    routines derive from their own recursion, so it resolves to a function
+    of that bound.  Its target bound is the larger of loss.target_bound and
+    target_bound (the data's), so a config value cannot undercut the data.
     """
     head, doc = build_loss(cfg, required=False)
     if doc is None:
@@ -207,21 +213,15 @@ def resolve_loss_envelope(
     kind = doc["kind"]
     if kind == "envelope":
         return envelope_loss(doc)
-    try:
-        dim = arch.widths[-1]
-        if kind == "pseudo_huber":
-            return loss_head_envelopes(head, dim, math.inf, math.inf)
-        tb = get(doc, "target_bound", float, default=target_bound, where="loss")
-        if tb is None:
-            raise ConfigError("loss: squared_error needs 'target_bound' or a dataset")
-        nb = network_certificate(arch, inputs, s_max)
-        hidden_b = nb.last_hidden.b_n
-        out_bound = inputs.budgets_for(arch)[-1] * math.sqrt(hidden_b * hidden_b + 1.0)
-        return loss_head_envelopes(head, dim, out_bound, tb)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"loss: {exc}") from exc
+    if kind == "pseudo_huber":
+        return _head_envelope(head, dim, math.inf, math.inf)
+    given = get(doc, "target_bound", float, default=None, where="loss")
+    if given is not None:
+        _head_envelope(head, dim, 0.0, given)  # a bad target_bound fails before any recursion
+    elif target_bound is None:
+        raise ConfigError("loss: squared_error needs 'target_bound' or a dataset")
+    tb = max(t for t in (given, target_bound) if t is not None)
+    return functools.partial(_head_envelope, head, dim, target_bound=tb)
 
 
 def build_refinement_search(cfg: dict) -> RefinementSearch | None:

@@ -1,6 +1,7 @@
 import math
 import weakref
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from lipcert import (
     LossEnvelope,
     PseudoHuber,
     SampleMoments,
+    SquaredError,
     batch_forward,
     closed_form_bounds,
     closed_form_certificate,
@@ -272,6 +274,36 @@ class TestLossCertificate:
         build(arch, BoundInputs(b_omega=1.0), loss, dataset_norms=(1.0, 0.5, 1.0))
         assert sorted(calls) == [0.5, 1.0]
 
+    @pytest.mark.parametrize(
+        "build, inputs",
+        [
+            (loss_certificate, BoundInputs(b_omega=1.0, layer_budgets=(0.8, 0.6))),
+            (closed_form_certificate, BoundInputs(b_omega=1.0)),
+            (partial(refine_over_layer_budgets, search=RefinementSearch(1, 4)), BoundInputs(b_omega=1.0)),
+            (loss_certificate, BoundInputs(b_omega=1.0, moments=SampleMoments(0.8, 1.0))),
+        ],
+        ids=["recursive_split", "closed_form", "refined", "moments"],
+    )
+    def test_output_bound_function_is_evaluated_at_the_recursion(self, build, inputs):
+        # squared error as a function of the output bound: one evaluation, at
+        # d_head * sqrt(B^2 + 1) with B the last hidden b_n at the largest
+        # norm (sqrt(E[S^2]) in moment mode), which gives the certificate of
+        # that envelope
+        arch = ArchitectureSpec(widths=(2, 3, 1), activations=(tanh(),))
+        norms = None if inputs.moments is not None else (1.0, 0.5)
+        s_ref = math.sqrt(inputs.moments.e_s2) if norms is None else 1.0
+        nb = _network_bounds(arch, inputs.budgets_for(arch), s_ref)
+        out_bound = nb.budgets[-1] * math.sqrt(nb.last_hidden.b_n ** 2 + 1.0)
+        seen = []
+
+        def envelope(bound):
+            seen.append(bound)
+            return loss_head_envelopes(SquaredError(), 1, bound, 1.0)
+
+        cert = build(arch, inputs, envelope, dataset_norms=norms)
+        assert seen == [out_bound]
+        assert cert == build(arch, inputs, envelope(out_bound), dataset_norms=norms)
+
 
 class TestMomentMode:
     def test_degenerate_distribution_dominates_exact_norms(self):
@@ -322,6 +354,26 @@ class TestMomentMode:
     def test_inconsistent_moments_rejected(self):
         with pytest.raises(ValueError):
             SampleMoments(e_s2=2.0, e_s4=1.0)
+
+    @pytest.mark.parametrize(
+        "e_s2, e_s4, message",
+        [
+            (0.0, 5.0, r"E\[S\^2\] = 0 forces E\[S\^4\] = 0"),
+            (2.0, 1.0, r"E\[S\^2\]\^2 <= E\[S\^0\] E\[S\^4\] must hold"),
+            (-1.0, 1.0, r"E\[S\^2\] must be finite and nonnegative, got -1.0"),
+        ],
+        ids=["zero_then_positive", "not_log_convex", "negative"],
+    )
+    def test_moments_no_norm_distribution_has_are_rejected(self, e_s2, e_s4, message):
+        # E[S^2] = 0 makes S = 0 almost surely, so E[S^4] = 0 as well
+        with pytest.raises(ValueError, match=message):
+            SampleMoments(e_s2=e_s2, e_s4=e_s4)
+
+    def test_moments_of_data_pass(self):
+        norms = [0.3, 1.7, 2.2, 0.0]
+        SampleMoments(math.fsum(s**2 for s in norms) / 4, math.fsum(s**4 for s in norms) / 4)
+        SampleMoments(0.0, 0.0)
+        SampleMoments(2.25, 2.25**2)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,15 @@ import pytest
 from lipcert import (
     ArchitectureSpec,
     BoundInputs,
+    NetworkObjective,
+    SquaredError,
     bounds,
     closed_form_bounds,
     cli,
+    config,
     linear_scalar_field,
+    load_dataset_csv,
+    loss_head_envelopes,
     tanh,
 )
 
@@ -145,6 +150,63 @@ DEEP_MIXED_REFINED = """{
 """
 
 
+# squared error with a layer-budget split: the recursive certificate's
+# output bound follows the split, the whole-ball certificates' does not
+SPLIT = {
+    "name": "split",
+    "seed": 7,
+    "architecture": {"widths": [2, 3, 1], "activations": ["tanh"]},
+    "bounds": {"b_omega": 1.0, "sample_norms": [1.0, 0.5], "layer_budgets": [0.99, 0.1]},
+    "loss": {"kind": "squared_error", "target_bound": 1.0},
+    "refine": {"restarts": 1, "iters": 4},
+    "train": {
+        "algorithm": "gd",
+        "steps": 5,
+        "synthetic": {"n_samples": 8, "input_norm": 1.0, "target_norm": 1.0, "seed": 3},
+    },
+}
+
+# squared error in moment mode on an affine net
+MOMENTS_AFFINE = {
+    "name": "mom0",
+    "architecture": {"widths": [2, 1], "activations": []},
+    "bounds": {"b_omega": 1.0, "moments": {"e_s2": 1.0, "e_s4": 1.5}},
+    "loss": {"kind": "squared_error", "target_bound": 1.0},
+}
+
+# sha256 of every report of these runs, pinned byte for byte
+PINNED_REPORTS = {
+    "split_certify": (["certify"], SPLIT, {
+        "certificate_closed_form.json": "b47437389f4034afa645a298bb11f58815703f3eab384ae2407a0ef49caff776",
+        "certificate_recursive.json": "ffe76fe93cea5af45817de9517434ce492009b8bb49dd808704a8dce9d2b12c2",
+        "certificate_refined.json": "a043de181a0a36900bfa0e07a2606333f694b53c4ae1eca04c32600f644160ef",
+        "run_meta.json": "02c8635809710bb2a41abc84bf086411156ad43bf4249c91ad10b15c4998f69c",
+    }),
+    "split_train": (["train"], SPLIT, {
+        "certificate.json": "75cc0b85373518c1740aa4f1bd737fe11f480dd0eff2f7bdbf07ec0ade0a4639",
+        "run_meta.json": "67ab7efabad06389b4ed7196031a1cd905e56936870257b4930c04d83be16596",
+        "trace.csv": "881b8030024ff78757f0a0bf69f9b32e33ee0294e791b87f5101a2435856f554",
+    }),
+    "moments_affine_certify": (["certify"], MOMENTS_AFFINE, {
+        "certificate_recursive.json": "868c739659d538858297b65bb592df917d7e6ec683d0249dc6763c4c7b50b5eb",
+        "run_meta.json": "ce7d171da7554fac1cbb5bc599154927db3a26ba2433414125b9036ab8d56760",
+    }),
+}
+
+
+def counted_recursions(monkeypatch) -> list:
+    """Arguments of every bounds._network_bounds call from now on."""
+    calls = []
+    network_bounds = bounds._network_bounds
+
+    def counted(*args):
+        calls.append(args)
+        return network_bounds(*args)
+
+    monkeypatch.setattr(bounds, "_network_bounds", counted)
+    return calls
+
+
 class TestCertify:
     def test_trivial_affine(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, TRIVIAL)
@@ -245,6 +307,64 @@ class TestCertify:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
         rec = [json.loads((o / "certificate_recursive.json").read_text()) for o in outs]
         assert rec[1]["l_grad_phi"] < rec[0]["l_grad_phi"]
+
+    @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+    def test_squared_error_reports_are_pinned(self, tmp_path, name):
+        argv, doc, digests = PINNED_REPORTS[name]
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()} == digests
+
+    @pytest.mark.parametrize("budgets", [None, [0.99, 0.1]], ids=["uniform", "split"])
+    def test_one_recursion_set_per_certify_run(self, tmp_path, monkeypatch, budgets):
+        # the squared-error envelope comes from the certificates' own
+        # recursions, so resolving the loss adds none
+        doc = json.loads((Path(__file__).parents[1] / "configs" / "tanh_231.json").read_text())
+        if budgets is not None:
+            doc["bounds"]["layer_budgets"] = budgets
+        calls = counted_recursions(monkeypatch)
+        out = tmp_path / "out"
+        assert cli.main(["certify", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+        assert len(calls) == 190
+
+    def test_target_bound_never_undercuts_the_data(self, tmp_path):
+        # targets of norm 100 against loss.target_bound 1: the certified
+        # L_phi must still cover the loss quotient along the output bias
+        csv = tmp_path / "data.csv"
+        csv.write_text("0.5,0.1,100\n0.3,-0.2,100\n-0.4,0.6,100\n")
+        doc = {
+            "name": "big-targets",
+            "architecture": {"widths": [2, 3, 1], "activations": ["tanh"]},
+            "bounds": {"b_omega": 1.0},
+            "loss": {"kind": "squared_error", "target_bound": 1.0},
+            "dataset": {"path": str(csv)},
+        }
+        out = tmp_path / "out"
+        assert cli.main(["certify", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+        arch = ArchitectureSpec(widths=(2, 3, 1), activations=(tanh(),))
+        objective = NetworkObjective(arch, load_dataset_csv(csv, 2, 1), SquaredError())
+        theta = np.zeros(arch.n_params)
+        theta[-1] = 0.5  # the output bias
+        quotient = abs(objective.value(theta) - objective.value(np.zeros(arch.n_params))) / 0.5
+        assert quotient == pytest.approx(199.5)
+        for name in ("certificate_recursive.json", "certificate_closed_form.json"):
+            assert json.loads((out / name).read_text())["l_phi"] >= quotient
+
+    def test_squared_error_overflow_exits_two(self, tmp_path, capsys):
+        # the output bound of a smoothed-ReLU net on a huge ball is inf, and
+        # squared error has no finite envelope there
+        doc = {
+            "name": "overflowing-output",
+            "architecture": {"widths": [1, 2, 1], "activations": [{"kind": "smoothed_relu", "delta": 0.5}]},
+            "bounds": {"b_omega": 1e160, "sample_norms": [1.0]},
+            "loss": {"kind": "squared_error", "target_bound": 1.0},
+        }
+        out = tmp_path / "out"
+        assert cli.main(["certify", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: loss: squared error needs finite output and target bounds\n"
+        )
+        assert not any(out.iterdir())
 
     def test_shipped_config_refines_to_the_uniform_values(self, tmp_path):
         # with one hidden layer the first budget drops out of every constant,
@@ -375,18 +495,47 @@ class TestConfigErrors:
         ids=["no_loss", "no_hidden_layer", "moments"],
     )
     def test_bad_refine_fails_before_any_recursion(self, tmp_path, capsys, monkeypatch, doc, message):
-        calls = []
-        network_bounds = bounds._network_bounds
+        self.assert_fails_before_any_recursion(tmp_path, capsys, monkeypatch, doc, message)
 
-        def counted(*args):
-            calls.append(args)
-            return network_bounds(*args)
+    # moment mode, without a refine section, whose own check would come first
+    MOMENTS = {
+        **{k: v for k, v in FULL.items() if k != "refine"},
+        "bounds": {"b_omega": 1.0, "moments": {"e_s2": 1.0, "e_s4": 1.0}},
+    }
 
-        monkeypatch.setattr(bounds, "_network_bounds", counted)
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                {**MOMENTS, "architecture": {"widths": [2, 3, 1], "activations": [
+                    {"kind": "smoothed_relu", "delta": 0.5}]}},
+                "bounds: moment mode requires bounded activations",
+            ),
+            (
+                {**MOMENTS, "bounds": {**MOMENTS["bounds"], "layer_budgets": [0.6, 0.8]}},
+                "bounds: moment mode is defined for the uniform budget only",
+            ),
+        ],
+        ids=["smoothed_relu", "layer_budgets"],
+    )
+    def test_bad_moment_mode_fails_before_any_recursion(self, tmp_path, capsys, monkeypatch, doc, message):
+        self.assert_fails_before_any_recursion(tmp_path, capsys, monkeypatch, doc, message)
+
+    @staticmethod
+    def assert_fails_before_any_recursion(tmp_path, capsys, monkeypatch, doc, message):
+        calls = counted_recursions(monkeypatch)
         out = tmp_path / "out"
         assert cli.main(["certify", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not any(out.iterdir())
+        assert calls == []
+
+    def test_squared_error_resolves_without_a_recursion(self, monkeypatch):
+        calls = counted_recursions(monkeypatch)
+        for given, data, tb in ((1.0, 3.0, 3.0), (4.0, 3.0, 4.0), (2.0, None, 2.0), (None, 3.0, 3.0)):
+            loss = {"kind": "squared_error", "target_bound": given}
+            env = config.resolve_loss_envelope({"loss": loss}, 2, data)
+            assert env(5.0) == loss_head_envelopes(SquaredError(), 2, 5.0, tb)
         assert calls == []
 
     @pytest.mark.parametrize("command", ["certify", "train"])
@@ -747,13 +896,40 @@ class TestCodeCommands:
             ("moments", {"1": -5, "2": 0}, "code: E[S^1] must be finite and nonnegative, got -5.0"),
             ("moments", {"1": math.nan, "2": 1}, "code: E[S^1] must be finite and nonnegative, got nan"),
             ("moments", {"1": 1, "2": 0.25}, "code: E[S^1]^2 <= E[S^0] E[S^2] must hold"),
+            ("moments", {"1": 1, "3": 0.5}, "code: E[S^1]^3 <= E[S^0]^2 E[S^3] must hold"),
+            ("moments", {"1": 0, "2": 1}, "code: E[S^1] = 0 forces E[S^2] = 0"),
+            ("moments", {"1": 1, "2": 0}, "code: E[S^1]^2 <= E[S^0] E[S^2] must hold"),
             ("moments", {"0": 1, "1": 1, "2": 1}, "code: moment keys must be positive integers, got 0"),
             ("sample_norms", [1.0, None], "code.sample_norms must be a list of numbers"),
         ],
-        ids=["negative", "nan", "not_log_convex", "zeroth", "null_norm"],
+        ids=[
+            "negative", "nan", "not_log_convex", "not_log_convex_over_a_gap", "zero_then_positive",
+            "positive_then_zero", "zeroth", "null_norm",
+        ],
     )
     def test_impossible_norm_distribution_exits_two(self, tmp_path, capsys, key, value, message):
         doc = {**self.LOSS_DOC, "code": {**self.LOSS_DOC["code"], key: value}}
+        out = tmp_path / "out"
+        assert cli.main(["code", "certify", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "loss, code, message",
+        [
+            (
+                {"kind": "squared_error", "target_bound": 1.0},
+                {"sample_norms": [1.0]},
+                "code loss bounds need kind 'envelope' or 'pseudo_huber' "
+                "(squared_error has no certified output bound here)",
+            ),
+            (LOSS_DOC["loss"], {"moments": {"1": "x"}}, "code.moments: bad entry '1': 'x'"),
+            (LOSS_DOC["loss"], {}, "code loss bounds need 'sample_norms' or 'moments'"),
+        ],
+        ids=["squared_error", "bad_moment", "no_norms"],
+    )
+    def test_loss_errors_name_their_section_once(self, tmp_path, capsys, loss, code, message):
+        doc = {**self.LOSS_DOC, "loss": loss, "code": {**self.LOSS_DOC["code"], **code}}
         out = tmp_path / "out"
         assert cli.main(["code", "certify", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
