@@ -304,21 +304,39 @@ def layer_step(
     d = float(budget)
     n3 = float(width_out)
 
-    # overflow can push squared budgets to inf; every product with a zero
-    # bound factor must still collapse to zero, so the outer factors go
-    # through _prod as well
-    l_chi = _prod(c1, math.sqrt(_prod(d, d, l1, l1) + b1 * b1 + 1.0))
-
-    a_term = _prod(
-        3.0 * _prod(l1, l1), _prod(c1, c1, n3) + _prod(c2, c2, d, d, b1, b1)
-    ) + 2.0 * _prod(c2, c2, d, d, l1, l1)
-    b_term = _prod(_prod(c2, c2), b1 * b1 + 1.0, 3.0 * b1 * b1 + 2.0)
-    alpha = max(a_term, b_term)
-
-    cross = _prod(n3, c1, d, l2) + _prod(b2, c2, d, d, l1)
-    carry = _prod(
-        _prod(b2, b2), _sq(_prod(n3, c1) + _prod(d, c2, math.sqrt(b1 * b1 + 1.0)))
+    # plain floats first, in _prod's operand order: math.prod folds left from
+    # 1.0, so while no term overflows these are _prod's bits.  Only the sign
+    # of a zero can differ, and it is squared away everywhere but in l_chi,
+    # where + 0.0 turns a -0.0 slope's product into _prod's +0.0
+    l_chi = c1 * math.sqrt(d * d * l1 * l1 + b1 * b1 + 1.0) + 0.0
+    a_term = 3.0 * (l1 * l1) * (c1 * c1 * n3 + c2 * c2 * d * d * b1 * b1) + 2.0 * (
+        c2 * c2 * d * d * l1 * l1
     )
+    b_term = c2 * c2 * (b1 * b1 + 1.0) * (3.0 * b1 * b1 + 2.0)
+    cross = n3 * c1 * d * l2 + b2 * c2 * d * d * l1
+    g = n3 * c1 + d * c2 * math.sqrt(b1 * b1 + 1.0)
+    carry = b2 * b2 * (g * g)
+
+    # every term is a sum of nonnegative products, so a finite total means
+    # nothing overflowed and no 0 * inf turned to nan (max() below could
+    # drop a nan, so both of its operands are in the total)
+    if not math.isfinite(l_chi + a_term + b_term + cross + carry):
+        # overflow can push squared budgets to inf; every product with a zero
+        # bound factor must still collapse to zero, so the outer factors go
+        # through _prod as well
+        l_chi = _prod(c1, math.sqrt(_prod(d, d, l1, l1) + b1 * b1 + 1.0))
+
+        a_term = _prod(
+            3.0 * _prod(l1, l1), _prod(c1, c1, n3) + _prod(c2, c2, d, d, b1, b1)
+        ) + 2.0 * _prod(c2, c2, d, d, l1, l1)
+        b_term = _prod(_prod(c2, c2), b1 * b1 + 1.0, 3.0 * b1 * b1 + 2.0)
+
+        cross = _prod(n3, c1, d, l2) + _prod(b2, c2, d, d, l1)
+        carry = _prod(
+            _prod(b2, b2), _sq(_prod(n3, c1) + _prod(d, c2, math.sqrt(b1 * b1 + 1.0)))
+        )
+
+    alpha = max(a_term, b_term)
     beta = cross * cross + carry
 
     l_grad_chi = math.sqrt(alpha + beta)
@@ -851,14 +869,15 @@ def _sup_over_splits(
     def push(lo: tuple[float, ...], hi: tuple[float, ...]) -> None:
         nonlocal lower, split
         sq = [x * x for x in lo]
-        if math.fsum(sq) > bsq:
+        lo_sq = math.fsum(sq)
+        if lo_sq > bsq:
             return
         u = tuple(min(h, math.sqrt(max(bsq - math.fsum(sq[:i] + sq[i + 1 :]), 0.0)))
                   for i, h in enumerate(hi))
         # lo + t v with v = u - lo leaves the ball at the root t of a quadratic
         v = [b - a for a, b in zip(lo, u)]
         vv, lv = math.fsum(x * x for x in v), math.fsum(x * y for x, y in zip(lo, v))
-        disc = max(lv * lv - vv * (math.fsum(sq) - bsq), 0.0)
+        disc = max(lv * lv - vv * (lo_sq - bsq), 0.0)
         t = min(1.0, (math.sqrt(disc) - lv) / vv) if vv else 0.0
         point = tuple(x + t * y for x, y in zip(lo, v))
         value = f(point)

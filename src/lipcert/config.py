@@ -14,6 +14,7 @@ import functools
 import hashlib
 import json
 import math
+import stat
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -44,6 +45,7 @@ __all__ = [
     "envelope_loss",
     "fmt",
     "load_config",
+    "replace_text",
     "resolve_loss_envelope",
     "write_csv",
     "write_json",
@@ -348,17 +350,32 @@ def ensure_writable(paths: Sequence[Path], force: bool) -> None:
         )
 
 
+def replace_text(path: str | Path, text: str) -> None:
+    """Write text as UTF-8 with LF line endings to a new file at path.
+
+    An existing regular file is unlinked first, not truncated: a filesystem
+    may flush a truncated and rewritten file to disk on close (ext4's
+    auto_da_alloc), which costs far more than the write.  A symlink is
+    kept and written through to its target.
+    """
+    path = Path(path)
+    try:
+        if stat.S_ISREG(path.lstat().st_mode):
+            path.unlink()
+    except FileNotFoundError:
+        pass
+    path.write_text(text, encoding="utf-8", newline="\n")
+
+
 def write_json(path: str | Path, obj: dict) -> None:
-    Path(path).write_text(
-        json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
-    )
+    replace_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
     """The one CSV writer: comma-separated, LF line endings, cells through fmt."""
     lines = [",".join(header)]
     lines += [",".join(fmt(c) for c in row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    replace_text(path, "\n".join(lines) + "\n")
 
 
 def samples_from_config(

@@ -186,10 +186,27 @@ def _draw_blocks(
     return a, b
 
 
+_ROW_BLOCK_BYTES = 1 << 20
+
+
 def _row_distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Euclidean distance between matching rows, with one (K, p) temporary."""
-    d = u - v
-    return np.sqrt(np.einsum("ij,ij->i", d, d))
+    """Euclidean distance between matching rows.
+
+    The differences are taken in blocks of rows of about _ROW_BLOCK_BYTES,
+    not as one (K, p) temporary; each row is still reduced over the same
+    contiguous values, so the distances keep their bits.  einsum reduces a
+    single row in another order, so no block has one row unless K is 1.
+    """
+    k = len(u)
+    out = np.empty(k)
+    step = max(2, _ROW_BLOCK_BYTES // max(u.itemsize * u.shape[-1], 1))
+    starts = list(range(0, k, step))
+    if len(starts) > 1 and k - starts[-1] == 1:
+        starts.pop()  # the last row joins the block before it
+    for i, j in zip(starts, [*starts[1:], k]):
+        d = u[i:j] - v[i:j]
+        np.einsum("ij,ij->i", d, d, out=out[i:j])
+    return np.sqrt(out, out=out)
 
 
 def empirical_lipschitz(

@@ -367,7 +367,9 @@ def params_from_json(doc: dict) -> Params:
 
 
 def save_params(params: Params, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(params_to_json(params), indent=1) + "\n")
+    from .config import replace_text  # config imports this module
+
+    replace_text(path, json.dumps(params_to_json(params), indent=1) + "\n")
 
 
 def load_params(path: str | Path) -> Params:

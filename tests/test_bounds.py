@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import weakref
 from collections import Counter
@@ -109,6 +111,121 @@ class TestLayerStep:
         a = layer_step(input_base(s), env(1.0, 0.5), 2, lo)
         b = layer_step(input_base(s), env(1.0, 0.5), 2, hi)
         assert a.l_n <= b.l_n and a.l_grad_n <= b.l_grad_n
+
+
+def _ref_prod(*xs: float) -> float:
+    return math.prod(xs, start=1.0) if all(xs) else 0.0
+
+
+def _ref_sq(x: float) -> float:
+    return x * x
+
+
+def reference_layer_step(prev, env_, width_out, budget):
+    """layer_step as it was before its plain-float path: every product through _prod."""
+    c1, c2, b3 = bounds._head_constants(env_)
+
+    l1, l2 = prev.l_n, prev.l_grad_n
+    b1, b2 = prev.b_n, prev.l_n
+    d = float(budget)
+    n3 = float(width_out)
+
+    l_chi = _ref_prod(c1, math.sqrt(_ref_prod(d, d, l1, l1) + b1 * b1 + 1.0))
+
+    a_term = _ref_prod(
+        3.0 * _ref_prod(l1, l1), _ref_prod(c1, c1, n3) + _ref_prod(c2, c2, d, d, b1, b1)
+    ) + 2.0 * _ref_prod(c2, c2, d, d, l1, l1)
+    b_term = _ref_prod(_ref_prod(c2, c2), b1 * b1 + 1.0, 3.0 * b1 * b1 + 2.0)
+    alpha = max(a_term, b_term)
+
+    cross = _ref_prod(n3, c1, d, l2) + _ref_prod(b2, c2, d, d, l1)
+    carry = _ref_prod(
+        _ref_prod(b2, b2), _ref_sq(_ref_prod(n3, c1) + _ref_prod(d, c2, math.sqrt(b1 * b1 + 1.0)))
+    )
+    beta = cross * cross + carry
+
+    l_grad_chi = math.sqrt(alpha + beta)
+
+    b_chi = math.sqrt(n3) * b3
+
+    return LayerBounds(l_chi, l_grad_chi, b_chi, alpha, beta)
+
+
+def same_bits(a: LayerBounds, b: LayerBounds) -> bool:
+    """Field by field equal, the sign of zero included (nan matches nan)."""
+    return all(
+        (x == y and math.copysign(1.0, x) == math.copysign(1.0, y)) or (x != x and y != y)
+        for x, y in zip(dataclasses.astuple(a), dataclasses.astuple(b))
+    )
+
+
+GRID = (0.0, 5e-324, 1e-3, 1.0, 7.3, 1e154, 1.4e154, 1e300, math.inf)
+# (slope, curvature) bounds of the activation and loss heads, cycled over the grid
+HEAD_CONSTANTS = ((0.25, 0.1), (1.0, 7.3), (0.0, 1.0), (-0.0, 0.0), (1e154, 1e-3))
+
+
+def head(kind: str, i: int):
+    c1, c2 = HEAD_CONSTANTS[i % len(HEAD_CONSTANTS)]
+    if kind == "identity":
+        return None
+    if kind == "activation":
+        return env(c1, c2, smax=GRID[i % len(GRID)])
+    return LossEnvelope(c1, c2)
+
+
+class TestLayerStepBits:
+    """The plain-float step against its _prod-only reference, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["identity", "activation", "loss"])
+    def test_grid(self, kind):
+        for i, (l1, l2, b1, d, width) in enumerate(
+            itertools.product(GRID, GRID, GRID, (*GRID, -0.0), (1, 3, 64))
+        ):
+            prev, h = LayerBounds(l1, l2, b1, 0.0, 0.0), head(kind, i)
+            assert same_bits(layer_step(prev, h, width, d), reference_layer_step(prev, h, width, d)), (
+                l1, l2, b1, d, width, h
+            )
+
+    def test_log_uniform_draws(self):
+        rng = np.random.default_rng(13)
+        kinds = ("identity", "activation", "loss")
+        for i in range(10_000):
+            l1, l2, b1, d = 10.0 ** rng.uniform(-320.0, 308.0, 4)
+            prev = LayerBounds(float(l1), float(l2), float(b1), 0.0, 0.0)
+            h = head(kinds[i % 3], int(rng.integers(len(HEAD_CONSTANTS))))
+            if h is not None:
+                c1, c2 = (float(c) for c in 10.0 ** rng.uniform(-320.0, 308.0, 2))
+                h = env(c1, c2) if kinds[i % 3] == "activation" else LossEnvelope(c1, c2)
+            width = int(rng.choice((1, 3, 64)))
+            assert same_bits(
+                layer_step(prev, h, width, float(d)), reference_layer_step(prev, h, width, float(d))
+            ), (l1, l2, b1, d, width, h)
+
+    def test_zero_budget_against_an_inf_bound(self):
+        prev = LayerBounds(1.0, 2.0, math.inf, 0.0, 0.0)
+        for h in (None, env(1.0, 1.0), LossEnvelope(1.0, 1.0)):
+            got = layer_step(prev, h, 2, 0.0)
+            assert same_bits(got, reference_layer_step(prev, h, 2, 0.0))
+            assert not math.isnan(got.l_grad_n)
+
+    def test_overflow_to_inf(self):
+        prev = LayerBounds(1e200, 1e200, 1e200, 0.0, 0.0)
+        got = layer_step(prev, env(1.0, 1.0), 3, 1e200)
+        assert same_bits(got, reference_layer_step(prev, env(1.0, 1.0), 3, 1e200))
+        assert math.isinf(got.l_n) and math.isinf(got.l_grad_n)
+
+    @pytest.mark.parametrize("b_omega", [1.0, 1e40, 1e80])
+    def test_smoothed_relu_recursion(self, monkeypatch, b_omega):
+        # relu_epsilon enters the output bound between the steps
+        arch = ArchitectureSpec(
+            widths=(3, 6, 5, 4, 2), activations=(smoothed_relu(0.5), tanh(), smoothed_relu(2.0))
+        )
+        budgets = (b_omega, 0.0, 0.5 * b_omega, b_omega)
+        got = _network_bounds(arch, budgets, 2.0)
+        monkeypatch.setattr(bounds, "layer_step", reference_layer_step)
+        want = _network_bounds(arch, budgets, 2.0)
+        for a, b in zip((*got.per_layer, got.final), (*want.per_layer, want.final)):
+            assert same_bits(a, b)
 
 
 # ---------------------------------------------------------------------------

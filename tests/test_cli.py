@@ -1,9 +1,11 @@
 """End-to-end runs of the command line driver, in process via cli.main."""
 
+import contextlib
 import dataclasses
 import hashlib
 import json
 import math
+import os
 import warnings
 from pathlib import Path
 
@@ -194,6 +196,41 @@ PINNED_REPORTS = {
 }
 
 
+# a smoothed ramp, then tanh: the closed forms are +inf, and at b_omega 1e40
+# a quarter of the layer steps overflow; sha256 of every report and of the
+# printed table, pinned byte for byte
+SMOOTHED_RELU_TANH = {
+    "name": "smoothed-relu-tanh",
+    "architecture": {
+        "widths": [3, 6, 5, 2],
+        "activations": [{"kind": "smoothed_relu", "delta": 0.5}, "tanh"],
+    },
+    "bounds": {"b_omega": 1.0, "sample_norms": [0.5, 1.0, 2.0]},
+    "loss": {"kind": "squared_error", "target_bound": 1.0},
+    "refine": {"restarts": 1, "iters": 8},
+}
+OVERFLOW_PINS = {
+    "squared_error": (SMOOTHED_RELU_TANH, {
+        "certificate_closed_form.json": "533142fba44b47a212b573ec45f8e86b3bd8712ff035e880f762d62dba0bd905",
+        "certificate_recursive.json": "f56522d206fe049d52d2f74fbac3b902d1bdfeecba95e4153ac11d05dddb7dd3",
+        "certificate_refined.json": "a9213b0615c0fa4a65617842215d2059ff4454af936d4f1533649ed220d40f40",
+        "run_meta.json": "64c0c6dad23cac8f1d2a225a910ca6098c87c2739d3f4efcec320cb192fe5d11",
+        "stdout": "162ca26883d1e23f5f014328f2f4d42213c7c3f1743efef35fc80f7b4f5bf16c",
+    }),
+    "pseudo_huber_1e40": ({
+        **SMOOTHED_RELU_TANH,
+        "bounds": {**SMOOTHED_RELU_TANH["bounds"], "b_omega": 1e40},
+        "loss": {"kind": "pseudo_huber", "delta": 1.0},
+    }, {
+        "certificate_closed_form.json": "0bd4b9614338f5ba2ff5794475791bdcfb20075f17ffd31228535b71b1786c1d",
+        "certificate_recursive.json": "6efdeb3278e70a67886a6bf6cb13ab96d34dc45e459364614d135733de7d3a0a",
+        "certificate_refined.json": "cf1f4f8dd3a7af0fda0ee921c650fac30bc5ae82436c120e908d9df4a1738ac6",
+        "run_meta.json": "66e9d6220104a11e0f7ee9a67bf2851ed41b02e12c51d761ed7acc18cd790a9a",
+        "stdout": "89fa5c1742c1fec7712f008ca490e739a7ca3b272be4dd49747489031f5ca8ec",
+    }),
+}
+
+
 def counted_recursions(monkeypatch) -> list:
     """Arguments of every bounds._network_bounds call from now on."""
     calls = []
@@ -315,6 +352,16 @@ class TestCertify:
         assert cli.main([*argv, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
         assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()} == digests
 
+    @pytest.mark.parametrize("name", sorted(OVERFLOW_PINS))
+    def test_overflowing_reports_are_pinned(self, tmp_path, capsys, name):
+        doc, digests = OVERFLOW_PINS[name]
+        out = tmp_path / "out"
+        argv = ["certify", "--allow-inf", "--config", write_cfg(tmp_path, doc), "--out", str(out)]
+        assert cli.main(argv) == 0
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        got["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert got == digests
+
     @pytest.mark.parametrize("budgets", [None, [0.99, 0.1]], ids=["uniform", "split"])
     def test_one_recursion_set_per_certify_run(self, tmp_path, monkeypatch, budgets):
         # the squared-error envelope comes from the certificates' own
@@ -392,6 +439,29 @@ class TestCertify:
         assert cli.main(["certify", "--config", cfg, "--out", str(out)]) == 0
         assert cli.main(["certify", "--config", cfg, "--out", str(out)]) == 2
         assert cli.main(["certify", "--config", cfg, "--out", str(out), "--force"]) == 0
+
+    def test_force_rerun_replaces_each_report(self, tmp_path):
+        # --force writes the same bytes to new files, leaving the old ones to
+        # whoever still holds them; a symlinked report is written through
+        out = tmp_path / "out"
+        argv = ["certify", "--config", write_cfg(tmp_path, NO_LOSS), "--out", str(out)]
+        assert cli.main(argv) == 0
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        link, target = out / "certificate_recursive.json", tmp_path / "target.json"
+        target.write_text("stale\n")
+        link.unlink()
+        link.symlink_to(target)
+        with contextlib.ExitStack() as stack:
+            held = {
+                name: stack.enter_context(open(out / name, "rb"))
+                for name in first if name != link.name
+            }
+            assert cli.main([*argv, "--force"]) == 0
+            for name, f in held.items():
+                assert os.fstat(f.fileno()).st_ino != (out / name).stat().st_ino
+                assert f.read() == first[name]
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+        assert link.is_symlink() and target.read_bytes() == first[link.name]
 
     def test_seed_flag_lands_in_resolved_config(self, tmp_path):
         cfg = write_cfg(tmp_path, TRIVIAL)

@@ -31,7 +31,8 @@ from lipcert import (
     worst_case_construction,
 )
 
-from lipcert.empirical import PAIR_BLOCK, _draw_blocks, _scale_rows
+from lipcert import empirical
+from lipcert.empirical import PAIR_BLOCK, _draw_blocks, _row_distances, _scale_rows
 
 from conftest import loop_backward, loop_forward, random_architecture
 
@@ -224,6 +225,20 @@ class TestEmpiricalLipschitz:
         g = lambda t: t
         est = empirical_grad_lipschitz(g, dim=3, b_omega=2.0, n_pairs=300, seed=5)
         assert est.max_ratio == pytest.approx(1.0, rel=1e-9)
+
+
+    @pytest.mark.parametrize("block_bytes", [1, 8 * 7 * 3, 8 * 7 * 4, 1 << 20])
+    def test_row_blocks_keep_the_distances_bits(self, monkeypatch, block_bytes):
+        # blocks of 1, 3 and 4 rows of 7 values leave one-row remainders at
+        # 10 and 13 rows; einsum reduces a lone row in another order
+        monkeypatch.setattr(empirical, "_ROW_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(5)
+        for k, p in ((1, 7), (10, 7), (13, 7), (40, 7), (9, 2050)):
+            u = rng.standard_normal((k, p)) * 10.0 ** rng.uniform(-5, 5, (k, 1))
+            v = rng.standard_normal((k, p))
+            d = u - v
+            whole = np.sqrt(np.einsum("ij,ij->i", d, d))
+            assert _row_distances(u, v).tobytes() == whole.tobytes()
 
 
 class TestPairSampler:
