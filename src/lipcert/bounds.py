@@ -161,26 +161,19 @@ class SampleMoments:
 class BoundInputs:
     """Parameter-domain description shared by all certificate routines.
 
-    layer_budgets, when given, assigns each layer its own radius D_u with
-    sum(D_u^2) <= b_omega^2; certificates computed from such a split are
-    valid on the whole b_omega ball because each layer's parameter block is
-    separately inside its budget.
+    Every certificate built from it holds on the whole ball of radius
+    b_omega: each layer's parameter block gets the full radius.  A fixed
+    split of the radius across layers would cover only the product of its
+    layer balls; refine_over_layer_budgets bounds the supremum over splits.
     """
 
     b_omega: float
-    layer_budgets: tuple[float, ...] | None = None
     sample_norms: tuple[float, ...] | None = None
     moments: SampleMoments | None = None
 
     def __post_init__(self) -> None:
         if not (self.b_omega > 0 and math.isfinite(self.b_omega)):
             raise ValueError("b_omega must be a positive finite real")
-        if self.layer_budgets is not None:
-            if any(d < 0 or not math.isfinite(d) for d in self.layer_budgets):
-                raise ValueError("layer budgets must be finite and nonnegative")
-            total = math.fsum(d * d for d in self.layer_budgets)
-            if total > self.b_omega**2 * (1.0 + 1e-12):
-                raise ValueError("sum of squared layer budgets exceeds b_omega^2")
         if self.sample_norms is not None:
             if len(self.sample_norms) == 0:
                 raise ValueError("sample_norms must be nonempty when given")
@@ -188,14 +181,7 @@ class BoundInputs:
                 raise ValueError("sample norms must be finite and nonnegative")
 
     def budgets_for(self, arch: ArchitectureSpec) -> tuple[float, ...]:
-        n = arch.m + 1
-        if self.layer_budgets is None:
-            return (self.b_omega,) * n
-        if len(self.layer_budgets) != n:
-            raise ValueError(
-                f"expected {n} layer budgets, got {len(self.layer_budgets)}"
-            )
-        return self.layer_budgets
+        return (self.b_omega,) * (arch.m + 1)
 
 
 @dataclass(frozen=True)
@@ -470,7 +456,8 @@ def _certificate_digest(
             for a in arch.activations
         ],
         "b_omega": inputs.b_omega,
-        "layer_budgets": None if inputs.layer_budgets is None else list(inputs.layer_budgets),
+        # no certificate takes a split as input; the key keeps every inputs_digest
+        "layer_budgets": None,
         "loss": None if loss is None else [
             loss.g_p_max, loss.g_pp_max, loss.lip_g_value, loss.lip_dg_value
         ],
@@ -559,7 +546,6 @@ def _averaged_certificate(
         method=method,
         inputs_digest=_certificate_digest(arch, inputs, loss, norms, None, method),
         flags=_overflow_flags(nb_max.l_n, nb_max.l_grad_n, l_phi, l_grad_phi),
-        layer_budgets=inputs.layer_budgets,
     )
 
 
@@ -676,8 +662,6 @@ def closed_form_network_bounds(
     b_n, alpha and beta stay the recursive ones; the identity head reuses the
     one-step composition formulas on the (larger) closed-form last layer.
     """
-    if inputs.layer_budgets is not None:
-        raise ValueError("closed forms are defined for the uniform budget only")
     nb = network_certificate(arch, inputs, s)
     if arch.m == 0:
         return nb
@@ -728,12 +712,12 @@ def _poly_head_sq_constants(
     squared gradient-level constant becomes quadratic in t, which is what
     lets the moment mode integrate them exactly.
     """
-    budgets = inputs.budgets_for(arch)
+    d = inputs.b_omega
     m = arch.m
     l1_sq, lg_sq = 0.0, 0.0  # squared L of the feature map and of its Jacobian
     b1 = s
 
-    def step_sq(c1: float, c2: float, n3: float, d: float) -> tuple[float, float]:
+    def step_sq(c1: float, c2: float, n3: float) -> tuple[float, float]:
         new_l_sq = _prod(c1, c1) * (_prod(d, d, l1_sq) + b1 * b1 + 1.0)
         alpha_w = (
             3.0 * _prod(l1_sq, _prod(c1, c1, n3) + _prod(c2, c2, d, d, b1, b1))
@@ -750,20 +734,16 @@ def _poly_head_sq_constants(
 
     for u in range(1, m + 1):
         env = arch.activations[u - 1].envelope
-        l1_sq, lg_sq = step_sq(
-            env.sigma_p_max, env.sigma_pp_max, float(arch.widths[u]), budgets[u - 1]
-        )
+        l1_sq, lg_sq = step_sq(env.sigma_p_max, env.sigma_pp_max, float(arch.widths[u]))
         b1 = math.sqrt(arch.widths[u]) * env.sigma_max
-    return step_sq(loss.g_p_max, loss.g_pp_max, 1.0, budgets[-1])
+    return step_sq(loss.g_p_max, loss.g_pp_max, 1.0)
 
 
-def check_moment_mode(arch: ArchitectureSpec, inputs: BoundInputs) -> None:
-    """Raise ValueError unless the moment mode covers arch and inputs.
+def check_moment_mode(arch: ArchitectureSpec) -> None:
+    """Raise ValueError unless the moment mode covers arch.
 
-    Its polynomial envelopes need the uniform budget and bounded activations.
+    Its polynomial envelopes need bounded activations.
     """
-    if inputs.layer_budgets is not None:
-        raise ValueError("moment mode is defined for the uniform budget only")
     if not all(math.isfinite(a.envelope.sigma_max) for a in arch.activations):
         raise ValueError("moment mode requires bounded activations")
 
@@ -786,7 +766,7 @@ def _moment_certificate(
     is informational in this mode; only l_phi / l_grad_phi / b_grad_phi are
     certified expectations.
     """
-    check_moment_mode(arch, inputs)
+    check_moment_mode(arch)
     nb = _network_bounds(arch, inputs.budgets_for(arch), math.sqrt(moments.e_s2))
     loss = _loss_at(loss, nb.budgets[-1], nb)
     v0 = _poly_head_sq_constants(arch, inputs, loss, 0.0)
@@ -816,7 +796,6 @@ def _moment_certificate(
         method="recursive",
         inputs_digest=_certificate_digest(arch, inputs, loss, None, moments, "recursive"),
         flags=_overflow_flags(nb.l_n, nb.l_grad_n, l_phi, l_grad_phi) + ("moment_mode",),
-        layer_budgets=None,
     )
 
 
@@ -928,6 +907,7 @@ def refine_over_layer_budgets(
         raise ValueError("budget refinement needs at least one hidden layer")
     b = inputs.b_omega
     s_max = max(norms)
+    d_uniform = inputs.budgets_for(arch)
 
     # only the bounds at s_max are read again, so the other norms' recursions
     # are dropped once their loss averages are taken
@@ -935,7 +915,7 @@ def refine_over_layer_budgets(
     def bounds_at(d: tuple[float, ...]) -> NetworkBounds:
         return _network_bounds(arch, d, s_max)
 
-    loss = _loss_at(loss, b, bounds_at((b,) * (arch.m + 1)))  # the whole ball's output bound
+    loss = _loss_at(loss, b, bounds_at(d_uniform))  # the whole ball's output bound
 
     @functools.cache
     def loss_averages(d: tuple[float, ...]) -> tuple[float, float]:
@@ -944,7 +924,6 @@ def refine_over_layer_budgets(
             lambda s: bounds_at(d) if s == s_max else _network_bounds(arch, d, s),
         )[2]
 
-    d_uniform = tuple(inputs.budgets_for(arch))
     uniform = _averaged_certificate(
         arch, inputs, norms, bounds_at(d_uniform), loss, loss_averages(d_uniform), "recursive"
     )

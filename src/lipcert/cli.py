@@ -18,7 +18,6 @@ import logging
 import math
 import os
 import sys
-from dataclasses import replace
 from functools import cache, partial
 from pathlib import Path
 from typing import Callable
@@ -190,7 +189,7 @@ def _print_table(title: str, columns: list[str], rows: list[tuple]) -> None:
 
 def cmd_certify(cfg: dict, args, out: Path) -> int:
     arch = build_architecture(cfg)
-    inputs = build_bound_inputs(cfg, arch)
+    inputs = build_bound_inputs(cfg)
     ds = section(cfg, "dataset", required=False)
     norms = None
     target_bound = None
@@ -217,25 +216,21 @@ def cmd_certify(cfg: dict, args, out: Path) -> int:
             raise ConfigError("refine: budget refinement needs explicit sample norms")
     if norms is None:
         try:
-            check_moment_mode(arch, inputs)
+            check_moment_mode(arch)
         except ValueError as exc:
             raise ConfigError(f"bounds: {exc}") from exc
 
+    # each certificate derives a squared-error envelope from its own output
+    # bound; without a loss section they are the network's alone
     env = resolve_loss_envelope(cfg, arch.widths[-1], target_bound)
-    # the closed-form and refined certificates hold on the whole ball, so
-    # they run at the uniform budget, whatever split the recursion uses;
-    # each derives a squared-error envelope from its own output bound
-    uniform = replace(inputs, layer_budgets=None)
-
-    # without a loss section both certificates are the network's alone
     certs = {"recursive": loss_certificate(arch, inputs, env, dataset_norms=norms)}
     if norms is not None:
-        certs["closed_form"] = closed_form_certificate(arch, uniform, env, dataset_norms=norms)
+        certs["closed_form"] = closed_form_certificate(arch, inputs, env, dataset_norms=norms)
     else:
         log.info("moment-mode certify: closed forms need explicit norms; skipped")
     if search is not None:
         certs["refined"] = refine_over_layer_budgets(
-            arch, uniform, env, dataset_norms=norms, search=search
+            arch, inputs, env, dataset_norms=norms, search=search
         )
 
     _gate(
@@ -306,7 +301,7 @@ def _verify_input(arch, vdoc, seed: int) -> np.ndarray:
 
 def cmd_verify(cfg: dict, args, out: Path) -> int:
     arch = build_architecture(cfg)
-    inputs = build_bound_inputs(cfg, arch)
+    inputs = build_bound_inputs(cfg)
     vdoc = section(cfg, "verify")
     top_seed = get(cfg, "seed", int, default=0)
     seed = get(vdoc, "seed", int, default=top_seed, where="verify")
@@ -383,7 +378,7 @@ def cmd_verify(cfg: dict, args, out: Path) -> int:
 
 def cmd_train(cfg: dict, args, out: Path) -> int:
     arch = build_architecture(cfg)
-    inputs = build_bound_inputs(cfg, arch)
+    inputs = build_bound_inputs(cfg)
     tdoc = section(cfg, "train")
     top_seed = get(cfg, "seed", int, default=0)
     head, _ = build_loss(cfg, required=True)
@@ -410,6 +405,16 @@ def cmd_train(cfg: dict, args, out: Path) -> int:
     # diagnostic knob: run descent with a manual constant instead of the
     # certified one, so the exit-5 falsification path can be exercised
     override = get(tdoc, "l_grad_phi_override", float, default=None, where="train")
+    # checked in the order the trainers would check them; gd reads only shrink
+    if algorithm == "adagrad_norm":
+        if not eps_margin > 0:
+            raise ConfigError("train: eps_margin must be positive")
+        if not eps_exponent >= 0:
+            raise ConfigError("train: eps_exponent must be nonnegative")
+        if batch_size < 1:
+            raise ConfigError("train: batch_size must be positive")
+    if not 0.0 < shrink <= 1.0:
+        raise ConfigError("train: shrink must lie in (0, 1]")
 
     norms = dataset_norms(samples)
     env = resolve_loss_envelope(cfg, arch.widths[-1], target_bound)

@@ -133,24 +133,26 @@ def build_architecture(cfg: dict) -> ArchitectureSpec:
         raise ConfigError(f"architecture: {exc}") from exc
 
 
-def build_bound_inputs(cfg: dict, arch: ArchitectureSpec) -> BoundInputs:
+def build_bound_inputs(cfg: dict) -> BoundInputs:
     doc = section(cfg, "bounds")
+    if doc.get("layer_budgets") is not None:
+        raise ConfigError(
+            "bounds.layer_budgets is not supported: a fixed split covers only the"
+            " product of its layer balls, not the b_omega ball; a refine section"
+            " bounds the supremum over all splits"
+        )
     b_omega = get(doc, "b_omega", float, where="bounds")
-    budgets = get(doc, "layer_budgets", list, default=None, where="bounds")
     norms = get(doc, "sample_norms", list, default=None, where="bounds")
     mdoc = get(doc, "moments", dict, default=None, where="bounds")
     if mdoc is not None:
         e_s2 = get(mdoc, "e_s2", float, where="bounds.moments")
         e_s4 = get(mdoc, "e_s4", float, where="bounds.moments")
     try:
-        inputs = BoundInputs(
+        return BoundInputs(
             b_omega=b_omega,
-            layer_budgets=None if budgets is None else tuple(float(d) for d in budgets),
             sample_norms=None if norms is None else tuple(float(s) for s in norms),
             moments=None if mdoc is None else SampleMoments(e_s2, e_s4),
         )
-        inputs.budgets_for(arch)  # one budget per layer
-        return inputs
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bounds: {exc}") from exc
 

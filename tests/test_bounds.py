@@ -31,6 +31,7 @@ from lipcert import (
     loss_head_envelopes,
     make_activation,
     network_certificate,
+    network_jacobian_map,
     network_output_map,
     refine_over_layer_budgets,
     sigmoid,
@@ -291,6 +292,30 @@ class TestNetworkCertificate:
             assert l >= last
             last = l
 
+    def test_fixed_split_is_beaten_inside_the_ball(self):
+        # a split with sum(D_u^2) <= b_omega^2 bounds only the product of its
+        # layer balls: the pair theta* +- h along the gradient of N, both
+        # points of norm 0.9993, beats the recursion at the split, while the
+        # whole-ball certificate and the supremum over splits cover it
+        arch = ArchitectureSpec(widths=(1, 1, 1, 1), activations=(smoothed_relu(0.1),) * 2)
+        x = np.ones(1)
+        theta = np.array([0.32, 0.32, 0.46, 0.35, 0.678, 0.0])  # (w1, b1, w2, b2, w3, b3)
+        grad = network_jacobian_map(arch, x)(theta[None])[0]
+        h = 1e-6 * grad / np.linalg.norm(grad)
+        lo, hi = theta - h, theta + h
+        assert max(np.linalg.norm(lo), np.linalg.norm(hi)) < 1.0
+        f = network_output_map(arch, x)
+        quotient = float(abs(f(hi[None])[0, 0] - f(lo[None])[0, 0]) / np.linalg.norm(hi - lo))
+        split = (0.68, 0.57, 0.46)
+        assert math.fsum(d * d for d in split) <= 1.0
+        assert quotient > _network_bounds(arch, split, 1.0).l_n  # 1.5026 > 1.4956
+        assert quotient <= network_certificate(arch, BoundInputs(b_omega=1.0), 1.0).l_n  # 3.038
+        refined = refine_over_layer_budgets(
+            arch, BoundInputs(b_omega=1.0), LossEnvelope(1.0, 1.0), [1.0],
+            search=RefinementSearch(1, 4),
+        )
+        assert quotient <= refined.l_n_final
+
     def test_smoothed_relu_output_bound(self):
         delta = 0.4
         arch = ArchitectureSpec(widths=(1, 2, 1), activations=(smoothed_relu(delta),))
@@ -367,13 +392,13 @@ class TestLossCertificate:
 
     def test_without_loss_is_the_network_at_the_largest_norm(self):
         arch = ArchitectureSpec(widths=(2, 4, 3), activations=(smoothed_relu(0.5),))
-        inputs = BoundInputs(b_omega=2.0, layer_budgets=(1.0, 1.5))
+        inputs = BoundInputs(b_omega=2.0)
         cert = loss_certificate(arch, inputs, None, dataset_norms=[1.0, 3.0])
         nb = network_certificate(arch, inputs, 3.0)
         assert cert.per_layer == nb.per_layer
         assert (cert.l_n_final, cert.l_grad_n_final) == (nb.l_n, nb.l_grad_n)
         assert (cert.l_phi, cert.l_grad_phi, cert.flags) == (None, None, ())
-        assert cert.layer_budgets == (1.0, 1.5)
+        assert cert.layer_budgets is None
 
     @pytest.mark.parametrize("loss", [LossEnvelope(1.0, 1.0), None])
     @pytest.mark.parametrize("build", [loss_certificate, closed_form_certificate])
@@ -394,12 +419,12 @@ class TestLossCertificate:
     @pytest.mark.parametrize(
         "build, inputs",
         [
-            (loss_certificate, BoundInputs(b_omega=1.0, layer_budgets=(0.8, 0.6))),
+            (loss_certificate, BoundInputs(b_omega=1.0)),
             (closed_form_certificate, BoundInputs(b_omega=1.0)),
             (partial(refine_over_layer_budgets, search=RefinementSearch(1, 4)), BoundInputs(b_omega=1.0)),
             (loss_certificate, BoundInputs(b_omega=1.0, moments=SampleMoments(0.8, 1.0))),
         ],
-        ids=["recursive_split", "closed_form", "refined", "moments"],
+        ids=["recursive", "closed_form", "refined", "moments"],
     )
     def test_output_bound_function_is_evaluated_at_the_recursion(self, build, inputs):
         # squared error as a function of the output bound: one evaluation, at

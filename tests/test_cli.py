@@ -152,13 +152,13 @@ DEEP_MIXED_REFINED = """{
 """
 
 
-# squared error with a layer-budget split: the recursive certificate's
-# output bound follows the split, the whole-ball certificates' does not
-SPLIT = {
-    "name": "split",
+# squared error over two sample norms, its output bound derived by each
+# certificate from its own recursion
+SAMPLE_NORMS = {
+    "name": "sample-norms",
     "seed": 7,
     "architecture": {"widths": [2, 3, 1], "activations": ["tanh"]},
-    "bounds": {"b_omega": 1.0, "sample_norms": [1.0, 0.5], "layer_budgets": [0.99, 0.1]},
+    "bounds": {"b_omega": 1.0, "sample_norms": [1.0, 0.5]},
     "loss": {"kind": "squared_error", "target_bound": 1.0},
     "refine": {"restarts": 1, "iters": 4},
     "train": {
@@ -178,16 +178,16 @@ MOMENTS_AFFINE = {
 
 # sha256 of every report of these runs, pinned byte for byte
 PINNED_REPORTS = {
-    "split_certify": (["certify"], SPLIT, {
+    "sample_norms_certify": (["certify"], SAMPLE_NORMS, {
         "certificate_closed_form.json": "b47437389f4034afa645a298bb11f58815703f3eab384ae2407a0ef49caff776",
-        "certificate_recursive.json": "ffe76fe93cea5af45817de9517434ce492009b8bb49dd808704a8dce9d2b12c2",
+        "certificate_recursive.json": "f42a1ede0527a668fc668447515ad6489bae69f08a7e6452481d7b72ac6354f8",
         "certificate_refined.json": "a043de181a0a36900bfa0e07a2606333f694b53c4ae1eca04c32600f644160ef",
-        "run_meta.json": "02c8635809710bb2a41abc84bf086411156ad43bf4249c91ad10b15c4998f69c",
+        "run_meta.json": "59e7d1804a441f90bcf671eea09d969bef901301f521789a0e717769fc84a771",
     }),
-    "split_train": (["train"], SPLIT, {
-        "certificate.json": "75cc0b85373518c1740aa4f1bd737fe11f480dd0eff2f7bdbf07ec0ade0a4639",
-        "run_meta.json": "67ab7efabad06389b4ed7196031a1cd905e56936870257b4930c04d83be16596",
-        "trace.csv": "881b8030024ff78757f0a0bf69f9b32e33ee0294e791b87f5101a2435856f554",
+    "sample_norms_train": (["train"], SAMPLE_NORMS, {
+        "certificate.json": "9f015d36b969235a12bf9b26ae5501e5bf953e4dc27a5132c1bc2a27fd7078e4",
+        "run_meta.json": "30d0f4cdd35eb8a62766402159fbea436bbaf5d5255571f63b93dfc094b59d68",
+        "trace.csv": "8b20b5226dd89e3c082d81ed62683686780d2cc59777d75bde25e7b03e78d844",
     }),
     "moments_affine_certify": (["certify"], MOMENTS_AFFINE, {
         "certificate_recursive.json": "868c739659d538858297b65bb592df917d7e6ec683d0249dc6763c4c7b50b5eb",
@@ -229,6 +229,13 @@ OVERFLOW_PINS = {
         "stdout": "89fa5c1742c1fec7712f008ca490e739a7ca3b272be4dd49747489031f5ca8ec",
     }),
 }
+
+
+LAYER_BUDGETS_ERROR = (
+    "bounds.layer_budgets is not supported: a fixed split covers only the product"
+    " of its layer balls, not the b_omega ball; a refine section bounds the"
+    " supremum over all splits"
+)
 
 
 def counted_recursions(monkeypatch) -> list:
@@ -323,28 +330,6 @@ class TestCertify:
         name = "certificate_refined.json"
         assert (runs["plain"] / name).read_bytes() == (runs["seeded"] / name).read_bytes()
 
-    def test_whole_ball_certificates_ignore_layer_budgets(self, tmp_path):
-        # the closed-form and refined certificates cover the whole b_omega
-        # ball, so a split in bounds.layer_budgets must not shrink the output
-        # bound in their squared-error envelope
-        doc = {
-            "name": "split",
-            "architecture": {"widths": [2, 3, 1], "activations": ["tanh"]},
-            "bounds": {"b_omega": 1.0, "sample_norms": [1.0]},
-            "loss": {"kind": "squared_error", "target_bound": 1.0},
-            "refine": {"restarts": 1, "iters": 4},
-        }
-        split = {**doc, "bounds": {**doc["bounds"], "layer_budgets": [0.99, 0.1]}}
-        outs = []
-        for label, d in (("ball", doc), ("split", split)):
-            outs.append(tmp_path / label)
-            assert cli.main(["certify", "--config", write_cfg(tmp_path, d, f"{label}.json"),
-                             "--out", str(outs[-1])]) == 0
-        for name in ("certificate_closed_form.json", "certificate_refined.json"):
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-        rec = [json.loads((o / "certificate_recursive.json").read_text()) for o in outs]
-        assert rec[1]["l_grad_phi"] < rec[0]["l_grad_phi"]
-
     @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
     def test_squared_error_reports_are_pinned(self, tmp_path, name):
         argv, doc, digests = PINNED_REPORTS[name]
@@ -362,16 +347,13 @@ class TestCertify:
         got["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert got == digests
 
-    @pytest.mark.parametrize("budgets", [None, [0.99, 0.1]], ids=["uniform", "split"])
-    def test_one_recursion_set_per_certify_run(self, tmp_path, monkeypatch, budgets):
+    def test_one_recursion_set_per_certify_run(self, tmp_path, monkeypatch):
         # the squared-error envelope comes from the certificates' own
         # recursions, so resolving the loss adds none
-        doc = json.loads((Path(__file__).parents[1] / "configs" / "tanh_231.json").read_text())
-        if budgets is not None:
-            doc["bounds"]["layer_budgets"] = budgets
+        config = Path(__file__).parents[1] / "configs" / "tanh_231.json"
         calls = counted_recursions(monkeypatch)
         out = tmp_path / "out"
-        assert cli.main(["certify", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+        assert cli.main(["certify", "--config", str(config), "--out", str(out)]) == 0
         assert len(calls) == 190
 
     def test_target_bound_never_undercuts_the_data(self, tmp_path):
@@ -583,7 +565,7 @@ class TestConfigErrors:
             ),
             (
                 {**MOMENTS, "bounds": {**MOMENTS["bounds"], "layer_budgets": [0.6, 0.8]}},
-                "bounds: moment mode is defined for the uniform budget only",
+                LAYER_BUDGETS_ERROR,
             ),
         ],
         ids=["smoothed_relu", "layer_budgets"],
@@ -591,11 +573,54 @@ class TestConfigErrors:
     def test_bad_moment_mode_fails_before_any_recursion(self, tmp_path, capsys, monkeypatch, doc, message):
         self.assert_fails_before_any_recursion(tmp_path, capsys, monkeypatch, doc, message)
 
+    @pytest.mark.parametrize("command", ["certify", "verify", "train"])
+    def test_layer_budgets_fail_before_any_recursion(self, tmp_path, capsys, monkeypatch, command):
+        # the recursion at a fixed split covers only the product of its layer
+        # balls, which a directed pair inside the b_omega ball can beat
+        # (test_bounds.py, test_fixed_split_is_beaten_inside_the_ball)
+        argv, doc = COMMAND_RUNS[command]
+        doc = {**doc, "bounds": {**doc["bounds"], "layer_budgets": [0.99, 0.1]}}
+        self.assert_fails_before_any_recursion(
+            tmp_path, capsys, monkeypatch, doc, LAYER_BUDGETS_ERROR, argv
+        )
+
+    @pytest.mark.parametrize(
+        "algorithm, key, value, message",
+        [
+            ("gd", "shrink", 0.0, "shrink must lie in (0, 1]"),
+            ("gd", "shrink", 2.0, "shrink must lie in (0, 1]"),
+            ("adagrad_norm", "batch_size", 0, "batch_size must be positive"),
+            ("adagrad_norm", "eps_margin", -1.0, "eps_margin must be positive"),
+            ("adagrad_norm", "eps_exponent", -1.0, "eps_exponent must be nonnegative"),
+        ],
+        ids=["gd-shrink-0", "gd-shrink-2", "batch_size", "eps_margin", "eps_exponent"],
+    )
+    def test_bad_train_key_fails_before_any_recursion(
+        self, tmp_path, capsys, monkeypatch, algorithm, key, value, message
+    ):
+        argv, doc = COMMAND_RUNS["train"]
+        doc = {**doc, "train": {**doc["train"], "algorithm": algorithm, key: value}}
+        self.assert_fails_before_any_recursion(
+            tmp_path, capsys, monkeypatch, doc, f"train: {message}", argv
+        )
+
+    def test_gd_ignores_the_adagrad_keys(self, tmp_path):
+        argv, doc = COMMAND_RUNS["train"]
+        ignored = {"batch_size": 0, "eps_margin": -1.0, "eps_exponent": -1.0}
+        bad = {**doc, "train": {**doc["train"], **ignored}}
+        outs = []
+        for label, d in (("plain", doc), ("bad", bad)):
+            outs.append(tmp_path / label)
+            cfg = write_cfg(tmp_path, d, f"{label}.json")
+            assert cli.main([*argv, "--config", cfg, "--out", str(outs[-1])]) == 0
+        for name in ("trace.csv", "certificate.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     @staticmethod
-    def assert_fails_before_any_recursion(tmp_path, capsys, monkeypatch, doc, message):
+    def assert_fails_before_any_recursion(tmp_path, capsys, monkeypatch, doc, message, argv=("certify",)):
         calls = counted_recursions(monkeypatch)
         out = tmp_path / "out"
-        assert cli.main(["certify", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+        assert cli.main([*argv, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not any(out.iterdir())
         assert calls == []
