@@ -3,8 +3,9 @@
 Every command reads one JSON config, writes machine-readable reports into
 --out (JSON for certificates, CSV for tables) plus a run_meta.json embedding
 the resolved config and its digest, and prints a short human table.  Outputs
-contain no timestamps or environment state, so a rerun with the same config,
-seed and --threads 1 is byte-identical.
+contain no timestamps or environment state, so a rerun with the same config
+and seed is byte-identical.  All computation is single-threaded; --threads
+has no effect.
 
 Exit codes: 0 ok, 2 config/usage error, 3 certificate overflowed to infinity
 without --allow-inf, 4 soundness or equivalence violation (the falsification
@@ -714,7 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None, help="override the config seed")
     common.add_argument(
         "--threads", type=int, default=1,
-        help="worker cap; computation is sequential, 1 guarantees bit-reproducibility",
+        help="no effect: all computation is single-threaded, and every value gives the same bytes",
     )
     common.add_argument(
         "--allow-inf", action="store_true",

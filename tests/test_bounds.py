@@ -152,12 +152,14 @@ def reference_layer_step(prev, env_, width_out, budget):
     return LayerBounds(l_chi, l_grad_chi, b_chi, alpha, beta)
 
 
+def same_float_bits(x: float, y: float) -> bool:
+    """Equal, the sign of zero included (nan matches nan)."""
+    return (x == y and math.copysign(1.0, x) == math.copysign(1.0, y)) or (x != x and y != y)
+
+
 def same_bits(a: LayerBounds, b: LayerBounds) -> bool:
-    """Field by field equal, the sign of zero included (nan matches nan)."""
-    return all(
-        (x == y and math.copysign(1.0, x) == math.copysign(1.0, y)) or (x != x and y != y)
-        for x, y in zip(dataclasses.astuple(a), dataclasses.astuple(b))
-    )
+    """Field by field same_float_bits."""
+    return all(map(same_float_bits, dataclasses.astuple(a), dataclasses.astuple(b)))
 
 
 GRID = (0.0, 5e-324, 1e-3, 1.0, 7.3, 1e154, 1.4e154, 1e300, math.inf)
@@ -227,6 +229,82 @@ class TestLayerStepBits:
         want = _network_bounds(arch, budgets, 2.0)
         for a, b in zip((*got.per_layer, got.final), (*want.per_layer, want.final)):
             assert same_bits(a, b)
+
+
+def assert_rows_match_scalar(arch, budgets, norms, loss):
+    """The array recursion and head step against _network_bounds plus the head
+    layer_step, row by row: last hidden (l_n, l_grad_n, b_n), head (l_n, l_grad_n)."""
+    hidden = bounds._last_hidden_rows(arch, budgets, np.array(norms))
+    heads = bounds._layer_step_rows(*hidden, loss, 1, budgets[-1])
+    for i, s in enumerate(norms):
+        h = _network_bounds(arch, budgets, s).last_hidden
+        head_ = layer_step(h, loss, 1, budgets[-1])
+        want = (h.l_n, h.l_grad_n, h.b_n, head_.l_n, head_.l_grad_n)
+        got = tuple(float(r[i]) for r in (*hidden, *heads))
+        assert all(map(same_float_bits, got, want)), (s, budgets, got, want)
+
+
+ALL_KINDS = (
+    tanh(), sigmoid(), smoothed_relu(0.3), make_activation("saturated_linear", c=1.5, r_sat=2.0)
+)
+
+
+class TestSampleNormArrays:
+    """The recursion over an array of sample norms against the scalar one, bit for bit."""
+
+    # zeros of both signs, repeats, and norms whose squares overflow next to
+    # ordinary ones
+    EDGE_NORMS = (0.0, -0.0, 0.0, 1.0, 1.0, 1e-300, 1e154, 1.4e154, 1e200, 1.7e308)
+
+    @pytest.mark.parametrize("kind", range(len(ALL_KINDS)), ids=lambda k: ALL_KINDS[k].envelope.kind)
+    def test_random_budget_vectors(self, kind):
+        rng = np.random.default_rng(20 + kind)
+        for trial in range(12):
+            m = 1 + trial % 4
+            # the kind under test in every layer on even trials, mixed on odd ones
+            acts = tuple(
+                ALL_KINDS[kind if trial % 2 == 0 else int(rng.integers(len(ALL_KINDS)))]
+                for _ in range(m)
+            )
+            widths = tuple(int(w) for w in rng.integers(1, 9, size=m + 2))
+            arch = ArchitectureSpec(widths=widths, activations=acts)
+            scale = (1.0, 1e40, 1e80)[trial % 3]
+            budgets = tuple(float(b) for b in scale * rng.uniform(0.0, 1.0, m + 1))
+            if trial % 4 == 3:
+                budgets = (0.0,) + budgets[1:]
+            norms = (*self.EDGE_NORMS, *(float(s) for s in 10.0 ** rng.uniform(-3.0, 3.0, 20)))
+            c1, c2 = (float(c) for c in 10.0 ** rng.uniform(-2.0, 2.0, 2))
+            assert_rows_match_scalar(arch, budgets, norms, LossEnvelope(c1, c2))
+
+    @pytest.mark.parametrize("kind", ["identity", "activation", "loss"])
+    def test_grid_rows(self, kind):
+        # TestLayerStepBits's grid, one array of every (l_n, l_grad_n, b_n) per step
+        prev = [LayerBounds(*p, 0.0, 0.0) for p in itertools.product(GRID, GRID, GRID)]
+        l1, l2, b1 = (np.array(col) for col in zip(*(dataclasses.astuple(p)[:3] for p in prev)))
+        for i, (d, width) in enumerate(itertools.product((*GRID, -0.0), (1, 3, 64))):
+            h = head(kind, i)
+            rows = bounds._layer_step_rows(l1, l2, b1, h, width, d)
+            for j, p in enumerate(prev):
+                want = layer_step(p, h, width, d)
+                assert same_float_bits(rows[0][j], want.l_n), (p, d, width, h)
+                assert same_float_bits(rows[1][j], want.l_grad_n), (p, d, width, h)
+
+    def test_zero_budget_against_an_inf_bound(self):
+        # a smoothed ramp carries the overflowed input norms' inf output
+        # bound into a layer of budget 0, where _prod's zero must win
+        arch = ArchitectureSpec(widths=(2, 3, 4, 1), activations=(smoothed_relu(0.5), tanh()))
+        budgets, norms = (1.0, 0.0, 1.0), (1e200, 0.5, 1e160, 2.0, 0.0)
+        assert_rows_match_scalar(arch, budgets, norms, LossEnvelope(1.0, 1.0))
+        _, l_grad_n, _ = bounds._last_hidden_rows(arch, budgets, np.array(norms))
+        assert not np.isnan(l_grad_n).any()
+
+    def test_overflowing_rows_next_to_finite_rows(self):
+        arch = ArchitectureSpec(widths=(3, 6, 5, 4, 2), activations=ALL_KINDS[:3])
+        norms = (0.5, 1e200, 1.0, 1e300, 2.0)
+        for budgets in ((1.0,) * 4, (1e100, 1.0, 1e100, 1.0), (0.5, 1e160, 0.0, 2.0)):
+            assert_rows_match_scalar(arch, budgets, norms, LossEnvelope(1.0, 7.3))
+        hidden = bounds._last_hidden_rows(arch, (1.0,) * 4, np.array(norms))
+        assert np.isinf(hidden[0][[1, 3]]).all() and np.isfinite(hidden[0][[0, 2, 4]]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +493,45 @@ class TestLossCertificate:
         arch = ArchitectureSpec(widths=(2, 3, 1), activations=(tanh(),))
         build(arch, BoundInputs(b_omega=1.0), loss, dataset_norms=(1.0, 0.5, 1.0))
         assert sorted(calls) == [0.5, 1.0]
+
+    def test_many_norms_take_one_scalar_recursion(self, monkeypatch):
+        # from _ARRAY_MIN_NORMS distinct norms on, the scalar recursion runs
+        # at the largest norm only, for the per-layer table and output bound
+        calls = []
+
+        def counted(arch, budgets, s):
+            calls.append(s)
+            return network_bounds(arch, budgets, s)
+
+        network_bounds = bounds._network_bounds
+        monkeypatch.setattr(bounds, "_network_bounds", counted)
+        arch = ArchitectureSpec(widths=(2, 3, 4, 1), activations=(tanh(), smoothed_relu(0.5)))
+        norms = [0.1 * (k + 1) for k in range(bounds._ARRAY_MIN_NORMS)] + [0.3, 0.2]
+        for loss in (LossEnvelope(1.0, 1.0), None):
+            calls.clear()
+            loss_certificate(arch, BoundInputs(b_omega=1.0), loss, dataset_norms=norms)
+            assert calls == [max(norms)]
+
+    @pytest.mark.parametrize("b_omega, huge", [(1.0, ()), (1.0, (1e200,)), (1e40, ())])
+    def test_array_path_matches_the_per_norm_path(self, monkeypatch, b_omega, huge):
+        rng = np.random.default_rng(8)
+        arch = ArchitectureSpec(
+            widths=(3, 5, 4, 6, 2), activations=(tanh(), smoothed_relu(0.5), sigmoid())
+        )
+        norms = [*(float(s) for s in rng.uniform(0.0, 2.0, 12)), 0.0, -0.0, 1.5, 1.5, *huge]
+        inputs = BoundInputs(b_omega=b_omega)
+        builds = (
+            lambda loss: loss_certificate(arch, inputs, loss, norms),
+            lambda loss: refine_over_layer_budgets(
+                arch, inputs, loss, norms, RefinementSearch(restarts=1, iters=6)
+            ),
+        )
+        losses = (LossEnvelope(1.0, 1.0), partial(loss_head_envelopes, SquaredError(), 2, target_bound=1.0))
+        got = [build(loss) for build in builds for loss in losses]
+        monkeypatch.setattr(bounds, "_ARRAY_MIN_NORMS", math.inf)
+        want = [build(loss) for build in builds for loss in losses]
+        assert got == want
+        assert [math.isfinite(c.l_phi) for c in got] == [not huge] * 4
 
     @pytest.mark.parametrize(
         "build, inputs",
@@ -744,6 +861,27 @@ class TestRefinement:
                 RefinementSearch(restarts=1, iters=iters),
             )
             assert calls and max(calls.values()) == 1
+
+    def test_many_norms_take_one_scalar_recursion_per_budget_vector(self, monkeypatch):
+        # the other norms' loss averages come from one array recursion
+        calls = Counter()
+
+        def counted(arch, budgets, s):
+            calls[tuple(budgets)] += 1
+            assert s == max(norms)
+            return network_bounds(arch, budgets, s)
+
+        network_bounds = bounds._network_bounds
+        monkeypatch.setattr(bounds, "_network_bounds", counted)
+        arch = ArchitectureSpec(
+            widths=(3, 5, 4, 6, 2), activations=(tanh(), smoothed_relu(0.5), sigmoid())
+        )
+        norms = [0.25 * (k + 1) for k in range(bounds._ARRAY_MIN_NORMS)] + [0.5]
+        refine_over_layer_budgets(
+            arch, BoundInputs(b_omega=1.5), LossEnvelope(1.0, 1.0), norms,
+            RefinementSearch(restarts=1, iters=30),
+        )
+        assert len(calls) > 30 and set(calls.values()) == {1}
 
     def test_memo_drops_the_smaller_norms(self, monkeypatch):
         # recursions at the smaller sample norms are dropped once their loss

@@ -231,6 +231,73 @@ OVERFLOW_PINS = {
 }
 
 
+# 20 CSV rows with 13 distinct input norms through three hidden layers, and
+# synthetic sets of 24 samples: enough distinct norms for the array
+# recursion over sample norms
+MANY_NORMS_CSV = "".join(
+    f"{(i % 7 - 3) / 4},{(3 * i % 11 - 5) / 8},{(i % 5 - 2) / 2}\n" for i in range(20)
+)
+MANY_NORMS = {
+    "name": "many-norms",
+    "seed": 5,
+    "architecture": {
+        "widths": [2, 5, 4, 3, 1],
+        "activations": ["tanh", {"kind": "smoothed_relu", "delta": 0.5}, "sigmoid"],
+    },
+    "bounds": {"b_omega": 1.5},
+    "loss": {"kind": "squared_error", "target_bound": 1.0},
+    "refine": {"restarts": 1, "iters": 4},
+    "dataset": {"path": "data.csv"},
+}
+MANY_NORMS_TRAIN = {
+    "name": "many-norms-train",
+    "seed": 5,
+    "architecture": {"widths": [3, 6, 4, 2], "activations": ["tanh", "sigmoid"]},
+    "bounds": {"b_omega": 1.0},
+    "loss": {"kind": "squared_error", "target_bound": 1.0},
+    "train": {
+        "steps": 6,
+        "synthetic": {"n_samples": 24, "input_norm": 1.5, "target_norm": 1.0, "seed": 9},
+    },
+}
+# sha256 of every report and of the printed table, pinned byte for byte
+MANY_NORMS_PINS = {
+    "certify": (["certify", "--allow-inf"], MANY_NORMS, {
+        "certificate_closed_form.json": "46edcdf05c4b99a37d839306e50a28d0ffb69d751bc8555b2e8ba7239105feb1",
+        "certificate_recursive.json": "1c656dc3f557de38c943bfe9b0a85bdb59455608e00a9077c676ee78cff9f4f2",
+        "certificate_refined.json": "3994d98ca2b4f3441ec10ef4935dd4b16529d795d41e4e6865707fc70a914b5d",
+        "run_meta.json": "473bdd6892541a481f9c4947b14da3b96e4ed12ccc1d29502f8f914f2d52c95c",
+        "stdout": "065fc910fe7bfc38406f0fcc0201280bc7a52d33d9dbcaee13826251d05d90f3",
+    }),
+    "certify_pseudo_huber_1e40": (["certify", "--allow-inf"], {
+        **MANY_NORMS,
+        "bounds": {"b_omega": 1e40},
+        "loss": {"kind": "pseudo_huber", "delta": 1.0},
+    }, {
+        "certificate_closed_form.json": "ac438d4e6d94aaf65d7e057178a0ed58b9e27184abacb40755281841f8ffaa0a",
+        "certificate_recursive.json": "38cded62f752d58e69d3bb99cc8ea819a5cd89b962e51a4d9e4f4f0f7682f3ef",
+        "certificate_refined.json": "594dd85693b7908e3641d2bf4ef6e8b0848472ef7591cc07c6778f04e9056e09",
+        "run_meta.json": "8993af7ba1922db3608b52410cc3f878b7be64e6fba469abfc8e2ccbead7fbd2",
+        "stdout": "1981c3101efe143efcb0823a0be25ad4bf08cb2a13919b9cc520583d2be59d6c",
+    }),
+    "train_gd": (["train"], MANY_NORMS_TRAIN, {
+        "certificate.json": "3e627e2703946304b73cb1c2bbcf8eecadf00a9118c89525bfced65d9cf9df71",
+        "run_meta.json": "82a9f46caa55f9d631da613ecd691afea282e02a18ef48cf372269fa0c18f983",
+        "trace.csv": "0d88e4039f3c67eb46d2e50f0a001b3cc1a1c00532ba29d4bfdf2869ba7b3974",
+        "stdout": "f8e7ccfb90b1952d2ee9543b4c1364955810f748788d19ff77f1ed655a3773f8",
+    }),
+    "train_adagrad_norm": (["train"], {
+        **MANY_NORMS_TRAIN,
+        "train": {**MANY_NORMS_TRAIN["train"], "algorithm": "adagrad_norm", "batch_size": 8},
+    }, {
+        "certificate.json": "3e627e2703946304b73cb1c2bbcf8eecadf00a9118c89525bfced65d9cf9df71",
+        "run_meta.json": "54fbe354583f8209c5d20178d5a6c2cd44f9e90ac548204fc89757a2ab665eea",
+        "trace.csv": "372f2b3f81f6b331a2f087ed7ffc9ff56be19a3b510ca6dad1deae26793feaf2",
+        "stdout": "d71fb58d79f12b90a9f4ecb9fc153eb0f25f2b9c8924182c8555e0d3ab8292bf",
+    }),
+}
+
+
 LAYER_BUDGETS_ERROR = (
     "bounds.layer_budgets is not supported: a fixed split covers only the product"
     " of its layer balls, not the b_omega ball; a refine section bounds the"
@@ -343,6 +410,17 @@ class TestCertify:
         out = tmp_path / "out"
         argv = ["certify", "--allow-inf", "--config", write_cfg(tmp_path, doc), "--out", str(out)]
         assert cli.main(argv) == 0
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        got["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert got == digests
+
+    @pytest.mark.parametrize("name", sorted(MANY_NORMS_PINS))
+    def test_many_norm_reports_are_pinned(self, tmp_path, capsys, monkeypatch, name):
+        argv, doc, digests = MANY_NORMS_PINS[name]
+        monkeypatch.chdir(tmp_path)  # the dataset path is relative, so run_meta is too
+        (tmp_path / "data.csv").write_text(MANY_NORMS_CSV)
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
         got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
         got["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert got == digests
@@ -470,6 +548,14 @@ class TestConfigErrors:
     def test_threads_must_be_positive(self, tmp_path):
         cfg = write_cfg(tmp_path, TRIVIAL)
         assert cli.main(["certify", "--config", cfg, "--threads", "0"]) == 2
+
+    def test_threads_has_no_effect(self, tmp_path):
+        # every computation is single-threaded: any worker cap writes the same bytes
+        cfg = write_cfg(tmp_path, FULL)
+        for n in ("1", "4"):
+            assert cli.main(["certify", "--config", cfg, "--out", str(tmp_path / n), "--threads", n]) == 0
+        for p in (tmp_path / "1").iterdir():
+            assert p.read_bytes() == (tmp_path / "4" / p.name).read_bytes()
 
     @pytest.mark.parametrize("command", [["certify"], ["train"], ["code", "certify"]])
     def test_nonpositive_pseudo_huber_delta(self, tmp_path, command):
