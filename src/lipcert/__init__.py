@@ -89,13 +89,11 @@ from .network import (
     init_params,
     layer_slices,
     load_dataset_csv,
-    load_params,
     loss_head_envelopes,
     param_jacobian,
     param_norm,
     project_to_ball,
     sample_in_ball,
-    save_params,
     unflatten_params,
 )
 from .training import (

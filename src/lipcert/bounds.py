@@ -595,20 +595,21 @@ def _sample_averages(
 ) -> tuple[NetworkBounds, LossEnvelope | None, tuple[float | None, float | None]]:
     """Bounds at the largest norm, the loss envelope there and the _head_averages.
 
-    bounds_at(s) runs once per distinct norm; without a loss the means are
-    None.  Given rows_at (_last_hidden_rows at the same budgets) and at least
+    bounds_at(s) runs once per distinct norm, the largest first; without a
+    loss it runs at the largest norm only and the means are None.  Given
+    rows_at (_last_hidden_rows at the same budgets) and at least
     _ARRAY_MIN_NORMS distinct norms, bounds_at runs at the largest norm only,
     and one array recursion and head step over the distinct norms give the
     same means: math.fsum is correctly rounded, so its order does not matter.
     """
-    distinct = dict.fromkeys(norms)
-    by_rows = rows_at is not None and len(distinct) >= _ARRAY_MIN_NORMS
-    nbs = {s: bounds_at(s) for s in ([max(norms)] if by_rows else distinct)}
-    nb_max = nbs[max(norms)]
+    s_max = max(norms)
+    nb_max = bounds_at(s_max)
     env = _loss_at(loss, d_head, nb_max)
     if env is None:
         return nb_max, None, (None, None)
-    if not by_rows:
+    distinct = dict.fromkeys(norms)
+    if rows_at is None or len(distinct) < _ARRAY_MIN_NORMS:
+        nbs = {s: nb_max if s == s_max else bounds_at(s) for s in distinct}
         return nb_max, env, _head_averages(env, d_head, [nbs[s].last_hidden for s in norms])
     heads = _layer_step_rows(*rows_at(np.array(list(distinct))), env, 1, d_head)
     index = {s: i for i, s in enumerate(distinct)}
@@ -1001,6 +1002,8 @@ def refine_over_layer_budgets(
         raise ValueError("budget refinement needs explicit sample norms")
     if arch.m < 1:
         raise ValueError("budget refinement needs at least one hidden layer")
+    if loss is None:
+        raise ValueError("budget refinement needs a loss: it searches the loss constants")
     b = inputs.b_omega
     s_max = max(norms)
     d_uniform = inputs.budgets_for(arch)

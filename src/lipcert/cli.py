@@ -91,6 +91,7 @@ SOUNDNESS_HEADER = (
     "config_id", "constant_name", "certificate", "empirical", "ratio",
     "n_pairs", "seed",
 )
+TRACE_HEADER = ("step", "phi", "grad_norm", "step_size", "param_norm", "descent_ok")
 
 log = logging.getLogger("lipcert")
 
@@ -442,8 +443,13 @@ def cmd_train(cfg: dict, args, out: Path) -> int:
     except ValueError as exc:
         raise ConfigError(f"train: {exc}") from exc
 
+    rows = [
+        (st.step, st.phi, st.grad_norm, st.step_size, st.param_norm,
+         "na" if st.descent_ok is None else ("1" if st.descent_ok else "0"))
+        for st in trace.steps
+    ]
     _write_reports("train", cfg, args, out, {
-        "trace.csv": trace.to_csv,
+        "trace.csv": partial(write_csv, header=TRACE_HEADER, rows=rows),
         "certificate.json": partial(write_json, obj=certificate_to_dict(cert)),
     })
 

@@ -17,7 +17,6 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -241,17 +240,6 @@ class Trajectory:
         if idx < 0:
             raise ValueError("t precedes the trajectory start")
         return self.states[idx]
-
-    def to_csv(self, path: str | Path) -> None:
-        from .config import write_csv  # config imports this module
-
-        header = ["t"] + [f"x_{i}" for i in range(self.states.shape[1])]
-        rows = [[float(t)] + [float(v) for v in row] for t, row in zip(self.times, self.states)]
-        if self.first_variation is not None:
-            header.append("first_variation_fro")
-            for row, fv in zip(rows, self.first_variation):
-                row.append(float(np.linalg.norm(fv)))
-        write_csv(path, header, rows)
 
 
 def _as_field_list(

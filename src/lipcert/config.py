@@ -18,6 +18,8 @@ import stat
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
+import numpy as np
+
 from .activations import Activation, make_activation
 from .bounds import (
     ArchitectureSpec,
@@ -28,7 +30,14 @@ from .bounds import (
     SampleMoments,
 )
 from .code_net import CodeCertificate, Control, FieldEnvelopes
-from .network import PseudoHuber, Sample, SquaredError, loss_head_envelopes
+from .network import (
+    PseudoHuber,
+    Sample,
+    SquaredError,
+    load_dataset_csv,
+    loss_head_envelopes,
+    sample_in_ball,
+)
 
 __all__ = [
     "ConfigError",
@@ -384,9 +393,6 @@ def samples_from_config(
     cfg: dict, arch: ArchitectureSpec
 ) -> tuple[tuple[Sample, ...], float | None]:
     """Load or synthesize the training set; returns (samples, target_bound)."""
-    from .network import load_dataset_csv, sample_in_ball  # cycle-free, lazy for clarity
-    import numpy as np
-
     ds = section(cfg, "dataset", required=False)
     if ds is not None:
         path = get(ds, "path", str, where="dataset")

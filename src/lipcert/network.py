@@ -11,7 +11,6 @@ is numerically differentiated.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,8 +36,6 @@ __all__ = [
     "loss_head_envelopes",
     "param_jacobian",
     "param_norm",
-    "params_from_json",
-    "params_to_json",
     "project_to_ball",
     "sample_in_ball",
     "unflatten_params",
@@ -344,36 +341,7 @@ def loss_head_envelopes(
 
 
 # ---------------------------------------------------------------------------
-# serialization
-
-
-def params_to_json(params: Params) -> dict:
-    return {
-        "format": "dense-layers-v1",
-        "layers": [
-            {"weight": w.tolist(), "bias": b.tolist()} for w, b in params.layers
-        ],
-    }
-
-
-def params_from_json(doc: dict) -> Params:
-    if doc.get("format") != "dense-layers-v1":
-        raise ValueError("unrecognized parameter document format")
-    layers = tuple(
-        (np.asarray(l["weight"], dtype=float), np.asarray(l["bias"], dtype=float))
-        for l in doc["layers"]
-    )
-    return Params(layers)
-
-
-def save_params(params: Params, path: str | Path) -> None:
-    from .config import replace_text  # config imports this module
-
-    replace_text(path, json.dumps(params_to_json(params), indent=1) + "\n")
-
-
-def load_params(path: str | Path) -> Params:
-    return params_from_json(json.loads(Path(path).read_text()))
+# datasets
 
 
 def load_dataset_csv(

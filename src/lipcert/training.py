@@ -17,13 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
 from .bounds import ArchitectureSpec, check_adagrad_condition
-from .config import write_csv
 from .network import Sample, batch_backward, batch_forward, project_to_ball
 
 __all__ = [
@@ -148,33 +146,6 @@ class TrainTrace:
             cur = min(cur, s.grad_norm)
             out.append(cur)
         return out
-
-    def rate_curve(self) -> list[float]:
-        """sqrt(2 L (phi_0 - phi_best)) / sqrt(j + 1), best-seen phi as proxy.
-
-        Reported for plotting only; the proxy makes the curve conservative
-        and it is never asserted against.
-        """
-        if self.l_grad_phi is None or not self.steps:
-            return []
-        phi0 = self.steps[0].phi
-        best = min(min(s.phi for s in self.steps), self.final_phi)
-        gap = max(0.0, phi0 - best)
-        return [
-            math.sqrt(2.0 * self.l_grad_phi * gap) / math.sqrt(j + 1.0)
-            for j in range(len(self.steps))
-        ]
-
-    def to_csv(self, path: str | Path) -> None:
-        write_csv(
-            path,
-            ("step", "phi", "grad_norm", "step_size", "param_norm", "descent_ok"),
-            [
-                (s.step, s.phi, s.grad_norm, s.step_size, s.param_norm,
-                 "na" if s.descent_ok is None else ("1" if s.descent_ok else "0"))
-                for s in self.steps
-            ],
-        )
 
 
 def _descend(

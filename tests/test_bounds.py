@@ -481,7 +481,8 @@ class TestLossCertificate:
     @pytest.mark.parametrize("loss", [LossEnvelope(1.0, 1.0), None])
     @pytest.mark.parametrize("build", [loss_certificate, closed_form_certificate])
     def test_one_recursion_per_sample_norm(self, monkeypatch, build, loss):
-        # the largest norm's recursion is the one its average already took
+        # the largest norm's recursion is the one its average already took;
+        # without a loss no average is taken, and only that recursion runs
         calls = []
 
         def counted(arch, budgets, s):
@@ -492,7 +493,7 @@ class TestLossCertificate:
         monkeypatch.setattr(bounds, "_network_bounds", counted)
         arch = ArchitectureSpec(widths=(2, 3, 1), activations=(tanh(),))
         build(arch, BoundInputs(b_omega=1.0), loss, dataset_norms=(1.0, 0.5, 1.0))
-        assert sorted(calls) == [0.5, 1.0]
+        assert sorted(calls) == ([1.0] if loss is None else [0.5, 1.0])
 
     def test_many_norms_take_one_scalar_recursion(self, monkeypatch):
         # from _ARRAY_MIN_NORMS distinct norms on, the scalar recursion runs
@@ -773,6 +774,20 @@ class TestRefinement:
             refine_over_layer_budgets(
                 arch, BoundInputs(b_omega=1.0), LossEnvelope(1.0, 1.0), [1.0]
             )
+
+    def test_missing_loss_rejected_before_any_recursion(self, monkeypatch):
+        calls = []
+
+        def counted(arch, budgets, s):
+            calls.append(s)
+            return network_bounds(arch, budgets, s)
+
+        network_bounds = bounds._network_bounds
+        monkeypatch.setattr(bounds, "_network_bounds", counted)
+        arch = ArchitectureSpec(widths=(2, 3, 1), activations=(tanh(),))
+        with pytest.raises(ValueError, match="needs a loss"):
+            refine_over_layer_budgets(arch, BoundInputs(b_omega=1.0), None, [1.0, 0.5])
+        assert calls == []
 
     def test_constants_are_nondecreasing_in_every_budget(self):
         # the premise of the branch and bound: raising one layer's budget

@@ -876,6 +876,17 @@ class TestTrain:
         assert len(lines) == 51
         assert all(r.split(",")[5] in {"1", "na"} for r in lines[1:])
 
+    def test_projected_steps_marked_na(self, tmp_path):
+        # in a small ball, with the start near its sphere, steps leave it
+        doc = dict(FULL)
+        doc["bounds"] = {"b_omega": 0.1}
+        doc["train"] = dict(FULL["train"], steps=20, radius_fraction=0.999)
+        cfg = write_cfg(tmp_path, doc)
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 0
+        body = (out / "trace.csv").read_text().strip().split("\n")[1:]
+        assert any(r.endswith(",na") for r in body)
+
     def test_unsound_manual_constant_exits_five(self, tmp_path):
         cfg = write_cfg(
             tmp_path,

@@ -558,25 +558,3 @@ class TestBatchedEnvelopeCheck:
                 for _ in range(50):
                     assert tp[a.integers(len(tp))] == b.choice(tp)
                 assert a.random() == b.random()
-
-
-class TestTrajectoryOutput:
-    def test_csv_includes_variation_column(self, tmp_path):
-        field = linear_scalar_field()
-        traj = solve_first_variation(
-            field, UNIT_DENSITY, np.array([0.5]), np.array([1.0]), 10
-        )
-        path = tmp_path / "traj.csv"
-        traj.to_csv(path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0].split(",")[0] == "t"
-        assert "first_variation_fro" in lines[0]
-        assert len(lines) >= 11
-
-    def test_plain_csv_has_state_only(self, tmp_path):
-        field = linear_scalar_field()
-        traj = solve_code(field, UNIT_DENSITY, np.array([0.5]), np.array([1.0]), 10)
-        path = tmp_path / "traj.csv"
-        traj.to_csv(path)
-        header = path.read_text().split("\n")[0]
-        assert header == "t,x_0"

@@ -16,14 +16,12 @@ from lipcert import (
     init_params,
     layer_slices,
     load_dataset_csv,
-    load_params,
     loss_head_envelopes,
     make_activation,
     param_jacobian,
     param_norm,
     project_to_ball,
     sample_in_ball,
-    save_params,
     sigmoid,
     tanh,
     unflatten_params,
@@ -227,13 +225,6 @@ class TestLossHeads:
 
 
 class TestSerialization:
-    def test_params_json_roundtrip(self, tmp_path):
-        arch, params = small_net(seed=13)
-        path = tmp_path / "params.json"
-        save_params(params, path)
-        back = load_params(path)
-        np.testing.assert_array_equal(flatten_params(back), flatten_params(params))
-
     def test_dataset_csv_roundtrip(self, tmp_path):
         path = tmp_path / "data.csv"
         rows = [

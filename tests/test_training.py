@@ -191,33 +191,3 @@ class TestAdaGradNorm:
                 batch_size=8, steps=5, seed=0, b_omega=1.0,
                 l_grad_phi=cert.l_grad_phi,
             )
-
-
-class TestTrace:
-    def test_csv_layout(self, tmp_path):
-        objective, theta0, cert = tanh_problem()
-        trace = run_gd(objective, theta0, cert.l_grad_phi, steps=5, b_omega=1.0)
-        path = tmp_path / "trace.csv"
-        trace.to_csv(path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "step,phi,grad_norm,step_size,param_norm,descent_ok"
-        assert len(lines) == 6
-        first = lines[1].split(",")
-        assert first[0] == "0"
-        assert first[5] in {"1", "0", "na"}
-
-    def test_projected_steps_marked_na(self, tmp_path):
-        objective, theta0, cert = tanh_problem()
-        theta0 = theta0 / np.linalg.norm(theta0) * 0.0999
-        trace = run_gd(objective, theta0, cert.l_grad_phi, steps=20, b_omega=0.1)
-        path = tmp_path / "trace.csv"
-        trace.to_csv(path)
-        body = path.read_text().strip().split("\n")[1:]
-        assert any(row.endswith(",na") for row in body)
-
-    def test_rate_curve_shape(self):
-        objective, theta0, cert = tanh_problem()
-        trace = run_gd(objective, theta0, cert.l_grad_phi, steps=50, b_omega=1.0)
-        curve = trace.rate_curve()
-        assert len(curve) == 50
-        assert all(b <= a + 1e-15 for a, b in zip(curve, curve[1:]))
