@@ -38,6 +38,7 @@ from .bounds import (
     input_base,
     layer_step,
     loss_certificate,
+    moment_certificate,
     network_certificate,
     refine_over_layer_budgets,
 )

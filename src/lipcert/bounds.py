@@ -48,6 +48,7 @@ __all__ = [
     "SampleMoments",
     "check_adagrad_condition",
     "check_moment_mode",
+    "check_sample_norms",
     "closed_form_bounds",
     "closed_form_certificate",
     "closed_form_network_bounds",
@@ -57,18 +58,30 @@ __all__ = [
     "input_base",
     "layer_step",
     "loss_certificate",
+    "moment_certificate",
     "network_certificate",
     "refine_over_layer_budgets",
 ]
 
 
 def _prod(*xs: float) -> float:
-    """Product where an exact zero factor wins over inf (a dropped bound term)."""
-    return math.prod(xs, start=1.0) if all(xs) else 0.0
+    """Product where an exact zero factor wins over inf (a dropped bound term);
+    nonzero factors whose partial product underflows to 0 and then meets inf
+    give +inf, their exact product, not nan."""
+    p = math.prod(xs, start=1.0) if all(xs) else 0.0
+    return math.inf if p != p else p
 
 
 def _sq(x: float) -> float:
     return x * x
+
+
+def _fsum(xs) -> float:
+    """math.fsum of nonnegative terms, but +inf where they sum past the float range."""
+    try:
+        return math.fsum(xs)
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +173,19 @@ class SampleMoments:
         full_moments({2: self.e_s2, 4: self.e_s4})
 
 
+def check_sample_norms(norms: Sequence[float]) -> tuple[float, ...]:
+    """The norms as floats; ValueError unless they are nonempty, finite and nonnegative."""
+    norms = tuple(float(s) for s in norms)
+    if len(norms) == 0:
+        raise ValueError("sample_norms must be nonempty when given")
+    if any(s < 0 or not math.isfinite(s) for s in norms):
+        raise ValueError("sample norms must be finite and nonnegative")
+    return norms
+
+
 @dataclass(frozen=True)
 class BoundInputs:
-    """Parameter-domain description shared by all certificate routines.
+    """The parameter ball shared by all certificate routines.
 
     Every certificate built from it holds on the whole ball of radius
     b_omega: each layer's parameter block gets the full radius.  A fixed
@@ -171,17 +194,10 @@ class BoundInputs:
     """
 
     b_omega: float
-    sample_norms: tuple[float, ...] | None = None
-    moments: SampleMoments | None = None
 
     def __post_init__(self) -> None:
         if not (self.b_omega > 0 and math.isfinite(self.b_omega)):
             raise ValueError("b_omega must be a positive finite real")
-        if self.sample_norms is not None:
-            if len(self.sample_norms) == 0:
-                raise ValueError("sample_norms must be nonempty when given")
-            if any(s < 0 or not math.isfinite(s) for s in self.sample_norms):
-                raise ValueError("sample norms must be finite and nonnegative")
 
     def budgets_for(self, arch: ArchitectureSpec) -> tuple[float, ...]:
         return (self.b_omega,) * (arch.m + 1)
@@ -549,21 +565,8 @@ def _certificate_digest(
     return _digest(payload)
 
 
-def _resolve_norms(
-    inputs: BoundInputs, dataset_norms: Sequence[float] | None
-) -> tuple[tuple[float, ...] | None, SampleMoments | None]:
-    if dataset_norms is not None:
-        # BoundInputs validates them
-        inputs = replace(inputs, sample_norms=tuple(float(s) for s in dataset_norms))
-    if inputs.sample_norms is not None:
-        return inputs.sample_norms, None
-    if inputs.moments is not None:
-        return None, inputs.moments
-    raise ValueError("no sample norms or moments supplied")
-
-
 def _overflow_flags(*values: float | None) -> tuple[str, ...]:
-    return ("overflow",) if any(v is not None and math.isinf(v) for v in values) else ()
+    return ("overflow",) if any(v is not None and not math.isfinite(v) for v in values) else ()
 
 
 def _head_averages(
@@ -572,8 +575,8 @@ def _head_averages(
     """Dataset means of the per-sample loss constants (L_phi, L_grad_phi)."""
     heads = [layer_step(h, loss, 1, d_head) for h in hidden]
     return (
-        math.fsum(h.l_n for h in heads) / len(heads),
-        math.fsum(h.l_grad_n for h in heads) / len(heads),
+        _fsum(h.l_n for h in heads) / len(heads),
+        _fsum(h.l_grad_n for h in heads) / len(heads),
     )
 
 
@@ -614,7 +617,7 @@ def _sample_averages(
     heads = _layer_step_rows(*rows_at(np.array(list(distinct))), env, 1, d_head)
     index = {s: i for i, s in enumerate(distinct)}
     rows = [index[s] for s in norms]
-    return nb_max, env, tuple(math.fsum(h[rows].tolist()) / len(norms) for h in heads)
+    return nb_max, env, tuple(_fsum(h[rows].tolist()) / len(norms) for h in heads)
 
 
 def _averaged_certificate(
@@ -648,22 +651,16 @@ def loss_certificate(
     arch: ArchitectureSpec,
     inputs: BoundInputs,
     loss: LossInput,
-    dataset_norms: Sequence[float] | None = None,
+    dataset_norms: Sequence[float],
 ) -> Certificate:
     """Recursive certificate for the mean loss over a finite dataset.
 
-    With explicit sample norms the per-sample constants are averaged with
-    equal weights in dataset order; with loss None the certificate is the
-    network's alone, at the largest norm.  With SampleMoments instead, a
-    closed-form polynomial envelope in S^2 is integrated exactly (see
-    _moment_certificate).
+    The per-sample constants are averaged with equal weights in dataset
+    order; with loss None the certificate is the network's alone, at the
+    largest norm.  moment_certificate takes norm moments instead.
     """
-    norms, moments = _resolve_norms(inputs, dataset_norms)
+    norms = check_sample_norms(dataset_norms)
     budgets = inputs.budgets_for(arch)
-    if moments is not None:
-        if loss is None:
-            raise ValueError("moment mode needs a loss envelope")
-        return _moment_certificate(arch, inputs, loss, moments)
     bounds_at = functools.partial(_network_bounds, arch, budgets)
     rows_at = functools.partial(_last_hidden_rows, arch, budgets)
     averages = _sample_averages(loss, budgets[-1], norms, bounds_at, rows_at)
@@ -691,8 +688,7 @@ def closed_form_bounds(
     layers, so each entry dominates the corresponding recursive constant.
     Unbounded activations push sigma_max to +inf and the bounds saturate.
     """
-    b = inputs.b_omega
-    return _closed_forms(arch, _network_bounds(arch, (b,) * (arch.m + 1), s))
+    return _closed_forms(arch, network_certificate(arch, inputs, s))
 
 
 def _closed_forms(arch: ArchitectureSpec, nb: NetworkBounds) -> ClosedFormBounds:
@@ -773,7 +769,7 @@ def closed_form_certificate(
     arch: ArchitectureSpec,
     inputs: BoundInputs,
     loss: LossInput,
-    dataset_norms: Sequence[float] | None = None,
+    dataset_norms: Sequence[float],
 ) -> Certificate:
     """Certificate whose hidden-layer constants come from the closed forms.
 
@@ -781,9 +777,7 @@ def closed_form_certificate(
     closed-form layer constants, so every field dominates the recursive
     certificate's counterpart; with loss None it is the network's alone.
     """
-    norms, moments = _resolve_norms(inputs, dataset_norms)
-    if moments is not None:
-        raise ValueError("closed-form certificate needs explicit sample norms")
+    norms = check_sample_norms(dataset_norms)
     bounds_at = functools.partial(closed_form_network_bounds, arch, inputs)
     return _averaged_certificate(
         arch, inputs, norms, *_sample_averages(loss, inputs.b_omega, norms, bounds_at),
@@ -843,7 +837,7 @@ def check_moment_mode(arch: ArchitectureSpec) -> None:
         raise ValueError("moment mode requires bounded activations")
 
 
-def _moment_certificate(
+def moment_certificate(
     arch: ArchitectureSpec,
     inputs: BoundInputs,
     loss: LossInput,
@@ -855,33 +849,38 @@ def _moment_certificate(
     (loss level) and <= 2 (gradient level) with nonnegative coefficients.
     Fitting them exactly at t in {0, 1, 2} and integrating termwise against
     (E[S^2], E[S^4]) bounds E[L_phi^2] and E[L_grad_phi^2]; Jensen then
-    bounds the expectations themselves.
+    bounds the expectations themselves.  A level whose fit values or
+    integral are not finite certifies +inf.
 
     The per-layer table is evaluated at the reference norm sqrt(E[S^2]) and
     is informational in this mode; only l_phi / l_grad_phi / b_grad_phi are
     certified expectations.
     """
+    if loss is None:
+        raise ValueError("moment mode needs a loss envelope")
     check_moment_mode(arch)
     nb = _network_bounds(arch, inputs.budgets_for(arch), math.sqrt(moments.e_s2))
     loss = _loss_at(loss, nb.budgets[-1], nb)
     v0 = _poly_head_sq_constants(arch, inputs, loss, 0.0)
     v1 = _poly_head_sq_constants(arch, inputs, loss, 1.0)
     v2 = _poly_head_sq_constants(arch, inputs, loss, math.sqrt(2.0))
+    # the values are nonnegative, so a finite sum means all three are finite
+    fits_phi, fits_gphi = (math.isfinite(v0[i] + v1[i] + v2[i]) for i in (0, 1))
     # degree-1 fit for the loss level: p(t) = p0 + p1 t
     p0, p1 = v0[0], v1[0] - v0[0]
     fit_err = abs(v2[0] - (p0 + 2.0 * p1))
-    if fit_err > 1e-9 * max(1.0, abs(v2[0])):
+    if fits_phi and fit_err > 1e-9 * max(1.0, abs(v2[0])):
         raise ValueError("loss-level envelope is not affine in S^2; cannot use moments")
     # degree-2 fit for the gradient level: q(t) = q0 + q1 t + q2 t^2
     q0 = v0[1]
     q2 = (v2[1] - 2.0 * v1[1] + v0[1]) / 2.0
     q1 = v1[1] - q0 - q2
-    e_phi_sq = p0 + p1 * moments.e_s2
-    e_gphi_sq = q0 + q1 * moments.e_s2 + q2 * moments.e_s4
+    e_phi_sq = p0 + p1 * moments.e_s2 if fits_phi else math.inf
+    e_gphi_sq = q0 + q1 * moments.e_s2 + q2 * moments.e_s4 if fits_gphi else math.inf
     if e_phi_sq < 0 or e_gphi_sq < 0:
         raise ValueError("moment envelope produced a negative bound")
-    l_phi = math.sqrt(e_phi_sq)
-    l_grad_phi = math.sqrt(e_gphi_sq)
+    # a fit of finite values can still overflow to inf - inf
+    l_phi, l_grad_phi = (math.sqrt(e) if e == e else math.inf for e in (e_phi_sq, e_gphi_sq))
     return Certificate(
         per_layer=nb.per_layer,
         l_n_final=nb.l_n,
@@ -935,6 +934,11 @@ def _sup_over_splits(
     Returns (upper, split, splits): the largest bound still open, the split
     with the best lower estimate, and the splits used.
     """
+    if b_omega < 1e-70:  # the fourth powers below underflow: search in units of b_omega
+        upper, split, splits = _sup_over_splits(
+            lambda x: f(tuple(b_omega * v for v in x)), dim, 1.0, max_splits
+        )
+        return upper, tuple(b_omega * v for v in split), splits
     bsq = b_omega * b_omega
     heap: list[tuple[float, int, tuple[float, ...], tuple[float, ...]]] = []
     order = itertools.count()
@@ -943,14 +947,14 @@ def _sup_over_splits(
     def push(lo: tuple[float, ...], hi: tuple[float, ...]) -> None:
         nonlocal lower, split
         sq = [x * x for x in lo]
-        lo_sq = math.fsum(sq)
+        lo_sq = _fsum(sq)
         if lo_sq > bsq:
             return
-        u = tuple(min(h, math.sqrt(max(bsq - math.fsum(sq[:i] + sq[i + 1 :]), 0.0)))
+        u = tuple(min(h, math.sqrt(max(bsq - _fsum(sq[:i] + sq[i + 1 :]), 0.0)))
                   for i, h in enumerate(hi))
         # lo + t v with v = u - lo leaves the ball at the root t of a quadratic
         v = [b - a for a, b in zip(lo, u)]
-        vv, lv = math.fsum(x * x for x in v), math.fsum(x * y for x, y in zip(lo, v))
+        vv, lv = _fsum(x * x for x in v), _fsum(x * y for x, y in zip(lo, v))
         disc = max(lv * lv - vv * (lo_sq - bsq), 0.0)
         t = min(1.0, (math.sqrt(disc) - lv) / vv) if vv else 0.0
         point = tuple(x + t * y for x, y in zip(lo, v))
@@ -976,7 +980,7 @@ def refine_over_layer_budgets(
     arch: ArchitectureSpec,
     inputs: BoundInputs,
     loss: LossInput,
-    dataset_norms: Sequence[float] | None = None,
+    dataset_norms: Sequence[float],
     search: RefinementSearch = RefinementSearch(),
 ) -> Certificate:
     """Tighten the uniform certificate by splitting the radius across layers.
@@ -997,9 +1001,7 @@ def refine_over_layer_budgets(
     _ARRAY_MIN_NORMS distinct norms on, a budget vector's loss averages take
     one array recursion over the norms (see _sample_averages).
     """
-    norms, moments = _resolve_norms(inputs, dataset_norms)
-    if moments is not None:
-        raise ValueError("budget refinement needs explicit sample norms")
+    norms = check_sample_norms(dataset_norms)
     if arch.m < 1:
         raise ValueError("budget refinement needs at least one hidden layer")
     if loss is None:
@@ -1038,10 +1040,11 @@ def refine_over_layer_budgets(
     ]
     l_n, l_grad_n, l_phi, l_grad_phi = (min(r[0], cap) for r, cap in searches)
     _, split, splits = searches[-1][0]
-    # hypot only where the squares overflow (b_omega above about 1e154): its
-    # bits differ from the fsum on many splits
-    norm = math.sqrt(math.fsum(d * d for d in split))
-    scale = b / (norm if math.isfinite(norm) else math.hypot(*split))
+    # hypot only where the squares overflow or lose bits to underflow
+    # (b_omega above about 1e154 or below about 1e-150): its bits differ from
+    # the fsum on many splits
+    norm = math.sqrt(_fsum(d * d for d in split))
+    scale = b / (norm if 1e-150 < norm < math.inf else math.hypot(*split))
     d_star = tuple(d * scale for d in split)
 
     flags = _overflow_flags(l_n, l_grad_n, l_phi, l_grad_phi)

@@ -15,9 +15,7 @@ signal), 5 descent inequality violation during training.
 from __future__ import annotations
 
 import argparse
-import logging
 import math
-import os
 import sys
 from functools import cache, partial
 from pathlib import Path
@@ -30,10 +28,12 @@ from .activations import saturated_linear, tanh
 from .bounds import (
     ArchitectureSpec,
     BoundInputs,
+    SampleMoments,
     check_moment_mode,
     closed_form_certificate,
     derive_adagrad_params,
     loss_certificate,
+    moment_certificate,
     network_certificate,
     refine_over_layer_budgets,
 )
@@ -78,7 +78,7 @@ from .empirical import (
     network_output_map,
     worst_case_construction,
 )
-from .network import dataset_norms, flatten_params, forward, init_params
+from .network import flatten_params, forward, init_params
 from .training import NetworkObjective, run_adagrad_norm, run_gd
 
 EXIT_OK = 0
@@ -93,8 +93,6 @@ SOUNDNESS_HEADER = (
 )
 TRACE_HEADER = ("step", "phi", "grad_norm", "step_size", "param_norm", "descent_ok")
 
-log = logging.getLogger("lipcert")
-
 _CODE_FIELDS = {"linear_scalar": linear_scalar_field}
 
 
@@ -102,19 +100,8 @@ class OverflowGate(RuntimeError):
     """A certified constant is +inf and --allow-inf was not given."""
 
 
-def _setup_logging() -> None:
-    name = os.environ.get("LIPCERT_LOG", "WARNING").upper()
-    level = getattr(logging, name, None)
-    if not isinstance(level, int):
-        level = logging.WARNING
-    logging.basicConfig(
-        level=level, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"
-    )
-
-
 def _gate(values, allow: bool, what: str) -> None:
-    bad = [v for v in values if v is not None and math.isinf(v)]
-    if bad and not allow:
+    if not allow and any(v is not None and not math.isfinite(v) for v in values):
         raise OverflowGate(
             f"{what}: constants overflowed to infinity; rerun with --allow-inf to accept"
         )
@@ -191,22 +178,17 @@ def _print_table(title: str, columns: list[str], rows: list[tuple]) -> None:
 
 def cmd_certify(cfg: dict, args, out: Path) -> int:
     arch = build_architecture(cfg)
-    inputs = build_bound_inputs(cfg)
-    ds = section(cfg, "dataset", required=False)
-    norms = None
+    inputs, norms = build_bound_inputs(cfg)
     target_bound = None
-    if ds is not None:
-        samples, target_bound = samples_from_config(cfg, arch)
-        norms = dataset_norms(samples)
-    elif inputs.sample_norms is not None:
-        norms = inputs.sample_norms
-    if norms is None and inputs.moments is None:
+    if section(cfg, "dataset", required=False) is not None:
+        _, norms, target_bound = samples_from_config(cfg, arch)
+    if norms is None:
         raise ConfigError("certify needs bounds.sample_norms, bounds.moments, or a dataset")
-    s_max = max(norms) if norms is not None else math.sqrt(inputs.moments.e_s2)
+    moments = norms if isinstance(norms, SampleMoments) else None
 
     search = build_refinement_search(cfg)
     has_loss = section(cfg, "loss", required=False) is not None
-    if not has_loss and norms is None:
+    if moments is not None and not has_loss:
         raise ConfigError("certify without a loss section needs explicit sample norms")
     if search is not None:
         # the refinement searches over the loss constants, so it needs a loss
@@ -214,9 +196,9 @@ def cmd_certify(cfg: dict, args, out: Path) -> int:
             raise ConfigError("refine: budget refinement needs a loss section")
         if arch.m < 1:
             raise ConfigError("refine: budget refinement needs a hidden layer")
-        if norms is None:
+        if moments is not None:
             raise ConfigError("refine: budget refinement needs explicit sample norms")
-    if norms is None:
+    if moments is not None:
         try:
             check_moment_mode(arch)
         except ValueError as exc:
@@ -225,15 +207,17 @@ def cmd_certify(cfg: dict, args, out: Path) -> int:
     # each certificate derives a squared-error envelope from its own output
     # bound; without a loss section they are the network's alone
     env = resolve_loss_envelope(cfg, arch.widths[-1], target_bound)
-    certs = {"recursive": loss_certificate(arch, inputs, env, dataset_norms=norms)}
-    if norms is not None:
-        certs["closed_form"] = closed_form_certificate(arch, inputs, env, dataset_norms=norms)
+    if moments is not None:
+        s_max = math.sqrt(moments.e_s2)
+        certs = {"recursive": moment_certificate(arch, inputs, env, moments)}
     else:
-        log.info("moment-mode certify: closed forms need explicit norms; skipped")
-    if search is not None:
-        certs["refined"] = refine_over_layer_budgets(
-            arch, inputs, env, dataset_norms=norms, search=search
-        )
+        s_max = max(norms)
+        certs = {
+            "recursive": loss_certificate(arch, inputs, env, norms),
+            "closed_form": closed_form_certificate(arch, inputs, env, norms),
+        }
+        if search is not None:
+            certs["refined"] = refine_over_layer_budgets(arch, inputs, env, norms, search)
 
     _gate(
         [v for c in certs.values() for v in (c.l_n_final, c.l_grad_n_final, c.l_phi, c.l_grad_phi)],
@@ -303,7 +287,7 @@ def _verify_input(arch, vdoc, seed: int) -> np.ndarray:
 
 def cmd_verify(cfg: dict, args, out: Path) -> int:
     arch = build_architecture(cfg)
-    inputs = build_bound_inputs(cfg)
+    inputs, _ = build_bound_inputs(cfg)
     vdoc = section(cfg, "verify")
     top_seed = get(cfg, "seed", int, default=0)
     seed = get(vdoc, "seed", int, default=top_seed, where="verify")
@@ -380,14 +364,14 @@ def cmd_verify(cfg: dict, args, out: Path) -> int:
 
 def cmd_train(cfg: dict, args, out: Path) -> int:
     arch = build_architecture(cfg)
-    inputs = build_bound_inputs(cfg)
+    inputs, _ = build_bound_inputs(cfg)
     tdoc = section(cfg, "train")
     top_seed = get(cfg, "seed", int, default=0)
     head, _ = build_loss(cfg, required=True)
     if head is None:
         raise ConfigError("train needs a trainable loss kind (squared_error or pseudo_huber)")
 
-    samples, target_bound = samples_from_config(cfg, arch)
+    samples, norms, target_bound = samples_from_config(cfg, arch)
 
     algorithm = get(tdoc, "algorithm", str, default="gd", where="train")
     if algorithm not in ("gd", "adagrad_norm"):
@@ -418,10 +402,9 @@ def cmd_train(cfg: dict, args, out: Path) -> int:
     if not 0.0 < shrink <= 1.0:
         raise ConfigError("train: shrink must lie in (0, 1]")
 
-    norms = dataset_norms(samples)
     env = resolve_loss_envelope(cfg, arch.widths[-1], target_bound)
-    cert = loss_certificate(arch, inputs, env, dataset_norms=norms)
-    if math.isinf(cert.l_grad_phi):
+    cert = loss_certificate(arch, inputs, env, norms)
+    if not math.isfinite(cert.l_grad_phi):
         print("certificate overflowed: no finite certified step size exists", file=sys.stderr)
         return EXIT_OVERFLOW
 
@@ -431,15 +414,18 @@ def cmd_train(cfg: dict, args, out: Path) -> int:
     objective = NetworkObjective(arch, samples, head)
     l_grad_phi = cert.l_grad_phi if override is None else override
 
+    # a non-finite objective stops the run (exit 2, or 5 after a checked
+    # step), so its numpy warnings are silenced here and only here
     try:
-        if algorithm == "gd":
-            trace = run_gd(objective, theta0, l_grad_phi, steps, inputs.b_omega, shrink)
-        else:
-            alpha, beta = derive_adagrad_params(cert, eps_margin, eps_exponent)
-            trace = run_adagrad_norm(
-                objective, theta0, alpha, beta, eps_exponent, batch_size,
-                steps, seed, inputs.b_omega, shrink, l_grad_phi=cert.l_grad_phi,
-            )
+        with np.errstate(over="ignore", invalid="ignore"):
+            if algorithm == "gd":
+                trace = run_gd(objective, theta0, l_grad_phi, steps, inputs.b_omega, shrink)
+            else:
+                alpha, beta = derive_adagrad_params(cert, eps_margin, eps_exponent)
+                trace = run_adagrad_norm(
+                    objective, theta0, alpha, beta, eps_exponent, batch_size,
+                    steps, seed, inputs.b_omega, shrink, l_grad_phi=cert.l_grad_phi,
+                )
     except ValueError as exc:
         raise ConfigError(f"train: {exc}") from exc
 
@@ -747,7 +733,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     args = build_parser().parse_args(argv)
     if args.threads < 1:
         print("error: --threads must be at least 1", file=sys.stderr)

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import ArchitectureSpec, LossEnvelope, full_moments
+from .bounds import ArchitectureSpec, LossEnvelope, check_sample_norms, full_moments
 from .network import layer_slices
 
 __all__ = [
@@ -604,12 +604,9 @@ def code_loss_certificate(
     lg = loss.lip_g_value
     ldg = loss.lip_dg_value
     if sample_norms is not None:
-        if len(sample_norms) == 0:
-            raise ValueError("sample_norms must be nonempty")
-        phis = []
-        gphis = []
-        for s in sample_norms:
-            c = code_certificate(cert.envelopes, cert.b_upsilon, float(s))
+        phis, gphis = [], []
+        for s in check_sample_norms(sample_norms):
+            c = code_certificate(cert.envelopes, cert.b_upsilon, s)
             phis.append(lg * c.l_x)
             gphis.append(ldg * c.l_x * c.l_x + lg * c.l_dx)
         return replace(

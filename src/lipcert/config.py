@@ -28,12 +28,14 @@ from .bounds import (
     LossEnvelope,
     RefinementSearch,
     SampleMoments,
+    check_sample_norms,
 )
 from .code_net import CodeCertificate, Control, FieldEnvelopes
 from .network import (
     PseudoHuber,
     Sample,
     SquaredError,
+    dataset_norms,
     load_dataset_csv,
     loss_head_envelopes,
     sample_in_ball,
@@ -142,7 +144,8 @@ def build_architecture(cfg: dict) -> ArchitectureSpec:
         raise ConfigError(f"architecture: {exc}") from exc
 
 
-def build_bound_inputs(cfg: dict) -> BoundInputs:
+def build_bound_inputs(cfg: dict) -> tuple[BoundInputs, tuple[float, ...] | SampleMoments | None]:
+    """The ball, beside the section's sample norms or else its moments (both validated)."""
     doc = section(cfg, "bounds")
     if doc.get("layer_budgets") is not None:
         raise ConfigError(
@@ -157,11 +160,9 @@ def build_bound_inputs(cfg: dict) -> BoundInputs:
         e_s2 = get(mdoc, "e_s2", float, where="bounds.moments")
         e_s4 = get(mdoc, "e_s4", float, where="bounds.moments")
     try:
-        return BoundInputs(
-            b_omega=b_omega,
-            sample_norms=None if norms is None else tuple(float(s) for s in norms),
-            moments=None if mdoc is None else SampleMoments(e_s2, e_s4),
-        )
+        moments = None if mdoc is None else SampleMoments(e_s2, e_s4)
+        ball = BoundInputs(b_omega=b_omega)
+        return ball, moments if norms is None else check_sample_norms(norms)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bounds: {exc}") from exc
 
@@ -391,8 +392,8 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence[A
 
 def samples_from_config(
     cfg: dict, arch: ArchitectureSpec
-) -> tuple[tuple[Sample, ...], float | None]:
-    """Load or synthesize the training set; returns (samples, target_bound)."""
+) -> tuple[tuple[Sample, ...], tuple[float, ...], float | None]:
+    """Load or synthesize the training set; returns (samples, input norms, target_bound)."""
     ds = section(cfg, "dataset", required=False)
     if ds is not None:
         path = get(ds, "path", str, where="dataset")
@@ -400,8 +401,9 @@ def samples_from_config(
             samples = load_dataset_csv(path, arch.widths[0], arch.widths[-1])
         except (OSError, ValueError) as exc:
             raise ConfigError(f"dataset: {exc}") from exc
-        tb = max(float(np.linalg.norm(s.y)) for s in samples)
-        return samples, tb
+        with np.errstate(over="ignore"):  # squared error reports an inf target bound
+            tb = max(float(np.linalg.norm(s.y)) for s in samples)
+        return samples, _checked_norms(samples, "dataset"), tb
     tr = section(cfg, "train", required=False) or {}
     syn = get(tr, "synthetic", dict, default=None, where="train")
     if syn is None:
@@ -422,4 +424,11 @@ def samples_from_config(
         )
         for _ in range(n)
     )
-    return samples, t_norm
+    return samples, _checked_norms(samples, "train.synthetic"), t_norm
+
+
+def _checked_norms(samples: Sequence[Sample], where: str) -> tuple[float, ...]:
+    try:
+        return check_sample_norms(dataset_norms(samples))
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc

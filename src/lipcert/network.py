@@ -363,4 +363,5 @@ def load_dataset_csv(
 
 
 def dataset_norms(samples: Sequence[Sample]) -> tuple[float, ...]:
-    return tuple(float(np.linalg.norm(s.x)) for s in samples)
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, for callers to reject
+        return tuple(float(np.linalg.norm(s.x)) for s in samples)

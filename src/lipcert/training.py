@@ -165,15 +165,17 @@ def _descend(
     step_size maps the current gradient norm to the step; batch returns the
     sample indices of the next gradient.  Every iterate costs one
     value_and_gradient call.  With check_descent each unprojected step is
-    checked against the descent inequality for l_grad_phi; a violation is
-    recorded (descent_ok False) rather than raised, so callers decide how
-    hard to fail.
+    checked against the descent inequality for l_grad_phi; a violation, a
+    step to a non-finite objective included, is recorded (descent_ok False)
+    rather than raised.  A non-finite initial objective raises ValueError.
     """
     if steps < 1:
         raise ValueError("steps must be positive")
     theta, _ = project_to_ball(np.asarray(theta0, dtype=float), b_omega, shrink)
     trace = TrainTrace(method=method, l_grad_phi=l_grad_phi)
     phi, g = objective.value_and_gradient(theta, batch())
+    if not math.isfinite(phi):
+        raise ValueError(f"the objective at the initial iterate is {phi}, not finite")
     for j in range(steps):
         if not math.isfinite(phi):
             trace.aborted = True
@@ -183,10 +185,11 @@ def _descend(
         new, projected = project_to_ball(theta - h * g, b_omega, shrink)
         phi_new, g_new = objective.value_and_gradient(new, batch())
         ok: bool | None = None
-        if check_descent and not projected and math.isfinite(phi_new):
+        if check_descent and not projected:
+            # with phi_new = inf the slack is inf too, so finiteness is tested first
             bound = gn * gn / (2.0 * l_grad_phi)
             slack = _DESCENT_RTOL * (abs(phi) + abs(phi_new) + 1.0)
-            ok = (phi - phi_new) >= bound - slack
+            ok = math.isfinite(phi_new) and (phi - phi_new) >= bound - slack
         trace.steps.append(
             TrainStep(j, phi, gn, h, float(np.linalg.norm(theta)), ok, projected)
         )

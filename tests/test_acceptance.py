@@ -8,7 +8,6 @@ import json
 import math
 
 import numpy as np
-import pytest
 
 from lipcert import (
     ArchitectureSpec,

@@ -30,6 +30,7 @@ from lipcert import (
     loss_certificate,
     loss_head_envelopes,
     make_activation,
+    moment_certificate,
     network_certificate,
     network_jacobian_map,
     network_output_map,
@@ -115,7 +116,10 @@ class TestLayerStep:
 
 
 def _ref_prod(*xs: float) -> float:
-    return math.prod(xs, start=1.0) if all(xs) else 0.0
+    if not all(xs):
+        return 0.0
+    p = math.prod(xs, start=1.0)
+    return math.inf if math.isnan(p) else p
 
 
 def _ref_sq(x: float) -> float:
@@ -153,8 +157,8 @@ def reference_layer_step(prev, env_, width_out, budget):
 
 
 def same_float_bits(x: float, y: float) -> bool:
-    """Equal, the sign of zero included (nan matches nan)."""
-    return (x == y and math.copysign(1.0, x) == math.copysign(1.0, y)) or (x != x and y != y)
+    """Equal, the sign of zero included; nan matches nothing, itself included."""
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
 
 
 def same_bits(a: LayerBounds, b: LayerBounds) -> bool:
@@ -535,23 +539,23 @@ class TestLossCertificate:
         assert [math.isfinite(c.l_phi) for c in got] == [not huge] * 4
 
     @pytest.mark.parametrize(
-        "build, inputs",
+        "build, norms",
         [
-            (loss_certificate, BoundInputs(b_omega=1.0)),
-            (closed_form_certificate, BoundInputs(b_omega=1.0)),
-            (partial(refine_over_layer_budgets, search=RefinementSearch(1, 4)), BoundInputs(b_omega=1.0)),
-            (loss_certificate, BoundInputs(b_omega=1.0, moments=SampleMoments(0.8, 1.0))),
+            (loss_certificate, (1.0, 0.5)),
+            (closed_form_certificate, (1.0, 0.5)),
+            (partial(refine_over_layer_budgets, search=RefinementSearch(1, 4)), (1.0, 0.5)),
+            (moment_certificate, SampleMoments(0.8, 1.0)),
         ],
         ids=["recursive", "closed_form", "refined", "moments"],
     )
-    def test_output_bound_function_is_evaluated_at_the_recursion(self, build, inputs):
+    def test_output_bound_function_is_evaluated_at_the_recursion(self, build, norms):
         # squared error as a function of the output bound: one evaluation, at
         # d_head * sqrt(B^2 + 1) with B the last hidden b_n at the largest
         # norm (sqrt(E[S^2]) in moment mode), which gives the certificate of
         # that envelope
         arch = ArchitectureSpec(widths=(2, 3, 1), activations=(tanh(),))
-        norms = None if inputs.moments is not None else (1.0, 0.5)
-        s_ref = math.sqrt(inputs.moments.e_s2) if norms is None else 1.0
+        inputs = BoundInputs(b_omega=1.0)
+        s_ref = math.sqrt(norms.e_s2) if isinstance(norms, SampleMoments) else max(norms)
         nb = _network_bounds(arch, inputs.budgets_for(arch), s_ref)
         out_bound = nb.budgets[-1] * math.sqrt(nb.last_hidden.b_n ** 2 + 1.0)
         seen = []
@@ -560,9 +564,9 @@ class TestLossCertificate:
             seen.append(bound)
             return loss_head_envelopes(SquaredError(), 1, bound, 1.0)
 
-        cert = build(arch, inputs, envelope, dataset_norms=norms)
+        cert = build(arch, inputs, envelope, norms)
         assert seen == [out_bound]
-        assert cert == build(arch, inputs, envelope(out_bound), dataset_norms=norms)
+        assert cert == build(arch, inputs, envelope(out_bound), norms)
 
 
 class TestMomentMode:
@@ -575,11 +579,7 @@ class TestMomentMode:
         loss = LossEnvelope(1.0, 1.0)
         s = 1.3
         exact = loss_certificate(arch, inputs, loss, dataset_norms=[s])
-        mom = loss_certificate(
-            arch,
-            BoundInputs(b_omega=1.0, moments=SampleMoments(e_s2=s * s, e_s4=s**4)),
-            loss,
-        )
+        mom = moment_certificate(arch, inputs, loss, SampleMoments(e_s2=s * s, e_s4=s**4))
         assert mom.l_phi >= exact.l_phi * (1.0 - 1e-12)
         assert mom.l_grad_phi >= exact.l_grad_phi * (1.0 - 1e-12)
 
@@ -590,26 +590,32 @@ class TestMomentMode:
         exact = loss_certificate(arch, BoundInputs(b_omega=1.0), loss, dataset_norms=norms)
         e2 = sum(s * s for s in norms) / 2.0
         e4 = sum(s**4 for s in norms) / 2.0
-        mom = loss_certificate(
-            arch, BoundInputs(b_omega=1.0, moments=SampleMoments(e_s2=e2, e_s4=e4)), loss
-        )
+        mom = moment_certificate(arch, BoundInputs(b_omega=1.0), loss, SampleMoments(e_s2=e2, e_s4=e4))
         assert mom.l_phi >= exact.l_phi
         assert mom.l_grad_phi >= exact.l_grad_phi
 
     def test_unbounded_activation_rejected(self):
         arch = ArchitectureSpec(widths=(1, 1, 1), activations=(smoothed_relu(0.1),))
         with pytest.raises(ValueError):
-            loss_certificate(
-                arch,
-                BoundInputs(b_omega=1.0, moments=SampleMoments(1.0, 1.0)),
-                LossEnvelope(1.0, 1.0),
+            moment_certificate(
+                arch, BoundInputs(b_omega=1.0), LossEnvelope(1.0, 1.0), SampleMoments(1.0, 1.0)
             )
 
     def test_missing_loss_rejected(self):
         # the moments bound only the loss constants
         arch = ArchitectureSpec(widths=(1, 1, 1), activations=(tanh(),))
         with pytest.raises(ValueError, match="needs a loss"):
-            loss_certificate(arch, BoundInputs(b_omega=1.0, moments=SampleMoments(1.0, 1.0)), None)
+            moment_certificate(arch, BoundInputs(b_omega=1.0), None, SampleMoments(1.0, 1.0))
+
+    def test_fit_of_infinite_values_is_inf(self):
+        # at b_omega 1e100 the gradient-level values at S^2 = 0, 1, 2 are all
+        # inf, and a fit through them would take inf - inf
+        arch = ArchitectureSpec(widths=(2, 3, 1), activations=(tanh(),))
+        loss = loss_head_envelopes(PseudoHuber(1.0), 1, math.inf, math.inf)
+        cert = moment_certificate(arch, BoundInputs(b_omega=1e100), loss, SampleMoments(1.0, 1.0))
+        assert cert.l_grad_phi == math.inf
+        assert math.isfinite(cert.l_phi)
+        assert cert.flags == ("overflow", "moment_mode")
 
     def test_inconsistent_moments_rejected(self):
         with pytest.raises(ValueError):
@@ -683,15 +689,6 @@ class TestClosedForms:
         assert cf.l_grad_n_final >= rec.l_grad_n_final
         assert cf.l_phi >= rec.l_phi
         assert cf.l_grad_phi >= rec.l_grad_phi
-
-    def test_moment_inputs_rejected(self):
-        arch = ArchitectureSpec(widths=(1, 1, 1), activations=(tanh(),))
-        with pytest.raises(ValueError):
-            closed_form_certificate(
-                arch,
-                BoundInputs(b_omega=1.0, moments=SampleMoments(1.0, 1.0)),
-                LossEnvelope(1.0, 1.0),
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -933,6 +930,115 @@ class TestRefinement:
             ]
             assert values[0] == loss_certificate(arch, inputs, loss, norms).l_grad_phi
             assert values[0] >= values[1] >= values[2]
+
+    @pytest.mark.parametrize("b_omega", [1e-100, 1e-170, 1.2e154])
+    def test_radii_whose_powers_leave_the_float_range(self, b_omega):
+        # below about 1e-77 the search's fourth powers underflow (and below
+        # about 1e-162 its b_omega^2 does); near 1.2e154 finite squares sum
+        # past the float range.  The supremum still covers every split on
+        # the sphere, here the axis splits, and the reported split lies on it.
+        arch = ArchitectureSpec(widths=(2, 3, 4, 1), activations=(tanh(), sigmoid()))
+        loss = LossEnvelope(1.0, 1.0)
+        ref = refine_over_layer_budgets(
+            arch, BoundInputs(b_omega=b_omega), loss, [1.0], RefinementSearch(1, 8)
+        )
+        assert math.hypot(*ref.layer_budgets) == pytest.approx(b_omega, rel=1e-12)
+        for axis in range(arch.m + 1):
+            split = tuple(b_omega if u == axis else 0.0 for u in range(arch.m + 1))
+            nb = _network_bounds(arch, split, 1.0)
+            assert ref.l_n_final >= nb.l_n * (1.0 - 1e-12)
+            assert ref.l_grad_n_final >= nb.l_grad_n * (1.0 - 1e-12)
+            head_ = layer_step(nb.last_hidden, loss, 1, split[-1])
+            assert ref.l_grad_phi >= head_.l_grad_n * (1.0 - 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# no certificate is nan
+
+
+def _log_uniform(rng, lo, hi):
+    return float(10.0 ** rng.uniform(lo, hi))
+
+
+def _extreme_problem(rng, bounded=False):
+    """A random net with b_omega, sample norms and envelope constants drawn
+    log-uniformly over most of the float range."""
+    kinds = [
+        tanh,
+        sigmoid,
+        lambda: make_activation(
+            "saturated_linear", c=_log_uniform(rng, -200, 200), r_sat=_log_uniform(rng, -3, 3)
+        ),
+    ]
+    if not bounded:
+        kinds.append(lambda: smoothed_relu(_log_uniform(rng, -3, 3)))
+    m = int(rng.integers(1, 4))
+    acts = tuple(kinds[int(rng.integers(len(kinds)))]() for _ in range(m))
+    arch = ArchitectureSpec(widths=tuple(int(w) for w in rng.integers(1, 7, size=m + 2)), activations=acts)
+    inputs = BoundInputs(b_omega=_log_uniform(rng, -200, 250))
+    norms = [_log_uniform(rng, -200, 200) for _ in range(int(rng.integers(1, 4)))]
+    loss = LossEnvelope(_log_uniform(rng, -200, 200), _log_uniform(rng, -200, 200))
+    return arch, inputs, norms, loss
+
+
+def _certified_numbers(cert) -> list[float]:
+    """Every float a certificate, or a NetworkBounds, reports."""
+    rows = cert.per_layer + ((cert.final,) if isinstance(cert, bounds.NetworkBounds) else ())
+    numbers = [v for row in rows for v in dataclasses.astuple(row)]
+    if isinstance(cert, bounds.Certificate):
+        numbers += [cert.l_n_final, cert.l_grad_n_final, cert.l_phi, cert.l_grad_phi]
+        numbers += [] if cert.lower_estimate is None else [cert.lower_estimate, cert.gap]
+    return numbers
+
+
+class TestNoNan:
+    """A certified number must be an upper bound, and nan is none: where the
+    arithmetic underflows and overflows, every routine reports +inf instead."""
+
+    ROUTINES = {
+        "network": lambda arch, inputs, loss, norms: network_certificate(arch, inputs, max(norms)),
+        "recursive": loss_certificate,
+        "closed_form": closed_form_certificate,
+        "refined": partial(refine_over_layer_budgets, search=RefinementSearch(0, 4)),
+        "moments": lambda arch, inputs, loss, norms: moment_certificate(
+            arch, inputs, loss, SampleMoments(norms[0] ** 2, norms[0] ** 4)
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(ROUTINES))
+    def test_log_uniform_extremes(self, name):
+        rng = np.random.default_rng(list(self.ROUTINES).index(name))
+        for _ in range(400):
+            arch, inputs, norms, loss = _extreme_problem(rng, bounded=name == "moments")
+            if name == "moments":
+                # moments of one norm whose fourth power neither underflows nor overflows
+                norms = [_log_uniform(rng, -70, 70)]
+            cert = self.ROUTINES[name](arch, inputs, loss, norms)
+            numbers = _certified_numbers(cert)
+            assert not any(math.isnan(v) for v in numbers), (arch, inputs, norms, loss, cert)
+            if isinstance(cert, bounds.Certificate):
+                assert cert.overflowed == any(math.isinf(v) for v in (
+                    cert.l_n_final, cert.l_grad_n_final, cert.l_phi, cert.l_grad_phi
+                ) if v is not None)
+
+    def test_underflow_then_overflow_is_inf(self):
+        # a product of nonzero bound factors whose partial product underflows
+        # to 0 before it meets inf: the exact product is +inf
+        assert bounds._prod(1e-3, 5e-324, math.inf) == math.inf
+        arch = ArchitectureSpec(widths=(5, 4, 2, 6), activations=(
+            make_activation("saturated_linear", c=1.7056, r_sat=1.0),
+            make_activation("saturated_linear", c=1.958e-187, r_sat=4.0),
+        ))
+        cert = loss_certificate(arch, BoundInputs(b_omega=2.0688e-138), None, [1.2533e148])
+        assert cert.l_grad_n_final == math.inf
+        assert cert.overflowed
+
+    def test_mean_past_the_float_range_is_inf(self):
+        # two finite per-sample constants whose sum overflows
+        arch = ArchitectureSpec(widths=(1, 1), activations=())
+        cert = loss_certificate(arch, BoundInputs(b_omega=1.0), LossEnvelope(1e308, 0.0), [1.0, 1.0])
+        assert cert.l_phi == math.inf
+        assert cert.overflowed
 
 
 # ---------------------------------------------------------------------------

@@ -735,6 +735,21 @@ class TestConfigErrors:
         assert capsys.readouterr().err == f"error: dataset: {cell} is not a finite number\n"
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("command", ["certify", "train"])
+    def test_overflowing_input_norm_exits_two(self, tmp_path, capsys, monkeypatch, command):
+        # every cell is finite, but the row's input norm overflows, and so
+        # does its target norm; neither may reach stderr as a numpy warning
+        csv = tmp_path / "data.csv"
+        csv.write_text("1e200,0,1e200\n")
+        argv, doc = COMMAND_RUNS[command]
+        doc = {**doc, "loss": {"kind": "pseudo_huber", "delta": 1.0}, "dataset": {"path": str(csv)}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            self.assert_fails_before_any_recursion(
+                tmp_path, capsys, monkeypatch, doc,
+                "dataset: sample norms must be finite and nonnegative", argv,
+            )
+
     def test_missing_certificate_names_the_certificate(self, tmp_path, capsys):
         argv, doc = COMMAND_RUNS["verify"]
         missing = tmp_path / "nope.json"
@@ -795,6 +810,41 @@ class TestOverflow:
             for name in ("recursive", "closed_form", "refined"):
                 doc = json.loads((out / f"certificate_{name}.json").read_text())
                 assert math.isinf(doc["l_grad_n_final"])
+
+    # the gradient-level moment fit meets inf at S^2 = 0, 1 and 2
+    MOMENTS_INF = {
+        "name": "moments-inf",
+        "architecture": {"widths": [2, 3, 1], "activations": ["tanh"]},
+        "bounds": {"b_omega": 1e100, "moments": {"e_s2": 1.0, "e_s4": 1.0}},
+        "loss": {"kind": "pseudo_huber", "delta": 1.0},
+    }
+    # a nonzero factor of the recursion underflows to 0 before it meets inf
+    UNDERFLOW_THEN_INF = {
+        "name": "underflow-then-inf",
+        "architecture": {"widths": [5, 4, 2, 6], "activations": [
+            {"kind": "saturated_linear", "c": 1.7056, "r_sat": 1.0},
+            {"kind": "saturated_linear", "c": 1.958e-187, "r_sat": 4.0},
+        ]},
+        "bounds": {"b_omega": 2.0688e-138, "sample_norms": [1.2533e148]},
+    }
+
+    @pytest.mark.parametrize(
+        "doc, key", [(MOMENTS_INF, "l_grad_phi"), (UNDERFLOW_THEN_INF, "l_grad_n_final")],
+        ids=["moments", "recursion"],
+    )
+    def test_inf_not_nan(self, tmp_path, capsys, doc, key):
+        cfg = write_cfg(tmp_path, doc)
+        assert cli.main(["certify", "--config", cfg, "--out", str(tmp_path / "gated")]) == 3
+        assert capsys.readouterr().err == (
+            "error: certify: constants overflowed to infinity; rerun with --allow-inf to accept\n"
+        )
+        out = tmp_path / "out"
+        assert cli.main(["certify", "--config", cfg, "--out", str(out), "--allow-inf"]) == 0
+        for path in out.iterdir():
+            assert "nan" not in path.read_text().lower(), path.name
+        doc = json.loads((out / "certificate_recursive.json").read_text())
+        assert math.isinf(doc[key])
+        assert "overflow" in doc["flags"]
 
     def test_overflowing_verify_warns_nothing(self, tmp_path):
         # the overflow already shows in soundness.csv; numpy's overflow and
@@ -910,6 +960,21 @@ class TestTrain:
         assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 5
         body = (out / "trace.csv").read_text().strip().split("\n")[1:]
         assert any(r.split(",")[5] == "0" for r in body)
+
+    def test_non_finite_initial_objective_exits_two(self, tmp_path, capsys):
+        # a target of 1e308 makes the pseudo-Huber loss inf at every iterate
+        csv = tmp_path / "data.csv"
+        csv.write_text("1,0,1e308\n1,1,1\n")
+        argv, doc = COMMAND_RUNS["train"]
+        doc = {**doc, "loss": {"kind": "pseudo_huber", "delta": 1.0}, "dataset": {"path": str(csv)}}
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main([*argv, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: train: the objective at the initial iterate is inf, not finite\n"
+        )
+        assert not any(out.iterdir())
 
     def test_adagrad_norm_run(self, tmp_path):
         doc = dict(FULL)

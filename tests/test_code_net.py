@@ -9,7 +9,6 @@ from lipcert import (
     ArchitectureSpec,
     Control,
     FieldEnvelopes,
-    SquaredError,
     VectorFieldSpec,
     code_certificate,
     code_loss_certificate,

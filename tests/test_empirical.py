@@ -25,7 +25,6 @@ from lipcert import (
     network_jacobian_map,
     network_output_map,
     param_jacobian,
-    saturated_linear,
     tanh,
     unflatten_params,
     worst_case_construction,

@@ -1,8 +1,9 @@
 """The package's import layers, read from the source with ast.
 
 Only the command layer (cli) reads configs and writes reports through
-config; nothing imports cli; and every import sits at module level, so the
-dependency graph is the one the module headers show.
+config; nothing imports cli; every import sits at module level, so the
+dependency graph is the one the module headers show; and every imported
+name is used.
 """
 
 import ast
@@ -10,8 +11,11 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lipcert"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "lipcert"
 MODULES = sorted(PACKAGE.glob("*.py"))
+# the package's __init__ imports names to export them
+IMPORTERS = [p for p in MODULES if p.name != "__init__.py"] + sorted(TESTS.glob("*.py"))
 
 
 def importers_of(module: str) -> list[str]:
@@ -49,3 +53,16 @@ def test_every_import_is_at_module_level(path):
         if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
     ]
     assert nested == []
+
+
+@pytest.mark.parametrize("path", IMPORTERS, ids=lambda p: f"{p.parent.name}/{p.stem}")
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []

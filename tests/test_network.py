@@ -5,7 +5,6 @@ import pytest
 
 from lipcert import (
     ArchitectureSpec,
-    Params,
     PseudoHuber,
     Sample,
     SquaredError,
@@ -224,7 +223,7 @@ class TestLossHeads:
             assert g <= envp.g_p_max * (1 + 1e-12)
 
 
-class TestSerialization:
+class TestDatasetCsv:
     def test_dataset_csv_roundtrip(self, tmp_path):
         path = tmp_path / "data.csv"
         rows = [

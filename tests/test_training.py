@@ -42,6 +42,18 @@ def tanh_problem(n_samples=8, seed=0, b_omega=1.0):
     return objective, theta0, cert
 
 
+class StubObjective:
+    """Returns the given objective values in turn, with gradient 0.1 theta."""
+
+    n_samples = 1
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def value_and_gradient(self, theta, indices):
+        return next(self.values), 0.1 * np.asarray(theta)
+
+
 class TestGradientDescent:
     def test_quadratic_converges_in_one_step(self):
         # phi(t) = L/2 t^2 with h = 1/L jumps straight to the minimizer
@@ -86,6 +98,19 @@ class TestGradientDescent:
         theta0 = theta0 * 0.02 / 0.5
         trace = run_gd(objective, theta0, l_grad_phi=0.3, steps=5, b_omega=50.0)
         assert trace.n_descent_violations > 0
+
+    def test_step_to_a_non_finite_objective_fails_the_descent_check(self):
+        # the slack grows with |phi_new|, so phi - inf >= bound - inf would pass
+        # a check that did not test finiteness first
+        trace = run_gd(StubObjective([1.0, math.inf]), np.ones(2), 1.0, steps=3, b_omega=10.0)
+        assert [st.descent_ok for st in trace.steps] == [False]
+        assert trace.n_descent_violations == 1
+        assert trace.aborted
+
+    @pytest.mark.parametrize("phi0", [math.inf, math.nan])
+    def test_non_finite_initial_objective_raises(self, phi0):
+        with pytest.raises(ValueError, match="initial iterate"):
+            run_gd(StubObjective([phi0]), np.ones(2), 1.0, steps=3, b_omega=10.0)
 
     def test_rejects_nonpositive_constant(self):
         obj = QuadraticObjective(l=1.0)
