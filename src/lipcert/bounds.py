@@ -248,14 +248,12 @@ class LayerBounds:
     l_grad_n  Lipschitz constant of theta -> grad_theta N_u
     b_n       sup-norm bound on the layer output (may be +inf)
     alpha     block-perturbation part of l_grad_n^2 (new layer's parameters)
-    beta      carried part of l_grad_n^2 (perturbations below this layer)
     """
 
     l_n: float
     l_grad_n: float
     b_n: float
     alpha: float
-    beta: float
 
     @property
     def b_grad_n(self) -> float:
@@ -267,7 +265,7 @@ def input_base(s: float) -> LayerBounds:
     """Depth-zero bounds: the constant feature map x with norm S."""
     if s < 0 or not math.isfinite(s):
         raise ValueError("input norm must be finite and nonnegative")
-    return LayerBounds(0.0, 0.0, s, 0.0, 0.0)
+    return LayerBounds(0.0, 0.0, s, 0.0)
 
 
 def _head_constants(env: ActivationEnvelope | LossEnvelope | None) -> tuple[float, float, float]:
@@ -355,13 +353,11 @@ def layer_step(
         )
 
     alpha = max(a_term, b_term)
-    beta = cross * cross + carry
-
-    l_grad_chi = math.sqrt(alpha + beta)
+    l_grad_chi = math.sqrt(alpha + (cross * cross + carry))
 
     b_chi = math.sqrt(n3) * b3  # +inf for a head without a value bound
 
-    return LayerBounds(l_chi, l_grad_chi, b_chi, alpha, beta)
+    return LayerBounds(l_chi, l_grad_chi, b_chi, alpha)
 
 
 @dataclass(frozen=True)
@@ -400,7 +396,7 @@ def _network_bounds(
         lb = layer_step(state, env, arch.widths[u], budgets[u - 1])
         if env.kind == "smoothed_relu":
             b_n = _smoothed_relu_bound(env, arch.widths[u], budgets[u - 1], state.b_n, math.sqrt)
-            lb = LayerBounds(lb.l_n, lb.l_grad_n, b_n, lb.alpha, lb.beta)
+            lb = LayerBounds(lb.l_n, lb.l_grad_n, b_n, lb.alpha)
         per_layer.append(lb)
         state = lb
     final = layer_step(state, None, arch.widths[m + 1], budgets[m])
@@ -458,7 +454,7 @@ def _layer_step_rows(
         l_grad_chi = np.sqrt(np.maximum(a_term, b_term) + (cross * cross + carry))
         overflowed = np.flatnonzero(~np.isfinite(l_chi + a_term + b_term + cross + carry))
     for i in overflowed.tolist():
-        prev = LayerBounds(float(l1[i]), float(l2[i]), float(b1[i]), 0.0, 0.0)
+        prev = LayerBounds(float(l1[i]), float(l2[i]), float(b1[i]), 0.0)
         lb = layer_step(prev, env, width_out, budget)
         l_chi[i], l_grad_chi[i] = lb.l_n, lb.l_grad_n
     return l_chi, l_grad_chi
@@ -750,7 +746,7 @@ def closed_form_network_bounds(
 ) -> NetworkBounds:
     """Network bounds whose hidden-layer constants come from the closed forms.
 
-    b_n, alpha and beta stay the recursive ones; the identity head reuses the
+    b_n and alpha stay the recursive ones; the identity head reuses the
     one-step composition formulas on the (larger) closed-form last layer.
     """
     nb = network_certificate(arch, inputs, s)
@@ -790,42 +786,43 @@ def closed_form_certificate(
 
 
 def _poly_head_sq_constants(
-    arch: ArchitectureSpec, inputs: BoundInputs, loss: LossEnvelope, s: float
-) -> tuple[float, float]:
-    """Weakened squared head constants that are polynomial in t = S^2.
+    arch: ArchitectureSpec, inputs: BoundInputs, loss: LossEnvelope
+) -> tuple[tuple[float, float], tuple[float, ...]]:
+    """Weakened squared head constants as polynomials in t = S^2.
 
     Runs the composition recursion with two monotone relaxations applied to
     the gradient-level constants: max(a, b) -> a + b and (a + b)^2 ->
-    2 a^2 + 2 b^2.  Both only increase the result, and with every bounded
-    activation the squared loss-level constant becomes affine in t while the
-    squared gradient-level constant becomes quadratic in t, which is what
-    lets the moment mode integrate them exactly.
+    2 a^2 + 2 b^2.  Both only increase the result.  The input norm enters
+    the first step only, as c1^2 (t + 1) and c2^2 (t + 1)(3t + 2); every
+    later step sees a bounded activation's constant output bound B and maps
+    the coefficients linearly, but for the square 2 c2^2 d^4 L^2 of the
+    previous squared constant L.  Returns ((p0, p1), (q0, q1, q2)) of
+    p0 + p1 t and q0 + q1 t + q2 t^2; every product goes through _prod, so
+    no coefficient is negative or nan.
     """
     d = inputs.b_omega
-    m = arch.m
-    l1_sq, lg_sq = 0.0, 0.0  # squared L of the feature map and of its Jacobian
-    b1 = s
-
-    def step_sq(c1: float, c2: float, n3: float) -> tuple[float, float]:
-        new_l_sq = _prod(c1, c1) * (_prod(d, d, l1_sq) + b1 * b1 + 1.0)
-        alpha_w = (
-            3.0 * _prod(l1_sq, _prod(c1, c1, n3) + _prod(c2, c2, d, d, b1, b1))
-            + 2.0 * _prod(c2, c2, d, d, l1_sq)
-            + _prod(c2, c2) * (b1 * b1 + 1.0) * (3.0 * b1 * b1 + 2.0)
+    envs = [a.envelope for a in arch.activations]
+    heads = [(e.sigma_p_max, e.sigma_pp_max, float(w)) for e, w in zip(envs, arch.widths[1:])]
+    (c1, c2, _), *later = heads + [(loss.g_p_max, loss.g_pp_max, 1.0)]
+    l0 = l1 = _prod(c1, c1)
+    g0, g1, g2 = (k * _prod(c2, c2) for k in (2.0, 5.0, 3.0))
+    for (c1, c2, n3), e, w in zip(later, envs, arch.widths[1:]):
+        b = math.sqrt(w) * e.sigma_max
+        b_sq1 = b * b + 1.0
+        # the coefficients of L (alpha_w's and the carry's), of L^2 and of the previous G
+        lin = (
+            3.0 * (_prod(c1, c1, n3) + _prod(c2, c2, d, d, b, b)) + 2.0 * _prod(c2, c2, d, d)
+            + _sq(_prod(n3, c1) + _prod(d, c2, math.sqrt(b_sq1)))
         )
-        carry_coef = _sq(_prod(n3, c1) + _prod(d, c2, math.sqrt(b1 * b1 + 1.0)))
-        beta_w = (
-            2.0 * _prod(n3, n3, c1, c1, d, d, lg_sq)
-            + 2.0 * _prod(c2, c2, d, d, d, d, l1_sq, l1_sq)
-            + _prod(l1_sq, carry_coef)
+        quad, carried = _prod(2.0, c2, c2, d, d, d, d), _prod(2.0, n3, n3, c1, c1, d, d)
+        g0, g1, g2 = (
+            _prod(lin, l0) + _prod(c2, c2, b_sq1, 3.0 * b * b + 2.0)
+            + _prod(quad, l0, l0) + _prod(carried, g0),
+            _prod(lin, l1) + _prod(quad, 2.0, l0, l1) + _prod(carried, g1),
+            _prod(quad, l1, l1) + _prod(carried, g2),
         )
-        return new_l_sq, alpha_w + beta_w
-
-    for u in range(1, m + 1):
-        env = arch.activations[u - 1].envelope
-        l1_sq, lg_sq = step_sq(env.sigma_p_max, env.sigma_pp_max, float(arch.widths[u]))
-        b1 = math.sqrt(arch.widths[u]) * env.sigma_max
-    return step_sq(loss.g_p_max, loss.g_pp_max, 1.0)
+        l0, l1 = _prod(c1, c1, _prod(d, d, l0) + b_sq1), _prod(c1, c1, d, d, l1)
+    return (l0, l1), (g0, g1, g2)
 
 
 def check_moment_mode(arch: ArchitectureSpec) -> None:
@@ -846,11 +843,11 @@ def moment_certificate(
     """Certificate from norm moments via polynomial envelopes in t = S^2.
 
     The weakened squared head constants are polynomials in t of degree <= 1
-    (loss level) and <= 2 (gradient level) with nonnegative coefficients.
-    Fitting them exactly at t in {0, 1, 2} and integrating termwise against
-    (E[S^2], E[S^4]) bounds E[L_phi^2] and E[L_grad_phi^2]; Jensen then
-    bounds the expectations themselves.  A level whose fit values or
-    integral are not finite certifies +inf.
+    (loss level) and <= 2 (gradient level) with nonnegative coefficients,
+    built by _poly_head_sq_constants.  Integrated termwise against
+    (E[S^2], E[S^4]) they bound E[L_phi^2] and E[L_grad_phi^2]; Jensen then
+    bounds the expectations themselves.  A coefficient or moment product
+    that overflows certifies +inf.
 
     The per-layer table is evaluated at the reference norm sqrt(E[S^2]) and
     is informational in this mode; only l_phi / l_grad_phi / b_grad_phi are
@@ -861,26 +858,9 @@ def moment_certificate(
     check_moment_mode(arch)
     nb = _network_bounds(arch, inputs.budgets_for(arch), math.sqrt(moments.e_s2))
     loss = _loss_at(loss, nb.budgets[-1], nb)
-    v0 = _poly_head_sq_constants(arch, inputs, loss, 0.0)
-    v1 = _poly_head_sq_constants(arch, inputs, loss, 1.0)
-    v2 = _poly_head_sq_constants(arch, inputs, loss, math.sqrt(2.0))
-    # the values are nonnegative, so a finite sum means all three are finite
-    fits_phi, fits_gphi = (math.isfinite(v0[i] + v1[i] + v2[i]) for i in (0, 1))
-    # degree-1 fit for the loss level: p(t) = p0 + p1 t
-    p0, p1 = v0[0], v1[0] - v0[0]
-    fit_err = abs(v2[0] - (p0 + 2.0 * p1))
-    if fits_phi and fit_err > 1e-9 * max(1.0, abs(v2[0])):
-        raise ValueError("loss-level envelope is not affine in S^2; cannot use moments")
-    # degree-2 fit for the gradient level: q(t) = q0 + q1 t + q2 t^2
-    q0 = v0[1]
-    q2 = (v2[1] - 2.0 * v1[1] + v0[1]) / 2.0
-    q1 = v1[1] - q0 - q2
-    e_phi_sq = p0 + p1 * moments.e_s2 if fits_phi else math.inf
-    e_gphi_sq = q0 + q1 * moments.e_s2 + q2 * moments.e_s4 if fits_gphi else math.inf
-    if e_phi_sq < 0 or e_gphi_sq < 0:
-        raise ValueError("moment envelope produced a negative bound")
-    # a fit of finite values can still overflow to inf - inf
-    l_phi, l_grad_phi = (math.sqrt(e) if e == e else math.inf for e in (e_phi_sq, e_gphi_sq))
+    (p0, p1), (q0, q1, q2) = _poly_head_sq_constants(arch, inputs, loss)
+    l_phi = math.sqrt(p0 + _prod(p1, moments.e_s2))
+    l_grad_phi = math.sqrt(q0 + _prod(q1, moments.e_s2) + _prod(q2, moments.e_s4))
     return Certificate(
         per_layer=nb.per_layer,
         l_n_final=nb.l_n,

@@ -298,7 +298,10 @@ def cmd_verify(cfg: dict, args, out: Path) -> int:
     if mode not in MODES:
         raise ConfigError(f"verify.mode must be one of {MODES}, got '{mode}'")
     x = _verify_input(arch, vdoc, seed)
-    s = float(np.linalg.norm(x))
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, rejected here
+        s = float(np.linalg.norm(x))
+    if s == math.inf:
+        raise ConfigError("verify: the input norm overflows")
 
     cert_path = get(vdoc, "certificate_path", str, default=None, where="verify")
     if cert_path is not None:
@@ -318,10 +321,13 @@ def cmd_verify(cfg: dict, args, out: Path) -> int:
     # a net that overflows shows it as a non-finite quotient in soundness.csv,
     # so the numpy warnings of its sampled maps are silenced here and only here
     with np.errstate(over="ignore", invalid="ignore"):
-        est_n = empirical_lipschitz(network_output_map(arch, x), n_params, b, n_pairs, seed, mode)
-        est_g = empirical_grad_lipschitz(
-            network_jacobian_map(arch, x), n_params, b, n_pairs, seed + 1, mode
-        )
+        try:
+            est_n = empirical_lipschitz(network_output_map(arch, x), n_params, b, n_pairs, seed, mode)
+            est_g = empirical_grad_lipschitz(
+                network_jacobian_map(arch, x), n_params, b, n_pairs, seed + 1, mode
+            )
+        except ValueError as exc:  # a ball too small for two distinct points
+            raise ConfigError(f"verify: {exc}") from exc
     rows.append((cid, "l_n", cert_l_n, est_n.max_ratio, _ratio(cert_l_n, est_n.max_ratio), n_pairs, seed))
     rows.append((cid, "l_grad_n", cert_l_grad, est_g.max_ratio, _ratio(cert_l_grad, est_g.max_ratio), n_pairs, seed + 1))
 

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import ArchitectureSpec, LossEnvelope, check_sample_norms, full_moments
+from .bounds import ArchitectureSpec, LossEnvelope, _fsum, check_sample_norms, full_moments
 from .network import layer_slices
 
 __all__ = [
@@ -611,8 +611,8 @@ def code_loss_certificate(
             gphis.append(ldg * c.l_x * c.l_x + lg * c.l_dx)
         return replace(
             cert,
-            l_phi=math.fsum(phis) / len(phis),
-            l_grad_phi=math.fsum(gphis) / len(gphis),
+            l_phi=_fsum(phis) / len(phis),
+            l_grad_phi=_fsum(gphis) / len(gphis),
         )
     if moments is None:
         raise ValueError("need sample_norms or moments")
@@ -625,7 +625,7 @@ def code_loss_certificate(
 
     def mean(coef: float, *powers: float) -> float:
         """coef * E[prod_p (1 + B_X^p)], one moment term per subset of powers."""
-        return coef * math.fsum(
+        return coef * _fsum(
             _expected_power(sum(sub), a, kappa, moments)
             for r in range(len(powers) + 1)
             for sub in itertools.combinations(powers, r)

@@ -187,6 +187,7 @@ def _draw_blocks(
 
 
 _ROW_BLOCK_BYTES = 1 << 20
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
 
 def _row_distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -196,6 +197,11 @@ def _row_distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     not as one (K, p) temporary; each row is still reduced over the same
     contiguous values, so the distances keep their bits.  einsum reduces a
     single row in another order, so no block has one row unless K is 1.
+    A row whose sum of squares underflows below the normal range or
+    overflows is measured again scaled by its largest |d|, so that a
+    distance the float range holds is neither 0 nor inf.  Only finite rows
+    whose difference overflows keep inf; a row with an inf or nan value
+    has no distance, nan.
     """
     k = len(u)
     out = np.empty(k)
@@ -205,8 +211,17 @@ def _row_distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         starts.pop()  # the last row joins the block before it
     for i, j in zip(starts, [*starts[1:], k]):
         d = u[i:j] - v[i:j]
-        np.einsum("ij,ij->i", d, d, out=out[i:j])
-    return np.sqrt(out, out=out)
+        dist = np.einsum("ij,ij->i", d, d, out=out[i:j])
+        redo = np.flatnonzero(~((dist >= _TINY) & (dist < math.inf))).tolist()
+        np.sqrt(dist, out=dist)
+        for r in redo:
+            scale = float(np.max(np.abs(d[r])))
+            if 0.0 < scale < math.inf:
+                w = d[r] / scale
+                dist[r] = scale * math.sqrt(float(w @ w))
+            elif scale != 0.0 and not (np.isfinite(u[i + r]).all() and np.isfinite(v[i + r]).all()):
+                dist[r] = math.nan  # a value that overflowed measures no distance
+    return out
 
 
 def empirical_lipschitz(

@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import itertools
 import math
 import weakref
@@ -85,8 +86,8 @@ class TestLayerStep:
     def test_dropped_carry_term_with_unbounded_features_is_not_nan(self):
         # a zero curvature bound (identity head) or a zero budget drops the
         # carry term's curvature part even when the feature bound is inf
-        prev = LayerBounds(1.0, 2.0, math.inf, 0.0, 0.0)
-        finite = LayerBounds(1.0, 2.0, 5.0, 0.0, 0.0)
+        prev = LayerBounds(1.0, 2.0, math.inf, 0.0)
+        finite = LayerBounds(1.0, 2.0, 5.0, 0.0)
         identity = layer_step(prev, None, 2, 1.0).l_grad_n
         assert identity == layer_step(finite, None, 2, 1.0).l_grad_n
         assert math.isinf(layer_step(prev, env(1.0, 1.0), 2, 0.0).l_grad_n)
@@ -97,7 +98,7 @@ class TestLayerStep:
 
     @pytest.mark.parametrize("field", ["l_n", "l_grad_n", "b_n"])
     def test_rejects_negative_prev_field(self, field):
-        values = {"l_n": 1.0, "l_grad_n": 1.0, "b_n": 1.0, "alpha": 0.0, "beta": 0.0}
+        values = {"l_n": 1.0, "l_grad_n": 1.0, "b_n": 1.0, "alpha": 0.0}
         prev = LayerBounds(**{**values, field: -1.0})
         with pytest.raises(ValueError, match=f"prev.{field} must"):
             layer_step(prev, env(1.0, 1.0), 1, 1.0)
@@ -153,7 +154,7 @@ def reference_layer_step(prev, env_, width_out, budget):
 
     b_chi = math.sqrt(n3) * b3
 
-    return LayerBounds(l_chi, l_grad_chi, b_chi, alpha, beta)
+    return LayerBounds(l_chi, l_grad_chi, b_chi, alpha)
 
 
 def same_float_bits(x: float, y: float) -> bool:
@@ -188,7 +189,7 @@ class TestLayerStepBits:
         for i, (l1, l2, b1, d, width) in enumerate(
             itertools.product(GRID, GRID, GRID, (*GRID, -0.0), (1, 3, 64))
         ):
-            prev, h = LayerBounds(l1, l2, b1, 0.0, 0.0), head(kind, i)
+            prev, h = LayerBounds(l1, l2, b1, 0.0), head(kind, i)
             assert same_bits(layer_step(prev, h, width, d), reference_layer_step(prev, h, width, d)), (
                 l1, l2, b1, d, width, h
             )
@@ -198,7 +199,7 @@ class TestLayerStepBits:
         kinds = ("identity", "activation", "loss")
         for i in range(10_000):
             l1, l2, b1, d = 10.0 ** rng.uniform(-320.0, 308.0, 4)
-            prev = LayerBounds(float(l1), float(l2), float(b1), 0.0, 0.0)
+            prev = LayerBounds(float(l1), float(l2), float(b1), 0.0)
             h = head(kinds[i % 3], int(rng.integers(len(HEAD_CONSTANTS))))
             if h is not None:
                 c1, c2 = (float(c) for c in 10.0 ** rng.uniform(-320.0, 308.0, 2))
@@ -209,14 +210,14 @@ class TestLayerStepBits:
             ), (l1, l2, b1, d, width, h)
 
     def test_zero_budget_against_an_inf_bound(self):
-        prev = LayerBounds(1.0, 2.0, math.inf, 0.0, 0.0)
+        prev = LayerBounds(1.0, 2.0, math.inf, 0.0)
         for h in (None, env(1.0, 1.0), LossEnvelope(1.0, 1.0)):
             got = layer_step(prev, h, 2, 0.0)
             assert same_bits(got, reference_layer_step(prev, h, 2, 0.0))
             assert not math.isnan(got.l_grad_n)
 
     def test_overflow_to_inf(self):
-        prev = LayerBounds(1e200, 1e200, 1e200, 0.0, 0.0)
+        prev = LayerBounds(1e200, 1e200, 1e200, 0.0)
         got = layer_step(prev, env(1.0, 1.0), 3, 1e200)
         assert same_bits(got, reference_layer_step(prev, env(1.0, 1.0), 3, 1e200))
         assert math.isinf(got.l_n) and math.isinf(got.l_grad_n)
@@ -283,7 +284,7 @@ class TestSampleNormArrays:
     @pytest.mark.parametrize("kind", ["identity", "activation", "loss"])
     def test_grid_rows(self, kind):
         # TestLayerStepBits's grid, one array of every (l_n, l_grad_n, b_n) per step
-        prev = [LayerBounds(*p, 0.0, 0.0) for p in itertools.product(GRID, GRID, GRID)]
+        prev = [LayerBounds(*p, 0.0) for p in itertools.product(GRID, GRID, GRID)]
         l1, l2, b1 = (np.array(col) for col in zip(*(dataclasses.astuple(p)[:3] for p in prev)))
         for i, (d, width) in enumerate(itertools.product((*GRID, -0.0), (1, 3, 64))):
             h = head(kind, i)
@@ -616,6 +617,74 @@ class TestMomentMode:
         assert cert.l_grad_phi == math.inf
         assert math.isfinite(cert.l_phi)
         assert cert.flags == ("overflow", "moment_mode")
+
+    @staticmethod
+    def _relaxed_squared_recursion(arch, b_omega, loss, t):
+        """The weakened squared head constants at S^2 = t, step by step in
+        60-digit decimals: the recursion the coefficients are built from."""
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            D = decimal.Decimal
+            d, one = D(b_omega), D(1)
+            l_sq, g_sq, b1 = D(0), D(0), D(t).sqrt()
+
+            def step(c1, c2, n3):
+                c1, c2, n3 = D(c1), D(c2), D(n3)
+                new_l_sq = c1 * c1 * (d * d * l_sq + b1 * b1 + one)
+                alpha_w = (
+                    3 * l_sq * (c1 * c1 * n3 + c2 * c2 * d * d * b1 * b1)
+                    + 2 * c2 * c2 * d * d * l_sq
+                    + c2 * c2 * (b1 * b1 + one) * (3 * b1 * b1 + 2)
+                )
+                carry_coef = (n3 * c1 + d * c2 * (b1 * b1 + one).sqrt()) ** 2
+                beta_w = (
+                    2 * n3 * n3 * c1 * c1 * d * d * g_sq
+                    + 2 * c2 * c2 * d**4 * l_sq * l_sq
+                    + l_sq * carry_coef
+                )
+                return new_l_sq, alpha_w + beta_w
+
+            for a, w in zip(arch.activations, arch.widths[1:]):
+                e = a.envelope
+                l_sq, g_sq = step(e.sigma_p_max, e.sigma_pp_max, w)
+                b1 = D(w).sqrt() * D(e.sigma_max)
+            return step(loss.g_p_max, loss.g_pp_max, 1)
+
+    def test_coefficients_match_the_decimal_recursion(self):
+        rng = np.random.default_rng(18)
+        kinds = (
+            tanh, sigmoid,
+            lambda: make_activation("saturated_linear", c=float(rng.uniform(0.5, 2.0)), r_sat=1.5),
+        )
+        for trial in range(60):
+            m = trial % 5
+            acts = tuple(kinds[int(rng.integers(3))]() for _ in range(m))
+            arch = ArchitectureSpec(tuple(int(w) for w in rng.integers(1, 9, m + 2)), acts)
+            b_omega = float(10.0 ** rng.uniform(-2.0, 1.0))
+            loss = LossEnvelope(*(float(c) for c in 10.0 ** rng.uniform(-2.0, 2.0, 2)))
+            coefs = bounds._poly_head_sq_constants(arch, BoundInputs(b_omega), loss)
+            for t in (0.0, 1.0, 2.0, 1e4):
+                want = self._relaxed_squared_recursion(arch, b_omega, loss, t)
+                with decimal.localcontext() as ctx:
+                    ctx.prec = 60
+                    for poly, w in zip(coefs, want):
+                        got = sum(decimal.Decimal(c) * decimal.Decimal(x) for c, x in zip(poly, (1.0, t, t * t)))
+                        assert abs(got - w) <= decimal.Decimal("1e-12") * w, (arch, b_omega, loss, t)
+
+    def test_one_norm_moments_dominate_the_recursion(self):
+        # moments of a single norm S: the moment bound covers loss_certificate at S
+        rng = np.random.default_rng(2004)
+        for _ in range(3000):
+            m = int(rng.integers(0, 4))
+            acts = tuple((tanh, sigmoid)[int(rng.integers(2))]() for _ in range(m))
+            arch = ArchitectureSpec(tuple(int(w) for w in rng.integers(1, 9, m + 2)), acts)
+            inputs = BoundInputs(float(10.0 ** rng.uniform(-3.0, 1.0)))
+            s = float(10.0 ** rng.uniform(-2.0, 4.0))
+            loss = LossEnvelope(*(float(c) for c in 10.0 ** rng.uniform(-2.0, 2.0, 2)))
+            exact = loss_certificate(arch, inputs, loss, [s])
+            mom = moment_certificate(arch, inputs, loss, SampleMoments(s * s, s**4))
+            assert mom.l_phi >= exact.l_phi * (1.0 - 1e-14), (arch, inputs, s, loss)
+            assert mom.l_grad_phi >= exact.l_grad_phi * (1.0 - 1e-14), (arch, inputs, s, loss)
 
     def test_inconsistent_moments_rejected(self):
         with pytest.raises(ValueError):

@@ -493,6 +493,49 @@ class TestCertify:
         rec = json.loads((out / "certificate_recursive.json").read_text())
         assert json.loads(DEEP_MIXED_REFINED)["l_grad_phi"] < 0.5 * rec["l_grad_phi"]
 
+    # the moments of one norm S = 8863.15768392426
+    MOMENTS_ONE_NORM = {
+        "name": "moments-one-norm",
+        "architecture": {"widths": [4, 6, 8, 6, 7], "activations": ["sigmoid", "tanh", "tanh"]},
+        "bounds": {
+            "b_omega": 0.007344149657956858,
+            "moments": {"e_s2": 78555564.13010566, "e_s4": 6170976655799143.0},
+        },
+        "loss": {"kind": "envelope", "g_p_max": 0.10443779086871627, "g_pp_max": 92.73898873250393},
+    }
+
+    def test_one_norm_moments_cover_that_norm(self, tmp_path):
+        # a moment bound below the recursion at S would not hold for data at S
+        certs = {}
+        for name, b in [
+            ("moments", self.MOMENTS_ONE_NORM["bounds"]),
+            ("norm", {"b_omega": 0.007344149657956858, "sample_norms": [8863.15768392426]}),
+        ]:
+            cfg = write_cfg(tmp_path, {**self.MOMENTS_ONE_NORM, "bounds": b}, f"{name}.json")
+            assert cli.main(["certify", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+            certs[name] = json.loads((tmp_path / name / "certificate_recursive.json").read_text())
+        assert certs["norm"]["l_grad_phi"] == pytest.approx(1097.63, abs=0.01)
+        for key in ("l_phi", "l_grad_phi"):  # up to rounding, which is not rounded outward yet
+            assert certs["moments"][key] >= certs["norm"][key] * (1.0 - 1e-14)
+
+    def test_moments_at_a_tiny_radius_certify(self, tmp_path, capsys):
+        # the terms of a second-difference fit agree to every digit here;
+        # the coefficients need none
+        cfg = write_cfg(tmp_path, {
+            "name": "moments-tiny-radius",
+            "architecture": {"widths": [6, 4, 2], "activations": ["tanh"]},
+            "bounds": {
+                "b_omega": 5.5715e-143,
+                "moments": {"e_s2": 6.597500624999999e49, "e_s4": 4.352701449687538e99},
+            },
+            "loss": {"kind": "envelope", "g_p_max": 1.7056, "g_pp_max": 7317200},
+        })
+        out = tmp_path / "out"
+        assert cli.main(["certify", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        doc = json.loads((out / "certificate_recursive.json").read_text())
+        assert doc["l_grad_phi"] > 0 and math.isfinite(doc["l_grad_phi"])
+
     def test_refuses_overwrite_without_force(self, tmp_path):
         cfg = write_cfg(tmp_path, TRIVIAL)
         out = tmp_path / "out"
@@ -750,6 +793,18 @@ class TestConfigErrors:
                 "dataset: sample norms must be finite and nonnegative", argv,
             )
 
+    @pytest.mark.parametrize(
+        "key, value", [("input_norm", 1e200), ("x", [1e200, 1e200])], ids=["input_norm", "x"]
+    )
+    def test_overflowing_verify_input_exits_two(self, tmp_path, capsys, monkeypatch, key, value):
+        argv, doc = COMMAND_RUNS["verify"]
+        doc = {**doc, "verify": {"n_pairs": 4, key: value}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            self.assert_fails_before_any_recursion(
+                tmp_path, capsys, monkeypatch, doc, "verify: the input norm overflows", argv
+            )
+
     def test_missing_certificate_names_the_certificate(self, tmp_path, capsys):
         argv, doc = COMMAND_RUNS["verify"]
         missing = tmp_path / "nope.json"
@@ -856,8 +911,8 @@ class TestOverflow:
             assert cli.main(argv + ["--allow-inf"]) == 0
         assert (out / "soundness.csv").read_text() == (
             "config_id,constant_name,certificate,empirical,ratio,n_pairs,seed\n"
-            "unbounded-features,l_n,inf,0,inf,200,0\n"
-            "unbounded-features,l_grad_n,inf,0,inf,200,1\n"
+            "unbounded-features,l_n,inf,1,inf,200,0\n"
+            "unbounded-features,l_grad_n,inf,1.5653987656065744,inf,200,1\n"
         )
 
 
@@ -914,6 +969,44 @@ class TestVerify:
         out = tmp_path / "out"
         assert cli.main(["verify", "--config", str(config), "--out", str(out)]) == 0
         assert (out / "soundness.csv").read_text() == self.SHIPPED_SOUNDNESS
+
+    @staticmethod
+    def empirical_column(tmp_path, doc, name):
+        out = tmp_path / name
+        assert cli.main(["verify", "--config", write_cfg(tmp_path, doc, f"{name}.json"), "--out", str(out)]) == 0
+        return [float(row.split(",")[3]) for row in (out / "soundness.csv").read_text().split("\n")[1:-1]]
+
+    def test_tiny_balls_measure_their_pairs(self, tmp_path):
+        # squared differences of 1e-200 underflow to 0, which made every pair degenerate
+        argv, doc = COMMAND_RUNS["verify"]
+        columns = [
+            self.empirical_column(
+                tmp_path, {**doc, "bounds": {"b_omega": b}, "verify": {"n_pairs": 4}}, f"b{b:g}"
+            )
+            for b in (1e-100, 1e-200, 1e-300)
+        ]
+        assert columns[0][0] > 0
+        for column in columns[1:]:
+            assert column == pytest.approx(columns[0], rel=1e-9)
+
+    def test_outputs_whose_squares_overflow_do_not_falsify(self, tmp_path):
+        # output distances near 1e100, which certificate 2e100 covers
+        doc = {
+            "name": "smoothed-relu-1e100",
+            "architecture": {"widths": [1, 2, 1], "activations": [{"kind": "smoothed_relu", "delta": 0.5}]},
+            "bounds": {"b_omega": 1e100},
+            "verify": {"n_pairs": 200, "input_norm": 1.0},
+        }
+        assert self.empirical_column(tmp_path, doc, "out")[0] == pytest.approx(1.08598e100, rel=1e-5)
+
+    def test_identical_pairs_exit_two(self, tmp_path, capsys):
+        # in a ball of radius 5e-324 every sampled pair is one point twice
+        argv, doc = COMMAND_RUNS["verify"]
+        doc = {**doc, "bounds": {"b_omega": 5e-324}, "verify": {"n_pairs": 4}}
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: verify: every sampled pair was degenerate\n"
+        assert not any(out.iterdir())
 
 
 class TestTrain:
@@ -1139,6 +1232,23 @@ class TestCodeCommands:
         "loss": {"kind": "envelope", "g_p_max": 1.0, "g_pp_max": 1.0, "lip_g": 1.5, "lip_dg": 0.5},
         "code": {"field": "linear_scalar", "b_upsilon": 1.0, "x_norm": 1.0},
     }
+
+    def test_mean_past_the_float_range_is_inf(self, tmp_path, capsys):
+        # L_X = 1 at both norms, so each per-sample L_phi is 1e308 and their sum overflows
+        doc = {
+            "name": "mean-overflow",
+            "loss": {"kind": "envelope", "g_p_max": 1e308, "g_pp_max": 0.0},
+            "code": {"envelopes": {"b_theta": 0.5}, "b_upsilon": 1.0, "x_norm": 1.0, "sample_norms": [1.0, 1.0]},
+        }
+        cfg = write_cfg(tmp_path, doc)
+        assert cli.main(["code", "certify", "--config", cfg, "--out", str(tmp_path / "gated")]) == 3
+        assert capsys.readouterr().err == (
+            "error: code certify: constants overflowed to infinity; rerun with --allow-inf to accept\n"
+        )
+        out = tmp_path / "out"
+        assert cli.main(["code", "certify", "--config", cfg, "--out", str(out), "--allow-inf"]) == 0
+        cert = json.loads((out / "code_certificate.json").read_text())
+        assert (cert["l_x"], cert["l_phi"]) == (1.0, math.inf)
 
     def test_sample_norm_certificate_is_pinned(self, tmp_path):
         doc = {**self.LOSS_DOC, "code": {**self.LOSS_DOC["code"], "sample_norms": [0.25, 1.0, 1.5]}}

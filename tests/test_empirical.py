@@ -239,6 +239,18 @@ class TestEmpiricalLipschitz:
             whole = np.sqrt(np.einsum("ij,ij->i", d, d))
             assert _row_distances(u, v).tobytes() == whole.tobytes()
 
+    def test_distances_past_the_squares_range(self):
+        # squares that underflow or overflow: the distance itself is still a float
+        u = np.array([[3e-200, 4e-200], [3e200, 4e200], [0.0, 0.0], [3.0, 4.0],
+                      [math.inf, 0.0], [1e308, 0.0], [5e-324, 0.0]])
+        v = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0],
+                      [0.0, 0.0], [-1e308, 0.0], [0.0, 0.0]])
+        with np.errstate(over="ignore"):  # 1e308 - (-1e308)
+            got = _row_distances(u, v)
+        assert got[:4].tolist() == [pytest.approx(5e-200, rel=1e-15), pytest.approx(5e200, rel=1e-15), 0.0, 5.0]
+        # an inf value measures nothing; finite values past the float range apart are inf
+        assert math.isnan(got[4]) and got[5] == math.inf and got[6] == 5e-324
+
 
 class TestPairSampler:
     """The pairs empirical_lipschitz feeds its map, read back by a recording map."""
