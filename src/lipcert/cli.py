@@ -69,7 +69,6 @@ from .config import (
     write_json,
 )
 from .empirical import (
-    MODES,
     chain_output,
     directed_affine_pair,
     empirical_grad_lipschitz,
@@ -295,8 +294,8 @@ def cmd_verify(cfg: dict, args, out: Path) -> int:
     mode = get(vdoc, "mode", str, default="mixed", where="verify")
     if n_pairs < 1:
         raise ConfigError("verify.n_pairs must be positive")
-    if mode not in MODES:
-        raise ConfigError(f"verify.mode must be one of {MODES}, got '{mode}'")
+    if mode != "mixed":
+        raise ConfigError(f"verify.mode must be 'mixed', the one pair plan, got '{mode}'")
     x = _verify_input(arch, vdoc, seed)
     with np.errstate(over="ignore"):  # an overflowing norm is inf, rejected here
         s = float(np.linalg.norm(x))
@@ -322,9 +321,9 @@ def cmd_verify(cfg: dict, args, out: Path) -> int:
     # so the numpy warnings of its sampled maps are silenced here and only here
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            est_n = empirical_lipschitz(network_output_map(arch, x), n_params, b, n_pairs, seed, mode)
+            est_n = empirical_lipschitz(network_output_map(arch, x), n_params, b, n_pairs, seed)
             est_g = empirical_grad_lipschitz(
-                network_jacobian_map(arch, x), n_params, b, n_pairs, seed + 1, mode
+                network_jacobian_map(arch, x), n_params, b, n_pairs, seed + 1
             )
         except ValueError as exc:  # a ball too small for two distinct points
             raise ConfigError(f"verify: {exc}") from exc
@@ -480,7 +479,7 @@ def _code_envelopes(cdoc: dict):
     raise ConfigError("code: need 'envelopes' or a built-in 'field' with envelopes")
 
 
-def _code_budget(cdoc: dict):
+def _code_budget(cdoc: dict) -> float:
     bu = get(cdoc, "b_upsilon", float, default=None, where="code")
     ctl_doc = get(cdoc, "control", dict, default=None, where="code")
     control = None if ctl_doc is None else build_control(ctl_doc, "code.control")
@@ -490,10 +489,10 @@ def _code_budget(cdoc: dict):
         bu = total_variation([control])
     if not bu >= 0:
         raise ConfigError("code.b_upsilon must be nonnegative")
-    return bu, control
+    return bu
 
 
-def _code_x_norm(cdoc: dict):
+def _code_x_norm(cdoc: dict) -> float:
     xn = get(cdoc, "x_norm", float, default=None, where="code")
     x_cfg = get(cdoc, "x", list, default=None, where="code")
     x = None if x_cfg is None else _vector(x_cfg, len(x_cfg), "code.x")
@@ -503,7 +502,7 @@ def _code_x_norm(cdoc: dict):
         xn = float(np.linalg.norm(x))
     if not xn >= 0:
         raise ConfigError("code.x_norm must be nonnegative")
-    return xn, x
+    return xn
 
 
 def _code_certificate(env, bu: float, xn: float):
@@ -517,8 +516,8 @@ def _code_certificate(env, bu: float, xn: float):
 def cmd_code_certify(cfg: dict, args, out: Path) -> int:
     cdoc = section(cfg, "code")
     _, env = _code_envelopes(cdoc)
-    bu, _ = _code_budget(cdoc)
-    xn, _ = _code_x_norm(cdoc)
+    bu = _code_budget(cdoc)
+    xn = _code_x_norm(cdoc)
     cert = _code_certificate(env, bu, xn)
 
     loss_env = resolve_loss_envelope(cfg, get(cdoc, "dim_state", int, default=1, where="code"))
@@ -576,14 +575,15 @@ def cmd_code_verify(cfg: dict, args, out: Path) -> int:
     field, env = _code_envelopes(cdoc)
     if field is None:
         raise ConfigError("code verify needs a built-in 'field' to integrate")
-    bu, control = _code_budget(cdoc)
-    if control is None:
+    # the certificate is taken at the start and the control that are integrated
+    ctl_doc = get(cdoc, "control", dict, default=None, where="code")
+    if ctl_doc is None:
         raise ConfigError("code verify needs a 'control' section")
-    xn, x = _code_x_norm(cdoc)
-    if x is None:
+    control = build_control(ctl_doc, "code.control")
+    x_cfg = get(cdoc, "x", list, default=None, where="code")
+    if x_cfg is None:
         raise ConfigError("code verify needs an explicit 'x'")
-    if x.shape != (field.dim_state,):
-        raise ConfigError(f"code.x must have {field.dim_state} entries")
+    x = _vector(x_cfg, field.dim_state, "code.x")
 
     box = get(cdoc, "theta_box", list, default=None, where="code")
     if box is None or len(box) != 2:
@@ -591,6 +591,12 @@ def cmd_code_verify(cfg: dict, args, out: Path) -> int:
     lo, hi = (_vector(b, field.dim_theta, "code.theta_box entries") for b in box)
     if np.any(hi < lo):
         raise ConfigError("code.theta_box: high must dominate low")
+    d_lo, d_hi = field.theta_domain
+    if env is field.envelopes and (np.any(lo < d_lo) or np.any(hi > d_hi)):
+        raise ConfigError(
+            f"code.theta_box must lie in [{d_lo:g}, {d_hi:g}], where the field's envelopes"
+            " hold; give code.envelopes to claim envelopes beyond it"
+        )
 
     top_seed = get(cfg, "seed", int, default=0)
     seed = get(cdoc, "seed", int, default=top_seed, where="code")
@@ -612,7 +618,7 @@ def cmd_code_verify(cfg: dict, args, out: Path) -> int:
             for key in ("x_box_low", "x_box_high")
         )
 
-    cert = _code_certificate(env, bu, xn)
+    cert = _code_certificate(env, total_variation([control]), float(np.linalg.norm(x)))
     _gate([cert.b_x, cert.l_x], args.allow_inf, "code verify")
 
     rng = np.random.default_rng(seed)

@@ -185,7 +185,8 @@ class VectorFieldSpec:
 
     Derivative callables may be None when the corresponding solve order is
     never requested.  envelopes is optional and only needed for
-    certificates.
+    certificates; they hold for every entry of theta in theta_domain
+    (lo, hi), unbounded by default.
     """
 
     dim_state: int
@@ -198,6 +199,7 @@ class VectorFieldSpec:
     d2_theta_x: Callable[[np.ndarray, float, np.ndarray], np.ndarray] | None = None
     d2_x_x: Callable[[np.ndarray, float, np.ndarray], np.ndarray] | None = None
     envelopes: FieldEnvelopes | None = None
+    theta_domain: tuple[float, float] = (-math.inf, math.inf)
 
     def __post_init__(self) -> None:
         if self.dim_state < 1 or self.dim_theta < 0:
@@ -747,7 +749,7 @@ def verify_envelopes(
 def linear_scalar_field() -> VectorFieldSpec:
     """V(theta, t, x) = theta * x on scalar state and parameter.
 
-    On the parameter domain (-1, 1) the envelopes below hold: the field
+    On the parameter domain [-1, 1] the envelopes below hold: the field
     grows at most linearly (b_v = 1), the parameter derivative is x itself
     (b_theta = 1 with power 1), the mixed second derivatives are the
     constant 1, and x -> theta x is 1-Lipschitz.
@@ -773,6 +775,7 @@ def linear_scalar_field() -> VectorFieldSpec:
         d2_theta_x=lambda th, t, x: np.ones((len(th), 1, 1, 1)),
         d2_x_x=lambda th, t, x: np.zeros((len(th), 1, 1, 1)),
         envelopes=env,
+        theta_domain=(-1.0, 1.0),
     )
 
 

@@ -4,15 +4,16 @@ A certificate is an upper bound on a parameter-space Lipschitz constant, so
 any sampled difference quotient must stay below it; the routines here
 generate those quotients at scale.  The parameter-space maps (network
 output, parameter Jacobian, mean loss gradient) are thin closures over the
-batched engine in network, evaluated for a whole chunk of parameter rows at
-once; the test suite checks them against a plain per-sample loop.
+batched engine in network, evaluated for a whole pass of parameter rows
+at once; the test suite checks them against a plain per-sample loop.
 
-Parameter pairs are drawn in fixed blocks of PAIR_BLOCK pairs.  Block k
-reads one generator seeded with (seed, k) in a few whole-array calls and
-builds its pairs in place, so a pair depends only on (seed, its index):
-estimates do not depend on how the map evaluation is chunked, the first n
-pairs of a longer run are the pairs of an n-pair run, and the worst pair of
-an estimate can be regenerated from (seed, argmax_index).
+Pairs follow one plan: pair k is global, a local step of 1e-2 or 1e-4, or
+a coordinate step of 1e-3 * b_omega as k % 4 is 0, 1, 2 or 3.  Block k of
+PAIR_BLOCK pairs reads one generator seeded with (seed, k) in a few
+whole-array calls and builds its pairs in place, so a pair depends only on
+(seed, its index): the first n pairs of a longer run are the pairs of an
+n-pair run, and (seed, argmax_index) regenerates an estimate's worst pair.
+A pass draws _PASS_BLOCKS blocks, 1024 pairs, and maps each side once.
 """
 
 from __future__ import annotations
@@ -45,9 +46,6 @@ __all__ = [
     "network_output_map",
     "worst_case_construction",
 ]
-
-MODES = ("global_pairs", "local_perturbation", "coordinate", "mixed")
-
 
 @dataclass
 class LipschitzEstimate:
@@ -119,21 +117,8 @@ def loss_gradient_map(
 PAIR_BLOCK = 256
 """Pairs per generator: pair k is drawn from default_rng([seed, k // PAIR_BLOCK])."""
 
-_GLOBAL, _LOCAL, _COORDINATE = 0, 1, 2
-_MODE_KIND = {"global_pairs": _GLOBAL, "local_perturbation": _LOCAL, "coordinate": _COORDINATE}
-
-
-def _pair_plan(
-    idx: np.ndarray, mode: str, b_omega: float, h: float | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Kind and step length of each pair index; the mixed plan cycles on idx % 4."""
-    if mode == "mixed":
-        q = idx % 4
-        kind = np.array([_GLOBAL, _LOCAL, _LOCAL, _COORDINATE])[q]
-        cap = 0.5 * b_omega
-        step = np.array([0.0, min(1e-2, cap), min(1e-4, cap), 1e-3 * b_omega])[q]
-        return kind, step
-    return np.full(idx.shape, _MODE_KIND[mode]), np.full(idx.shape, h or 0.0)
+_PASS_BLOCKS = 4
+"""Blocks per pass: 1024 pairs per map call."""
 
 
 def _scale_rows(g: np.ndarray, length: np.ndarray) -> None:
@@ -143,7 +128,7 @@ def _scale_rows(g: np.ndarray, length: np.ndarray) -> None:
 
 
 def _draw_blocks(
-    seed: int, first: int, count: int, dim: int, b_omega: float, mode: str, h: float | None
+    seed: int, first: int, count: int, dim: int, b_omega: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pairs of blocks first .. first + count - 1 as two (count * PAIR_BLOCK, dim) arrays.
 
@@ -167,21 +152,23 @@ def _draw_blocks(
         coord_j[s] = rng.integers(dim, size=PAIR_BLOCK)
         coord_up[s] = rng.random(PAIR_BLOCK) < 0.5
 
-    idx = np.arange(first * PAIR_BLOCK, first * PAIR_BLOCK + rows)
-    kind, step = _pair_plan(idx, mode, b_omega, h)
-    is_global = kind == _GLOBAL
-    # uniform in the ball: radius R u^(1/dim) along a Gaussian direction;
-    # perturbation modes keep the base strictly h away from the boundary so
-    # the perturbed point stays inside the open ball
+    # pair k is global, local, local or coordinate as k % 4 is 0, 1, 2 or 3
+    q = np.arange(first * PAIR_BLOCK, first * PAIR_BLOCK + rows) % 4
+    cap = 0.5 * b_omega
+    step = np.array([0.0, min(1e-2, cap), min(1e-4, cap), 1e-3 * b_omega])[q]
+    is_global = q == 0
+    # uniform in the ball: radius R u^(1/dim) along a Gaussian direction; a
+    # step's base stays strictly its step away from the boundary so the
+    # second point stays inside the open ball
     radius = np.where(is_global, b_omega, b_omega - step * (1.0 + 1e-9))
     _scale_rows(a, radius * u[0] ** (1.0 / dim))
     # second point: its own draw for global pairs, else base + step, where a
-    # local step is the Gaussian direction at length h and a coordinate step
-    # starts from zero and gets +-h on one entry
-    local_step = np.where(kind == _LOCAL, step, 0.0)
+    # local step is the Gaussian direction at its length and a coordinate
+    # step starts from zero and gets +-step on one entry
+    local_step = np.where((q == 1) | (q == 2), step, 0.0)
     _scale_rows(b, np.where(is_global, b_omega * u[1] ** (1.0 / dim), local_step))
     np.add(b, a, out=b, where=~is_global[:, None])
-    rows_c = np.flatnonzero(kind == _COORDINATE)
+    rows_c = np.flatnonzero(q == 3)
     b[rows_c, coord_j[rows_c]] += np.where(coord_up[rows_c], step[rows_c], -step[rows_c])
     return a, b
 
@@ -230,58 +217,44 @@ def empirical_lipschitz(
     b_omega: float,
     n_pairs: int,
     seed: int,
-    mode: str = "mixed",
-    h: float | None = None,
-    chunk: int = 1024,
 ) -> LipschitzEstimate:
     """Max difference quotient of a batched map over sampled parameter pairs.
 
-    f maps a (K, dim) array of parameter rows to a (K, p) array of outputs,
-    and is called on at most chunk rows at a time.  Pairs come in blocks of
-    PAIR_BLOCK: block k draws all of its randomness from one generator
-    seeded with (seed, k), whatever n_pairs and chunk are.  So estimates do
-    not depend on chunking, the first n pairs of a longer run are exactly
-    the pairs of an n-pair run, and (seed, argmax_index) replays the worst
-    pair.  In the mixed plan pair k is a global pair, a local perturbation
-    of length 1e-2 or 1e-4 (at most b_omega / 2, so both points stay in the
-    ball), or a coordinate step of 1e-3 * b_omega as k % 4 is 0, 1, 2 or 3.
+    f maps a (K, dim) array of parameter rows to a (K, p) array of outputs.
+    Pairs come in blocks of PAIR_BLOCK: block k draws all of its randomness
+    from one generator seeded with (seed, k), whatever n_pairs is.  So the
+    first n pairs of a longer run are exactly the pairs of an n-pair run,
+    and (seed, argmax_index) replays the worst pair.  Pair k is a global
+    pair, a local perturbation of length 1e-2 or 1e-4 (at most b_omega / 2,
+    so both points stay in the ball), or a coordinate step of
+    1e-3 * b_omega as k % 4 is 0, 1, 2 or 3.  Each pass draws _PASS_BLOCKS
+    blocks and calls f once on their first points and once on their second.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
     if n_pairs < 1:
         raise ValueError("n_pairs must be positive")
-    if mode in ("local_perturbation", "coordinate"):
-        if h is None:
-            h = 1e-3 * b_omega
-        if not (0.0 < h < b_omega):
-            raise ValueError("h must lie in (0, b_omega)")
-    if chunk < 1:
-        raise ValueError("chunk must be positive")
 
     best = -math.inf
     best_index = -1
     n_degenerate = 0
     n_blocks = -(-n_pairs // PAIR_BLOCK)
-    per_pass = max(1, chunk // PAIR_BLOCK)
-    for first in range(0, n_blocks, per_pass):
-        a, b = _draw_blocks(seed, first, min(per_pass, n_blocks - first), dim, b_omega, mode, h)
+    for first in range(0, n_blocks, _PASS_BLOCKS):
+        a, b = _draw_blocks(seed, first, min(_PASS_BLOCKS, n_blocks - first), dim, b_omega)
         offset = first * PAIR_BLOCK
         rows = min(len(a), n_pairs - offset)
-        dn = _row_distances(a[:rows], b[:rows])
+        a, b = a[:rows], b[:rows]
+        dn = _row_distances(a, b)
         ok = dn > 0.0
         n_degenerate += int(np.count_nonzero(~ok))
-        for start in range(0, rows, chunk):
-            sl = slice(start, min(start + chunk, rows))
-            fa = np.asarray(f(a[sl]), dtype=float)
-            fn = _row_distances(fa, np.asarray(f(b[sl]), dtype=float))
-            q = fn / np.where(ok[sl], dn[sl], 1.0)
-            # a NaN quotient (inf - inf outputs) is skipped, never the argmax
-            ratios = np.where(ok[sl] & ~np.isnan(q), q, -math.inf)
-            j = int(np.argmax(ratios))
-            if ratios[j] > best:
-                best = float(ratios[j])
-                best_index = offset + start + j
-                best_pair = (a[start + j].copy(), b[start + j].copy())
+        fa = np.asarray(f(a), dtype=float)
+        fn = _row_distances(fa, np.asarray(f(b), dtype=float))
+        q = fn / np.where(ok, dn, 1.0)
+        # a NaN quotient (inf - inf outputs) is skipped, never the argmax
+        ratios = np.where(ok & ~np.isnan(q), q, -math.inf)
+        j = int(np.argmax(ratios))
+        if ratios[j] > best:
+            best = float(ratios[j])
+            best_index = offset + j
+            best_pair = (a[j].copy(), b[j].copy())
     if best_index < 0:
         raise ValueError("every sampled pair was degenerate")
     return LipschitzEstimate(best, best_pair, best_index, n_pairs, seed, n_degenerate)
@@ -293,12 +266,9 @@ def empirical_grad_lipschitz(
     b_omega: float,
     n_pairs: int,
     seed: int,
-    mode: str = "mixed",
-    h: float | None = None,
-    chunk: int = 1024,
 ) -> LipschitzEstimate:
     """Same engine as empirical_lipschitz, applied to a gradient/Jacobian map."""
-    return empirical_lipschitz(grad_f, dim, b_omega, n_pairs, seed, mode, h, chunk)
+    return empirical_lipschitz(grad_f, dim, b_omega, n_pairs, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +276,7 @@ def empirical_grad_lipschitz(
 
 
 def directed_affine_pair(
-    arch: ArchitectureSpec, x: np.ndarray, b_omega: float, eps: float | None = None
+    arch: ArchitectureSpec, x: np.ndarray, b_omega: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Parameter pair realizing the affine map's exact constant sqrt(S^2 + 1).
 
@@ -317,8 +287,7 @@ def directed_affine_pair(
     if arch.m != 0:
         raise ValueError("directed affine pair is defined for depth-zero networks")
     x = np.asarray(x, dtype=float)
-    if eps is None:
-        eps = 1e-3 * b_omega
+    eps = 1e-3 * b_omega  # the step's scale, far inside the ball
     l_out, l_in = arch.widths[1], arch.widths[0]
     w_dir = np.zeros(l_out)
     w_dir[0] = 1.0

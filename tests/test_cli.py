@@ -633,6 +633,7 @@ class TestConfigErrors:
             ("verify", "verify", "input_norm", math.nan),
             ("verify", "verify", "x", [math.nan, 0.0]),
             ("verify", "verify", "mode", "nope"),
+            ("verify", "verify", "mode", "global_pairs"),
             ("train", "train", "radius_fraction", 2.0),
             ("train", "synthetic", "input_norm", -1.0),
             ("train", "synthetic", "target_norm", -1.0),
@@ -1133,6 +1134,42 @@ class TestCodeCommands:
         envelope = batch_sizes[32:]
         assert len(envelope) <= 3 and sum(envelope) == 200
 
+    def test_certifies_the_start_and_control_it_integrates(self, tmp_path, capsys):
+        # x_norm and b_upsilon feed code certify only; code verify certifies
+        # ||x|| = 1 and the control's variation 1, the values it integrates
+        runs = {}
+        for name, extra in (("plain", {}), ("other_keys", {"x_norm": 0.01, "b_upsilon": 0.1})):
+            doc = {**CODE_LINEAR, "code": {**CODE_LINEAR["code"], **extra}}
+            out = tmp_path / name
+            assert cli.main(["code", "verify", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+            runs[name] = (out / "code_soundness.csv").read_text(), capsys.readouterr()
+        assert runs["other_keys"] == runs["plain"]
+        rows = {r.split(",")[1]: r.split(",") for r in runs["plain"][0].splitlines()[1:]}
+        assert float(rows["b_x"][2]) == pytest.approx(5.43656, rel=1e-6)
+        assert float(rows["l_x"][2]) == pytest.approx(17.4964, rel=1e-6)
+
+    # linear_scalar's own envelopes, declared: a box beyond their domain
+    # [-1, 1] then runs as the config's own claim
+    LINEAR_SCALAR_ENVELOPES = {
+        "b_v": 1.0, "b_theta": 1.0, "b_x_theta": 1.0, "b_theta_x": 1.0, "lip_x": 1.0, "p_theta": 1.0,
+    }
+
+    def test_theta_box_must_lie_in_the_field_domain(self, tmp_path, capsys):
+        # linear_scalar's envelopes hold for theta in [-1, 1] only
+        doc = {**CODE_LINEAR, "code": {**CODE_LINEAR["code"], "theta_box": [[-0.5], [3.0]], "n_samples": 50}}
+        out = tmp_path / "out"
+        assert cli.main(["code", "verify", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: code.theta_box must lie in [-1, 1], where the field's envelopes hold;"
+            " give code.envelopes to claim envelopes beyond it\n"
+        )
+        assert not any(out.iterdir())
+        # explicit envelopes are the config's own claim: the run goes ahead and
+        # the falsifier finds the claim false beyond the domain
+        doc["code"]["envelopes"] = self.LINEAR_SCALAR_ENVELOPES
+        assert cli.main(["code", "verify", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 4
+        assert "b_x: certificate=5.43656 empirical=17.5482 (VIOLATION)" in capsys.readouterr().out
+
     # code_soundness.csv, pinned: the first box overflows most finals to +-inf
     # (inf - inf quotients are NaN), the second overflows all of them, so
     # every quotient is NaN and L_X reads 0; the l_x row's n_pairs counts the
@@ -1165,7 +1202,9 @@ class TestCodeCommands:
     def test_overflowing_samples_are_pinned(
         self, tmp_path, capsys, box, soundness, no_pair, stderr_sha
     ):
-        doc = {**CODE_LINEAR, "code": {**CODE_LINEAR["code"], "theta_box": box, "n_samples": 50}}
+        doc = {**CODE_LINEAR, "code": {
+            **CODE_LINEAR["code"], "envelopes": self.LINEAR_SCALAR_ENVELOPES, "theta_box": box, "n_samples": 50,
+        }}
         out = tmp_path / "out"
         with np.errstate(over="ignore", invalid="ignore"):
             code = cli.main(["code", "verify", "--config", write_cfg(tmp_path, doc), "--out", str(out)])
@@ -1181,7 +1220,10 @@ class TestCodeCommands:
     def test_overflowing_samples_warn_nothing(self, tmp_path):
         # the non-finite outcome is already in code_soundness.csv; numpy's
         # overflow and inf - inf warnings would only add noise to stderr
-        doc = {**CODE_LINEAR, "code": {**CODE_LINEAR["code"], "theta_box": [[-1e12], [1e12]], "n_samples": 50}}
+        doc = {**CODE_LINEAR, "code": {
+            **CODE_LINEAR["code"], "envelopes": self.LINEAR_SCALAR_ENVELOPES,
+            "theta_box": [[-1e12], [1e12]], "n_samples": 50,
+        }}
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -36,7 +37,7 @@ from lipcert.empirical import PAIR_BLOCK, _draw_blocks, _row_distances, _scale_r
 from conftest import loop_backward, loop_forward, random_architecture
 
 
-def recorded_run(f, dim, n_pairs, seed, b_omega=1.0, **kwargs):
+def recorded_run(f, dim, n_pairs, seed, b_omega=1.0):
     """empirical_lipschitz with a map that keeps its rows: (estimate, first points, second points)."""
     calls = []
 
@@ -44,7 +45,7 @@ def recorded_run(f, dim, n_pairs, seed, b_omega=1.0, **kwargs):
         calls.append(np.array(thetas))
         return f(thetas)
 
-    est = empirical_lipschitz(recording, dim, b_omega, n_pairs, seed, **kwargs)
+    est = empirical_lipschitz(recording, dim, b_omega, n_pairs, seed)
     return est, np.concatenate(calls[0::2]), np.concatenate(calls[1::2])
 
 
@@ -163,14 +164,15 @@ class TestEmpiricalLipschitz:
         assert est.max_ratio <= 3.0 * (1 + 1e-12)
         assert est.max_ratio >= 2.97
 
-    def test_chunking_does_not_change_result(self):
-        # 600 pairs is not a whole number of blocks; chunks of 255 and 257
-        # straddle block boundaries
+    def test_chunking_does_not_change_result(self, monkeypatch):
+        # 600 pairs is not a whole number of blocks; passes of 1, 2 and 3
+        # blocks end at other block boundaries than the 4-block default
         arch = ArchitectureSpec(widths=(2, 3, 1), activations=(tanh(),))
         f = network_output_map(arch, np.array([0.5, -0.5]))
-        ref, ref_a, ref_b = recorded_run(f, arch.n_params, 600, seed=7, chunk=1024)
-        for chunk in (1, 64, 255, 257):
-            est, a, b = recorded_run(f, arch.n_params, 600, seed=7, chunk=chunk)
+        ref, ref_a, ref_b = recorded_run(f, arch.n_params, 600, seed=7)
+        for blocks in (1, 2, 3):
+            monkeypatch.setattr(empirical, "_PASS_BLOCKS", blocks)
+            est, a, b = recorded_run(f, arch.n_params, 600, seed=7)
             np.testing.assert_array_equal(a, ref_a)
             np.testing.assert_array_equal(b, ref_b)
             assert (est.max_ratio, est.argmax_index) == (ref.max_ratio, ref.argmax_index)
@@ -192,9 +194,9 @@ class TestEmpiricalLipschitz:
     def test_worst_pair_replays_from_its_index(self):
         arch = ArchitectureSpec(widths=(2, 3, 1), activations=(tanh(),))
         f = network_output_map(arch, np.array([0.5, -0.5]))
-        est = empirical_lipschitz(f, arch.n_params, 0.8, 700, seed=4, mode="global_pairs")
+        est = empirical_lipschitz(f, arch.n_params, 0.8, 700, seed=4)
         block, row = divmod(est.argmax_index, PAIR_BLOCK)
-        a, b = _draw_blocks(4, block, 1, arch.n_params, 0.8, "global_pairs", None)
+        a, b = _draw_blocks(4, block, 1, arch.n_params, 0.8)
         np.testing.assert_array_equal(a[row], est.argmax_pair[0])
         np.testing.assert_array_equal(b[row], est.argmax_pair[1])
         quot = np.linalg.norm(f(b[row : row + 1]) - f(a[row : row + 1])) / np.linalg.norm(
@@ -213,11 +215,6 @@ class TestEmpiricalLipschitz:
             f = network_output_map(arch, x)
             est = empirical_lipschitz(f, arch.n_params, 1.0, 2000, seed=11)
             assert est.max_ratio <= cert.l_n
-
-    def test_mode_validation(self):
-        f = lambda t: t
-        with pytest.raises(ValueError):
-            empirical_lipschitz(f, 2, 1.0, 10, seed=0, mode="global")
 
     def test_grad_variant_on_quadratic(self):
         # grad of 0.5||theta||^2 is the identity: every quotient is exactly 1
@@ -261,20 +258,6 @@ class TestPairSampler:
         assert np.linalg.norm(a, axis=1).max() < b_omega
         assert np.linalg.norm(b, axis=1).max() < b_omega
 
-    def test_local_steps_have_length_h(self):
-        _, a, b = recorded_run(lambda t: t, 6, 300, seed=2, mode="local_perturbation", h=0.05)
-        np.testing.assert_allclose(np.linalg.norm(b - a, axis=1), 0.05, rtol=1e-12)
-        assert np.all(np.count_nonzero(b - a, axis=1) > 1)
-
-    def test_coordinate_steps_move_one_entry_by_h(self):
-        _, a, b = recorded_run(lambda t: t, 6, 300, seed=2, mode="coordinate", h=0.05)
-        d = b - a
-        assert np.all(np.count_nonzero(d, axis=1) == 1)
-        np.testing.assert_allclose(np.abs(d.sum(axis=1)), 0.05, rtol=1e-12)
-        # both signs and every coordinate occur
-        assert set(np.sign(d.sum(axis=1))) == {-1.0, 1.0}
-        assert set(np.flatnonzero(d) % 6) == set(range(6))
-
     def test_mixed_plan_cycles_by_index(self):
         # pair k is global, local 1e-2, local 1e-4 or coordinate 1e-3 * b_omega
         # as k % 4 is 0, 1, 2 or 3
@@ -292,6 +275,23 @@ class TestPairSampler:
         assert np.all(nonzero[1::4] > 1) and np.all(nonzero[2::4] > 1)
         assert np.all(nonzero[3::4] == 1)
         np.testing.assert_allclose(dn[3::4], 1e-3 * b_omega, rtol=1e-12, atol=atol)
+        # coordinate steps go both ways and reach every coordinate
+        assert set(np.sign(d[3::4].sum(axis=1))) == {-1.0, 1.0}
+        assert set(np.flatnonzero(d[3::4]) % 6) == set(range(6))
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            ((3, 0, 2, 7, 0.3), "13f3aba4f3bb23b9f5b0cc3525aa8e09724ee26dbc55561c44d2b2e1b8306e45"),
+            ((3, 5, 1, 40, 1e-3), "566ff6ea6cfbc25ebb1899da9adc512fdcef771985bfb5f20abe0dea2d653a7d"),
+        ],
+        ids=["two_blocks", "small_ball"],
+    )
+    def test_pair_bytes_are_pinned(self, args, digest):
+        # (seed, first block, block count, dim, b_omega): any change to the
+        # generator order or the plan changes every sampled pair
+        a, b = _draw_blocks(*args)
+        assert hashlib.sha256(a.tobytes() + b.tobytes()).hexdigest() == digest
 
     def test_zero_direction_is_left_at_zero(self):
         # a Gaussian row of zeros has probability zero; if it came it would
