@@ -63,6 +63,7 @@ from .code_net import (
     verify_envelopes,
 )
 from .empirical import (
+    FirstPass,
     LipschitzEstimate,
     WorstCasePair,
     chain_output,

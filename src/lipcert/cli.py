@@ -4,8 +4,10 @@ Every command reads one JSON config, writes machine-readable reports into
 --out (JSON for certificates, CSV for tables) plus a run_meta.json embedding
 the resolved config and its digest, and prints a short human table.  Outputs
 contain no timestamps or environment state, so a rerun with the same config
-and seed is byte-identical.  All computation is single-threaded; --threads
-has no effect.
+and seed is byte-identical.  verify fills the first pass of its second
+estimate's pairs on a second thread while the first estimate runs; the
+pairs and every report are those of a serial run.  --threads is still
+accepted and changes no byte.
 
 Exit codes: 0 ok, 2 config/usage error, 3 certificate overflowed to infinity
 without --allow-inf, 4 soundness or equivalence violation (the falsification
@@ -61,6 +63,7 @@ from .config import (
     config_digest,
     ensure_writable,
     get,
+    get_seed,
     load_config,
     resolve_loss_envelope,
     samples_from_config,
@@ -69,6 +72,7 @@ from .config import (
     write_json,
 )
 from .empirical import (
+    FirstPass,
     chain_output,
     directed_affine_pair,
     empirical_grad_lipschitz,
@@ -288,8 +292,8 @@ def cmd_verify(cfg: dict, args, out: Path) -> int:
     arch = build_architecture(cfg)
     inputs, _ = build_bound_inputs(cfg)
     vdoc = section(cfg, "verify")
-    top_seed = get(cfg, "seed", int, default=0)
-    seed = get(vdoc, "seed", int, default=top_seed, where="verify")
+    top_seed = get_seed(cfg, "seed", 0)
+    seed = get_seed(vdoc, "seed", top_seed, where="verify")
     n_pairs = get(vdoc, "n_pairs", int, default=10000, where="verify")
     mode = get(vdoc, "mode", str, default="mixed", where="verify")
     if n_pairs < 1:
@@ -318,12 +322,17 @@ def cmd_verify(cfg: dict, args, out: Path) -> int:
     rows: list[tuple] = []
 
     # a net that overflows shows it as a non-finite quotient in soundness.csv,
-    # so the numpy warnings of its sampled maps are silenced here and only here
-    with np.errstate(over="ignore", invalid="ignore"):
+    # so the numpy warnings of its sampled maps are silenced here and only
+    # here; L_grad_N's first pairs are drawn on a worker while L_N runs
+    with (
+        FirstPass(n_params, b, n_pairs, seed + 1) as grad_pass,
+        np.errstate(over="ignore", invalid="ignore"),
+    ):
         try:
             est_n = empirical_lipschitz(network_output_map(arch, x), n_params, b, n_pairs, seed)
             est_g = empirical_grad_lipschitz(
-                network_jacobian_map(arch, x), n_params, b, n_pairs, seed + 1
+                network_jacobian_map(arch, x), n_params, b, n_pairs, seed + 1,
+                first_pass=grad_pass,
             )
         except ValueError as exc:  # a ball too small for two distinct points
             raise ConfigError(f"verify: {exc}") from exc
@@ -371,7 +380,7 @@ def cmd_train(cfg: dict, args, out: Path) -> int:
     arch = build_architecture(cfg)
     inputs, _ = build_bound_inputs(cfg)
     tdoc = section(cfg, "train")
-    top_seed = get(cfg, "seed", int, default=0)
+    top_seed = get_seed(cfg, "seed", 0)
     head, _ = build_loss(cfg, required=True)
     if head is None:
         raise ConfigError("train needs a trainable loss kind (squared_error or pseudo_huber)")
@@ -384,7 +393,7 @@ def cmd_train(cfg: dict, args, out: Path) -> int:
     steps = get(tdoc, "steps", int, where="train")
     if steps < 1:
         raise ConfigError("train.steps must be positive")
-    init_seed = get(tdoc, "init_seed", int, default=top_seed, where="train")
+    init_seed = get_seed(tdoc, "init_seed", top_seed, where="train")
     radius_fraction = get(tdoc, "radius_fraction", float, default=0.5, where="train")
     if not 0.0 < radius_fraction <= 1.0:
         raise ConfigError("train.radius_fraction must lie in (0, 1]")
@@ -392,7 +401,7 @@ def cmd_train(cfg: dict, args, out: Path) -> int:
     eps_exponent = get(tdoc, "eps_exponent", float, default=0.0, where="train")
     eps_margin = get(tdoc, "eps_margin", float, default=1.0, where="train")
     batch_size = get(tdoc, "batch_size", int, default=len(samples), where="train")
-    seed = get(tdoc, "seed", int, default=top_seed, where="train")
+    seed = get_seed(tdoc, "seed", top_seed, where="train")
     # diagnostic knob: run descent with a manual constant instead of the
     # certified one, so the exit-5 falsification path can be exercised
     override = get(tdoc, "l_grad_phi_override", float, default=None, where="train")
@@ -598,8 +607,8 @@ def cmd_code_verify(cfg: dict, args, out: Path) -> int:
             " hold; give code.envelopes to claim envelopes beyond it"
         )
 
-    top_seed = get(cfg, "seed", int, default=0)
-    seed = get(cdoc, "seed", int, default=top_seed, where="code")
+    top_seed = get_seed(cfg, "seed", 0)
+    seed = get_seed(cdoc, "seed", top_seed, where="code")
     n_samples = get(cdoc, "n_samples", int, default=10000, where="code")
     n_substeps = get(cdoc, "n_substeps", int, default=64, where="code")
     if n_samples < 2:
@@ -657,8 +666,8 @@ def cmd_code_verify(cfg: dict, args, out: Path) -> int:
 
 def cmd_code_equivalence(cfg: dict, args, out: Path) -> int:
     cdoc = section(cfg, "code")
-    top_seed = get(cfg, "seed", int, default=0)
-    seed = get(cdoc, "seed", int, default=top_seed, where="code")
+    top_seed = get_seed(cfg, "seed", 0)
+    seed = get_seed(cdoc, "seed", top_seed, where="code")
     n_nets = get(cdoc, "n_nets", int, default=20, where="code")
     max_width = get(cdoc, "max_width", int, default=5, where="code")
     max_hidden = get(cdoc, "max_hidden", int, default=3, where="code")
@@ -719,7 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None, help="override the config seed")
     common.add_argument(
         "--threads", type=int, default=1,
-        help="no effect: all computation is single-threaded, and every value gives the same bytes",
+        help="no effect: every value gives the same bytes, and verify always draws on two threads",
     )
     common.add_argument(
         "--allow-inf", action="store_true",

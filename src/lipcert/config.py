@@ -111,6 +111,14 @@ def get(
     return val
 
 
+def get_seed(doc: dict, key: str, default: int, where: str = "config") -> int:
+    """A generator seed: an integer that np.random.default_rng accepts, so not negative."""
+    val = get(doc, key, int, default=default, where=where)
+    if val < 0:
+        raise ConfigError(f"{where}: key '{key}' must be a nonnegative integer, got {val}")
+    return val
+
+
 # ---------------------------------------------------------------------------
 # builders
 
@@ -411,7 +419,7 @@ def samples_from_config(
     n = get(syn, "n_samples", int, where="train.synthetic")
     s_norm = get(syn, "input_norm", float, where="train.synthetic")
     t_norm = get(syn, "target_norm", float, default=1.0, where="train.synthetic")
-    seed = get(syn, "seed", int, default=0, where="train.synthetic")
+    seed = get_seed(syn, "seed", 0, where="train.synthetic")
     if n < 1:
         raise ConfigError("train.synthetic: n_samples must be positive")
     if not (0.0 <= s_norm < math.inf and 0.0 <= t_norm < math.inf):

@@ -4,21 +4,29 @@ A certificate is an upper bound on a parameter-space Lipschitz constant, so
 any sampled difference quotient must stay below it; the routines here
 generate those quotients at scale.  The parameter-space maps (network
 output, parameter Jacobian, mean loss gradient) are thin closures over the
-batched engine in network, evaluated for a whole pass of parameter rows
-at once; the test suite checks them against a plain per-sample loop.
+batched engine in network, evaluated for many parameter rows at once;
+the test suite checks them against a plain per-sample loop.
 
 Pairs follow one plan: pair k is global, a local step of 1e-2 or 1e-4, or
 a coordinate step of 1e-3 * b_omega as k % 4 is 0, 1, 2 or 3.  Block k of
 PAIR_BLOCK pairs reads one generator seeded with (seed, k) in a few
-whole-array calls and builds its pairs in place, so a pair depends only on
-(seed, its index): the first n pairs of a longer run are the pairs of an
-n-pair run, and (seed, argmax_index) regenerates an estimate's worst pair.
-A pass draws _PASS_BLOCKS blocks, 1024 pairs, and maps each side once.
+whole-array calls, so a pair depends only on (seed, its index): the first
+n pairs of a longer run are the pairs of an n-pair run, and
+(seed, argmax_index) regenerates an estimate's worst pair.  A pass draws
+_PASS_BLOCKS blocks, 1024 pairs, in two steps: a fill reads the generators
+into arrays allocated beforehand, and a build turns those reads into pairs
+in place.  The fill makes only generator calls, so FirstPass can run an
+estimate's first fill on a worker thread while another estimate runs; the
+build always runs on the calling thread.  Each pass then calls the map on
+chunks of at most _MAP_ROW_BYTES of parameter rows, one side after the
+other, and takes the output distances chunk by chunk, so no whole pass of
+outputs is held at once.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -34,6 +42,7 @@ from .network import (
 )
 
 __all__ = [
+    "FirstPass",
     "LipschitzEstimate",
     "WorstCasePair",
     "chain_output",
@@ -127,23 +136,29 @@ def _scale_rows(g: np.ndarray, length: np.ndarray) -> None:
     g *= np.divide(length, nrm, out=np.zeros_like(nrm), where=nrm > 0)[:, None]
 
 
-def _draw_blocks(
-    seed: int, first: int, count: int, dim: int, b_omega: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs of blocks first .. first + count - 1 as two (count * PAIR_BLOCK, dim) arrays.
-
-    Each block reads its generator default_rng([seed, block]) in one fixed
-    order, whatever the pairs' kinds: the Gaussian directions of both
-    points, two radial uniforms per pair, then a coordinate index and a sign
-    per pair.  The pairs are built in place in the two returned arrays.
-    """
+def _empty_draws(count: int, dim: int) -> tuple[np.ndarray, ...]:
+    """Uninitialised arrays for the generator reads of count blocks."""
     rows = count * PAIR_BLOCK
-    a = np.empty((rows, dim))
-    b = np.empty((rows, dim))
-    u = np.empty((2, rows))
-    coord_j = np.empty(rows, dtype=np.int64)
-    coord_up = np.empty(rows, dtype=bool)
-    for i in range(count):
+    return (
+        np.empty((rows, dim)),
+        np.empty((rows, dim)),
+        np.empty((2, rows)),
+        np.empty(rows, dtype=np.int64),
+        np.empty(rows, dtype=bool),
+    )
+
+
+def _fill_blocks(seed: int, first: int, draws: tuple[np.ndarray, ...]) -> None:
+    """Read the generators of blocks first, first + 1, ... into draws, in place.
+
+    Each block reads default_rng([seed, block]) in one fixed order, whatever
+    the pairs' kinds: the Gaussian directions of both points, two radial
+    uniforms per pair, then a coordinate index and a sign per pair.  Only
+    generator calls run here, so FirstPass runs it on a worker thread.
+    """
+    a, b, u, coord_j, coord_up = draws
+    dim = a.shape[1]
+    for i in range(len(a) // PAIR_BLOCK):
         rng = np.random.default_rng([seed, first + i])
         s = slice(i * PAIR_BLOCK, (i + 1) * PAIR_BLOCK)
         rng.standard_normal(out=a[s])
@@ -152,6 +167,13 @@ def _draw_blocks(
         coord_j[s] = rng.integers(dim, size=PAIR_BLOCK)
         coord_up[s] = rng.random(PAIR_BLOCK) < 0.5
 
+
+def _build_pairs(
+    first: int, draws: tuple[np.ndarray, ...], b_omega: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs of blocks first, first + 1, ..., built in place in the draws' direction arrays."""
+    a, b, u, coord_j, coord_up = draws
+    rows, dim = a.shape
     # pair k is global, local, local or coordinate as k % 4 is 0, 1, 2 or 3
     q = np.arange(first * PAIR_BLOCK, first * PAIR_BLOCK + rows) % 4
     cap = 0.5 * b_omega
@@ -173,8 +195,76 @@ def _draw_blocks(
     return a, b
 
 
+def _draw_blocks(
+    seed: int, first: int, count: int, dim: int, b_omega: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs of blocks first .. first + count - 1 as two (count * PAIR_BLOCK, dim) arrays."""
+    draws = _empty_draws(count, dim)
+    _fill_blocks(seed, first, draws)
+    return _build_pairs(first, draws, b_omega)
+
+
+class FirstPass:
+    """The first pass of an estimate's pairs, drawn on a worker thread.
+
+    FirstPass(dim, b_omega, n_pairs, seed) allocates the generator reads of
+    the first pass of empirical_lipschitz(f, dim, b_omega, n_pairs, seed) on
+    the calling thread.  Entering the context starts one thread that fills
+    them, and leaving it joins that thread.  Given to that call as
+    first_pass, it yields the pairs, and so the estimate, of an inline draw:
+    the pairs are built on the calling thread, under its numpy errstate.
+    An exception of the fill is raised again there.
+    """
+
+    def __init__(self, dim: int, b_omega: float, n_pairs: int, seed: int) -> None:
+        if n_pairs < 1:
+            raise ValueError("n_pairs must be positive")
+        self.key = (dim, b_omega, n_pairs, seed)
+        self._draws = _empty_draws(min(_PASS_BLOCKS, -(-n_pairs // PAIR_BLOCK)), dim)
+        self._error: BaseException | None = None
+        self._thread = threading.Thread(target=self._fill, args=(seed,), name="lipcert-first-pass")
+
+    def _fill(self, seed: int) -> None:
+        try:
+            _fill_blocks(seed, 0, self._draws)
+        except BaseException as exc:  # raised again by take on the calling thread
+            self._error = exc
+
+    def __enter__(self) -> FirstPass:
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._thread.join()
+
+    def take(self) -> tuple[np.ndarray, ...]:
+        """The filled generator reads, once; waits for the fill and raises its exception."""
+        self._thread.join()
+        if self._error is not None:
+            raise self._error
+        if self._draws is None:
+            raise ValueError("a first pass is taken only once")
+        draws, self._draws = self._draws, None
+        return draws
+
+
 _ROW_BLOCK_BYTES = 1 << 20
+_MAP_ROW_BYTES = 4 << 20
 _TINY = float(np.finfo(float).tiny)  # the smallest normal float
+
+
+def _row_blocks(k: int, row_bytes: int, budget: int) -> list[tuple[int, int]]:
+    """Ranges of at most budget bytes of rows (but 2 rows) that cover k rows.
+
+    einsum reduces a single row in another order than a block of rows, so
+    no range has one row unless k is 1: a lone last row joins the range
+    before it.
+    """
+    step = max(2, budget // max(row_bytes, 1))
+    starts = list(range(0, k, step))
+    if len(starts) > 1 and k - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, [*starts[1:], k]))
 
 
 def _row_distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -182,21 +272,15 @@ def _row_distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     The differences are taken in blocks of rows of about _ROW_BLOCK_BYTES,
     not as one (K, p) temporary; each row is still reduced over the same
-    contiguous values, so the distances keep their bits.  einsum reduces a
-    single row in another order, so no block has one row unless K is 1.
-    A row whose sum of squares underflows below the normal range or
-    overflows is measured again scaled by its largest |d|, so that a
-    distance the float range holds is neither 0 nor inf.  Only finite rows
+    contiguous values, and no block has a lone row, so the distances keep
+    their bits.  A row whose sum of squares underflows below the normal
+    range or overflows is measured again scaled by its largest |d|, so that
+    a distance the float range holds is neither 0 nor inf.  Only finite rows
     whose difference overflows keep inf; a row with an inf or nan value
     has no distance, nan.
     """
-    k = len(u)
-    out = np.empty(k)
-    step = max(2, _ROW_BLOCK_BYTES // max(u.itemsize * u.shape[-1], 1))
-    starts = list(range(0, k, step))
-    if len(starts) > 1 and k - starts[-1] == 1:
-        starts.pop()  # the last row joins the block before it
-    for i, j in zip(starts, [*starts[1:], k]):
+    out = np.empty(len(u))
+    for i, j in _row_blocks(len(u), u.itemsize * u.shape[-1], _ROW_BLOCK_BYTES):
         d = u[i:j] - v[i:j]
         dist = np.einsum("ij,ij->i", d, d, out=out[i:j])
         redo = np.flatnonzero(~((dist >= _TINY) & (dist < math.inf))).tolist()
@@ -217,6 +301,8 @@ def empirical_lipschitz(
     b_omega: float,
     n_pairs: int,
     seed: int,
+    *,
+    first_pass: FirstPass | None = None,
 ) -> LipschitzEstimate:
     """Max difference quotient of a batched map over sampled parameter pairs.
 
@@ -228,25 +314,39 @@ def empirical_lipschitz(
     pair, a local perturbation of length 1e-2 or 1e-4 (at most b_omega / 2,
     so both points stay in the ball), or a coordinate step of
     1e-3 * b_omega as k % 4 is 0, 1, 2 or 3.  Each pass draws _PASS_BLOCKS
-    blocks and calls f once on their first points and once on their second.
+    blocks and calls f on chunks of at most _MAP_ROW_BYTES of their first
+    points and then of their second, in turn.  A first_pass made with the
+    same dim, b_omega, n_pairs and seed supplies the first pass's draws.
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be positive")
+    if first_pass is not None and first_pass.key != (dim, b_omega, n_pairs, seed):
+        raise ValueError(
+            f"first_pass was made for (dim, b_omega, n_pairs, seed) = {first_pass.key},"
+            f" not {(dim, b_omega, n_pairs, seed)}"
+        )
 
     best = -math.inf
     best_index = -1
     n_degenerate = 0
     n_blocks = -(-n_pairs // PAIR_BLOCK)
     for first in range(0, n_blocks, _PASS_BLOCKS):
-        a, b = _draw_blocks(seed, first, min(_PASS_BLOCKS, n_blocks - first), dim, b_omega)
+        if first == 0 and first_pass is not None:
+            a, b = _build_pairs(0, first_pass.take(), b_omega)
+        else:
+            a, b = _draw_blocks(seed, first, min(_PASS_BLOCKS, n_blocks - first), dim, b_omega)
         offset = first * PAIR_BLOCK
         rows = min(len(a), n_pairs - offset)
         a, b = a[:rows], b[:rows]
         dn = _row_distances(a, b)
         ok = dn > 0.0
         n_degenerate += int(np.count_nonzero(~ok))
-        fa = np.asarray(f(a), dtype=float)
-        fn = _row_distances(fa, np.asarray(f(b), dtype=float))
+        # chunked map calls: no whole pass of outputs (a Jacobian's is
+        # l_out times the pairs' size) is ever held at once
+        fn = np.empty(rows)
+        for i, j in _row_blocks(rows, a.itemsize * dim, _MAP_ROW_BYTES):
+            fa = np.asarray(f(a[i:j]), dtype=float)
+            fn[i:j] = _row_distances(fa, np.asarray(f(b[i:j]), dtype=float))
         q = fn / np.where(ok, dn, 1.0)
         # a NaN quotient (inf - inf outputs) is skipped, never the argmax
         ratios = np.where(ok & ~np.isnan(q), q, -math.inf)
@@ -266,9 +366,11 @@ def empirical_grad_lipschitz(
     b_omega: float,
     n_pairs: int,
     seed: int,
+    *,
+    first_pass: FirstPass | None = None,
 ) -> LipschitzEstimate:
     """Same engine as empirical_lipschitz, applied to a gradient/Jacobian map."""
-    return empirical_lipschitz(grad_f, dim, b_omega, n_pairs, seed)
+    return empirical_lipschitz(grad_f, dim, b_omega, n_pairs, seed, first_pass=first_pass)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import importlib
 import importlib.util
 import json
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -70,3 +71,35 @@ def test_every_report_byte_goes_through_the_config_writers(monkeypatch, tmp_path
     assert code == 0
     on_disk = sum(p.stat().st_size for p in out.iterdir())
     assert tracer.counters[0]["config.bytes_written"] == on_disk
+
+
+def test_traced_verify_keeps_every_span_on_the_calling_thread(monkeypatch, tmp_path):
+    # 2484 parameters: both maps are called on chunks of 211 and 39 rows,
+    # and L_grad_N's first pass is filled on a worker thread, which calls
+    # no traced name; the tracer's one span stack stays consistent
+    mod = load_tracer(monkeypatch)
+    tracer = mod.Tracer()
+    doc = {
+        "name": "tanh-16-40-40-4",
+        "seed": 3,
+        "architecture": {"widths": [16, 40, 40, 4], "activations": ["tanh", "tanh"]},
+        "bounds": {"b_omega": 1.0},
+        "verify": {"n_pairs": 250},
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    threads = threading.active_count()
+    with tracer.install():
+        code = tracer.run_op(
+            0, lipcert.cli.main, ["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        )
+    assert code == 0
+    assert threading.active_count() == threads
+    layers = mod.by_layer(mod.self_by_name(tracer.spans)[0])
+    assert min(layers.values()) >= 0.0
+    (root,) = [s for s in tracer.spans if s.parent == -1]
+    assert sum(layers.values()) == pytest.approx(root.end - root.start, rel=1e-9)
+    counters = tracer.counters[0]
+    assert counters["empirical.pairs"] == 2 * 250
+    for name in ("empirical.output_map", "empirical.jacobian_map"):
+        assert (counters[name + ".calls"], counters[name + ".rows"]) == (4, 2 * 250)

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import threading
 import warnings
 from pathlib import Path
 
@@ -574,6 +575,15 @@ class TestCertify:
         meta = json.loads((out / "run_meta.json").read_text())
         assert meta["resolved_config"]["seed"] == 123
 
+    @pytest.mark.parametrize("command", ["verify", "train", "code verify"])
+    def test_negative_seed_flag_exits_two(self, tmp_path, capsys, command):
+        argv, doc = COMMAND_RUNS[command]
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, doc)
+        assert cli.main([*argv, "--config", cfg, "--out", str(out), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: config: key 'seed' must be a nonnegative integer, got -1\n"
+        assert not any(out.iterdir())
+
 
 class TestConfigErrors:
     def test_missing_file(self, tmp_path):
@@ -643,12 +653,26 @@ class TestConfigErrors:
             ("code verify", "code", "n_envelope_samples", -1),
             ("code equivalence", "code", "b_omega", -1.0),
             ("code equivalence", "code", "tolerance", math.nan),
+            # np.random.default_rng takes no negative seed
+            ("verify", None, "seed", -1),
+            ("verify", "verify", "seed", -1),
+            ("train", None, "seed", -3),
+            ("train", "train", "seed", -3),
+            ("train", "train", "init_seed", -3),
+            ("train", "synthetic", "seed", -3),
+            ("code verify", "code", "seed", -3),
+            ("code equivalence", "code", "seed", -1),
         ],
     )
     def test_bad_input_exits_two_before_computing(self, tmp_path, command, section, key, value):
         argv, doc = COMMAND_RUNS[command]
         doc = json.loads(json.dumps(doc))
-        target = doc["train"]["synthetic"] if section == "synthetic" else doc[section]
+        if section is None:
+            target = doc
+        elif section == "synthetic":
+            target = doc["train"]["synthetic"]
+        else:
+            target = doc[section]
         target[key] = value
         out = tmp_path / "out"
         assert cli.main([*argv, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
@@ -1005,9 +1029,12 @@ class TestVerify:
         argv, doc = COMMAND_RUNS["verify"]
         doc = {**doc, "bounds": {"b_omega": 5e-324}, "verify": {"n_pairs": 4}}
         out = tmp_path / "out"
+        threads = threading.active_count()
         assert cli.main([*argv, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: verify: every sampled pair was degenerate\n"
         assert not any(out.iterdir())
+        # L_N failed while L_grad_N's first pass was being drawn: that worker is joined
+        assert threading.active_count() == threads
 
 
 class TestTrain:

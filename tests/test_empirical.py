@@ -1,11 +1,13 @@
 import hashlib
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from lipcert import (
     ArchitectureSpec,
+    FirstPass,
     BoundInputs,
     NetworkObjective,
     PseudoHuber,
@@ -37,16 +39,29 @@ from lipcert.empirical import PAIR_BLOCK, _draw_blocks, _row_distances, _scale_r
 from conftest import loop_backward, loop_forward, random_architecture
 
 
-def recorded_run(f, dim, n_pairs, seed, b_omega=1.0):
-    """empirical_lipschitz with a map that keeps its rows: (estimate, first points, second points)."""
-    calls = []
+def recorded_run(f, dim, n_pairs, seed, b_omega=1.0, calls=None, **kwargs):
+    """empirical_lipschitz with a map that keeps its rows: (estimate, first points, second points).
+
+    The map is called on a chunk of first points, then on the same chunk of
+    second points; a given calls list receives every chunk.
+    """
+    calls = [] if calls is None else calls
 
     def recording(thetas):
         calls.append(np.array(thetas))
         return f(thetas)
 
-    est = empirical_lipschitz(recording, dim, b_omega, n_pairs, seed)
+    est = empirical_lipschitz(recording, dim, b_omega, n_pairs, seed, **kwargs)
     return est, np.concatenate(calls[0::2]), np.concatenate(calls[1::2])
+
+
+def assert_same_estimate(est, ref):
+    """Every field equal, the worst pair's bits included."""
+    assert (est.max_ratio, est.argmax_index, est.n_pairs, est.seed, est.n_degenerate) == (
+        ref.max_ratio, ref.argmax_index, ref.n_pairs, ref.seed, ref.n_degenerate
+    )
+    for u, v in zip(est.argmax_pair, ref.argmax_pair):
+        assert u.tobytes() == v.tobytes()
 
 
 class TestBatchedMaps:
@@ -166,18 +181,26 @@ class TestEmpiricalLipschitz:
 
     def test_chunking_does_not_change_result(self, monkeypatch):
         # 600 pairs is not a whole number of blocks; passes of 1, 2 and 3
-        # blocks end at other block boundaries than the 4-block default
+        # blocks end at other block boundaries than the 4-block default.
+        # Map chunks of 2 and 3 rows of 13 parameters cut the passes of 256,
+        # 512, 600 and 88 rows, and a pass of 256 or 88 rows in 3-row chunks
+        # ends in a lone row, which joins the chunk before it
         arch = ArchitectureSpec(widths=(2, 3, 1), activations=(tanh(),))
-        f = network_output_map(arch, np.array([0.5, -0.5]))
-        ref, ref_a, ref_b = recorded_run(f, arch.n_params, 600, seed=7)
-        for blocks in (1, 2, 3):
-            monkeypatch.setattr(empirical, "_PASS_BLOCKS", blocks)
-            est, a, b = recorded_run(f, arch.n_params, 600, seed=7)
-            np.testing.assert_array_equal(a, ref_a)
-            np.testing.assert_array_equal(b, ref_b)
-            assert (est.max_ratio, est.argmax_index) == (ref.max_ratio, ref.argmax_index)
-            for u, v in zip(est.argmax_pair, ref.argmax_pair):
-                np.testing.assert_array_equal(u, v)
+        x = np.array([0.5, -0.5])
+        row = 8 * arch.n_params
+        for f in (network_output_map(arch, x), network_jacobian_map(arch, x)):
+            ref, ref_a, ref_b = recorded_run(f, arch.n_params, 600, seed=7)
+            for blocks in (1, 2, 3, 4):
+                for rows in (None, 2, 3):
+                    monkeypatch.setattr(empirical, "_PASS_BLOCKS", blocks)
+                    monkeypatch.setattr(empirical, "_MAP_ROW_BYTES", (rows or 1024) * row)
+                    calls = []
+                    est, a, b = recorded_run(f, arch.n_params, 600, seed=7, calls=calls)
+                    sizes = {len(c) for c in calls}
+                    assert min(sizes) >= 2 and max(sizes) <= (rows or 1024) + 1
+                    np.testing.assert_array_equal(a, ref_a)
+                    np.testing.assert_array_equal(b, ref_b)
+                    assert_same_estimate(est, ref)
 
     def test_prefix_reproducibility(self):
         # the first n pairs of a longer run are exactly the pairs of an
@@ -203,6 +226,45 @@ class TestEmpiricalLipschitz:
             b[row] - a[row]
         )
         assert quot == pytest.approx(est.max_ratio, rel=1e-12)
+
+    @pytest.mark.parametrize("n_pairs", [250, 2000])
+    def test_first_pass_gives_the_inline_estimate(self, n_pairs):
+        # 250 pairs are one pass, 2000 are a prefetched pass and an inline one
+        arch = ArchitectureSpec(widths=(3, 4, 2), activations=(tanh(),))
+        f = network_jacobian_map(arch, np.array([0.5, -0.5, 1.0]))
+        ref, ref_a, ref_b = recorded_run(f, arch.n_params, n_pairs, seed=11, b_omega=0.7)
+        with FirstPass(arch.n_params, 0.7, n_pairs, 11) as first:
+            est, a, b = recorded_run(f, arch.n_params, n_pairs, 11, 0.7, first_pass=first)
+            with pytest.raises(ValueError, match="only once"):
+                empirical_lipschitz(f, arch.n_params, 0.7, n_pairs, 11, first_pass=first)
+        assert a.tobytes() == ref_a.tobytes() and b.tobytes() == ref_b.tobytes()
+        assert_same_estimate(est, ref)
+
+    @pytest.mark.parametrize(
+        "made_for", [(6, 0.7, 250, 11), (5, 0.8, 250, 11), (5, 0.7, 251, 11), (5, 0.7, 250, 12)],
+        ids=["dim", "b_omega", "n_pairs", "seed"],
+    )
+    def test_first_pass_of_other_arguments_is_refused(self, made_for):
+        with FirstPass(*made_for) as first:
+            with pytest.raises(ValueError, match="first_pass was made for"):
+                empirical_grad_lipschitz(lambda t: t, 5, 0.7, 250, 11, first_pass=first)
+
+    def test_a_failing_fill_raises_on_the_calling_thread(self, monkeypatch):
+        boom = RuntimeError("fill failed")
+        fillers = []
+
+        def failing_fill(seed, first, draws):
+            fillers.append(threading.current_thread())
+            raise boom
+
+        monkeypatch.setattr(empirical, "_fill_blocks", failing_fill)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            with FirstPass(4, 1.0, 100, 0) as first:
+                empirical_lipschitz(lambda t: t, 4, 1.0, 100, 0, first_pass=first)
+        assert info.value is boom
+        assert fillers and fillers[0] is not threading.current_thread()
+        assert threading.active_count() == threads
 
     def test_never_exceeds_certificate(self, rng):
         for _ in range(5):
