@@ -4,10 +4,14 @@ Every command reads one JSON config, writes machine-readable reports into
 --out (JSON for certificates, CSV for tables) plus a run_meta.json embedding
 the resolved config and its digest, and prints a short human table.  Outputs
 contain no timestamps or environment state, so a rerun with the same config
-and seed is byte-identical.  verify fills the first pass of its second
-estimate's pairs on a second thread while the first estimate runs; the
-pairs and every report are those of a serial run.  --threads is still
-accepted and changes no byte.
+and seed is byte-identical.  Only verify uses a second thread, and only
+for large work: it draws the first pass of its second estimate's pairs
+there while the first estimate runs, when those pairs take 384 KiB or
+more, and it maps the upper half of the rows of every map call with 2 MiB
+or more of output there (Jacobian calls of large nets).  Smaller work
+stays on one thread, where a thread would cost more than it saves.  Every
+report is that of a serial run.  --threads is still accepted and changes
+no byte.
 
 Exit codes: 0 ok, 2 config/usage error, 3 certificate overflowed to infinity
 without --allow-inf, 4 soundness or equivalence violation (the falsification
@@ -323,16 +327,19 @@ def cmd_verify(cfg: dict, args, out: Path) -> int:
 
     # a net that overflows shows it as a non-finite quotient in soundness.csv,
     # so the numpy warnings of its sampled maps are silenced here and only
-    # here; L_grad_N's first pairs are drawn on a worker while L_N runs
+    # here, on both threads; L_grad_N's first pairs are drawn while L_N runs
+    l_out = arch.widths[-1]
     with (
-        FirstPass(n_params, b, n_pairs, seed + 1) as grad_pass,
         np.errstate(over="ignore", invalid="ignore"),
+        FirstPass(n_params, b, n_pairs, seed + 1) as grad_pass,
     ):
         try:
-            est_n = empirical_lipschitz(network_output_map(arch, x), n_params, b, n_pairs, seed)
+            est_n = empirical_lipschitz(
+                network_output_map(arch, x), n_params, b, n_pairs, seed, out_width=l_out
+            )
             est_g = empirical_grad_lipschitz(
                 network_jacobian_map(arch, x), n_params, b, n_pairs, seed + 1,
-                first_pass=grad_pass,
+                first_pass=grad_pass, out_width=l_out * n_params,
             )
         except ValueError as exc:  # a ball too small for two distinct points
             raise ConfigError(f"verify: {exc}") from exc
@@ -728,7 +735,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None, help="override the config seed")
     common.add_argument(
         "--threads", type=int, default=1,
-        help="no effect: every value gives the same bytes, and verify always draws on two threads",
+        help="no effect: every value gives the same bytes; verify uses a second thread on large nets",
     )
     common.add_argument(
         "--allow-inf", action="store_true",

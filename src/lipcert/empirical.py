@@ -13,21 +13,29 @@ PAIR_BLOCK pairs reads one generator seeded with (seed, k) in a few
 whole-array calls, so a pair depends only on (seed, its index): the first
 n pairs of a longer run are the pairs of an n-pair run, and
 (seed, argmax_index) regenerates an estimate's worst pair.  A pass draws
-_PASS_BLOCKS blocks, 1024 pairs, in two steps: a fill reads the generators
-into arrays allocated beforehand, and a build turns those reads into pairs
-in place.  The fill makes only generator calls, so FirstPass can run an
-estimate's first fill on a worker thread while another estimate runs; the
-build always runs on the calling thread.  Each pass then calls the map on
-chunks of at most _MAP_ROW_BYTES of parameter rows, one side after the
-other, and takes the output distances chunk by chunk, so no whole pass of
-outputs is held at once.
+_PASS_BLOCKS blocks, 1024 pairs, then calls the map on chunks of at most
+_MAP_ROW_BYTES of output rows, one side after the other, and takes the
+output distances chunk by chunk, so no whole pass of outputs is held at
+once.
+
+Two kinds of work go to a second thread, each only where it pays for the
+thread's start (about 0.2 ms on 2 cores): a map call with _SPLIT_BYTES or
+more of output maps the upper half of its rows there, and FirstPass draws
+an estimate's first pass there while another estimate runs, when those
+pairs take _FIRST_PASS_BYTES or more.  Such a thread runs under the
+caller's numpy errstate, calls none of this module's public functions,
+and is joined before its work is used.  No output row or pair depends on
+the thread or the chunk that computes it, so every estimate is that of a
+one-thread run.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 import threading
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -69,6 +77,63 @@ class LipschitzEstimate:
 
 
 # ---------------------------------------------------------------------------
+# a second thread
+
+
+class _Worker(threading.Thread):
+    """fn(*args) on a second thread, started at once.
+
+    It runs under a copy of the starting thread's context variables, so
+    numpy's errstate there holds for it too.  result() waits for it and
+    returns its value or raises its exception on the waiting thread.
+    """
+
+    def __init__(self, fn: Callable, *args) -> None:
+        super().__init__(name="lipcert-worker")
+        self._call = partial(contextvars.copy_context().run, fn, *args)
+        self._value = None
+        self._error: BaseException | None = None
+        self.start()
+
+    def run(self) -> None:
+        try:
+            self._value = self._call()
+        except BaseException as exc:  # raised again by result on the waiting thread
+            self._error = exc
+
+    def result(self):
+        self.join()
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
+_SPLIT_BYTES = 2 << 20  # from here on a map call pays for a second thread
+
+
+def _map_halves(
+    fill: Callable[[np.ndarray, np.ndarray], None], thetas: np.ndarray, out: np.ndarray
+) -> None:
+    """fill(thetas, out), in two halves of rows on two threads when out is large.
+
+    A call of at least 4 rows whose output takes _SPLIT_BYTES or more maps
+    its upper half on a second thread while the lower half runs here.  No
+    half is a lone row, which einsum reduces in another order than a block,
+    so every output row keeps the bits of a one-thread call.
+    """
+    k = len(thetas)
+    if k < 4 or out.nbytes < _SPLIT_BYTES:
+        fill(thetas, out)
+        return
+    upper = _Worker(fill, thetas[k // 2 :], out[k // 2 :])
+    try:
+        fill(thetas[: k // 2], out[: k // 2])
+    finally:
+        upper.join()
+    upper.result()
+
+
+# ---------------------------------------------------------------------------
 # batched parameter-space maps
 
 
@@ -76,9 +141,15 @@ def network_output_map(arch: ArchitectureSpec, x: np.ndarray) -> Callable[[np.nd
     """Map (K, n_params) parameter rows to (K, l_out) network outputs."""
     xs = np.asarray(x, dtype=float)[None]
 
+    def fill(thetas: np.ndarray, out: np.ndarray) -> None:
+        _, feats = batch_forward(arch, thetas, xs)
+        out[...] = feats[-1][:, 0]
+
     def f(thetas: np.ndarray) -> np.ndarray:
-        _, feats = batch_forward(arch, np.asarray(thetas, dtype=float), xs)
-        return feats[-1][:, 0]
+        thetas = np.asarray(thetas, dtype=float)
+        out = np.empty((len(thetas), arch.widths[-1]))
+        _map_halves(fill, thetas, out)
+        return out
 
     return f
 
@@ -88,12 +159,16 @@ def network_jacobian_map(arch: ArchitectureSpec, x: np.ndarray) -> Callable[[np.
     xs = np.asarray(x, dtype=float)[None]
     eye = np.eye(arch.widths[-1])
 
+    def fill(thetas: np.ndarray, out: np.ndarray) -> None:
+        pres, feats = batch_forward(arch, thetas, xs)
+        seed = np.broadcast_to(eye, (len(thetas),) + eye.shape)
+        batch_backward(arch, thetas, pres, feats, seed, out=out)
+
     def f(thetas: np.ndarray) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)
-        k = thetas.shape[0]
-        pres, feats = batch_forward(arch, thetas, xs)
-        seed = np.broadcast_to(eye, (k,) + eye.shape)
-        return batch_backward(arch, thetas, pres, feats, seed).reshape(k, -1)
+        out = np.empty((len(thetas), arch.widths[-1], arch.n_params))
+        _map_halves(fill, thetas, out)
+        return out.reshape(len(thetas), -1)
 
     return f
 
@@ -136,29 +211,30 @@ def _scale_rows(g: np.ndarray, length: np.ndarray) -> None:
     g *= np.divide(length, nrm, out=np.zeros_like(nrm), where=nrm > 0)[:, None]
 
 
-def _empty_draws(count: int, dim: int) -> tuple[np.ndarray, ...]:
-    """Uninitialised arrays for the generator reads of count blocks."""
-    rows = count * PAIR_BLOCK
-    return (
-        np.empty((rows, dim)),
-        np.empty((rows, dim)),
-        np.empty((2, rows)),
-        np.empty(rows, dtype=np.int64),
-        np.empty(rows, dtype=bool),
-    )
+def _draw_blocks(
+    seed: int, first: int, count: int, dim: int, b_omega: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs of blocks first .. first + count - 1 as two (count * PAIR_BLOCK, dim) arrays."""
+    a = np.empty((count * PAIR_BLOCK, dim))
+    b = np.empty_like(a)
+    _draw_into(seed, first, a, b, b_omega)
+    return a, b
 
 
-def _fill_blocks(seed: int, first: int, draws: tuple[np.ndarray, ...]) -> None:
-    """Read the generators of blocks first, first + 1, ... into draws, in place.
+def _draw_into(seed: int, first: int, a: np.ndarray, b: np.ndarray, b_omega: float) -> None:
+    """Draw the pairs of blocks first, first + 1, ... into the rows of a and b.
 
     Each block reads default_rng([seed, block]) in one fixed order, whatever
     the pairs' kinds: the Gaussian directions of both points, two radial
-    uniforms per pair, then a coordinate index and a sign per pair.  Only
-    generator calls run here, so FirstPass runs it on a worker thread.
+    uniforms per pair, then a coordinate index and a sign per pair.  The
+    pairs are then built in place from the directions.
     """
-    a, b, u, coord_j, coord_up = draws
-    dim = a.shape[1]
-    for i in range(len(a) // PAIR_BLOCK):
+    rows, dim = a.shape
+    count = rows // PAIR_BLOCK
+    u = np.empty((2, rows))
+    coord_j = np.empty(rows, dtype=np.int64)
+    coord_up = np.empty(rows, dtype=bool)
+    for i in range(count):
         rng = np.random.default_rng([seed, first + i])
         s = slice(i * PAIR_BLOCK, (i + 1) * PAIR_BLOCK)
         rng.standard_normal(out=a[s])
@@ -167,13 +243,6 @@ def _fill_blocks(seed: int, first: int, draws: tuple[np.ndarray, ...]) -> None:
         coord_j[s] = rng.integers(dim, size=PAIR_BLOCK)
         coord_up[s] = rng.random(PAIR_BLOCK) < 0.5
 
-
-def _build_pairs(
-    first: int, draws: tuple[np.ndarray, ...], b_omega: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs of blocks first, first + 1, ..., built in place in the draws' direction arrays."""
-    a, b, u, coord_j, coord_up = draws
-    rows, dim = a.shape
     # pair k is global, local, local or coordinate as k % 4 is 0, 1, 2 or 3
     q = np.arange(first * PAIR_BLOCK, first * PAIR_BLOCK + rows) % 4
     cap = 0.5 * b_omega
@@ -192,64 +261,63 @@ def _build_pairs(
     np.add(b, a, out=b, where=~is_global[:, None])
     rows_c = np.flatnonzero(q == 3)
     b[rows_c, coord_j[rows_c]] += np.where(coord_up[rows_c], step[rows_c], -step[rows_c])
-    return a, b
 
 
-def _draw_blocks(
-    seed: int, first: int, count: int, dim: int, b_omega: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs of blocks first .. first + count - 1 as two (count * PAIR_BLOCK, dim) arrays."""
-    draws = _empty_draws(count, dim)
-    _fill_blocks(seed, first, draws)
-    return _build_pairs(first, draws, b_omega)
+_FIRST_PASS_BYTES = 384 << 10
 
 
 class FirstPass:
-    """The first pass of an estimate's pairs, drawn on a worker thread.
+    """The first pass of an estimate's pairs, drawn ahead on a worker thread.
 
-    FirstPass(dim, b_omega, n_pairs, seed) allocates the generator reads of
-    the first pass of empirical_lipschitz(f, dim, b_omega, n_pairs, seed) on
-    the calling thread.  Entering the context starts one thread that fills
-    them, and leaving it joins that thread.  Given to that call as
-    first_pass, it yields the pairs, and so the estimate, of an inline draw:
-    the pairs are built on the calling thread, under its numpy errstate.
-    An exception of the fill is raised again there.
+    FirstPass(dim, b_omega, n_pairs, seed) allocates the pairs of the first
+    pass of empirical_lipschitz(f, dim, b_omega, n_pairs, seed) on the
+    calling thread: arrays allocated on a worker come from that thread's
+    malloc arena, which keeps much of their memory after they are freed.
+    If they take _FIRST_PASS_BYTES or more, entering the context starts one
+    thread that draws them, under the entering thread's numpy errstate, and
+    leaving it joins that thread; smaller pairs are drawn on the calling
+    thread when they are taken, because a thread would cost more than it
+    saves.  Given to that call as first_pass, it yields the pairs, and so
+    the estimate, of an inline draw.  An exception of the draw is raised
+    again on the calling thread.
     """
 
     def __init__(self, dim: int, b_omega: float, n_pairs: int, seed: int) -> None:
         if n_pairs < 1:
             raise ValueError("n_pairs must be positive")
         self.key = (dim, b_omega, n_pairs, seed)
-        self._draws = _empty_draws(min(_PASS_BLOCKS, -(-n_pairs // PAIR_BLOCK)), dim)
-        self._error: BaseException | None = None
-        self._thread = threading.Thread(target=self._fill, args=(seed,), name="lipcert-first-pass")
-
-    def _fill(self, seed: int) -> None:
-        try:
-            _fill_blocks(seed, 0, self._draws)
-        except BaseException as exc:  # raised again by take on the calling thread
-            self._error = exc
+        a = np.empty((min(_PASS_BLOCKS, -(-n_pairs // PAIR_BLOCK)) * PAIR_BLOCK, dim))
+        self._pairs: tuple[np.ndarray, np.ndarray] | None = (a, np.empty_like(a))
+        self._draw = partial(_draw_into, seed, 0, *self._pairs, b_omega)
+        self._nbytes = 2 * a.nbytes
+        self._worker: _Worker | None = None
 
     def __enter__(self) -> FirstPass:
-        self._thread.start()
+        if self._nbytes >= _FIRST_PASS_BYTES:
+            self._worker = _Worker(self._draw)
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self._thread.join()
+        if self._worker is not None:
+            self._worker.join()
 
-    def take(self) -> tuple[np.ndarray, ...]:
-        """The filled generator reads, once; waits for the fill and raises its exception."""
-        self._thread.join()
-        if self._error is not None:
-            raise self._error
-        if self._draws is None:
+    def take(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pass's pairs, once; waits for the draw and raises its exception."""
+        if self._pairs is None:
             raise ValueError("a first pass is taken only once")
-        draws, self._draws = self._draws, None
-        return draws
+        # keep no reference to the arrays, which the estimate frees after this pass
+        pairs, self._pairs = self._pairs, None
+        draw, self._draw = self._draw, None
+        worker, self._worker = self._worker, None
+        if worker is None:
+            draw()
+        else:
+            worker.result()
+        return pairs
 
 
 _ROW_BLOCK_BYTES = 1 << 20
-_MAP_ROW_BYTES = 4 << 20
+_MAP_ROW_BYTES = 8 << 20
 _TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
 
@@ -303,6 +371,7 @@ def empirical_lipschitz(
     seed: int,
     *,
     first_pass: FirstPass | None = None,
+    out_width: int | None = None,
 ) -> LipschitzEstimate:
     """Max difference quotient of a batched map over sampled parameter pairs.
 
@@ -314,9 +383,11 @@ def empirical_lipschitz(
     pair, a local perturbation of length 1e-2 or 1e-4 (at most b_omega / 2,
     so both points stay in the ball), or a coordinate step of
     1e-3 * b_omega as k % 4 is 0, 1, 2 or 3.  Each pass draws _PASS_BLOCKS
-    blocks and calls f on chunks of at most _MAP_ROW_BYTES of their first
-    points and then of their second, in turn.  A first_pass made with the
-    same dim, b_omega, n_pairs and seed supplies the first pass's draws.
+    blocks and calls f on chunks of their first points and then of their
+    second, in turn, each chunk at most _MAP_ROW_BYTES of output rows of
+    out_width floats (dim if not given: a gradient's width).  A first_pass
+    made with the same dim, b_omega, n_pairs and seed supplies the first
+    pass's pairs.
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be positive")
@@ -332,7 +403,7 @@ def empirical_lipschitz(
     n_blocks = -(-n_pairs // PAIR_BLOCK)
     for first in range(0, n_blocks, _PASS_BLOCKS):
         if first == 0 and first_pass is not None:
-            a, b = _build_pairs(0, first_pass.take(), b_omega)
+            a, b = first_pass.take()
         else:
             a, b = _draw_blocks(seed, first, min(_PASS_BLOCKS, n_blocks - first), dim, b_omega)
         offset = first * PAIR_BLOCK
@@ -344,7 +415,7 @@ def empirical_lipschitz(
         # chunked map calls: no whole pass of outputs (a Jacobian's is
         # l_out times the pairs' size) is ever held at once
         fn = np.empty(rows)
-        for i, j in _row_blocks(rows, a.itemsize * dim, _MAP_ROW_BYTES):
+        for i, j in _row_blocks(rows, 8 * (out_width or dim), _MAP_ROW_BYTES):
             fa = np.asarray(f(a[i:j]), dtype=float)
             fn[i:j] = _row_distances(fa, np.asarray(f(b[i:j]), dtype=float))
         q = fn / np.where(ok, dn, 1.0)
@@ -368,9 +439,12 @@ def empirical_grad_lipschitz(
     seed: int,
     *,
     first_pass: FirstPass | None = None,
+    out_width: int | None = None,
 ) -> LipschitzEstimate:
     """Same engine as empirical_lipschitz, applied to a gradient/Jacobian map."""
-    return empirical_lipschitz(grad_f, dim, b_omega, n_pairs, seed, first_pass=first_pass)
+    return empirical_lipschitz(
+        grad_f, dim, b_omega, n_pairs, seed, first_pass=first_pass, out_width=out_width
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from lipcert import (
     closed_form_bounds,
     cli,
     config,
+    empirical,
     linear_scalar_field,
     load_dataset_csv,
     loss_head_envelopes,
@@ -994,6 +995,59 @@ class TestVerify:
         out = tmp_path / "out"
         assert cli.main(["verify", "--config", str(config), "--out", str(out)]) == 0
         assert (out / "soundness.csv").read_text() == self.SHIPPED_SOUNDNESS
+
+    # nets below and above verify's thread gates (384 KiB of first-pass pairs,
+    # 2 MiB of map output); 1100 pairs hand a drawn-ahead first pass on to
+    # an inline second one, and the unbounded net overflows on both threads
+    THREAD_NETS = {
+        "small": ([2, 3, 1], ["tanh"], 1.0, 250),
+        "large": ([6, 40, 3], ["sigmoid"], 1.0, 250),
+        "large-two-passes": ([6, 40, 3], ["tanh"], 1.0, 1100),
+        "large-overflowing": ([2, 30, 30, 2], ["smoothed_relu"] * 2, 1e100, 250),
+    }
+
+    @pytest.mark.parametrize("net", sorted(THREAD_NETS))
+    def test_threads_change_no_report_byte(self, tmp_path, monkeypatch, net):
+        widths, kinds, b_omega, n_pairs = self.THREAD_NETS[net]
+        doc = {
+            "name": net,
+            "seed": 5,
+            "architecture": {
+                "widths": widths,
+                "activations": [{"kind": k, "delta": 0.5} if k == "smoothed_relu" else k for k in kinds],
+            },
+            "bounds": {"b_omega": b_omega},
+            "verify": {"n_pairs": n_pairs},
+        }
+        cfg = write_cfg(tmp_path, doc)
+        started = []
+
+        class CountedWorker(empirical._Worker):
+            def __init__(self, *args):
+                started.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(empirical, "_Worker", CountedWorker)
+        gates = {"default": None, "one-thread": 1 << 62, "every-call": 0}
+        reports, workers = {}, {}
+        threads = threading.active_count()
+        for name, size in gates.items():
+            for gate in ("_SPLIT_BYTES", "_FIRST_PASS_BYTES"):
+                if size is not None:
+                    monkeypatch.setattr(empirical, gate, size)
+            started.clear()
+            out = tmp_path / name
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert cli.main(["verify", "--config", cfg, "--out", str(out), "--allow-inf"]) == 0
+            reports[name] = (out / "soundness.csv").read_bytes()
+            workers[name] = len(started)
+        assert threading.active_count() == threads
+        assert reports["default"] == reports["one-thread"] == reports["every-call"]
+        assert workers["one-thread"] == 0 and workers["every-call"] > 0
+        assert (workers["default"] > 0) == net.startswith("large")
+        if net == "large-overflowing":
+            assert b"inf" in reports["default"]
 
     @staticmethod
     def empirical_column(tmp_path, doc, name):

@@ -3,10 +3,14 @@
 Only the command layer (cli) reads configs and writes reports through
 config; nothing imports cli; every import sits at module level, so the
 dependency graph is the one the module headers show; and every imported
-name is used.
+name is used.  A fresh interpreter that imports the CLI loads no
+concurrent.futures, which would add about 5 ms to every command's start.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -66,3 +70,11 @@ def test_every_imported_name_is_used(path):
             imported |= {a.asname or a.name for a in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def test_cli_start_loads_no_concurrent_futures():
+    # verify's second thread comes from threading alone
+    probe = "import sys, lipcert.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"
