@@ -32,9 +32,7 @@ from .bounds import (
     SampleMoments,
     closed_form_bounds,
     closed_form_certificate,
-    closed_form_network_bounds,
     derive_adagrad_params,
-    derive_gd_step,
     input_base,
     layer_step,
     loss_certificate,

@@ -51,9 +51,7 @@ __all__ = [
     "check_sample_norms",
     "closed_form_bounds",
     "closed_form_certificate",
-    "closed_form_network_bounds",
     "derive_adagrad_params",
-    "derive_gd_step",
     "full_moments",
     "input_base",
     "layer_step",
@@ -303,6 +301,39 @@ def _step_terms(c1: float, c2: float, d: float, n3: float, l1, l2, b1, sqrt):
     return l_chi, a_term, b_term, cross, carry
 
 
+def _float_step(
+    c1: float, c2: float, b3: float, n3: float, d: float, l1: float, l2: float, b1: float
+) -> tuple[float, float, float, float]:
+    """layer_step on plain floats, unchecked: (l_n, l_grad_n, b_n, alpha) of a
+    head with constants (c1, c2, b3) and width n3 at budget d, fed features
+    with constants (l1, l2, b1)."""
+    l_chi, a_term, b_term, cross, carry = _step_terms(c1, c2, d, n3, l1, l2, b1, math.sqrt)
+
+    # every term is a sum of nonnegative products, so a finite total means
+    # nothing overflowed and no 0 * inf turned to nan (max() below could
+    # drop a nan, so both of its operands are in the total)
+    if not math.isfinite(l_chi + a_term + b_term + cross + carry):
+        # overflow can push squared budgets to inf; every product with a zero
+        # bound factor must still collapse to zero, so the outer factors go
+        # through _prod as well
+        b2 = l1
+        l_chi = _prod(c1, math.sqrt(_prod(d, d, l1, l1) + b1 * b1 + 1.0))
+
+        a_term = _prod(
+            3.0 * _prod(l1, l1), _prod(c1, c1, n3) + _prod(c2, c2, d, d, b1, b1)
+        ) + 2.0 * _prod(c2, c2, d, d, l1, l1)
+        b_term = _prod(_prod(c2, c2), b1 * b1 + 1.0, 3.0 * b1 * b1 + 2.0)
+
+        cross = _prod(n3, c1, d, l2) + _prod(b2, c2, d, d, l1)
+        carry = _prod(
+            _prod(b2, b2), _sq(_prod(n3, c1) + _prod(d, c2, math.sqrt(b1 * b1 + 1.0)))
+        )
+
+    alpha = max(a_term, b_term)
+    # b3 is +inf for a head without a value bound
+    return l_chi, math.sqrt(alpha + (cross * cross + carry)), math.sqrt(n3) * b3, alpha
+
+
 def layer_step(
     prev: LayerBounds,
     env: ActivationEnvelope | LossEnvelope | None,
@@ -325,39 +356,9 @@ def layer_step(
         name = "l_n" if prev.l_n < 0 else "l_grad_n" if prev.l_grad_n < 0 else "b_n"
         raise ValueError(f"prev.{name} must be nonnegative")
     c1, c2, b3 = _head_constants(env)
-
-    l1, l2 = prev.l_n, prev.l_grad_n
-    b1, b2 = prev.b_n, prev.l_n
-    d = float(budget)
-    n3 = float(width_out)
-
-    l_chi, a_term, b_term, cross, carry = _step_terms(c1, c2, d, n3, l1, l2, b1, math.sqrt)
-
-    # every term is a sum of nonnegative products, so a finite total means
-    # nothing overflowed and no 0 * inf turned to nan (max() below could
-    # drop a nan, so both of its operands are in the total)
-    if not math.isfinite(l_chi + a_term + b_term + cross + carry):
-        # overflow can push squared budgets to inf; every product with a zero
-        # bound factor must still collapse to zero, so the outer factors go
-        # through _prod as well
-        l_chi = _prod(c1, math.sqrt(_prod(d, d, l1, l1) + b1 * b1 + 1.0))
-
-        a_term = _prod(
-            3.0 * _prod(l1, l1), _prod(c1, c1, n3) + _prod(c2, c2, d, d, b1, b1)
-        ) + 2.0 * _prod(c2, c2, d, d, l1, l1)
-        b_term = _prod(_prod(c2, c2), b1 * b1 + 1.0, 3.0 * b1 * b1 + 2.0)
-
-        cross = _prod(n3, c1, d, l2) + _prod(b2, c2, d, d, l1)
-        carry = _prod(
-            _prod(b2, b2), _sq(_prod(n3, c1) + _prod(d, c2, math.sqrt(b1 * b1 + 1.0)))
-        )
-
-    alpha = max(a_term, b_term)
-    l_grad_chi = math.sqrt(alpha + (cross * cross + carry))
-
-    b_chi = math.sqrt(n3) * b3  # +inf for a head without a value bound
-
-    return LayerBounds(l_chi, l_grad_chi, b_chi, alpha)
+    return LayerBounds(*_float_step(
+        c1, c2, b3, float(width_out), float(budget), prev.l_n, prev.l_grad_n, prev.b_n
+    ))
 
 
 @dataclass(frozen=True)
@@ -403,7 +404,7 @@ def _network_bounds(
     return NetworkBounds(tuple(per_layer), final, s, tuple(float(b) for b in budgets))
 
 
-def _smoothed_relu_bound(env: ActivationEnvelope, width: int, budget: float, b_prev, sqrt):
+def _smoothed_relu_bound(env: ActivationEnvelope, width: float, budget: float, b_prev, sqrt):
     """Output bound of a smoothed_relu layer, on a float or an array of rows.
 
     The activation is unbounded, so the bound follows the affine growth
@@ -422,13 +423,14 @@ def network_certificate(
 
 
 # ---------------------------------------------------------------------------
-# the recursion over an array of sample norms
+# the recursion over many sample norms: plain floats per norm, or one array
 
-# Distinct sample norms from which one array recursion beats one scalar
-# recursion per norm.  Measured at 1-4 hidden layers of width 8: the array
-# recursion and head step cost a fixed 150-430 us in numpy calls, the scalar
-# ones 25-45 us per norm, and they break even at 6-10 norms.
-_ARRAY_MIN_NORMS = 8
+# Distinct sample norms from which one array recursion beats the float core
+# run once per norm (_budget_constants).  Measured per budget vector at 1-4
+# hidden tanh layers of width 8 (Python 3.11, numpy 2.4): the array
+# recursion and head step cost a fixed 65-170 us in numpy calls, the float
+# core 2.4-6 us per norm, and they break even at 24-28 norms.
+_ARRAY_MIN_NORMS = 24
 
 
 def _layer_step_rows(
@@ -442,21 +444,21 @@ def _layer_step_rows(
     """layer_step's (l_n, l_grad_n) over (n,) arrays of the previous l_n,
     l_grad_n and b_n, each row with layer_step's bits.
 
-    A row whose terms do not sum to a finite value is redone by layer_step
-    itself, which takes it through _prod.  The arguments are not checked:
-    callers run the scalar recursion at the same budgets first.
+    A row whose terms do not sum to a finite value is redone by the float
+    core, which takes it through _prod.  The arguments are not checked:
+    callers pass a certificate's budgets or the budget search's, which are
+    nonnegative.
     """
-    c1, c2, _ = _head_constants(env)
+    c1, c2, b3 = _head_constants(env)
+    d, n3 = float(budget), float(width_out)
     with np.errstate(over="ignore", invalid="ignore"):
-        l_chi, a_term, b_term, cross, carry = _step_terms(
-            c1, c2, float(budget), float(width_out), l1, l2, b1, np.sqrt
-        )
+        l_chi, a_term, b_term, cross, carry = _step_terms(c1, c2, d, n3, l1, l2, b1, np.sqrt)
         l_grad_chi = np.sqrt(np.maximum(a_term, b_term) + (cross * cross + carry))
         overflowed = np.flatnonzero(~np.isfinite(l_chi + a_term + b_term + cross + carry))
     for i in overflowed.tolist():
-        prev = LayerBounds(float(l1[i]), float(l2[i]), float(b1[i]), 0.0)
-        lb = layer_step(prev, env, width_out, budget)
-        l_chi[i], l_grad_chi[i] = lb.l_n, lb.l_grad_n
+        l_chi[i], l_grad_chi[i], _, _ = _float_step(
+            c1, c2, b3, n3, d, float(l1[i]), float(l2[i]), float(b1[i])
+        )
     return l_chi, l_grad_chi
 
 
@@ -477,6 +479,78 @@ def _last_hidden_rows(
         else:
             b_n = np.full_like(s, math.sqrt(float(width)) * env.sigma_max)
     return l_n, l_grad_n, b_n
+
+
+def _hidden_layers(arch: ArchitectureSpec) -> tuple[tuple, ...]:
+    """Each hidden layer's (c1, c2, b3, width, smoothed) for _hidden_floats:
+    its head constants, its width as a float, and its envelope if the layer
+    is a smoothed_relu one (else None)."""
+    return tuple(
+        (*_head_constants(e), float(w), e if e.kind == "smoothed_relu" else None)
+        for e, w in zip((a.envelope for a in arch.activations), arch.widths[1:])
+    )
+
+
+def _hidden_floats(layers, d: Sequence[float], s: float) -> tuple[float, float, float]:
+    """(l_n, l_grad_n, b_n) of _network_bounds(arch, d, s).last_hidden, with
+    its bits, from layers = _hidden_layers(arch) in plain floats."""
+    l_n = l_grad_n = 0.0
+    b_n = s
+    for (c1, c2, b3, n3, smoothed), du in zip(layers, d):
+        l_n, l_grad_n, b_out, _ = _float_step(c1, c2, b3, n3, du, l_n, l_grad_n, b_n)
+        b_n = b_out if smoothed is None else _smoothed_relu_bound(smoothed, n3, du, b_n, math.sqrt)
+    return l_n, l_grad_n, b_n
+
+
+def _budget_constants(
+    arch: ArchitectureSpec, loss: LossEnvelope, norms: Sequence[float]
+) -> Callable[[tuple[float, ...]], tuple[float, float, float, float]]:
+    """The function d -> (l_n, l_grad_n, l_phi, l_grad_phi) of the recursion at
+    budget vector d, each with the bits of _network_bounds(arch, d,
+    max(norms)).l_n and .l_grad_n and of _head_averages(loss, d[-1], ...) over
+    the norms in dataset order.
+
+    Below _ARRAY_MIN_NORMS distinct norms it runs _hidden_floats once per
+    distinct norm and the float core for the heads; from there on it runs
+    _hidden_floats at the largest norm only, and the loss averages come from
+    one array recursion and head step over the distinct norms.  math.fsum is
+    correctly rounded, so averaging per distinct norm keeps the bits.
+    """
+    layers = _hidden_layers(arch)
+    out_width = float(arch.widths[-1])
+    g1, g2, n = loss.g_p_max, loss.g_pp_max, len(norms)
+    distinct = tuple(dict.fromkeys(norms))
+    index = {s: i for i, s in enumerate(distinct)}
+    rows = [index[s] for s in norms]
+    top = index[max(norms)]  # a zero's sign enters only squared
+    inf = math.inf
+
+    if len(distinct) >= _ARRAY_MIN_NORMS:
+        s_rows, s_max = np.array(distinct), distinct[top]
+
+        def constants(d: tuple[float, ...]) -> tuple[float, float, float, float]:
+            l_n, l_grad_n, _, _ = _float_step(
+                1.0, 0.0, inf, out_width, d[-1], *_hidden_floats(layers, d, s_max)
+            )
+            heads = _layer_step_rows(*_last_hidden_rows(arch, d, s_rows), loss, 1, d[-1])
+            l_phi, l_grad_phi = (_fsum(h[rows].tolist()) / n for h in heads)
+            return l_n, l_grad_n, l_phi, l_grad_phi
+
+        return constants
+
+    def constants(d: tuple[float, ...]) -> tuple[float, float, float, float]:
+        d_head = d[-1]
+        hidden = [_hidden_floats(layers, d, s) for s in distinct]
+        l_n, l_grad_n, _, _ = _float_step(1.0, 0.0, inf, out_width, d_head, *hidden[top])
+        heads = [_float_step(g1, g2, inf, 1.0, d_head, *h) for h in hidden]
+        return (
+            l_n,
+            l_grad_n,
+            _fsum(heads[r][0] for r in rows) / n,
+            _fsum(heads[r][1] for r in rows) / n,
+        )
+
+    return constants
 
 
 # ---------------------------------------------------------------------------
@@ -590,30 +664,19 @@ def _sample_averages(
     d_head: float,
     norms: Sequence[float],
     bounds_at: Callable[[float], NetworkBounds],
-    rows_at: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None = None,
 ) -> tuple[NetworkBounds, LossEnvelope | None, tuple[float | None, float | None]]:
     """Bounds at the largest norm, the loss envelope there and the _head_averages.
 
     bounds_at(s) runs once per distinct norm, the largest first; without a
-    loss it runs at the largest norm only and the means are None.  Given
-    rows_at (_last_hidden_rows at the same budgets) and at least
-    _ARRAY_MIN_NORMS distinct norms, bounds_at runs at the largest norm only,
-    and one array recursion and head step over the distinct norms give the
-    same means: math.fsum is correctly rounded, so its order does not matter.
+    loss it runs at the largest norm only and the means are None.
     """
     s_max = max(norms)
     nb_max = bounds_at(s_max)
     env = _loss_at(loss, d_head, nb_max)
     if env is None:
         return nb_max, None, (None, None)
-    distinct = dict.fromkeys(norms)
-    if rows_at is None or len(distinct) < _ARRAY_MIN_NORMS:
-        nbs = {s: nb_max if s == s_max else bounds_at(s) for s in distinct}
-        return nb_max, env, _head_averages(env, d_head, [nbs[s].last_hidden for s in norms])
-    heads = _layer_step_rows(*rows_at(np.array(list(distinct))), env, 1, d_head)
-    index = {s: i for i, s in enumerate(distinct)}
-    rows = [index[s] for s in norms]
-    return nb_max, env, tuple(_fsum(h[rows].tolist()) / len(norms) for h in heads)
+    nbs = {s: nb_max if s == s_max else bounds_at(s) for s in dict.fromkeys(norms)}
+    return nb_max, env, _head_averages(env, d_head, [nbs[s].last_hidden for s in norms])
 
 
 def _averaged_certificate(
@@ -627,8 +690,9 @@ def _averaged_certificate(
 ) -> Certificate:
     """Loss constants averaged over the norms; network constants at the largest.
 
-    nb_max, loss and averages are the results of _sample_averages; without
-    a loss the certificate is the network's alone (l_phi, l_grad_phi None).
+    nb_max is the recursion at the largest norm, loss the envelope there and
+    averages the loss means; without a loss the certificate is the
+    network's alone (l_phi, l_grad_phi None).
     """
     l_phi, l_grad_phi = averages
     return Certificate(
@@ -657,10 +721,10 @@ def loss_certificate(
     """
     norms = check_sample_norms(dataset_norms)
     budgets = inputs.budgets_for(arch)
-    bounds_at = functools.partial(_network_bounds, arch, budgets)
-    rows_at = functools.partial(_last_hidden_rows, arch, budgets)
-    averages = _sample_averages(loss, budgets[-1], norms, bounds_at, rows_at)
-    return _averaged_certificate(arch, inputs, norms, *averages, "recursive")
+    nb_max = _network_bounds(arch, budgets, max(norms))
+    env = _loss_at(loss, budgets[-1], nb_max)
+    averages = (None, None) if env is None else _budget_constants(arch, env, norms)(budgets)[2:]
+    return _averaged_certificate(arch, inputs, norms, nb_max, env, averages, "recursive")
 
 
 # ---------------------------------------------------------------------------
@@ -741,7 +805,7 @@ def _closed_forms(arch: ArchitectureSpec, nb: NetworkBounds) -> ClosedFormBounds
     return ClosedFormBounds(tuple(l_n_sq), tuple(l_grad_n_sq))
 
 
-def closed_form_network_bounds(
+def _closed_form_network_bounds(
     arch: ArchitectureSpec, inputs: BoundInputs, s: float
 ) -> NetworkBounds:
     """Network bounds whose hidden-layer constants come from the closed forms.
@@ -774,7 +838,7 @@ def closed_form_certificate(
     certificate's counterpart; with loss None it is the network's alone.
     """
     norms = check_sample_norms(dataset_norms)
-    bounds_at = functools.partial(closed_form_network_bounds, arch, inputs)
+    bounds_at = functools.partial(_closed_form_network_bounds, arch, inputs)
     return _averaged_certificate(
         arch, inputs, norms, *_sample_averages(loss, inputs.b_omega, norms, bounds_at),
         "closed_form",
@@ -920,18 +984,19 @@ def _sup_over_splits(
         )
         return upper, tuple(b_omega * v for v in split), splits
     bsq = b_omega * b_omega
-    heap: list[tuple[float, int, tuple[float, ...], tuple[float, ...]]] = []
+    heap: list[tuple] = []
     order = itertools.count()
     lower, split = -math.inf, ()
 
-    def push(lo: tuple[float, ...], hi: tuple[float, ...]) -> None:
+    def room(sq: list[float], i: int) -> float:
+        # how far coordinate i can go with the others at their lower corner
+        return math.sqrt(max(bsq - _fsum(sq[:i] + sq[i + 1 :]), 0.0))
+
+    def push(lo, hi, sq: list[float], lo_sq: float, rooms: tuple[float, ...]) -> None:
+        # sq, lo_sq and rooms are functions of lo alone: the squares of lo,
+        # their sum and every coordinate's room, kept in the heap entry
         nonlocal lower, split
-        sq = [x * x for x in lo]
-        lo_sq = _fsum(sq)
-        if lo_sq > bsq:
-            return
-        u = tuple(min(h, math.sqrt(max(bsq - _fsum(sq[:i] + sq[i + 1 :]), 0.0)))
-                  for i, h in enumerate(hi))
+        u = tuple(map(min, hi, rooms))
         # lo + t v with v = u - lo leaves the ball at the root t of a quadratic
         v = [b - a for a, b in zip(lo, u)]
         vv, lv = _fsum(x * x for x in v), _fsum(x * y for x, y in zip(lo, v))
@@ -941,17 +1006,24 @@ def _sup_over_splits(
         value = f(point)
         if value > lower:
             lower, split = value, point
-        heapq.heappush(heap, (-f(u), next(order), lo, hi))
+        heapq.heappush(heap, (-f(u), next(order), lo, hi, sq, lo_sq, rooms))
 
-    push((0.0,) * dim, (b_omega,) * dim)
+    zeros = [0.0] * dim
+    push((0.0,) * dim, (b_omega,) * dim, zeros, 0.0, tuple(room(zeros, i) for i in range(dim)))
     splits = 0
     while splits < max_splits and -heap[0][0] > lower * (1.0 + _SPLIT_RTOL):
-        _, _, lo, hi = heapq.heappop(heap)
+        _, _, lo, hi, sq, lo_sq, rooms = heapq.heappop(heap)
         # longest edge; ties go to the later layer, whose budget counts for more
         i = max(range(dim), key=lambda k: (hi[k] - lo[k], k))
         mid = 0.5 * (lo[i] + hi[i])
-        push(lo, hi[:i] + (mid,) + hi[i + 1 :])
-        push(lo[:i] + (mid,) + lo[i + 1 :], hi)
+        # the lower half keeps lo and so every room; the upper half moves
+        # lo_i, which every room but its own sums over
+        push(lo, hi[:i] + (mid,) + hi[i + 1 :], sq, lo_sq, rooms)
+        up_sq = sq[:i] + [mid * mid] + sq[i + 1 :]
+        up_lo_sq = _fsum(up_sq)
+        if up_lo_sq <= bsq:
+            up_rooms = tuple(r if k == i else room(up_sq, k) for k, r in enumerate(rooms))
+            push(lo[:i] + (mid,) + lo[i + 1 :], hi, up_sq, up_lo_sq, up_rooms)
         splits += 1
     return -heap[0][0], split, splits
 
@@ -974,12 +1046,12 @@ def refine_over_layer_budgets(
     best split of the l_grad_phi search, scaled onto the sphere (never
     worse, by monotonicity); lower_estimate is l_grad_phi there.
 
-    One recursion at a budget vector gives all four constants, so each
-    (budgets, norm) recursion and each budget vector's loss averages are
-    computed once per call, shared by the four searches, the uniform
-    certificate and the lookups at the reported split.  From
-    _ARRAY_MIN_NORMS distinct norms on, a budget vector's loss averages take
-    one array recursion over the norms (see _sample_averages).
+    One recursion at a budget vector gives all four constants, so one memo
+    maps each budget vector to its four floats (_budget_constants), shared
+    by the four searches, the uniform caps and the lower estimate.  The
+    recursion with a per-layer table (_network_bounds) runs only where that
+    table or the output bound is read: at the uniform split and at the
+    reported one.
     """
     norms = check_sample_norms(dataset_norms)
     if arch.m < 1:
@@ -989,37 +1061,24 @@ def refine_over_layer_budgets(
     b = inputs.b_omega
     s_max = max(norms)
     d_uniform = inputs.budgets_for(arch)
+    # the whole ball's output bound
+    loss = _loss_at(loss, b, _network_bounds(arch, d_uniform, s_max))
 
-    # only the bounds at s_max are read again, so the other norms' recursions
-    # are dropped once their loss averages are taken
-    @functools.cache
-    def bounds_at(d: tuple[float, ...]) -> NetworkBounds:
-        return _network_bounds(arch, d, s_max)
+    evaluate = _budget_constants(arch, loss, norms)
+    memo: dict[tuple[float, ...], tuple[float, float, float, float]] = {}
 
-    loss = _loss_at(loss, b, bounds_at(d_uniform))  # the whole ball's output bound
+    def constant(k: int) -> Callable[[tuple[float, ...]], float]:
+        def f(d: tuple[float, ...]) -> float:
+            c = memo.get(d)
+            if c is None:
+                c = memo[d] = evaluate(d)
+            return c[k]
+        return f
 
-    @functools.cache
-    def loss_averages(d: tuple[float, ...]) -> tuple[float, float]:
-        return _sample_averages(
-            loss, d[-1], norms,
-            lambda s: bounds_at(d) if s == s_max else _network_bounds(arch, d, s),
-            functools.partial(_last_hidden_rows, arch, d),
-        )[2]
-
-    uniform = _averaged_certificate(
-        arch, inputs, norms, bounds_at(d_uniform), loss, loss_averages(d_uniform), "recursive"
-    )
-    searches = [
-        (_sup_over_splits(f, arch.m + 1, b, search.max_splits), cap)
-        for f, cap in (
-            (lambda d: bounds_at(d).l_n, uniform.l_n_final),
-            (lambda d: bounds_at(d).l_grad_n, uniform.l_grad_n_final),
-            (lambda d: loss_averages(d)[0], uniform.l_phi),
-            (lambda d: loss_averages(d)[1], uniform.l_grad_phi),
-        )
-    ]
-    l_n, l_grad_n, l_phi, l_grad_phi = (min(r[0], cap) for r, cap in searches)
-    _, split, splits = searches[-1][0]
+    uniform = memo[d_uniform] = evaluate(d_uniform)
+    results = [_sup_over_splits(constant(k), arch.m + 1, b, search.max_splits) for k in range(4)]
+    l_n, l_grad_n, l_phi, l_grad_phi = (min(r[0], cap) for r, cap in zip(results, uniform))
+    _, split, splits = results[-1]
     # hypot only where the squares overflow or lose bits to underflow
     # (b_omega above about 1e154 or below about 1e-150): its bits differ from
     # the fsum on many splits
@@ -1028,10 +1087,10 @@ def refine_over_layer_budgets(
     d_star = tuple(d * scale for d in split)
 
     flags = _overflow_flags(l_n, l_grad_n, l_phi, l_grad_phi)
-    if not l_grad_phi < uniform.l_grad_phi * (1.0 - 1e-15):
+    if not l_grad_phi < uniform[3] * (1.0 - 1e-15):
         flags = flags + ("no_improvement",)
     return Certificate(
-        per_layer=bounds_at(d_star).per_layer,
+        per_layer=_network_bounds(arch, d_star, s_max).per_layer,
         l_n_final=l_n,
         l_grad_n_final=l_grad_n,
         l_phi=l_phi,
@@ -1040,23 +1099,13 @@ def refine_over_layer_budgets(
         inputs_digest=_certificate_digest(arch, inputs, loss, norms, None, "refined_budgets"),
         flags=flags,
         layer_budgets=d_star,
-        lower_estimate=loss_averages(d_star)[1],
+        lower_estimate=constant(3)(d_star),
         splits=splits,
     )
 
 
 # ---------------------------------------------------------------------------
 # step-size derivations
-
-
-def derive_gd_step(cert: Certificate) -> float:
-    """Certified constant step size 1 / l_grad_phi for full-batch descent."""
-    l = cert.l_grad_phi
-    if l == 0.0:
-        raise ValueError("l_grad_phi is zero: objective gradient is constant")
-    if not math.isfinite(l) or l < 0:
-        raise ValueError("l_grad_phi must be a positive finite real")
-    return 1.0 / l
 
 
 def derive_adagrad_params(

@@ -115,3 +115,31 @@ def test_traced_verify_keeps_every_span_on_the_calling_thread(monkeypatch, tmp_p
     assert counters["empirical.pairs"] == 2 * 250
     for name, calls in (("empirical.output_map", 2), ("empirical.jacobian_map", 6)):
         assert (counters[name + ".calls"], counters[name + ".rows"]) == (calls, 2 * 250)
+
+
+def test_traced_certify_counts_only_the_recursions_outside_the_search(monkeypatch, tmp_path):
+    # the budget search runs the float core, which is not a traced name:
+    # layer_step counts the recursions of the reported tables and averages
+    # only (recursive 2, closed form 4 + 2 heads + 2 averages, refinement
+    # 2 at the uniform split + 2 at the reported one)
+    mod = load_tracer(monkeypatch)
+    tracer = mod.Tracer()
+    config = Path(__file__).resolve().parent.parent / "configs" / "tanh_231.json"
+    plain, traced = tmp_path / "plain", tmp_path / "traced"
+    assert lipcert.cli.main(["certify", "--config", str(config), "--out", str(plain)]) == 0
+    with tracer.install():
+        code = tracer.run_op(
+            0, lipcert.cli.main, ["certify", "--config", str(config), "--out", str(traced)]
+        )
+    assert code == 0
+    names = sorted(p.name for p in plain.iterdir())
+    assert "certificate_refined.json" in names
+    assert names == sorted(p.name for p in traced.iterdir())
+    assert all((plain / n).read_bytes() == (traced / n).read_bytes() for n in names)
+    layers = mod.by_layer(mod.self_by_name(tracer.spans)[0])
+    assert min(layers.values()) >= 0.0
+    (root,) = [s for s in tracer.spans if s.parent == -1]
+    assert sum(layers.values()) == pytest.approx(root.end - root.start, rel=1e-9)
+    counters = tracer.counters[0]
+    assert counters["bounds.refine_over_layer_budgets.calls"] == 1
+    assert counters["bounds.layer_step.calls"] == 14

@@ -2,7 +2,6 @@ import dataclasses
 import decimal
 import itertools
 import math
-import weakref
 from collections import Counter
 from functools import partial
 
@@ -24,7 +23,6 @@ from lipcert import (
     closed_form_bounds,
     closed_form_certificate,
     derive_adagrad_params,
-    derive_gd_step,
     empirical_lipschitz,
     input_base,
     layer_step,
@@ -48,6 +46,19 @@ from conftest import random_architecture
 
 def env(c1, c2, smax=1.0, kind="custom"):
     return ActivationEnvelope(kind=kind, sigma_max=smax, sigma_p_max=c1, sigma_pp_max=c2)
+
+
+def counted_calls(monkeypatch, name):
+    """Arguments of every call of bounds.<name> from now on."""
+    calls = []
+    original = getattr(bounds, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(bounds, name, counted)
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +322,38 @@ class TestSampleNormArrays:
         hidden = bounds._last_hidden_rows(arch, (1.0,) * 4, np.array(norms))
         assert np.isinf(hidden[0][[1, 3]]).all() and np.isfinite(hidden[0][[0, 2, 4]]).all()
 
+    @pytest.mark.parametrize("kind", range(len(ALL_KINDS)), ids=lambda k: ALL_KINDS[k].envelope.kind)
+    def test_budget_constants_match_the_per_layer_recursion(self, monkeypatch, kind):
+        # the refinement's memo entry against _network_bounds at the largest
+        # norm and _head_averages over every norm, on the float path and on
+        # the array path, with repeated norms and the overflows of
+        # test_array_path_matches_the_per_norm_path (b_omega 1e40, a 1e200 norm)
+        rng = np.random.default_rng(40 + kind)
+        for trial in range(16):
+            m = 1 + trial % 4
+            acts = tuple(
+                ALL_KINDS[kind if trial % 2 == 0 else int(rng.integers(len(ALL_KINDS)))]
+                for _ in range(m)
+            )
+            arch = ArchitectureSpec(
+                widths=tuple(int(w) for w in rng.integers(1, 9, size=m + 2)), activations=acts
+            )
+            norms = [float(s) for s in rng.uniform(0.0, 2.0, 6)] + [0.0, -0.0, 1.5, 1.5]
+            if trial % 4 == 1:
+                norms.append(1e200)
+            scale = 1e40 if trial % 3 == 2 else 1.0
+            loss = LossEnvelope(*(float(c) for c in 10.0 ** rng.uniform(-2.0, 2.0, 2)))
+            vectors = [tuple(float(x) for x in scale * rng.uniform(0.0, 1.0, m + 1)) for _ in range(4)]
+            vectors += [(scale,) * (m + 1), (0.0,) + (scale,) * m]
+            for d in vectors:
+                nb = _network_bounds(arch, d, max(norms))
+                hidden = [_network_bounds(arch, d, s).last_hidden for s in norms]
+                want = (nb.l_n, nb.l_grad_n, *_head_averages(loss, d[-1], hidden))
+                for threshold in (math.inf, 1):
+                    monkeypatch.setattr(bounds, "_ARRAY_MIN_NORMS", threshold)
+                    got = bounds._budget_constants(arch, loss, norms)(d)
+                    assert all(map(same_float_bits, got, want)), (arch, d, norms, got, want)
+
 
 # ---------------------------------------------------------------------------
 # network recursion
@@ -486,19 +529,22 @@ class TestLossCertificate:
     @pytest.mark.parametrize("loss", [LossEnvelope(1.0, 1.0), None])
     @pytest.mark.parametrize("build", [loss_certificate, closed_form_certificate])
     def test_one_recursion_per_sample_norm(self, monkeypatch, build, loss):
-        # the largest norm's recursion is the one its average already took;
-        # without a loss no average is taken, and only that recursion runs
-        calls = []
-
-        def counted(arch, budgets, s):
-            calls.append(s)
-            return network_bounds(arch, budgets, s)
-
-        network_bounds = bounds._network_bounds
-        monkeypatch.setattr(bounds, "_network_bounds", counted)
+        # the closed form's average takes the per-layer recursion once per
+        # distinct norm, the largest one's shared with its table; the
+        # recursive certificate runs that recursion at the largest norm
+        # only, for its table, and its average takes the float recursion
+        # once per distinct norm.  Without a loss no average is taken.
+        tables = counted_calls(monkeypatch, "_network_bounds")
+        floats = counted_calls(monkeypatch, "_hidden_floats")
         arch = ArchitectureSpec(widths=(2, 3, 1), activations=(tanh(),))
         build(arch, BoundInputs(b_omega=1.0), loss, dataset_norms=(1.0, 0.5, 1.0))
-        assert sorted(calls) == ([1.0] if loss is None else [0.5, 1.0])
+        averaged = [] if loss is None else [0.5, 1.0]
+        if build is closed_form_certificate:
+            assert sorted(s for _, _, s in tables) == (averaged or [1.0])
+            assert floats == []
+        else:
+            assert [s for _, _, s in tables] == [1.0]
+            assert sorted(s for _, _, s in floats) == averaged
 
     def test_many_norms_take_one_scalar_recursion(self, monkeypatch):
         # from _ARRAY_MIN_NORMS distinct norms on, the scalar recursion runs
@@ -921,39 +967,33 @@ class TestRefinement:
         assert ref.gap == pytest.approx(1.0 - ref.lower_estimate / ref.l_grad_phi, abs=1e-15)
 
     def test_one_recursion_per_budget_vector_and_norm(self, monkeypatch):
-        # the four searches, the uniform certificate and the lookups at the
-        # reported split share one evaluation per (budgets, norm), a repeated
-        # sample norm included
-        calls = Counter()
-
-        def counted(arch, budgets, s):
-            calls[tuple(budgets), s] += 1
-            return network_bounds(arch, budgets, s)
-
-        network_bounds = bounds._network_bounds
-        monkeypatch.setattr(bounds, "_network_bounds", counted)
+        # the four searches, the uniform caps and the lower estimate share
+        # one float recursion per (budgets, distinct norm); the per-layer
+        # recursion runs twice, at the uniform split (output bound) and at
+        # the reported one (table)
+        tables = counted_calls(monkeypatch, "_network_bounds")
+        floats = counted_calls(monkeypatch, "_hidden_floats")
         arch = ArchitectureSpec(
             widths=(3, 5, 4, 6, 2), activations=(tanh(), smoothed_relu(0.5), sigmoid())
         )
         for iters in (0, 4, 30):
-            calls.clear()
-            refine_over_layer_budgets(
+            tables.clear()
+            floats.clear()
+            ref = refine_over_layer_budgets(
                 arch, BoundInputs(b_omega=1.5), LossEnvelope(1.0, 1.0), [0.5, 1.25, 0.5],
                 RefinementSearch(restarts=1, iters=iters),
             )
+            calls = Counter((tuple(d), s) for _, d, s in floats)
             assert calls and max(calls.values()) == 1
+            by_vector = Counter(d for d, _ in calls)
+            assert set(by_vector.values()) == {2}
+            assert [(d, s) for _, d, s in tables] == [((1.5,) * 4, 1.25), (ref.layer_budgets, 1.25)]
 
     def test_many_norms_take_one_scalar_recursion_per_budget_vector(self, monkeypatch):
-        # the other norms' loss averages come from one array recursion
-        calls = Counter()
-
-        def counted(arch, budgets, s):
-            calls[tuple(budgets)] += 1
-            assert s == max(norms)
-            return network_bounds(arch, budgets, s)
-
-        network_bounds = bounds._network_bounds
-        monkeypatch.setattr(bounds, "_network_bounds", counted)
+        # the other norms' loss averages come from one array recursion per
+        # budget vector, beside one float recursion at the largest norm
+        floats = counted_calls(monkeypatch, "_hidden_floats")
+        arrays = counted_calls(monkeypatch, "_last_hidden_rows")
         arch = ArchitectureSpec(
             widths=(3, 5, 4, 6, 2), activations=(tanh(), smoothed_relu(0.5), sigmoid())
         )
@@ -962,30 +1002,51 @@ class TestRefinement:
             arch, BoundInputs(b_omega=1.5), LossEnvelope(1.0, 1.0), norms,
             RefinementSearch(restarts=1, iters=30),
         )
-        assert len(calls) > 30 and set(calls.values()) == {1}
+        assert {s for _, _, s in floats} == {max(norms)}
+        vectors = Counter(tuple(d) for _, d, _ in floats)
+        assert len(vectors) > 30 and set(vectors.values()) == {1}
+        assert Counter(tuple(d) for _, d, _ in arrays) == vectors
+        assert all(len(s) == bounds._ARRAY_MIN_NORMS for _, _, s in arrays)
 
     def test_memo_drops_the_smaller_norms(self, monkeypatch):
-        # recursions at the smaller sample norms are dropped once their loss
-        # averages are taken, so the rows of a dataset do not multiply the memo
-        norms = [0.25, 0.5, 0.75, 1.0]
-        kept, alive = [], []
+        # one memo, shared by the four searches, keeps four floats per
+        # budget vector, whatever the number of sample norms: nothing per
+        # norm outlives its vector's averages
+        memos, evaluated = [], []
+        search, constants = bounds._sup_over_splits, bounds._budget_constants
 
-        def tracked(arch, budgets, s):
-            alive.append(sum(ref() is not None for ref in kept))
-            nb = network_bounds(arch, budgets, s)
-            if s < max(norms):
-                kept.append(weakref.ref(nb))
-            return nb
+        def spied_search(f, *args):
+            memos.extend(c.cell_contents for c in f.__closure__ if isinstance(c.cell_contents, dict))
+            return search(f, *args)
 
-        network_bounds = bounds._network_bounds
-        monkeypatch.setattr(bounds, "_network_bounds", tracked)
+        def counted_constants(*args):
+            evaluate = constants(*args)
+
+            def counted(d):
+                evaluated.append(d)
+                return evaluate(d)
+
+            return counted
+
+        monkeypatch.setattr(bounds, "_sup_over_splits", spied_search)
+        monkeypatch.setattr(bounds, "_budget_constants", counted_constants)
         arch = ArchitectureSpec(widths=(3, 5, 4, 2), activations=(tanh(), sigmoid()))
-        refine_over_layer_budgets(
-            arch, BoundInputs(b_omega=1.5), LossEnvelope(1.0, 1.0), norms,
-            RefinementSearch(restarts=1, iters=10),
-        )
-        assert len(kept) > 3 * len(norms)
-        assert max(alive) < len(norms)
+        # one norm, a few, and enough for the array recursion
+        for n_norms in (1, 4, bounds._ARRAY_MIN_NORMS + 2):
+            memos.clear()
+            evaluated.clear()
+            refine_over_layer_budgets(
+                arch, BoundInputs(b_omega=1.5), LossEnvelope(1.0, 1.0),
+                [0.25 * (k + 1) for k in range(n_norms)], RefinementSearch(restarts=1, iters=10),
+            )
+            assert len(memos) == 4 and all(m is memos[0] for m in memos)
+            memo = memos[0]
+            assert sorted(memo) == sorted(evaluated) and len(set(evaluated)) == len(evaluated)
+            assert len(memo) > 3 * arch.m
+            for d, value in memo.items():
+                assert len(d) == arch.m + 1 and all(type(x) is float for x in d)
+                assert type(value) is tuple and len(value) == 4
+                assert all(type(x) is float for x in value)
 
     def test_more_effort_never_loosens_the_bound(self):
         rng = np.random.default_rng(6)
@@ -1123,14 +1184,6 @@ class TestStepDerivations:
         from dataclasses import replace
 
         return replace(cert, l_grad_phi=l)
-
-    def test_gd_step_is_reciprocal(self):
-        assert derive_gd_step(self._cert(2.0)) == 0.5
-        assert derive_gd_step(self._cert(1.0)) == 1.0
-
-    def test_gd_step_rejects_zero(self):
-        with pytest.raises(ValueError):
-            derive_gd_step(self._cert(0.0))
 
     def test_adagrad_examples(self):
         alpha, beta = derive_adagrad_params(self._cert(1.0), eps_margin=0.1)

@@ -429,12 +429,27 @@ class TestCertify:
 
     def test_one_recursion_set_per_certify_run(self, tmp_path, monkeypatch):
         # the squared-error envelope comes from the certificates' own
-        # recursions, so resolving the loss adds none
+        # recursions, so resolving the loss adds none.  The per-layer
+        # recursion runs 5 times: the recursive table at the largest norm,
+        # the closed form at both norms, and the refinement's uniform and
+        # reported splits.  The float recursion runs once per (budgets,
+        # norm): both norms for the recursive averages, and both norms at
+        # each of the refinement's 93 budget vectors.
         config = Path(__file__).parents[1] / "configs" / "tanh_231.json"
         calls = counted_recursions(monkeypatch)
+        floats = []
+        hidden_floats = bounds._hidden_floats
+
+        def counted(layers, d, s):
+            floats.append((tuple(d), s))
+            return hidden_floats(layers, d, s)
+
+        monkeypatch.setattr(bounds, "_hidden_floats", counted)
         out = tmp_path / "out"
         assert cli.main(["certify", "--config", str(config), "--out", str(out)]) == 0
-        assert len(calls) == 190
+        assert sorted(s for _, _, s in calls) == [0.5, 1.0, 1.0, 1.0, 1.0]
+        assert len(floats) == 2 + 2 * 93
+        assert len(set(floats[2:])) == 2 * 93
 
     def test_target_bound_never_undercuts_the_data(self, tmp_path):
         # targets of norm 100 against loss.target_bound 1: the certified
