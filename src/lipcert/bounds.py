@@ -523,14 +523,13 @@ def _budget_constants(
     index = {s: i for i, s in enumerate(distinct)}
     rows = [index[s] for s in norms]
     top = index[max(norms)]  # a zero's sign enters only squared
-    inf = math.inf
 
     if len(distinct) >= _ARRAY_MIN_NORMS:
         s_rows, s_max = np.array(distinct), distinct[top]
 
         def constants(d: tuple[float, ...]) -> tuple[float, float, float, float]:
             l_n, l_grad_n, _, _ = _float_step(
-                1.0, 0.0, inf, out_width, d[-1], *_hidden_floats(layers, d, s_max)
+                1.0, 0.0, math.inf, out_width, d[-1], *_hidden_floats(layers, d, s_max)
             )
             heads = _layer_step_rows(*_last_hidden_rows(arch, d, s_rows), loss, 1, d[-1])
             l_phi, l_grad_phi = (_fsum(h[rows].tolist()) / n for h in heads)
@@ -541,8 +540,8 @@ def _budget_constants(
     def constants(d: tuple[float, ...]) -> tuple[float, float, float, float]:
         d_head = d[-1]
         hidden = [_hidden_floats(layers, d, s) for s in distinct]
-        l_n, l_grad_n, _, _ = _float_step(1.0, 0.0, inf, out_width, d_head, *hidden[top])
-        heads = [_float_step(g1, g2, inf, 1.0, d_head, *h) for h in hidden]
+        l_n, l_grad_n, _, _ = _float_step(1.0, 0.0, math.inf, out_width, d_head, *hidden[top])
+        heads = [_float_step(g1, g2, math.inf, 1.0, d_head, *h) for h in hidden]
         return (
             l_n,
             l_grad_n,

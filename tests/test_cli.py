@@ -307,16 +307,17 @@ LAYER_BUDGETS_ERROR = (
 )
 
 
-def counted_recursions(monkeypatch) -> list:
-    """Arguments of every bounds._network_bounds call from now on."""
+def counted_recursions(monkeypatch, name: str = "_network_bounds") -> list:
+    """Arguments of every call of bounds.<name> (the per-layer recursion by
+    default, or the float recursion _hidden_floats) from now on."""
     calls = []
-    network_bounds = bounds._network_bounds
+    recursion = getattr(bounds, name)
 
     def counted(*args):
         calls.append(args)
-        return network_bounds(*args)
+        return recursion(*args)
 
-    monkeypatch.setattr(bounds, "_network_bounds", counted)
+    monkeypatch.setattr(bounds, name, counted)
     return calls
 
 
@@ -437,19 +438,12 @@ class TestCertify:
         # each of the refinement's 93 budget vectors.
         config = Path(__file__).parents[1] / "configs" / "tanh_231.json"
         calls = counted_recursions(monkeypatch)
-        floats = []
-        hidden_floats = bounds._hidden_floats
-
-        def counted(layers, d, s):
-            floats.append((tuple(d), s))
-            return hidden_floats(layers, d, s)
-
-        monkeypatch.setattr(bounds, "_hidden_floats", counted)
+        floats = counted_recursions(monkeypatch, "_hidden_floats")
         out = tmp_path / "out"
         assert cli.main(["certify", "--config", str(config), "--out", str(out)]) == 0
         assert sorted(s for _, _, s in calls) == [0.5, 1.0, 1.0, 1.0, 1.0]
         assert len(floats) == 2 + 2 * 93
-        assert len(set(floats[2:])) == 2 * 93
+        assert len({(tuple(d), s) for _, d, s in floats[2:]}) == 2 * 93
 
     def test_target_bound_never_undercuts_the_data(self, tmp_path):
         # targets of norm 100 against loss.target_bound 1: the certified
