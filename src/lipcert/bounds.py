@@ -481,19 +481,10 @@ def _last_hidden_rows(
     return l_n, l_grad_n, b_n
 
 
-def _hidden_layers(arch: ArchitectureSpec) -> tuple[tuple, ...]:
-    """Each hidden layer's (c1, c2, b3, width, smoothed) for _hidden_floats:
-    its head constants, its width as a float, and its envelope if the layer
-    is a smoothed_relu one (else None)."""
-    return tuple(
-        (*_head_constants(e), float(w), e if e.kind == "smoothed_relu" else None)
-        for e, w in zip((a.envelope for a in arch.activations), arch.widths[1:])
-    )
-
-
 def _hidden_floats(layers, d: Sequence[float], s: float) -> tuple[float, float, float]:
     """(l_n, l_grad_n, b_n) of _network_bounds(arch, d, s).last_hidden, with
-    its bits, from layers = _hidden_layers(arch) in plain floats."""
+    its bits, in plain floats; layers holds each hidden layer's (c1, c2, b3,
+    width as a float, envelope if smoothed_relu else None)."""
     l_n = l_grad_n = 0.0
     b_n = s
     for (c1, c2, b3, n3, smoothed), du in zip(layers, d):
@@ -516,7 +507,10 @@ def _budget_constants(
     one array recursion and head step over the distinct norms.  math.fsum is
     correctly rounded, so averaging per distinct norm keeps the bits.
     """
-    layers = _hidden_layers(arch)
+    layers = tuple(
+        (*_head_constants(e), float(w), e if e.kind == "smoothed_relu" else None)
+        for e, w in zip((a.envelope for a in arch.activations), arch.widths[1:])
+    )
     out_width = float(arch.widths[-1])
     g1, g2, n = loss.g_p_max, loss.g_pp_max, len(norms)
     distinct = tuple(dict.fromkeys(norms))
