@@ -98,7 +98,6 @@ from .network import (
 )
 from .training import (
     NetworkObjective,
-    QuadraticObjective,
     TrainTrace,
     run_adagrad_norm,
     run_gd,

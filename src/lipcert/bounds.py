@@ -23,7 +23,6 @@ certificate flag instead of raising.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import heapq
 import itertools
@@ -234,10 +233,6 @@ class LossEnvelope:
         return self.g_pp_max if self.lip_dg is None else self.lip_dg
 
 
-# a loss envelope, None (the network alone) or a function of the output bound
-LossInput = LossEnvelope | Callable[[float], LossEnvelope] | None
-
-
 @dataclass(frozen=True)
 class LayerBounds:
     """Certified constants after u composition steps.
@@ -382,6 +377,13 @@ class NetworkBounds:
     def last_hidden(self) -> LayerBounds:
         return self.per_layer[-1] if self.per_layer else input_base(self.s)
 
+    @property
+    def output_bound(self) -> float:
+        """Sup-norm bound on the network output, D * sqrt(B^2 + 1) with D the
+        head's budget and B the last hidden layer's output bound."""
+        b = self.last_hidden.b_n
+        return self.budgets[-1] * math.sqrt(b * b + 1.0)
+
 
 def _network_bounds(
     arch: ArchitectureSpec, budgets: Sequence[float], s: float
@@ -425,6 +427,17 @@ def network_certificate(
 # ---------------------------------------------------------------------------
 # the recursion over many sample norms: plain floats per norm, or one array
 
+
+def _hidden_layers(arch: ArchitectureSpec) -> tuple[tuple, ...]:
+    """Each hidden layer's (c1, c2, b3, width as a float, envelope if
+    smoothed_relu else None), the table the float and array recursions step
+    through."""
+    return tuple(
+        (*_head_constants(e), float(w), e if e.kind == "smoothed_relu" else None)
+        for e, w in zip((a.envelope for a in arch.activations), arch.widths[1:])
+    )
+
+
 # Distinct sample norms from which one array recursion beats the float core
 # run once per norm (_budget_constants).  Measured per budget vector at 1-4
 # hidden tanh layers of width 8 (Python 3.11, numpy 2.4): the array
@@ -434,23 +447,17 @@ _ARRAY_MIN_NORMS = 24
 
 
 def _layer_step_rows(
-    l1: np.ndarray,
-    l2: np.ndarray,
-    b1: np.ndarray,
-    env: ActivationEnvelope | LossEnvelope | None,
-    width_out: int,
-    budget: float,
+    c1: float, c2: float, b3: float, n3: float, d: float,
+    l1: np.ndarray, l2: np.ndarray, b1: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """layer_step's (l_n, l_grad_n) over (n,) arrays of the previous l_n,
-    l_grad_n and b_n, each row with layer_step's bits.
+    """_float_step's (l_n, l_grad_n) over (n,) arrays of the previous l_n,
+    l_grad_n and b_n, each row with _float_step's bits.
 
     A row whose terms do not sum to a finite value is redone by the float
     core, which takes it through _prod.  The arguments are not checked:
     callers pass a certificate's budgets or the budget search's, which are
     nonnegative.
     """
-    c1, c2, b3 = _head_constants(env)
-    d, n3 = float(budget), float(width_out)
     with np.errstate(over="ignore", invalid="ignore"):
         l_chi, a_term, b_term, cross, carry = _step_terms(c1, c2, d, n3, l1, l2, b1, np.sqrt)
         l_grad_chi = np.sqrt(np.maximum(a_term, b_term) + (cross * cross + carry))
@@ -463,28 +470,25 @@ def _layer_step_rows(
 
 
 def _last_hidden_rows(
-    arch: ArchitectureSpec, budgets: Sequence[float], s: np.ndarray
+    layers, d: Sequence[float], s: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(l_n, l_grad_n, b_n) of _network_bounds(arch, budgets, s_i).last_hidden
-    for every row s_i of s, with the same bits."""
+    """(l_n, l_grad_n, b_n) of _hidden_floats(layers, d, s_i) for every row
+    s_i of s, with the same bits."""
     l_n = l_grad_n = np.zeros_like(s)
     b_n = s
-    for u in range(1, arch.m + 1):
-        env = arch.activations[u - 1].envelope
-        width, d = arch.widths[u], budgets[u - 1]
-        l_n, l_grad_n = _layer_step_rows(l_n, l_grad_n, b_n, env, width, d)
-        if env.kind == "smoothed_relu":
-            with np.errstate(over="ignore", invalid="ignore"):
-                b_n = _smoothed_relu_bound(env, width, d, b_n, np.sqrt)
+    for (c1, c2, b3, n3, smoothed), du in zip(layers, d):
+        l_n, l_grad_n = _layer_step_rows(c1, c2, b3, n3, du, l_n, l_grad_n, b_n)
+        if smoothed is None:
+            b_n = np.full_like(s, math.sqrt(n3) * b3)
         else:
-            b_n = np.full_like(s, math.sqrt(float(width)) * env.sigma_max)
+            with np.errstate(over="ignore", invalid="ignore"):
+                b_n = _smoothed_relu_bound(smoothed, n3, du, b_n, np.sqrt)
     return l_n, l_grad_n, b_n
 
 
 def _hidden_floats(layers, d: Sequence[float], s: float) -> tuple[float, float, float]:
     """(l_n, l_grad_n, b_n) of _network_bounds(arch, d, s).last_hidden, with
-    its bits, in plain floats; layers holds each hidden layer's (c1, c2, b3,
-    width as a float, envelope if smoothed_relu else None)."""
+    its bits, in plain floats; layers is _hidden_layers(arch)."""
     l_n = l_grad_n = 0.0
     b_n = s
     for (c1, c2, b3, n3, smoothed), du in zip(layers, d):
@@ -493,55 +497,67 @@ def _hidden_floats(layers, d: Sequence[float], s: float) -> tuple[float, float, 
     return l_n, l_grad_n, b_n
 
 
+def _distinct_rows(norms: Sequence[float]) -> tuple[tuple[float, ...], list[int]]:
+    """The distinct norms and each norm's index among them; a zero's sign
+    enters only squared, so -0.0 shares 0.0's row."""
+    distinct = tuple(dict.fromkeys(norms))
+    index = {s: i for i, s in enumerate(distinct)}
+    return distinct, [index[s] for s in norms]
+
+
+def _loss_means(
+    loss: LossEnvelope, d_head: float, hidden: Sequence[tuple[float, float, float]], rows: list[int]
+) -> tuple[float, float]:
+    """Dataset means (L_phi, L_grad_phi) of the per-sample loss constants.
+
+    hidden holds the last hidden (l_n, l_grad_n, b_n) of each distinct norm
+    and rows each sample's index into it, in dataset order.  math.fsum is
+    correctly rounded, so a head step per distinct norm keeps the bits of
+    one per sample.
+    """
+    heads = [_float_step(loss.g_p_max, loss.g_pp_max, math.inf, 1.0, d_head, *h) for h in hidden]
+    n = len(rows)
+    return _fsum(heads[r][0] for r in rows) / n, _fsum(heads[r][1] for r in rows) / n
+
+
 def _budget_constants(
     arch: ArchitectureSpec, loss: LossEnvelope, norms: Sequence[float]
 ) -> Callable[[tuple[float, ...]], tuple[float, float, float, float]]:
     """The function d -> (l_n, l_grad_n, l_phi, l_grad_phi) of the recursion at
     budget vector d, each with the bits of _network_bounds(arch, d,
-    max(norms)).l_n and .l_grad_n and of _head_averages(loss, d[-1], ...) over
-    the norms in dataset order.
+    max(norms)).l_n and .l_grad_n and of the loss head's layer_step averaged
+    over the norms in dataset order.
 
     Below _ARRAY_MIN_NORMS distinct norms it runs _hidden_floats once per
     distinct norm and the float core for the heads; from there on it runs
     _hidden_floats at the largest norm only, and the loss averages come from
-    one array recursion and head step over the distinct norms.  math.fsum is
-    correctly rounded, so averaging per distinct norm keeps the bits.
+    one array recursion and head step over the distinct norms.
     """
-    layers = tuple(
-        (*_head_constants(e), float(w), e if e.kind == "smoothed_relu" else None)
-        for e, w in zip((a.envelope for a in arch.activations), arch.widths[1:])
-    )
+    layers = _hidden_layers(arch)
     out_width = float(arch.widths[-1])
-    g1, g2, n = loss.g_p_max, loss.g_pp_max, len(norms)
-    distinct = tuple(dict.fromkeys(norms))
-    index = {s: i for i, s in enumerate(distinct)}
-    rows = [index[s] for s in norms]
-    top = index[max(norms)]  # a zero's sign enters only squared
+    distinct, rows = _distinct_rows(norms)
+    top = distinct.index(max(norms))
 
     if len(distinct) >= _ARRAY_MIN_NORMS:
-        s_rows, s_max = np.array(distinct), distinct[top]
+        s_rows, s_max, n = np.array(distinct), distinct[top], len(norms)
 
         def constants(d: tuple[float, ...]) -> tuple[float, float, float, float]:
             l_n, l_grad_n, _, _ = _float_step(
                 1.0, 0.0, math.inf, out_width, d[-1], *_hidden_floats(layers, d, s_max)
             )
-            heads = _layer_step_rows(*_last_hidden_rows(arch, d, s_rows), loss, 1, d[-1])
+            heads = _layer_step_rows(
+                loss.g_p_max, loss.g_pp_max, math.inf, 1.0, d[-1],
+                *_last_hidden_rows(layers, d, s_rows),
+            )
             l_phi, l_grad_phi = (_fsum(h[rows].tolist()) / n for h in heads)
             return l_n, l_grad_n, l_phi, l_grad_phi
 
         return constants
 
     def constants(d: tuple[float, ...]) -> tuple[float, float, float, float]:
-        d_head = d[-1]
         hidden = [_hidden_floats(layers, d, s) for s in distinct]
-        l_n, l_grad_n, _, _ = _float_step(1.0, 0.0, math.inf, out_width, d_head, *hidden[top])
-        heads = [_float_step(g1, g2, math.inf, 1.0, d_head, *h) for h in hidden]
-        return (
-            l_n,
-            l_grad_n,
-            _fsum(heads[r][0] for r in rows) / n,
-            _fsum(heads[r][1] for r in rows) / n,
-        )
+        l_n, l_grad_n, _, _ = _float_step(1.0, 0.0, math.inf, out_width, d[-1], *hidden[top])
+        return (l_n, l_grad_n, *_loss_means(loss, d[-1], hidden, rows))
 
     return constants
 
@@ -632,46 +648,6 @@ def _overflow_flags(*values: float | None) -> tuple[str, ...]:
     return ("overflow",) if any(v is not None and not math.isfinite(v) for v in values) else ()
 
 
-def _head_averages(
-    loss: LossEnvelope, d_head: float, hidden: Sequence[LayerBounds]
-) -> tuple[float, float]:
-    """Dataset means of the per-sample loss constants (L_phi, L_grad_phi)."""
-    heads = [layer_step(h, loss, 1, d_head) for h in hidden]
-    return (
-        _fsum(h.l_n for h in heads) / len(heads),
-        _fsum(h.l_grad_n for h in heads) / len(heads),
-    )
-
-
-def _loss_at(loss: LossInput, d_head: float, nb: NetworkBounds) -> LossEnvelope | None:
-    """loss, or for a function of the output bound its value at nb's bound
-    d_head * sqrt(B^2 + 1), with B the last hidden layer's b_n."""
-    if loss is None or isinstance(loss, LossEnvelope):
-        return loss
-    b = nb.last_hidden.b_n
-    return loss(d_head * math.sqrt(b * b + 1.0))
-
-
-def _sample_averages(
-    loss: LossInput,
-    d_head: float,
-    norms: Sequence[float],
-    bounds_at: Callable[[float], NetworkBounds],
-) -> tuple[NetworkBounds, LossEnvelope | None, tuple[float | None, float | None]]:
-    """Bounds at the largest norm, the loss envelope there and the _head_averages.
-
-    bounds_at(s) runs once per distinct norm, the largest first; without a
-    loss it runs at the largest norm only and the means are None.
-    """
-    s_max = max(norms)
-    nb_max = bounds_at(s_max)
-    env = _loss_at(loss, d_head, nb_max)
-    if env is None:
-        return nb_max, None, (None, None)
-    nbs = {s: nb_max if s == s_max else bounds_at(s) for s in dict.fromkeys(norms)}
-    return nb_max, env, _head_averages(env, d_head, [nbs[s].last_hidden for s in norms])
-
-
 def _averaged_certificate(
     arch: ArchitectureSpec,
     inputs: BoundInputs,
@@ -703,7 +679,7 @@ def _averaged_certificate(
 def loss_certificate(
     arch: ArchitectureSpec,
     inputs: BoundInputs,
-    loss: LossInput,
+    loss: LossEnvelope | None,
     dataset_norms: Sequence[float],
 ) -> Certificate:
     """Recursive certificate for the mean loss over a finite dataset.
@@ -715,9 +691,8 @@ def loss_certificate(
     norms = check_sample_norms(dataset_norms)
     budgets = inputs.budgets_for(arch)
     nb_max = _network_bounds(arch, budgets, max(norms))
-    env = _loss_at(loss, budgets[-1], nb_max)
-    averages = (None, None) if env is None else _budget_constants(arch, env, norms)(budgets)[2:]
-    return _averaged_certificate(arch, inputs, norms, nb_max, env, averages, "recursive")
+    averages = (None, None) if loss is None else _budget_constants(arch, loss, norms)(budgets)[2:]
+    return _averaged_certificate(arch, inputs, norms, nb_max, loss, averages, "recursive")
 
 
 # ---------------------------------------------------------------------------
@@ -821,7 +796,7 @@ def _closed_form_network_bounds(
 def closed_form_certificate(
     arch: ArchitectureSpec,
     inputs: BoundInputs,
-    loss: LossInput,
+    loss: LossEnvelope | None,
     dataset_norms: Sequence[float],
 ) -> Certificate:
     """Certificate whose hidden-layer constants come from the closed forms.
@@ -829,13 +804,23 @@ def closed_form_certificate(
     The head steps reuse the one-step composition formulas with the (larger)
     closed-form layer constants, so every field dominates the recursive
     certificate's counterpart; with loss None it is the network's alone.
+    The closed forms read every hidden layer's recursive constants, so the
+    loss averages take them once per distinct norm, the largest norm's
+    shared with the per-layer table.
     """
     norms = check_sample_norms(dataset_norms)
-    bounds_at = functools.partial(_closed_form_network_bounds, arch, inputs)
-    return _averaged_certificate(
-        arch, inputs, norms, *_sample_averages(loss, inputs.b_omega, norms, bounds_at),
-        "closed_form",
-    )
+    s_max = max(norms)
+    nb_max = _closed_form_network_bounds(arch, inputs, s_max)
+    averages = (None, None)
+    if loss is not None:
+        distinct, rows = _distinct_rows(norms)
+        last = [
+            (nb_max if s == s_max else _closed_form_network_bounds(arch, inputs, s)).last_hidden
+            for s in distinct
+        ]
+        hidden = [(h.l_n, h.l_grad_n, h.b_n) for h in last]
+        averages = _loss_means(loss, nb_max.budgets[-1], hidden, rows)
+    return _averaged_certificate(arch, inputs, norms, nb_max, loss, averages, "closed_form")
 
 
 # ---------------------------------------------------------------------------
@@ -894,7 +879,7 @@ def check_moment_mode(arch: ArchitectureSpec) -> None:
 def moment_certificate(
     arch: ArchitectureSpec,
     inputs: BoundInputs,
-    loss: LossInput,
+    loss: LossEnvelope | None,
     moments: SampleMoments,
 ) -> Certificate:
     """Certificate from norm moments via polynomial envelopes in t = S^2.
@@ -914,7 +899,6 @@ def moment_certificate(
         raise ValueError("moment mode needs a loss envelope")
     check_moment_mode(arch)
     nb = _network_bounds(arch, inputs.budgets_for(arch), math.sqrt(moments.e_s2))
-    loss = _loss_at(loss, nb.budgets[-1], nb)
     (p0, p1), (q0, q1, q2) = _poly_head_sq_constants(arch, inputs, loss)
     l_phi = math.sqrt(p0 + _prod(p1, moments.e_s2))
     l_grad_phi = math.sqrt(q0 + _prod(q1, moments.e_s2) + _prod(q2, moments.e_s4))
@@ -1024,7 +1008,7 @@ def _sup_over_splits(
 def refine_over_layer_budgets(
     arch: ArchitectureSpec,
     inputs: BoundInputs,
-    loss: LossInput,
+    loss: LossEnvelope | None,
     dataset_norms: Sequence[float],
     search: RefinementSearch = RefinementSearch(),
 ) -> Certificate:
@@ -1042,9 +1026,8 @@ def refine_over_layer_budgets(
     One recursion at a budget vector gives all four constants, so one memo
     maps each budget vector to its four floats (_budget_constants), shared
     by the four searches, the uniform caps and the lower estimate.  The
-    recursion with a per-layer table (_network_bounds) runs only where that
-    table or the output bound is read: at the uniform split and at the
-    reported one.
+    recursion with a per-layer table (_network_bounds) runs once, at the
+    reported split, for its table.
     """
     norms = check_sample_norms(dataset_norms)
     if arch.m < 1:
@@ -1054,9 +1037,6 @@ def refine_over_layer_budgets(
     b = inputs.b_omega
     s_max = max(norms)
     d_uniform = inputs.budgets_for(arch)
-    # the whole ball's output bound
-    loss = _loss_at(loss, b, _network_bounds(arch, d_uniform, s_max))
-
     evaluate = _budget_constants(arch, loss, norms)
     memo: dict[tuple[float, ...], tuple[float, float, float, float]] = {}
 

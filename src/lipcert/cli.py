@@ -69,6 +69,7 @@ from .config import (
     get,
     get_seed,
     load_config,
+    loss_needs_output_bound,
     resolve_loss_envelope,
     samples_from_config,
     section,
@@ -183,6 +184,16 @@ def _print_table(title: str, columns: list[str], rows: list[tuple]) -> None:
 # certify
 
 
+def _loss_envelope(cfg: dict, arch: ArchitectureSpec, inputs: BoundInputs, target_bound, s_ref):
+    """The loss section's envelope.  Squared error's is taken at the whole
+    ball's output bound at input norm s_ref, whose recursion runs only once
+    the section has passed its checks."""
+    dim, output_bound = arch.widths[-1], math.inf
+    if loss_needs_output_bound(cfg, dim, target_bound):
+        output_bound = network_certificate(arch, inputs, s_ref).output_bound
+    return resolve_loss_envelope(cfg, dim, target_bound, output_bound)
+
+
 def cmd_certify(cfg: dict, args, out: Path) -> int:
     arch = build_architecture(cfg)
     inputs, norms = build_bound_inputs(cfg)
@@ -211,14 +222,12 @@ def cmd_certify(cfg: dict, args, out: Path) -> int:
         except ValueError as exc:
             raise ConfigError(f"bounds: {exc}") from exc
 
-    # each certificate derives a squared-error envelope from its own output
-    # bound; without a loss section they are the network's alone
-    env = resolve_loss_envelope(cfg, arch.widths[-1], target_bound)
+    # without a loss section the certificates are the network's alone
+    s_max = max(norms) if moments is None else math.sqrt(moments.e_s2)
+    env = _loss_envelope(cfg, arch, inputs, target_bound, s_max)
     if moments is not None:
-        s_max = math.sqrt(moments.e_s2)
         certs = {"recursive": moment_certificate(arch, inputs, env, moments)}
     else:
-        s_max = max(norms)
         certs = {
             "recursive": loss_certificate(arch, inputs, env, norms),
             "closed_form": closed_form_certificate(arch, inputs, env, norms),
@@ -423,7 +432,7 @@ def cmd_train(cfg: dict, args, out: Path) -> int:
     if not 0.0 < shrink <= 1.0:
         raise ConfigError("train: shrink must lie in (0, 1]")
 
-    env = resolve_loss_envelope(cfg, arch.widths[-1], target_bound)
+    env = _loss_envelope(cfg, arch, inputs, target_bound, max(norms))
     cert = loss_certificate(arch, inputs, env, norms)
     if not math.isfinite(cert.l_grad_phi):
         print("certificate overflowed: no finite certified step size exists", file=sys.stderr)
@@ -536,12 +545,13 @@ def cmd_code_certify(cfg: dict, args, out: Path) -> int:
     xn = _code_x_norm(cdoc)
     cert = _code_certificate(env, bu, xn)
 
-    loss_env = resolve_loss_envelope(cfg, get(cdoc, "dim_state", int, default=1, where="code"))
-    if callable(loss_env):  # squared error, a function of the output bound
+    dim = get(cdoc, "dim_state", int, default=1, where="code")
+    if loss_needs_output_bound(cfg, dim):
         raise ConfigError(
             "code loss bounds need kind 'envelope' or 'pseudo_huber' "
             "(squared_error has no certified output bound here)"
         )
+    loss_env = resolve_loss_envelope(cfg, dim)
     if loss_env is not None:
         norms = get(cdoc, "sample_norms", list, default=None, where="code")
         mdoc = get(cdoc, "moments", dict, default=None, where="code")

@@ -10,13 +10,12 @@ identical inputs produce identical bytes.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
 import stat
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -56,6 +55,7 @@ __all__ = [
     "envelope_loss",
     "fmt",
     "load_config",
+    "loss_needs_output_bound",
     "replace_text",
     "resolve_loss_envelope",
     "write_csv",
@@ -219,15 +219,15 @@ def _head_envelope(head, dim: int, output_bound: float, target_bound: float) -> 
 
 
 def resolve_loss_envelope(
-    cfg: dict, dim: int, target_bound: float | None = None
-) -> LossEnvelope | Callable[[float], LossEnvelope] | None:
+    cfg: dict, dim: int, target_bound: float | None = None, output_bound: float = math.inf
+) -> LossEnvelope | None:
     """The loss argument of the certificate routines for a net of output width dim.
 
     An envelope or pseudo-Huber loss has fixed derivative bounds.  Squared
-    error's depend on a bound on the network output, which the certificate
-    routines derive from their own recursion, so it resolves to a function
-    of that bound.  Its target bound is the larger of loss.target_bound and
-    target_bound (the data's), so a config value cannot undercut the data.
+    error's depend on output_bound, a bound on the network output that the
+    caller reads from its recursion (none finite by default), and on the
+    target bound: the larger of loss.target_bound and target_bound (the
+    data's), so a config value cannot undercut the data.
     """
     head, doc = build_loss(cfg, required=False)
     if doc is None:
@@ -239,11 +239,22 @@ def resolve_loss_envelope(
         return _head_envelope(head, dim, math.inf, math.inf)
     given = get(doc, "target_bound", float, default=None, where="loss")
     if given is not None:
-        _head_envelope(head, dim, 0.0, given)  # a bad target_bound fails before any recursion
+        _head_envelope(head, dim, 0.0, given)  # a bad target_bound fails even below the data's
     elif target_bound is None:
         raise ConfigError("loss: squared_error needs 'target_bound' or a dataset")
     tb = max(t for t in (given, target_bound) if t is not None)
-    return functools.partial(_head_envelope, head, dim, target_bound=tb)
+    return _head_envelope(head, dim, output_bound, tb)
+
+
+def loss_needs_output_bound(cfg: dict, dim: int, target_bound: float | None = None) -> bool:
+    """Whether the loss is squared error, whose envelope needs a bound on the
+    network output.  The section is resolved at output bound 0 first, so a
+    bad one fails before the caller runs the recursion for that bound."""
+    head, _ = build_loss(cfg, required=False)
+    if not isinstance(head, SquaredError):
+        return False
+    resolve_loss_envelope(cfg, dim, target_bound, 0.0)
+    return True
 
 
 def build_refinement_search(cfg: dict) -> RefinementSearch | None:

@@ -26,7 +26,6 @@ from .network import Sample, batch_backward, batch_forward, project_to_ball
 
 __all__ = [
     "NetworkObjective",
-    "QuadraticObjective",
     "TrainStep",
     "TrainTrace",
     "run_adagrad_norm",
@@ -88,27 +87,6 @@ class NetworkObjective:
         seed = self.loss_head.grad_x(feats[-1], self.ys[idx])
         grad = batch_backward(self.arch, thetas, pres, feats, seed)[0].sum(axis=0) / len(idx)
         return phi, grad
-
-
-class QuadraticObjective:
-    """phi(theta) = l/2 ||theta||^2, whose gradient has Lipschitz constant l."""
-
-    def __init__(self, l: float) -> None:
-        if not (l > 0 and math.isfinite(l)):
-            raise ValueError("l must be a positive finite real")
-        self.l = l
-        self.n_samples = 1
-
-    def value(self, theta: np.ndarray) -> float:
-        return 0.5 * self.l * float(np.dot(theta, theta))
-
-    def gradient(self, theta: np.ndarray) -> np.ndarray:
-        return self.l * np.asarray(theta, dtype=float)
-
-    def value_and_gradient(
-        self, theta: np.ndarray, indices: np.ndarray
-    ) -> tuple[float, np.ndarray]:
-        return self.value(theta), self.gradient(theta)
 
 
 @dataclass(frozen=True)

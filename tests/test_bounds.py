@@ -1,6 +1,7 @@
 import dataclasses
 import decimal
 import itertools
+import json
 import math
 from collections import Counter
 from functools import partial
@@ -38,8 +39,9 @@ from lipcert import (
     smoothed_relu,
     tanh,
 )
-from lipcert import bounds
-from lipcert.bounds import RefinementSearch, _head_averages, _network_bounds
+from lipcert import bounds, cli
+from lipcert.bounds import RefinementSearch, _network_bounds
+from lipcert.config import certificate_to_dict
 
 from conftest import random_architecture
 
@@ -59,6 +61,14 @@ def counted_calls(monkeypatch, name):
 
     monkeypatch.setattr(bounds, name, counted)
     return calls
+
+
+def head_averages(loss, d_head, hidden):
+    """Dataset means (L_phi, L_grad_phi) of the loss head's layer_step on the
+    last hidden bounds of every sample, the per-sample reference."""
+    heads = [layer_step(h, loss, 1, d_head) for h in hidden]
+    n = len(heads)
+    return bounds._fsum(h.l_n for h in heads) / n, bounds._fsum(h.l_grad_n for h in heads) / n
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +260,8 @@ class TestLayerStepBits:
 def assert_rows_match_scalar(arch, budgets, norms, loss):
     """The array recursion and head step against _network_bounds plus the head
     layer_step, row by row: last hidden (l_n, l_grad_n, b_n), head (l_n, l_grad_n)."""
-    hidden = bounds._last_hidden_rows(arch, budgets, np.array(norms))
-    heads = bounds._layer_step_rows(*hidden, loss, 1, budgets[-1])
+    hidden = bounds._last_hidden_rows(bounds._hidden_layers(arch), budgets, np.array(norms))
+    heads = bounds._layer_step_rows(*bounds._head_constants(loss), 1.0, budgets[-1], *hidden)
     for i, s in enumerate(norms):
         h = _network_bounds(arch, budgets, s).last_hidden
         head_ = layer_step(h, loss, 1, budgets[-1])
@@ -299,7 +309,7 @@ class TestSampleNormArrays:
         l1, l2, b1 = (np.array(col) for col in zip(*(dataclasses.astuple(p)[:3] for p in prev)))
         for i, (d, width) in enumerate(itertools.product((*GRID, -0.0), (1, 3, 64))):
             h = head(kind, i)
-            rows = bounds._layer_step_rows(l1, l2, b1, h, width, d)
+            rows = bounds._layer_step_rows(*bounds._head_constants(h), float(width), d, l1, l2, b1)
             for j, p in enumerate(prev):
                 want = layer_step(p, h, width, d)
                 assert same_float_bits(rows[0][j], want.l_n), (p, d, width, h)
@@ -311,7 +321,7 @@ class TestSampleNormArrays:
         arch = ArchitectureSpec(widths=(2, 3, 4, 1), activations=(smoothed_relu(0.5), tanh()))
         budgets, norms = (1.0, 0.0, 1.0), (1e200, 0.5, 1e160, 2.0, 0.0)
         assert_rows_match_scalar(arch, budgets, norms, LossEnvelope(1.0, 1.0))
-        _, l_grad_n, _ = bounds._last_hidden_rows(arch, budgets, np.array(norms))
+        _, l_grad_n, _ = bounds._last_hidden_rows(bounds._hidden_layers(arch), budgets, np.array(norms))
         assert not np.isnan(l_grad_n).any()
 
     def test_overflowing_rows_next_to_finite_rows(self):
@@ -319,13 +329,13 @@ class TestSampleNormArrays:
         norms = (0.5, 1e200, 1.0, 1e300, 2.0)
         for budgets in ((1.0,) * 4, (1e100, 1.0, 1e100, 1.0), (0.5, 1e160, 0.0, 2.0)):
             assert_rows_match_scalar(arch, budgets, norms, LossEnvelope(1.0, 7.3))
-        hidden = bounds._last_hidden_rows(arch, (1.0,) * 4, np.array(norms))
+        hidden = bounds._last_hidden_rows(bounds._hidden_layers(arch), (1.0,) * 4, np.array(norms))
         assert np.isinf(hidden[0][[1, 3]]).all() and np.isfinite(hidden[0][[0, 2, 4]]).all()
 
     @pytest.mark.parametrize("kind", range(len(ALL_KINDS)), ids=lambda k: ALL_KINDS[k].envelope.kind)
     def test_budget_constants_match_the_per_layer_recursion(self, monkeypatch, kind):
         # the refinement's memo entry against _network_bounds at the largest
-        # norm and _head_averages over every norm, on the float path and on
+        # norm and head_averages over every norm, on the float path and on
         # the array path, with repeated norms and the overflows of
         # test_array_path_matches_the_per_norm_path (b_omega 1e40, a 1e200 norm)
         rng = np.random.default_rng(40 + kind)
@@ -348,7 +358,7 @@ class TestSampleNormArrays:
             for d in vectors:
                 nb = _network_bounds(arch, d, max(norms))
                 hidden = [_network_bounds(arch, d, s).last_hidden for s in norms]
-                want = (nb.l_n, nb.l_grad_n, *_head_averages(loss, d[-1], hidden))
+                want = (nb.l_n, nb.l_grad_n, *head_averages(loss, d[-1], hidden))
                 for threshold in (math.inf, 1):
                     monkeypatch.setattr(bounds, "_ARRAY_MIN_NORMS", threshold)
                     got = bounds._budget_constants(arch, loss, norms)(d)
@@ -548,7 +558,7 @@ class TestLossCertificate:
 
     def test_many_norms_take_one_scalar_recursion(self, monkeypatch):
         # from _ARRAY_MIN_NORMS distinct norms on, the scalar recursion runs
-        # at the largest norm only, for the per-layer table and output bound
+        # at the largest norm only, for the per-layer table
         calls = []
 
         def counted(arch, budgets, s):
@@ -578,7 +588,9 @@ class TestLossCertificate:
                 arch, inputs, loss, norms, RefinementSearch(restarts=1, iters=6)
             ),
         )
-        losses = (LossEnvelope(1.0, 1.0), partial(loss_head_envelopes, SquaredError(), 2, target_bound=1.0))
+        # squared error resolved at the whole ball's output bound, as certify does
+        out_bound = network_certificate(arch, inputs, max(norms)).output_bound
+        losses = (LossEnvelope(1.0, 1.0), loss_head_envelopes(SquaredError(), 2, out_bound, 1.0))
         got = [build(loss) for build in builds for loss in losses]
         monkeypatch.setattr(bounds, "_ARRAY_MIN_NORMS", math.inf)
         want = [build(loss) for build in builds for loss in losses]
@@ -586,34 +598,42 @@ class TestLossCertificate:
         assert [math.isfinite(c.l_phi) for c in got] == [not huge] * 4
 
     @pytest.mark.parametrize(
-        "build, norms",
+        "build, norms, report",
         [
-            (loss_certificate, (1.0, 0.5)),
-            (closed_form_certificate, (1.0, 0.5)),
-            (partial(refine_over_layer_budgets, search=RefinementSearch(1, 4)), (1.0, 0.5)),
-            (moment_certificate, SampleMoments(0.8, 1.0)),
+            (loss_certificate, (1.0, 0.5), "recursive"),
+            (closed_form_certificate, (1.0, 0.5), "closed_form"),
+            (partial(refine_over_layer_budgets, search=RefinementSearch(1, 4)), (1.0, 0.5), "refined"),
+            (moment_certificate, SampleMoments(0.8, 1.0), "recursive"),
         ],
         ids=["recursive", "closed_form", "refined", "moments"],
     )
-    def test_output_bound_function_is_evaluated_at_the_recursion(self, build, norms):
-        # squared error as a function of the output bound: one evaluation, at
-        # d_head * sqrt(B^2 + 1) with B the last hidden b_n at the largest
-        # norm (sqrt(E[S^2]) in moment mode), which gives the certificate of
-        # that envelope
+    def test_output_bound_function_is_evaluated_at_the_recursion(self, tmp_path, build, norms, report):
+        # NetworkBounds.output_bound is the gate's by-hand D * sqrt(B^2 + 1),
+        # B the last hidden b_n, of the recursion at the reference norm (the
+        # largest, sqrt(E[S^2]) in moment mode).  certify resolves squared
+        # error there, so each of its reports is its routine's certificate
+        # of the envelope at that bound
         arch = ArchitectureSpec(widths=(2, 3, 1), activations=(tanh(),))
         inputs = BoundInputs(b_omega=1.0)
-        s_ref = math.sqrt(norms.e_s2) if isinstance(norms, SampleMoments) else max(norms)
-        nb = _network_bounds(arch, inputs.budgets_for(arch), s_ref)
-        out_bound = nb.budgets[-1] * math.sqrt(nb.last_hidden.b_n ** 2 + 1.0)
-        seen = []
+        moments = isinstance(norms, SampleMoments)
+        nb = network_certificate(arch, inputs, math.sqrt(norms.e_s2) if moments else max(norms))
+        assert nb.output_bound == inputs.b_omega * math.sqrt(nb.last_hidden.b_n**2 + 1.0)
+        env = loss_head_envelopes(SquaredError(), 1, nb.output_bound, 1.0)
 
-        def envelope(bound):
-            seen.append(bound)
-            return loss_head_envelopes(SquaredError(), 1, bound, 1.0)
-
-        cert = build(arch, inputs, envelope, norms)
-        assert seen == [out_bound]
-        assert cert == build(arch, inputs, envelope(out_bound), norms)
+        data = {"moments": {"e_s2": norms.e_s2, "e_s4": norms.e_s4}} if moments else {
+            "sample_norms": list(norms)
+        }
+        doc = {
+            "architecture": {"widths": [2, 3, 1], "activations": ["tanh"]},
+            "bounds": {"b_omega": 1.0, **data},
+            "loss": {"kind": "squared_error", "target_bound": 1.0},
+            **({} if moments else {"refine": {"restarts": 1, "iters": 4}}),
+        }
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli.main(["certify", "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 0
+        written = json.loads((out / f"certificate_{report}.json").read_text())
+        assert written == certificate_to_dict(build(arch, inputs, env, norms))
 
 
 class TestMomentMode:
@@ -921,7 +941,7 @@ class TestRefinement:
             def constants(d):
                 hidden = [_network_bounds(arch, d, s).last_hidden for s in norms]
                 nb = _network_bounds(arch, d, max(norms))
-                return (nb.l_n, nb.l_grad_n) + _head_averages(loss, d[-1], hidden)
+                return (nb.l_n, nb.l_grad_n) + head_averages(loss, d[-1], hidden)
 
             for _ in range(10):
                 d = rng.uniform(0.0, 2.0, size=arch.m + 1)
@@ -948,7 +968,7 @@ class TestRefinement:
             g = rng.random((4000, arch.m + 1)) ** rng.choice([1.0, 4.0, 16.0], size=(4000, 1))
             splits = b * g / np.linalg.norm(g, axis=1, keepdims=True)
             sampled = max(
-                _head_averages(loss, d[-1], [_network_bounds(arch, d, 1.0).last_hidden])[1]
+                head_averages(loss, d[-1], [_network_bounds(arch, d, 1.0).last_hidden])[1]
                 for d in splits
             )
             assert ref.l_grad_phi >= sampled
@@ -963,14 +983,13 @@ class TestRefinement:
             arch, inputs, loss, norms, RefinementSearch(restarts=0, iters=10)
         )
         hidden = [_network_bounds(arch, ref.layer_budgets, s).last_hidden for s in norms]
-        assert ref.lower_estimate == _head_averages(loss, ref.layer_budgets[-1], hidden)[1]
+        assert ref.lower_estimate == head_averages(loss, ref.layer_budgets[-1], hidden)[1]
         assert ref.gap == pytest.approx(1.0 - ref.lower_estimate / ref.l_grad_phi, abs=1e-15)
 
     def test_one_recursion_per_budget_vector_and_norm(self, monkeypatch):
         # the four searches, the uniform caps and the lower estimate share
         # one float recursion per (budgets, distinct norm); the per-layer
-        # recursion runs twice, at the uniform split (output bound) and at
-        # the reported one (table)
+        # recursion runs once, at the reported split, for its table
         tables = counted_calls(monkeypatch, "_network_bounds")
         floats = counted_calls(monkeypatch, "_hidden_floats")
         arch = ArchitectureSpec(
@@ -987,7 +1006,7 @@ class TestRefinement:
             assert calls and max(calls.values()) == 1
             by_vector = Counter(d for d, _ in calls)
             assert set(by_vector.values()) == {2}
-            assert [(d, s) for _, d, s in tables] == [((1.5,) * 4, 1.25), (ref.layer_budgets, 1.25)]
+            assert [(d, s) for _, d, s in tables] == [(ref.layer_budgets, 1.25)]
 
     def test_many_norms_take_one_scalar_recursion_per_budget_vector(self, monkeypatch):
         # the other norms' loss averages come from one array recursion per

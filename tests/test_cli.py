@@ -429,13 +429,12 @@ class TestCertify:
         assert got == digests
 
     def test_one_recursion_set_per_certify_run(self, tmp_path, monkeypatch):
-        # the squared-error envelope comes from the certificates' own
-        # recursions, so resolving the loss adds none.  The per-layer
-        # recursion runs 5 times: the recursive table at the largest norm,
-        # the closed form at both norms, and the refinement's uniform and
-        # reported splits.  The float recursion runs once per (budgets,
-        # norm): both norms for the recursive averages, and both norms at
-        # each of the refinement's 93 budget vectors.
+        # the per-layer recursion runs 5 times: the command's squared-error
+        # output bound and the recursive table at the largest norm, the
+        # closed form at both norms, and the refinement's reported split.
+        # The float recursion runs once per (budgets, norm): both norms for
+        # the recursive averages, and both norms at each of the refinement's
+        # 93 budget vectors.
         config = Path(__file__).parents[1] / "configs" / "tanh_231.json"
         calls = counted_recursions(monkeypatch)
         floats = counted_recursions(monkeypatch, "_hidden_floats")
@@ -637,10 +636,12 @@ class TestConfigErrors:
             ({"kind": "squared_error"}, "squared_error needs 'target_bound' or a dataset"),
         ],
     )
-    def test_loss_errors_name_the_section_once(self, tmp_path, capsys, loss, message):
-        cfg = write_cfg(tmp_path, {**NO_LOSS, "loss": loss})
-        assert cli.main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err == f"error: loss: {message}\n"
+    def test_loss_errors_name_the_section_once(self, tmp_path, capsys, monkeypatch, loss, message):
+        # squared error's output bound comes from a recursion, which must not
+        # run before the loss section has passed its checks
+        self.assert_fails_before_any_recursion(
+            tmp_path, capsys, monkeypatch, {**NO_LOSS, "loss": loss}, f"loss: {message}"
+        )
 
     @pytest.mark.parametrize(
         "command, section, key, value",
@@ -793,8 +794,8 @@ class TestConfigErrors:
         calls = counted_recursions(monkeypatch)
         for given, data, tb in ((1.0, 3.0, 3.0), (4.0, 3.0, 4.0), (2.0, None, 2.0), (None, 3.0, 3.0)):
             loss = {"kind": "squared_error", "target_bound": given}
-            env = config.resolve_loss_envelope({"loss": loss}, 2, data)
-            assert env(5.0) == loss_head_envelopes(SquaredError(), 2, 5.0, tb)
+            env = config.resolve_loss_envelope({"loss": loss}, 2, data, 5.0)
+            assert env == loss_head_envelopes(SquaredError(), 2, 5.0, tb)
         assert calls == []
 
     @pytest.mark.parametrize("command", ["certify", "train"])
@@ -1101,6 +1102,28 @@ class TestVerify:
 
 
 class TestTrain:
+    def test_squared_error_envelope_is_taken_at_the_output_bound(self, tmp_path):
+        # train resolves squared error at the whole ball's output bound at
+        # the largest sample norm (a smoothed ramp's grows with it) and at
+        # the larger target bound, here the data's 2 over the config's 1
+        argv, doc = COMMAND_RUNS["train"]
+        synthetic = {**doc["train"]["synthetic"], "target_norm": 2.0}
+        doc = {
+            **doc,
+            "architecture": {"widths": [2, 3, 1], "activations": [{"kind": "smoothed_relu", "delta": 0.5}]},
+            "train": {**doc["train"], "synthetic": synthetic},
+        }
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+        arch = config.build_architecture(doc)
+        inputs, _ = config.build_bound_inputs(doc)
+        _, norms, target_bound = config.samples_from_config(doc, arch)
+        nb = bounds.network_certificate(arch, inputs, max(norms))
+        env = loss_head_envelopes(SquaredError(), 1, nb.output_bound, target_bound)
+        cert = bounds.loss_certificate(arch, inputs, env, norms)
+        assert target_bound == 2.0
+        assert json.loads((out / "certificate.json").read_text()) == config.certificate_to_dict(cert)
+
     def test_certified_run_has_no_violations(self, tmp_path):
         cfg = write_cfg(tmp_path, FULL)
         out = tmp_path / "out"

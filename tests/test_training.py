@@ -8,7 +8,6 @@ from lipcert import (
     ArchitectureSpec,
     BoundInputs,
     NetworkObjective,
-    QuadraticObjective,
     Sample,
     SquaredError,
     derive_adagrad_params,
@@ -40,6 +39,19 @@ def tanh_problem(n_samples=8, seed=0, b_omega=1.0):
     objective = NetworkObjective(arch, samples, head)
     theta0 = flatten_params(init_params(arch, b_omega, seed=seed + 1))
     return objective, theta0, cert
+
+
+class QuadraticObjective:
+    """phi(theta) = l/2 ||theta||^2, whose gradient has Lipschitz constant l."""
+
+    n_samples = 1
+
+    def __init__(self, l):
+        self.l = l
+
+    def value_and_gradient(self, theta, indices):
+        theta = np.asarray(theta, dtype=float)
+        return 0.5 * self.l * float(np.dot(theta, theta)), self.l * theta
 
 
 class StubObjective:
