@@ -92,13 +92,11 @@ def tanh() -> Activation:
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    # evaluate via exp of a nonpositive argument on both branches
-    out = np.empty_like(x)
+    # one exp of a nonpositive argument: 1/(1+e) for x >= 0, e/(1+e) below;
+    # where() keeps a NaN's sign, which -abs(x) would flip
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.where(pos, -x, x))
+    return np.where(pos, 1.0, e) / (1.0 + e)
 
 
 def sigmoid() -> Activation:
@@ -134,11 +132,11 @@ def smoothed_relu(delta: float) -> Activation:
         return np.where(x <= -delta, 0.0, np.where(x >= delta, x, mid))
 
     def d1(x):
-        mid = (x + delta) / (2.0 * delta)
-        return np.where(x <= -delta, 0.0, np.where(x >= delta, 1.0, mid))
+        # (x + delta) / (2 delta) rounds to <= 0 left of the band and >= 1 right of it
+        return np.clip((x + delta) / (2.0 * delta), 0.0, 1.0)
 
     def d2(x):
-        return np.where((x > -delta) & (x < delta), 1.0 / (2.0 * delta), 0.0)
+        return np.where(np.abs(x) < delta, 1.0 / (2.0 * delta), 0.0)
 
     return Activation(env, val, d1, d2)
 
@@ -163,28 +161,42 @@ def saturated_linear(c: float, r_sat: float, delta: float | None = None) -> Acti
         "saturated_linear", c * (r_sat - delta / 2.0), c, 15.0 * c / (8.0 * delta)
     )
     lo = r_sat - delta
+    top = env.sigma_max
 
+    def blend_t(ax):
+        return np.clip((ax - lo) / delta, 0.0, 1.0)
+
+    # the polynomials run on the blending band only: elements with lo < |x| < r_sat,
+    # and NaN, which fails both comparisons and so takes the band's formula
     def val(x):
         ax = np.abs(x)
-        t = np.clip((ax - lo) / delta, 0.0, 1.0)
+        flat = ax >= r_sat
+        y = np.where(flat, top, c * ax)
+        band = ~((ax <= lo) | flat)
+        t = blend_t(ax[band])
         # integral of the blended slope c*(1 - q(t)), q the quintic smoothstep
         q_int = t**6 - 3.0 * t**5 + 2.5 * t**4
-        blend = c * lo + c * delta * (t - q_int)
-        core = np.where(ax <= lo, c * ax, blend)
-        return np.sign(x) * np.where(ax >= r_sat, c * (r_sat - delta / 2.0), core)
+        y[band] = c * lo + c * delta * (t - q_int)
+        return np.sign(x) * y
 
     def d1(x):
         ax = np.abs(x)
-        t = np.clip((ax - lo) / delta, 0.0, 1.0)
+        flat = ax >= r_sat
+        y = np.where(flat, 0.0, c)
+        band = ~((ax <= lo) | flat)
+        t = blend_t(ax[band])
         q = 6.0 * t**5 - 15.0 * t**4 + 10.0 * t**3
-        return np.where(ax >= r_sat, 0.0, c * (1.0 - q))
+        y[band] = c * (1.0 - q)
+        return y
 
     def d2(x):
         ax = np.abs(x)
-        t = np.clip((ax - lo) / delta, 0.0, 1.0)
-        qp = 30.0 * t**4 - 60.0 * t**3 + 30.0 * t**2
+        y = np.zeros_like(ax)
         inside = (ax > lo) & (ax < r_sat)
-        return np.where(inside, -np.sign(x) * c * qp / delta, 0.0)
+        t = blend_t(ax[inside])
+        qp = 30.0 * t**4 - 60.0 * t**3 + 30.0 * t**2
+        y[inside] = -np.sign(x[inside]) * c * qp / delta
+        return y
 
     return Activation(env, val, d1, d2)
 

@@ -436,13 +436,12 @@ def samples_from_config(
     if not (0.0 <= s_norm < math.inf and 0.0 <= t_norm < math.inf):
         raise ConfigError("train.synthetic: input_norm and target_norm must be finite and nonnegative")
     rng = np.random.default_rng(seed)
-    samples = tuple(
-        Sample(
-            sample_in_ball(rng, arch.widths[0], s_norm),
-            sample_in_ball(rng, arch.widths[-1], t_norm),
-        )
-        for _ in range(n)
-    )
+    # each row is drawn in place: the input row, then the target row
+    xs, ys = np.empty((n, arch.widths[0])), np.empty((n, arch.widths[-1]))
+    for x, y in zip(xs, ys):
+        sample_in_ball(rng, arch.widths[0], s_norm, out=x)
+        sample_in_ball(rng, arch.widths[-1], t_norm, out=y)
+    samples = tuple(map(Sample, xs, ys))
     return samples, _checked_norms(samples, "train.synthetic"), t_norm
 
 

@@ -176,7 +176,7 @@ def batch_backward(
         out[:, :, b_sl] = d
         if u > 0:
             d = np.einsum("kro,koi->kri", d, thetas[:, w_sl].reshape(k, *shape))
-            d = d * arch.activations[u - 1].deriv(pres[u - 1])
+            d *= arch.activations[u - 1].deriv(pres[u - 1])
     return out
 
 
@@ -225,15 +225,32 @@ def param_jacobian(params: Params, arch: ArchitectureSpec, x: np.ndarray) -> np.
 # parameter sampling and projection
 
 
-def sample_in_ball(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray:
-    """Uniform draw from the open ball: gaussian direction, radial CDF inverse."""
-    g = rng.standard_normal(dim)
-    nrm = float(np.linalg.norm(g))
+def vector_norm(x: np.ndarray) -> float:
+    """Euclidean norm of a float64 array, bit for bit np.linalg.norm(x).
+
+    The same sqrt of the same dot product, without np.linalg.norm's argument
+    dispatch, which costs more than the arithmetic on short vectors.
+    """
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))
+
+
+def sample_in_ball(
+    rng: np.random.Generator, dim: int, radius: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Uniform draw from the open ball: gaussian direction, radial CDF inverse.
+
+    The draw is written into out (a contiguous (dim,) float array) when it is
+    given, and returned.
+    """
+    g = rng.standard_normal(dim, out=out)
+    nrm = vector_norm(g)
     while nrm == 0.0:  # pragma: no cover - probability zero
-        g = rng.standard_normal(dim)
-        nrm = float(np.linalg.norm(g))
+        g = rng.standard_normal(dim, out=out)
+        nrm = vector_norm(g)
     r = radius * rng.random() ** (1.0 / dim)
-    return (r / nrm) * g
+    g *= r / nrm
+    return g
 
 
 def init_params(
@@ -259,7 +276,7 @@ def project_to_ball(
     if not (0.0 < shrink <= 1.0):
         raise ValueError("shrink must lie in (0, 1]")
     target = shrink * b_omega
-    nrm = float(np.linalg.norm(theta))
+    nrm = vector_norm(theta)
     if nrm < target or nrm == 0.0:
         return theta, False
     return theta * (target / nrm), True
@@ -367,4 +384,4 @@ def load_dataset_csv(
 
 def dataset_norms(samples: Sequence[Sample]) -> tuple[float, ...]:
     with np.errstate(over="ignore"):  # an overflowing norm is inf, for callers to reject
-        return tuple(float(np.linalg.norm(s.x)) for s in samples)
+        return tuple(vector_norm(s.x) for s in samples)

@@ -22,7 +22,7 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 from .bounds import ArchitectureSpec, check_adagrad_condition
-from .network import Sample, batch_backward, batch_forward, project_to_ball
+from .network import Sample, batch_backward, batch_forward, project_to_ball, vector_norm
 
 __all__ = [
     "NetworkObjective",
@@ -50,7 +50,9 @@ class NetworkObjective:
 
     value_and_gradient runs the batched engine forward once over every
     sample and backward over the selected rows of that same pass (repeated
-    indices count twice); value and batch_gradient are its two halves.
+    indices count twice); value and batch_gradient are its two halves.  The
+    full batch, indices equal to arange(n_samples), runs backward on the
+    forward pass itself rather than on a row-by-row copy of it.
     """
 
     def __init__(self, arch: ArchitectureSpec, samples: Sequence[Sample], loss_head) -> None:
@@ -61,6 +63,7 @@ class NetworkObjective:
         self.ys = np.stack([s.y for s in samples]).astype(float)
         self.loss_head = loss_head
         self.n_samples = len(samples)
+        self._all = np.arange(self.n_samples)
 
     def _loss(self, outs: np.ndarray) -> float:
         return math.fsum(self.loss_head.values(outs, self.ys).tolist()) / self.n_samples
@@ -83,8 +86,11 @@ class NetworkObjective:
         thetas = np.asarray(theta, dtype=float)[None]
         pres, feats = batch_forward(self.arch, thetas, self.xs)
         phi = self._loss(feats[-1][0])
-        pres, feats = [z[:, idx] for z in pres], [h[:, idx] for h in feats]
-        seed = self.loss_head.grad_x(feats[-1], self.ys[idx])
+        ys = self.ys
+        if idx.shape != self._all.shape or not (idx == self._all).all():
+            pres, feats = [z[:, idx] for z in pres], [h[:, idx] for h in feats]
+            ys = ys[idx]
+        seed = self.loss_head.grad_x(feats[-1], ys)
         grad = batch_backward(self.arch, thetas, pres, feats, seed)[0].sum(axis=0) / len(idx)
         return phi, grad
 
@@ -158,7 +164,7 @@ def _descend(
         if not math.isfinite(phi):
             trace.aborted = True
             break
-        gn = float(np.linalg.norm(g))
+        gn = vector_norm(g)
         h = step_size(gn)
         new, projected = project_to_ball(theta - h * g, b_omega, shrink)
         phi_new, g_new = objective.value_and_gradient(new, batch())
@@ -169,7 +175,7 @@ def _descend(
             slack = _DESCENT_RTOL * (abs(phi) + abs(phi_new) + 1.0)
             ok = math.isfinite(phi_new) and (phi - phi_new) >= bound - slack
         trace.steps.append(
-            TrainStep(j, phi, gn, h, float(np.linalg.norm(theta)), ok, projected)
+            TrainStep(j, phi, gn, h, vector_norm(theta), ok, projected)
         )
         theta, phi, g = new, phi_new, g_new
     trace.final_phi = phi

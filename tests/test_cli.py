@@ -26,6 +26,7 @@ from lipcert import (
     linear_scalar_field,
     load_dataset_csv,
     loss_head_envelopes,
+    sample_in_ball,
     tanh,
 )
 
@@ -1102,6 +1103,20 @@ class TestVerify:
 
 
 class TestTrain:
+    @pytest.mark.parametrize("n", [1, 16, 128])
+    @pytest.mark.parametrize("w_in, w_out", [(1, 1), (3, 8), (8, 3)])
+    def test_synthetic_rows_are_the_per_row_ball_draws(self, n, w_in, w_out):
+        doc = {
+            "architecture": {"widths": [w_in, 4, w_out], "activations": ["tanh"]},
+            "train": {"synthetic": {"n_samples": n, "input_norm": 1.3, "target_norm": 0.6, "seed": 17}},
+        }
+        samples, norms, target_bound = config.samples_from_config(doc, config.build_architecture(doc))
+        rng = np.random.default_rng(17)
+        want = [(sample_in_ball(rng, w_in, 1.3), sample_in_ball(rng, w_out, 0.6)) for _ in range(n)]
+        assert [(s.x.tobytes(), s.y.tobytes()) for s in samples] == [(x.tobytes(), y.tobytes()) for x, y in want]
+        assert norms == tuple(float(np.linalg.norm(x)) for x, _ in want)
+        assert target_bound == 0.6
+
     def test_squared_error_envelope_is_taken_at_the_output_bound(self, tmp_path):
         # train resolves squared error at the whole ball's output bound at
         # the largest sample norm (a smoothed ramp's grows with it) and at

@@ -8,6 +8,8 @@ from lipcert import (
     PseudoHuber,
     Sample,
     SquaredError,
+    batch_backward,
+    batch_forward,
     dataset_norms,
     flatten_params,
     forward,
@@ -26,6 +28,7 @@ from lipcert import (
     unflatten_params,
 )
 from lipcert.empirical import finite_diff_gradient
+from lipcert.network import vector_norm
 
 from conftest import random_architecture
 
@@ -175,6 +178,96 @@ class TestBallGeometry:
         q, projected = project_to_ball(flatten_params(params), target, shrink=0.9)
         assert projected
         assert float(np.linalg.norm(q)) == pytest.approx(0.9 * target, rel=1e-12)
+
+
+def reference_backward(arch, thetas, pres, feats, seed):
+    """batch_backward with its outer products as np.multiply of the broadcast operands."""
+    k, r, _ = seed.shape
+    out = np.empty((k, r, arch.n_params))
+    d = seed
+    slices = layer_slices(arch)
+    for u in range(arch.n_layers - 1, -1, -1):
+        w_sl, b_sl = slices[u]
+        shape = (arch.widths[u + 1], arch.widths[u])
+        np.multiply(d[:, :, :, None], feats[u][:, :, None, :], out=out[:, :, w_sl].reshape(k, r, *shape))
+        out[:, :, b_sl] = d
+        if u > 0:
+            d = np.einsum("kro,koi->kri", d, thetas[:, w_sl].reshape(k, *shape))
+            d = d * arch.activations[u - 1].deriv(pres[u - 1])
+    return out
+
+
+def reference_sample_in_ball(rng, dim, radius):
+    """The ball draw as plain numpy: a fresh array, np.linalg.norm, (r / nrm) * g."""
+    g = rng.standard_normal(dim)
+    nrm = float(np.linalg.norm(g))
+    r = radius * rng.random() ** (1.0 / dim)
+    return (r / nrm) * g
+
+
+def every_kind_net(rng, min_hidden=0):
+    """Random dense net of width <= 16 whose hidden layers cycle through every activation kind."""
+    kinds = [("tanh", {}), ("sigmoid", {}), ("smoothed_relu", {"delta": 0.4}),
+             ("saturated_linear", {"c": 1.2, "r_sat": 0.9})]
+    m = int(rng.integers(min_hidden, 4))
+    widths = tuple(int(w) for w in rng.integers(1, 17, size=m + 2))
+    start = int(rng.integers(4))
+    acts = tuple(make_activation(kind, **params) for kind, params in (kinds[(start + u) % 4] for u in range(m)))
+    return ArchitectureSpec(widths=widths, activations=acts)
+
+
+class TestEngineBits:
+    """The engine's outer products and the norm and ball draws, pinned bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_backward_matches_multiply_at_a_train_shape(self, seed):
+        rng = np.random.default_rng(seed)
+        arch = every_kind_net(rng)
+        thetas = rng.standard_normal((1, arch.n_params))
+        xs = rng.standard_normal((37, arch.widths[0]))
+        pres, feats = batch_forward(arch, thetas, xs)
+        seed_rows = rng.standard_normal((1, 37, arch.widths[-1]))
+        got = batch_backward(arch, thetas, pres, feats, seed_rows)
+        assert got.tobytes() == reference_backward(arch, thetas, pres, feats, seed_rows).tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_backward_matches_multiply_at_a_jacobian_shape(self, seed):
+        # identity seed over the output rows; pres and feats have one input row
+        rng = np.random.default_rng(100 + seed)
+        arch = every_kind_net(rng, min_hidden=1)
+        thetas = rng.standard_normal((9, arch.n_params))
+        pres, feats = batch_forward(arch, thetas, rng.standard_normal((1, arch.widths[0])))
+        eye = np.eye(arch.widths[-1])
+        seed_rows = np.broadcast_to(eye, (9,) + eye.shape)
+        got = batch_backward(arch, thetas, pres, feats, seed_rows)
+        assert got.tobytes() == reference_backward(arch, thetas, pres, feats, seed_rows).tobytes()
+
+    def test_vector_norm_is_linalg_norm_bitwise(self):
+        rng = np.random.default_rng(7)
+        vectors = [np.zeros(0), np.array([-0.0]), np.array([5e-324, -5e-324]), np.array([np.nan, 1.0])]
+        for n in (1, 2, 3, 7, 8, 16, 33, 128, 1001):
+            x = rng.standard_normal(n) * 10.0 ** rng.integers(-200, 200)
+            vectors += [x, x[::3], x[::-1]]
+        vectors += [rng.standard_normal((4, 6)), rng.standard_normal((6, 4)).T]
+        vectors += [np.array([1e200, 1e200]), np.array([1e-200, 3e-200])]
+        with np.errstate(over="ignore", under="ignore"):
+            for x in vectors:
+                assert np.float64(vector_norm(x)).tobytes() == np.linalg.norm(x).tobytes()
+
+    def test_dataset_norms_are_linalg_norms(self):
+        rng = np.random.default_rng(8)
+        samples = [Sample(rng.standard_normal(w), np.zeros(1)) for w in (1, 3, 8, 64)]
+        assert dataset_norms(samples) == tuple(float(np.linalg.norm(s.x)) for s in samples)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 65])
+    def test_sample_in_ball_draws_the_reference_bytes(self, dim):
+        want_rng, rng, out_rng = (np.random.default_rng(dim) for _ in range(3))
+        for _ in range(20):
+            want = reference_sample_in_ball(want_rng, dim, 1.7)
+            assert sample_in_ball(rng, dim, 1.7).tobytes() == want.tobytes()
+            out = np.empty(dim)
+            assert sample_in_ball(out_rng, dim, 1.7, out=out) is out
+            assert out.tobytes() == want.tobytes()
 
 
 class TestLossHeads:

@@ -8,13 +8,17 @@ from lipcert import (
     ArchitectureSpec,
     BoundInputs,
     NetworkObjective,
+    PseudoHuber,
     Sample,
     SquaredError,
+    batch_backward,
+    batch_forward,
     derive_adagrad_params,
     flatten_params,
     init_params,
     loss_certificate,
     loss_head_envelopes,
+    make_activation,
     network_certificate,
     run_adagrad_norm,
     run_gd,
@@ -228,3 +232,43 @@ class TestAdaGradNorm:
                 batch_size=8, steps=5, seed=0, b_omega=1.0,
                 l_grad_phi=cert.l_grad_phi,
             )
+
+
+def copying_value_and_gradient(objective, theta, indices):
+    """value_and_gradient with every selected row copied out of the forward pass."""
+    idx = np.asarray(indices, dtype=int)
+    thetas = np.asarray(theta, dtype=float)[None]
+    pres, feats = batch_forward(objective.arch, thetas, objective.xs)
+    phi = math.fsum(objective.loss_head.values(feats[-1][0], objective.ys).tolist()) / objective.n_samples
+    pres, feats = [z[:, idx] for z in pres], [h[:, idx] for h in feats]
+    seed = objective.loss_head.grad_x(feats[-1], objective.ys[idx])
+    grad = batch_backward(objective.arch, thetas, pres, feats, seed)[0].sum(axis=0) / len(idx)
+    return phi, grad
+
+
+class TestNetworkObjective:
+    @pytest.mark.parametrize("head", [SquaredError(), PseudoHuber(0.7)], ids=lambda h: h.kind)
+    def test_batches_equal_the_copying_reference_bitwise(self, head):
+        acts = (
+            make_activation("smoothed_relu", delta=0.3),
+            make_activation("saturated_linear", c=1.1, r_sat=0.8),
+            make_activation("sigmoid"),
+        )
+        arch = ArchitectureSpec(widths=(3, 7, 5, 6, 2), activations=acts)
+        rng = np.random.default_rng(11)
+        n = 13
+        samples = [Sample(sample_in_ball(rng, 3, 2.0), sample_in_ball(rng, 2, 1.0)) for _ in range(n)]
+        objective = NetworkObjective(arch, samples, head)
+        theta = flatten_params(init_params(arch, 3.0, seed=4))
+        batches = {
+            "full": np.arange(n),
+            "repeated": rng.integers(0, n, size=n),
+            "repeated_minibatch": np.array([4, 4, 0, 12, 4]),
+            "permuted": rng.permutation(n),
+            "prefix": np.arange(n - 1),
+        }
+        for name, idx in batches.items():
+            phi, grad = objective.value_and_gradient(theta, idx)
+            want_phi, want_grad = copying_value_and_gradient(objective, theta, idx)
+            assert np.float64(phi).tobytes() == np.float64(want_phi).tobytes(), name
+            assert grad.tobytes() == want_grad.tobytes(), name
