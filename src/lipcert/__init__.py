@@ -87,7 +87,6 @@ from .network import (
     forward,
     grad_params,
     init_params,
-    layer_slices,
     load_dataset_csv,
     loss_head_envelopes,
     param_jacobian,

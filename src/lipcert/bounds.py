@@ -28,7 +28,7 @@ import heapq
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -91,10 +91,15 @@ class ArchitectureSpec:
 
     The final layer is always affine with identity head; it has a width but
     no activation, hence len(activations) == len(widths) - 2.
+
+    layer_slices is the one layout of the full parameter vector theta, built
+    once from the widths: per layer, in layer order, the slice of its (out,
+    in) weight flattened row-major, then the slice of its bias.
     """
 
     widths: tuple[int, ...]
     activations: tuple[Activation, ...]
+    layer_slices: tuple[tuple[slice, slice], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.widths) < 2:
@@ -106,6 +111,12 @@ class ArchitectureSpec:
                 f"expected {len(self.widths) - 2} activations for "
                 f"{len(self.widths)} widths, got {len(self.activations)}"
             )
+        slices, pos = [], 0
+        for i_in, i_out in zip(self.widths[:-1], self.widths[1:]):
+            w_sl = slice(pos, pos + i_out * i_in)
+            pos = w_sl.stop + i_out
+            slices.append((w_sl, slice(w_sl.stop, pos)))
+        object.__setattr__(self, "layer_slices", tuple(slices))
 
     @property
     def m(self) -> int:
@@ -118,9 +129,7 @@ class ArchitectureSpec:
 
     @property
     def n_params(self) -> int:
-        return sum(
-            o * i + o for i, o in zip(self.widths[:-1], self.widths[1:])
-        )
+        return self.layer_slices[-1][1].stop
 
 
 def full_moments(moments: dict[int, float]) -> dict[int, float]:

@@ -324,6 +324,9 @@ def cmd_verify(cfg: dict, args, out: Path) -> int:
         doc = load_config(cert_path, kind="certificate")
         cert_l_n = get(doc, "l_n_final", float, where="certificate")
         cert_l_grad = get(doc, "l_grad_n_final", float, where="certificate")
+        for key, v in (("l_n_final", cert_l_n), ("l_grad_n_final", cert_l_grad)):
+            if not v >= 0.0:  # NaN too; +inf passes to the --allow-inf gate
+                raise ConfigError(f"certificate: key '{key}' must be nonnegative, got {v}")
     else:
         nb = network_certificate(arch, inputs, s)
         cert_l_n, cert_l_grad = nb.l_n, nb.l_grad_n
@@ -422,6 +425,7 @@ def cmd_train(cfg: dict, args, out: Path) -> int:
     # certified one, so the exit-5 falsification path can be exercised
     override = get(tdoc, "l_grad_phi_override", float, default=None, where="train")
     # checked in the order the trainers would check them; gd reads only shrink
+    # and the override
     if algorithm == "adagrad_norm":
         if not eps_margin > 0:
             raise ConfigError("train: eps_margin must be positive")
@@ -429,6 +433,10 @@ def cmd_train(cfg: dict, args, out: Path) -> int:
             raise ConfigError("train: eps_exponent must be nonnegative")
         if batch_size < 1:
             raise ConfigError("train: batch_size must be positive")
+        if override is not None:
+            raise ConfigError("train: l_grad_phi_override applies to gd only")
+    elif override is not None and not (override > 0 and math.isfinite(override)):
+        raise ConfigError("train: l_grad_phi_override must be a positive finite real")
     if not 0.0 < shrink <= 1.0:
         raise ConfigError("train: shrink must lie in (0, 1]")
 

@@ -22,7 +22,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bounds import ArchitectureSpec, LossEnvelope, _fsum, check_sample_norms, full_moments
-from .network import layer_slices
 
 __all__ = [
     "CodeCertificate",
@@ -858,7 +857,6 @@ def dnn_as_code(arch: ArchitectureSpec) -> tuple[VectorFieldSpec, Control]:
     m = arch.m
     lmax = max(arch.widths)
     n = arch.n_params
-    slices = layer_slices(arch)
     t_final = float(m + 1)
     control = Control.steps([(float(i), 1.0) for i in range(1, m + 2)], t_final)
 
@@ -867,7 +865,7 @@ def dnn_as_code(arch: ArchitectureSpec) -> tuple[VectorFieldSpec, Control]:
 
     def pieces(thetas: np.ndarray, t: float, xs: np.ndarray):
         i = layer_index(t)
-        w_sl, b_sl = slices[i - 1]
+        w_sl, b_sl = arch.layer_slices[i - 1]
         out_w, in_w = arch.widths[i], arch.widths[i - 1]
         w = thetas[:, w_sl].reshape(-1, out_w, in_w)
         xi = xs[:, :in_w]
@@ -892,7 +890,7 @@ def dnn_as_code(arch: ArchitectureSpec) -> tuple[VectorFieldSpec, Control]:
 
     def jt(thetas, t, xs):
         i, _, xi, _, d1 = pieces(thetas, t, xs)
-        w_sl, b_sl = slices[i - 1]
+        w_sl, b_sl = arch.layer_slices[i - 1]
         out_w, in_w = arch.widths[i], arch.widths[i - 1]
         cols = np.arange(n)
         rows = np.arange(out_w)

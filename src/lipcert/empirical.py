@@ -464,12 +464,12 @@ def directed_affine_pair(
         raise ValueError("directed affine pair is defined for depth-zero networks")
     x = np.asarray(x, dtype=float)
     eps = 1e-3 * b_omega  # the step's scale, far inside the ball
-    l_out, l_in = arch.widths[1], arch.widths[0]
-    w_dir = np.zeros(l_out)
+    w_dir = np.zeros(arch.widths[1])
     w_dir[0] = 1.0
-    d_w = eps * np.outer(w_dir, x)
-    d_b = eps * w_dir
-    delta = np.concatenate([d_w.ravel(), d_b])
+    w_sl, b_sl = arch.layer_slices[0]
+    delta = np.empty(arch.n_params)
+    delta[w_sl] = (eps * np.outer(w_dir, x)).ravel()
+    delta[b_sl] = eps * w_dir
     half = 0.5 * delta
     return -half, half
 
@@ -505,8 +505,6 @@ class WorstCasePair:
     theta_tilde: Params
     exact_ratio: float
     activation: Activation
-    m: int
-    b_omega: float
 
 
 def chain_output(params: Params, activation: Activation, x: float = 0.0) -> float:
@@ -561,4 +559,4 @@ def worst_case_construction(
         raise ValueError("pre-activations leave the linear core; increase r_sat")
 
     exact = c**m * (b_omega / math.sqrt(m - 1)) ** (m - 1)
-    return WorstCasePair(theta, theta_tilde, exact, act, m, b_omega)
+    return WorstCasePair(theta, theta_tilde, exact, act)

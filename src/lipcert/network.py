@@ -53,10 +53,6 @@ class Params:
             if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
                 raise ValueError("each layer needs a (out,in) weight and (out,) bias")
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.layers)
-
 
 @dataclass(frozen=True)
 class Sample:
@@ -87,6 +83,7 @@ def param_norm(params: Params) -> float:
 
 
 def flatten_params(params: Params) -> np.ndarray:
+    """theta in the layout of ArchitectureSpec.layer_slices: each weight row-major, then its bias."""
     chunks: list[np.ndarray] = []
     for w, b in params.layers:
         chunks.append(w.ravel())
@@ -98,28 +95,10 @@ def unflatten_params(arch: ArchitectureSpec, flat: np.ndarray) -> Params:
     flat = np.asarray(flat, dtype=float)
     if flat.shape != (arch.n_params,):
         raise ValueError(f"expected flat vector of length {arch.n_params}")
-    layers = []
-    pos = 0
-    for i_in, i_out in zip(arch.widths[:-1], arch.widths[1:]):
-        w = flat[pos : pos + i_out * i_in].reshape(i_out, i_in)
-        pos += i_out * i_in
-        b = flat[pos : pos + i_out]
-        pos += i_out
-        layers.append((w.copy(), b.copy()))
-    return Params(tuple(layers))
-
-
-def layer_slices(arch: ArchitectureSpec) -> list[tuple[slice, slice]]:
-    """Flat-vector slices (weight, bias) per layer, in layer order."""
-    out = []
-    pos = 0
-    for i_in, i_out in zip(arch.widths[:-1], arch.widths[1:]):
-        w_sl = slice(pos, pos + i_out * i_in)
-        pos += i_out * i_in
-        b_sl = slice(pos, pos + i_out)
-        pos += i_out
-        out.append((w_sl, b_sl))
-    return out
+    return Params(tuple(
+        (flat[w_sl].reshape(i_out, i_in).copy(), flat[b_sl].copy())
+        for (w_sl, b_sl), i_in, i_out in zip(arch.layer_slices, arch.widths[:-1], arch.widths[1:])
+    ))
 
 
 def batch_forward(
@@ -139,7 +118,7 @@ def batch_forward(
     h = xs[None]
     pres: list[np.ndarray] = []
     feats: list[np.ndarray] = [h]
-    for u, (w_sl, b_sl) in enumerate(layer_slices(arch)):
+    for u, (w_sl, b_sl) in enumerate(arch.layer_slices):
         w = thetas[:, w_sl].reshape(k, arch.widths[u + 1], arch.widths[u])
         z = np.einsum("koi,kri->kro", w, h) + thetas[:, None, b_sl]
         pres.append(z)
@@ -166,9 +145,8 @@ def batch_backward(
     if out is None:
         out = np.empty((k, r, arch.n_params))
     d = seed
-    slices = layer_slices(arch)
     for u in range(arch.n_layers - 1, -1, -1):
-        w_sl, b_sl = slices[u]
+        w_sl, b_sl = arch.layer_slices[u]
         shape = (arch.widths[u + 1], arch.widths[u])
         np.multiply(
             d[:, :, :, None], feats[u][:, :, None, :], out=out[:, :, w_sl].reshape(k, r, *shape)
@@ -185,8 +163,10 @@ def _single(params: Params, arch: ArchitectureSpec, x: np.ndarray):
     x = np.asarray(x, dtype=float)
     if x.shape != (arch.widths[0],):
         raise ValueError(f"input must have shape ({arch.widths[0]},)")
-    if params.n_layers != arch.n_layers:
-        raise ValueError("parameter/architecture layer count mismatch")
+    shapes = [(w.shape, b.shape) for w, b in params.layers]
+    needed = [((i_out, i_in), (i_out,)) for i_in, i_out in zip(arch.widths[:-1], arch.widths[1:])]
+    if shapes != needed:
+        raise ValueError(f"parameter shapes {shapes} do not fit the architecture's {needed}")
     theta = flatten_params(params)[None]
     return theta, *batch_forward(arch, theta, x[None])
 

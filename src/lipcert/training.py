@@ -108,8 +108,6 @@ class TrainStep:
 
 @dataclass
 class TrainTrace:
-    method: str
-    l_grad_phi: float | None
     steps: list[TrainStep] = field(default_factory=list)
     final_phi: float = math.nan
     final_theta: np.ndarray | None = None
@@ -133,7 +131,6 @@ class TrainTrace:
 
 
 def _descend(
-    method: str,
     objective: Objective,
     theta0: np.ndarray,
     steps: int,
@@ -141,22 +138,21 @@ def _descend(
     shrink: float,
     step_size: Callable[[float], float],
     batch: Callable[[], np.ndarray],
-    l_grad_phi: float | None,
-    check_descent: bool,
+    checked_l_grad_phi: float | None,
 ) -> TrainTrace:
     """The descent loop behind both trainers.
 
     step_size maps the current gradient norm to the step; batch returns the
     sample indices of the next gradient.  Every iterate costs one
-    value_and_gradient call.  With check_descent each unprojected step is
-    checked against the descent inequality for l_grad_phi; a violation, a
+    value_and_gradient call.  Given checked_l_grad_phi, each unprojected
+    step is checked against the descent inequality for it; a violation, a
     step to a non-finite objective included, is recorded (descent_ok False)
     rather than raised.  A non-finite initial objective raises ValueError.
     """
     if steps < 1:
         raise ValueError("steps must be positive")
     theta, _ = project_to_ball(np.asarray(theta0, dtype=float), b_omega, shrink)
-    trace = TrainTrace(method=method, l_grad_phi=l_grad_phi)
+    trace = TrainTrace()
     phi, g = objective.value_and_gradient(theta, batch())
     if not math.isfinite(phi):
         raise ValueError(f"the objective at the initial iterate is {phi}, not finite")
@@ -169,9 +165,9 @@ def _descend(
         new, projected = project_to_ball(theta - h * g, b_omega, shrink)
         phi_new, g_new = objective.value_and_gradient(new, batch())
         ok: bool | None = None
-        if check_descent and not projected:
+        if checked_l_grad_phi is not None and not projected:
             # with phi_new = inf the slack is inf too, so finiteness is tested first
-            bound = gn * gn / (2.0 * l_grad_phi)
+            bound = gn * gn / (2.0 * checked_l_grad_phi)
             slack = _DESCENT_RTOL * (abs(phi) + abs(phi_new) + 1.0)
             ok = math.isfinite(phi_new) and (phi - phi_new) >= bound - slack
         trace.steps.append(
@@ -197,8 +193,8 @@ def run_gd(
     h = 1.0 / l_grad_phi
     full = np.arange(objective.n_samples)
     return _descend(
-        "gd", objective, theta0, steps, b_omega, shrink,
-        lambda gn: h, lambda: full, l_grad_phi, check_descent=True,
+        objective, theta0, steps, b_omega, shrink,
+        lambda gn: h, lambda: full, checked_l_grad_phi=l_grad_phi,
     )
 
 
@@ -249,6 +245,6 @@ def run_adagrad_norm(
         return full if batch_size >= n else rng.integers(0, n, size=batch_size)
 
     return _descend(
-        "adagrad_norm", objective, theta0, steps, b_omega, shrink,
-        step_size, batch, l_grad_phi, check_descent=False,
+        objective, theta0, steps, b_omega, shrink,
+        step_size, batch, checked_l_grad_phi=None,
     )

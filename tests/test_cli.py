@@ -758,8 +758,17 @@ class TestConfigErrors:
             ("adagrad_norm", "batch_size", 0, "batch_size must be positive"),
             ("adagrad_norm", "eps_margin", -1.0, "eps_margin must be positive"),
             ("adagrad_norm", "eps_exponent", -1.0, "eps_exponent must be nonnegative"),
+            # checked before the certificate too, and refused where nothing reads it
+            ("gd", "l_grad_phi_override", 0.0, "l_grad_phi_override must be a positive finite real"),
+            ("gd", "l_grad_phi_override", -1.0, "l_grad_phi_override must be a positive finite real"),
+            ("gd", "l_grad_phi_override", math.inf, "l_grad_phi_override must be a positive finite real"),
+            ("gd", "l_grad_phi_override", math.nan, "l_grad_phi_override must be a positive finite real"),
+            ("adagrad_norm", "l_grad_phi_override", 0.3, "l_grad_phi_override applies to gd only"),
         ],
-        ids=["gd-shrink-0", "gd-shrink-2", "batch_size", "eps_margin", "eps_exponent"],
+        ids=[
+            "gd-shrink-0", "gd-shrink-2", "batch_size", "eps_margin", "eps_exponent",
+            "override-0", "override-negative", "override-inf", "override-nan", "override-adagrad_norm",
+        ],
     )
     def test_bad_train_key_fails_before_any_recursion(
         self, tmp_path, capsys, monkeypatch, algorithm, key, value, message
@@ -850,6 +859,25 @@ class TestConfigErrors:
         assert cli.main([*argv, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: certificate file not found: {missing}\n"
         assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("value, flags", [(math.nan, ["--allow-inf"]), (-1.0, [])], ids=["nan", "negative"])
+    @pytest.mark.parametrize("key", ["l_n_final", "l_grad_n_final"])
+    def test_bad_certificate_value_exits_two_before_any_pair(
+        self, tmp_path, capsys, monkeypatch, key, value, flags
+    ):
+        # a NaN passed the --allow-inf gate as (ok), and -1.0 read as a falsified certificate
+        estimates = []
+        real = cli.empirical_lipschitz
+        monkeypatch.setattr(cli, "empirical_lipschitz", lambda *a, **kw: estimates.append(a) or real(*a, **kw))
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps({"l_n_final": 2.0, "l_grad_n_final": 2.0, key: value}))
+        argv, doc = COMMAND_RUNS["verify"]
+        doc = {**doc, "verify": {**doc["verify"], "certificate_path": str(cert)}}
+        out = tmp_path / "out"
+        assert cli.main([*argv, *flags, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: certificate: key '{key}' must be nonnegative, got {value}\n"
+        assert not any(out.iterdir())
+        assert estimates == []
 
     def test_unknown_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -15,7 +15,6 @@ from lipcert import (
     forward,
     grad_params,
     init_params,
-    layer_slices,
     load_dataset_csv,
     loss_head_envelopes,
     make_activation,
@@ -61,6 +60,20 @@ class TestForward:
         arch, params = small_net()
         with pytest.raises(ValueError):
             forward(params, arch, np.zeros(3))
+
+    def test_rejects_parameters_of_another_net(self):
+        # (1, 4, 1) and (2, 3, 1) both have 13 parameters; the layer count matches too
+        params = init_params(ArchitectureSpec(widths=(1, 4, 1), activations=(tanh(),)), 1.0, seed=0)
+        arch = ArchitectureSpec(widths=(2, 3, 1), activations=(tanh(),))
+        x = np.array([0.3, -0.7])
+        calls = [
+            lambda: forward(params, arch, x),
+            lambda: grad_params(params, arch, Sample(x, np.zeros(1)), SquaredError()),
+            lambda: param_jacobian(params, arch, x),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="do not fit"):
+                call()
 
 
 class TestGradients:
@@ -129,7 +142,7 @@ class TestParamVectorization:
 
     def test_layer_slices_partition_the_vector(self):
         arch, params = small_net()
-        slices = layer_slices(arch)
+        slices = arch.layer_slices
         theta = flatten_params(params)
         covered = np.zeros(theta.size, dtype=bool)
         for w_sl, b_sl in slices:
@@ -185,7 +198,7 @@ def reference_backward(arch, thetas, pres, feats, seed):
     k, r, _ = seed.shape
     out = np.empty((k, r, arch.n_params))
     d = seed
-    slices = layer_slices(arch)
+    slices = arch.layer_slices
     for u in range(arch.n_layers - 1, -1, -1):
         w_sl, b_sl = slices[u]
         shape = (arch.widths[u + 1], arch.widths[u])
