@@ -19,6 +19,78 @@ and the dataset loss gradient.  The arithmetic is plain Python floats, or
 elementwise numpy with the same bits when the recursion runs over an array
 of sample norms; overflow saturates to +inf and is reported via a
 certificate flag instead of raising.
+
+The layer step
+--------------
+The step (_step_terms, run by _float_step and _layer_step_rows) takes a
+feature map N = N_{u-1}(theta_<) of the earlier parameters theta_< to
+
+    N_u = sigma(z),    z = W N + c,
+
+whose own parameters omega = (W, c) have norm at most d, the layer's budget.
+Every norm is Euclidean: on vectors, on parameter blocks (Frobenius on W),
+and the operator norm it induces on Jacobians, so ||W|| <= d.  The step is
+fed three constants of N, the carried side:
+
+    l1 >= sup ||J||, J = dN/dtheta_<    (also N's Lipschitz constant; b2 in
+                                          the code where it bounds ||J||)
+    l2 >= the Lipschitz constant of theta_< -> J
+    b1 >= sup ||N||
+
+and the head's c1 >= |sigma'|, c2 >= |sigma''| and b3 >= |sigma|, per
+coordinate, over n3 = width_out coordinates.  An identity head has
+(c1, c2, b3) = (1, 0, inf); a loss head has its envelope's (g_p_max,
+g_pp_max, inf) and n3 = 1.  The Jacobian of N_u has a carried column block
+(theta_<) and an own one (omega):
+
+    dN_u = [ S W J | S X ],    S = diag(sigma'(z)),    X: (dW, dc) -> dW N + dc,
+
+with ||S|| <= c1, ||W J|| <= d l1 and ||X|| <= sqrt(b1^2 + 1); a change dz
+moves S by at most c2 ||dz||.  Below, [own] marks a factor of the layer's
+own parameters or of the features they multiply (d, sqrt(b1^2 + 1)), and
+[carried] one of the carried Jacobian (l1, b2, l2).  Blocks side by side
+obey ||[A | B]|| <= sqrt(||A||^2 + ||B||^2).
+
+l_chi = c1 sqrt(d^2 l1^2 + b1^2 + 1) bounds ||dN_u||, so it is also N_u's
+    Lipschitz constant: c1 d[own] l1[carried] on the carried block and
+    c1 sqrt(b1^2 + 1)[own] on the own block.
+
+l_grad_n bounds the Lipschitz constant of theta -> dN_u.  Over the product
+of layer balls a move (dtheta_<, domega) can be made one block at a time,
+so l_grad_n^2 = alpha + beta bounds the square once alpha >= L_own^2 and
+beta >= L_carried^2, the constants of each leg alone (Cauchy-Schwarz over
+the two legs).  Each leg moves both column blocks, which add in squares.
+
+  Own leg: N and J stay, ||dz|| <= b1 ||dW|| + ||dc||.
+    The carried block moves by dS W' J + S dW J, at most
+    c2 d[own] l1[carried] (b1[own] ||dW|| + ||dc||) + c1 l1[carried] ||dW||;
+    per unit move, squared (Cauchy-Schwarz over dW, dc), that is at most
+    2 c1^2 l1^2 + 2 c2^2 d^2 b1^2 l1^2 + c2^2 d^2 l1^2, and
+        a_term = 3 l1^2 (n3 c1^2 + c2^2 d^2 b1^2) + 2 c2^2 d^2 l1^2
+    dominates it.  The own block moves by dS X, at most
+    c2 (b1^2 + 1)[own] per unit move, whose square
+        b_term = c2^2 (b1^2 + 1)(3 b1^2 + 2)
+    dominates.  alpha = max(a_term, b_term) is the paper's combination of
+    the two; the block bound above gives their sum, so the max is not
+    derived here (ROADMAP item 13).
+
+  Carried leg: omega stays, per unit move ||dN|| <= l1, ||dz|| <= d l1 and
+  ||dJ|| <= l2.
+    The carried block moves by dS W J' + S W dJ:
+        cross = n3 c1 d[own] l2[carried] + b2[carried] c2 d^2[own] l1[carried].
+    The own block moves by dS X' + S dX, with ||dX|| <= ||dN||:
+        sqrt(carry) = b2[carried] (n3 c1 + d c2 sqrt(b1^2 + 1)[own]).
+    beta = cross^2 + carry.
+
+b_n = sqrt(n3) b3 bounds ||sigma(z)|| coordinate by coordinate; an unbounded
+smoothed_relu bounds it by ||z|| + sqrt(n3) eps <= d sqrt(b1^2 + 1) + sqrt(n3) eps
+instead, eps its per-coordinate smoothing gap.
+
+Where n3 enters: S is bounded by c1 in the operator norm, but the paper's
+terms carry the width, as n3 c1^2 in a_term (the square of S's Frobenius
+bound sqrt(n3) c1) and as n3 c1 in cross and in carry.  n3 >= 1, so each
+only enlarges its term; these are the width factors that ROADMAP item 13
+targets.  sqrt(n3) in b_n is needed: every coordinate can reach b3.
 """
 
 from __future__ import annotations
@@ -397,33 +469,16 @@ class NetworkBounds:
 def _network_bounds(
     arch: ArchitectureSpec, budgets: Sequence[float], s: float
 ) -> NetworkBounds:
-    """Recursion engine over explicit per-layer radii (no sphere validation)."""
-    m = arch.m
-    if len(budgets) != m + 1:
-        raise ValueError(f"expected {m + 1} budgets, got {len(budgets)}")
-    state = input_base(s)
+    """The float recursion at explicit per-layer radii (no sphere validation)
+    with its per-layer table, then the identity head."""
+    if len(budgets) != arch.m + 1:
+        raise ValueError(f"expected {arch.m + 1} budgets, got {len(budgets)}")
+    input_base(s)  # refuses a negative or non-finite norm
+    budgets = tuple(float(b) for b in budgets)
     per_layer: list[LayerBounds] = []
-    for u in range(1, m + 1):
-        env = arch.activations[u - 1].envelope
-        lb = layer_step(state, env, arch.widths[u], budgets[u - 1])
-        if env.kind == "smoothed_relu":
-            b_n = _smoothed_relu_bound(env, arch.widths[u], budgets[u - 1], state.b_n, math.sqrt)
-            lb = LayerBounds(lb.l_n, lb.l_grad_n, b_n, lb.alpha)
-        per_layer.append(lb)
-        state = lb
-    final = layer_step(state, None, arch.widths[m + 1], budgets[m])
-    return NetworkBounds(tuple(per_layer), final, s, tuple(float(b) for b in budgets))
-
-
-def _smoothed_relu_bound(env: ActivationEnvelope, width: float, budget: float, b_prev, sqrt):
-    """Output bound of a smoothed_relu layer, on a float or an array of rows.
-
-    The activation is unbounded, so the bound follows the affine growth
-    instead, offset by the smoothing gap; the gap is per coordinate, so in
-    the Euclidean norm it grows by sqrt(width).
-    """
-    gap = math.sqrt(width) * env.relu_epsilon
-    return budget * sqrt(b_prev * b_prev + 1.0) + gap
+    last = _hidden_floats(_hidden_layers(arch), budgets, s, per_layer)
+    final = _float_step(1.0, 0.0, math.inf, float(arch.widths[-1]), budgets[-1], *last)
+    return NetworkBounds(tuple(per_layer), LayerBounds(*final), s, budgets)
 
 
 def network_certificate(
@@ -491,18 +546,26 @@ def _last_hidden_rows(
             b_n = np.full_like(s, math.sqrt(n3) * b3)
         else:
             with np.errstate(over="ignore", invalid="ignore"):
-                b_n = _smoothed_relu_bound(smoothed, n3, du, b_n, np.sqrt)
+                b_n = du * np.sqrt(b_n * b_n + 1.0) + math.sqrt(n3) * smoothed.relu_epsilon
     return l_n, l_grad_n, b_n
 
 
-def _hidden_floats(layers, d: Sequence[float], s: float) -> tuple[float, float, float]:
-    """(l_n, l_grad_n, b_n) of _network_bounds(arch, d, s).last_hidden, with
-    its bits, in plain floats; layers is _hidden_layers(arch)."""
+def _hidden_floats(
+    layers, d: Sequence[float], s: float, table: list[LayerBounds] | None = None
+) -> tuple[float, float, float]:
+    """The last hidden (l_n, l_grad_n, b_n) at budgets d and input norm s, in
+    plain floats; layers is _hidden_layers(arch).  A given table gets every
+    hidden layer's LayerBounds; the search passes none and builds nothing."""
     l_n = l_grad_n = 0.0
     b_n = s
     for (c1, c2, b3, n3, smoothed), du in zip(layers, d):
-        l_n, l_grad_n, b_out, _ = _float_step(c1, c2, b3, n3, du, l_n, l_grad_n, b_n)
-        b_n = b_out if smoothed is None else _smoothed_relu_bound(smoothed, n3, du, b_n, math.sqrt)
+        l_n, l_grad_n, b_out, alpha = _float_step(c1, c2, b3, n3, du, l_n, l_grad_n, b_n)
+        if smoothed is not None:
+            # unbounded: the affine growth, plus sqrt(width) of the per-coordinate gap
+            b_out = du * math.sqrt(b_n * b_n + 1.0) + math.sqrt(n3) * smoothed.relu_epsilon
+        b_n = b_out
+        if table is not None:
+            table.append(LayerBounds(l_n, l_grad_n, b_n, alpha))
     return l_n, l_grad_n, b_n
 
 
@@ -798,8 +861,11 @@ def _closed_form_network_bounds(
         replace(lb, l_n=math.sqrt(cf.l_n_sq[u]), l_grad_n=math.sqrt(cf.l_grad_n_sq[u]))
         for u, lb in enumerate(nb.per_layer)
     )
-    final = layer_step(per_layer[-1], None, arch.widths[-1], nb.budgets[-1])
-    return NetworkBounds(per_layer, final, s, nb.budgets)
+    h = per_layer[-1]
+    final = _float_step(
+        1.0, 0.0, math.inf, float(arch.widths[-1]), nb.budgets[-1], h.l_n, h.l_grad_n, h.b_n
+    )
+    return NetworkBounds(per_layer, LayerBounds(*final), s, nb.budgets)
 
 
 def closed_form_certificate(
@@ -1098,10 +1164,10 @@ def derive_adagrad_params(
     alpha is fixed at 1/2; beta = l_grad_phi^(2 / (1 + 2 eps)) + eps_margin
     then satisfies the strict inequality with room eps_margin.
     """
-    if eps_margin <= 0:
-        raise ValueError("eps_margin must be positive")
-    if eps_exponent < 0:
-        raise ValueError("eps_exponent must be nonnegative")
+    if not (eps_margin > 0 and math.isfinite(eps_margin)):
+        raise ValueError("eps_margin must be a positive finite real")
+    if not (eps_exponent >= 0 and math.isfinite(eps_exponent)):
+        raise ValueError("eps_exponent must be a nonnegative finite real")
     l = cert.l_grad_phi
     if not math.isfinite(l):
         raise ValueError("certificate overflowed; no finite step schedule exists")
@@ -1117,7 +1183,10 @@ def check_adagrad_condition(
 ) -> None:
     """Raise ValueError unless 2 * alpha * l_grad_phi < beta^(1/2 + eps)."""
     lhs = 2.0 * alpha * l_grad_phi
-    rhs = beta ** (0.5 + eps_exponent)
+    try:
+        rhs = beta ** (0.5 + eps_exponent)
+    except OverflowError:  # above every float, so above every finite lhs
+        rhs = math.inf
     if not lhs < rhs:
         raise ValueError(
             f"step-size condition violated: 2*alpha*L = {lhs} >= beta^(1/2+eps) = {rhs}"

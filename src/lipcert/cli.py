@@ -427,10 +427,10 @@ def cmd_train(cfg: dict, args, out: Path) -> int:
     # checked in the order the trainers would check them; gd reads only shrink
     # and the override
     if algorithm == "adagrad_norm":
-        if not eps_margin > 0:
-            raise ConfigError("train: eps_margin must be positive")
-        if not eps_exponent >= 0:
-            raise ConfigError("train: eps_exponent must be nonnegative")
+        if not (eps_margin > 0 and math.isfinite(eps_margin)):
+            raise ConfigError("train: eps_margin must be a positive finite real")
+        if not (eps_exponent >= 0 and math.isfinite(eps_exponent)):
+            raise ConfigError("train: eps_exponent must be a nonnegative finite real")
         if batch_size < 1:
             raise ConfigError("train: batch_size must be positive")
         if override is not None:

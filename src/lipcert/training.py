@@ -219,12 +219,13 @@ def run_adagrad_norm(
     replacement, except that batch_size >= n_samples means the exact full
     batch (deterministic gradients for the step-size sanity tests).  When
     l_grad_phi is given, 2 alpha l_grad_phi < beta^(1/2 + eps) is enforced;
-    steps are never descent-checked.
+    steps are never descent-checked.  Where the power passes the float range
+    the step is 0.0, its limit.
     """
-    if not (alpha > 0 and beta > 0):
-        raise ValueError("alpha and beta must be positive")
-    if eps_exponent < 0:
-        raise ValueError("eps_exponent must be nonnegative")
+    if not (alpha > 0 and beta > 0 and math.isfinite(alpha) and math.isfinite(beta)):
+        raise ValueError("alpha and beta must be positive finite reals")
+    if not (eps_exponent >= 0 and math.isfinite(eps_exponent)):
+        raise ValueError("eps_exponent must be a nonnegative finite real")
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
     if l_grad_phi is not None:
@@ -233,7 +234,10 @@ def run_adagrad_norm(
 
     def step_size(gn: float) -> float:
         nonlocal acc
-        h = alpha / (beta + acc) ** (0.5 + eps_exponent)
+        try:
+            h = alpha / (beta + acc) ** (0.5 + eps_exponent)
+        except OverflowError:
+            h = 0.0
         acc += gn * gn
         return h
 

@@ -118,10 +118,11 @@ def test_traced_verify_keeps_every_span_on_the_calling_thread(monkeypatch, tmp_p
 
 
 def test_traced_certify_counts_only_the_recursions_outside_the_search(monkeypatch, tmp_path):
-    # the budget search and every loss average run the float core, which is
-    # not a traced name: layer_step counts the recursions of the output
-    # bound and the reported tables only (output bound 2, recursive 2,
-    # closed form 4 + 2 heads, refinement 2 at the reported split)
+    # every recursion runs the float core, which is not a traced name, so
+    # layer_step counts nothing; network_certificate counts the recursions
+    # that go through it: the squared-error output bound, and the closed
+    # form at both norms.  The recursive and refined tables and the budget
+    # search call the untraced _network_bounds and _hidden_floats.
     mod = load_tracer(monkeypatch)
     tracer = mod.Tracer()
     config = Path(__file__).resolve().parent.parent / "configs" / "tanh_231.json"
@@ -142,4 +143,5 @@ def test_traced_certify_counts_only_the_recursions_outside_the_search(monkeypatc
     assert sum(layers.values()) == pytest.approx(root.end - root.start, rel=1e-9)
     counters = tracer.counters[0]
     assert counters["bounds.refine_over_layer_budgets.calls"] == 1
-    assert counters["bounds.layer_step.calls"] == 12
+    assert counters["bounds.layer_step.calls"] == 0
+    assert counters["bounds.network_certificate.calls"] == 3

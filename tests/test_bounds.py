@@ -40,7 +40,7 @@ from lipcert import (
     tanh,
 )
 from lipcert import bounds, cli
-from lipcert.bounds import RefinementSearch, _network_bounds
+from lipcert.bounds import RefinementSearch, _network_bounds, check_adagrad_condition
 from lipcert.config import certificate_to_dict
 
 from conftest import random_architecture
@@ -61,6 +61,13 @@ def counted_calls(monkeypatch, name):
 
     monkeypatch.setattr(bounds, name, counted)
     return calls
+
+
+def walks(calls):
+    """Counted _hidden_floats calls split into (table walks, search walks),
+    each as its (layers, d, s): a table walk fills the list _network_bounds
+    passes, a search walk builds no table."""
+    return [c[:3] for c in calls if len(c) == 4], [c for c in calls if len(c) == 3]
 
 
 def head_averages(loss, d_head, hidden):
@@ -244,16 +251,26 @@ class TestLayerStepBits:
         assert math.isinf(got.l_n) and math.isinf(got.l_grad_n)
 
     @pytest.mark.parametrize("b_omega", [1.0, 1e40, 1e80])
-    def test_smoothed_relu_recursion(self, monkeypatch, b_omega):
-        # relu_epsilon enters the output bound between the steps
+    def test_smoothed_relu_recursion(self, b_omega):
+        # relu_epsilon enters the output bound between the steps: a smoothed
+        # ramp is unbounded, so its output bound follows the affine growth,
+        # plus the smoothing gap of every coordinate
         arch = ArchitectureSpec(
             widths=(3, 6, 5, 4, 2), activations=(smoothed_relu(0.5), tanh(), smoothed_relu(2.0))
         )
         budgets = (b_omega, 0.0, 0.5 * b_omega, b_omega)
         got = _network_bounds(arch, budgets, 2.0)
-        monkeypatch.setattr(bounds, "layer_step", reference_layer_step)
-        want = _network_bounds(arch, budgets, 2.0)
-        for a, b in zip((*got.per_layer, got.final), (*want.per_layer, want.final)):
+        prev, want = input_base(2.0), []
+        for a, width, d in zip(arch.activations, arch.widths[1:], budgets):
+            lb = reference_layer_step(prev, a.envelope, width, d)
+            if a.envelope.kind == "smoothed_relu":
+                gap = math.sqrt(width) * a.envelope.relu_epsilon
+                lb = dataclasses.replace(lb, b_n=d * math.sqrt(prev.b_n * prev.b_n + 1.0) + gap)
+            want.append(lb)
+            prev = lb
+        want.append(reference_layer_step(prev, None, arch.widths[-1], budgets[-1]))
+        assert len(got.per_layer) + 1 == len(want)
+        for a, b in zip((*got.per_layer, got.final), want):
             assert same_bits(a, b)
 
 
@@ -370,6 +387,19 @@ class TestSampleNormArrays:
 
 
 class TestNetworkCertificate:
+    @pytest.mark.parametrize("s", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("build", [network_certificate, closed_form_bounds])
+    def test_rejects_a_bad_input_norm(self, build, s):
+        arch = ArchitectureSpec(widths=(2, 3, 1), activations=(tanh(),))
+        with pytest.raises(ValueError, match="input norm must be finite and nonnegative"):
+            build(arch, BoundInputs(b_omega=1.0), s)
+
+    @pytest.mark.parametrize("budgets", [(1.0,), (1.0, 1.0, 1.0)])
+    def test_rejects_a_wrong_budget_count(self, budgets):
+        arch = ArchitectureSpec(widths=(2, 3, 1), activations=(tanh(),))
+        with pytest.raises(ValueError, match=f"expected 2 budgets, got {len(budgets)}"):
+            _network_bounds(arch, budgets, 1.0)
+
     def test_affine_network(self):
         arch = ArchitectureSpec(widths=(3, 2), activations=())
         for s in (0.0, 1.0, 3.0):
@@ -539,22 +569,25 @@ class TestLossCertificate:
     @pytest.mark.parametrize("loss", [LossEnvelope(1.0, 1.0), None])
     @pytest.mark.parametrize("build", [loss_certificate, closed_form_certificate])
     def test_one_recursion_per_sample_norm(self, monkeypatch, build, loss):
-        # the closed form's average takes the per-layer recursion once per
-        # distinct norm, the largest one's shared with its table; the
-        # recursive certificate runs that recursion at the largest norm
-        # only, for its table, and its average takes the float recursion
-        # once per distinct norm.  Without a loss no average is taken.
+        # the closed form's average takes the per-layer table once per
+        # distinct norm, the largest one's shared with its own table; the
+        # recursive certificate builds the table at the largest norm only,
+        # and its average walks the layers once more per distinct norm,
+        # with no table.  Without a loss no average is taken.  Every table
+        # is one walk of the float recursion.
         tables = counted_calls(monkeypatch, "_network_bounds")
         floats = counted_calls(monkeypatch, "_hidden_floats")
         arch = ArchitectureSpec(widths=(2, 3, 1), activations=(tanh(),))
         build(arch, BoundInputs(b_omega=1.0), loss, dataset_norms=(1.0, 0.5, 1.0))
         averaged = [] if loss is None else [0.5, 1.0]
+        table_walks, search_walks = walks(floats)
+        assert [s for _, _, s in table_walks] == [s for _, _, s in tables]
         if build is closed_form_certificate:
             assert sorted(s for _, _, s in tables) == (averaged or [1.0])
-            assert floats == []
+            assert search_walks == []
         else:
             assert [s for _, _, s in tables] == [1.0]
-            assert sorted(s for _, _, s in floats) == averaged
+            assert sorted(s for _, _, s in search_walks) == averaged
 
     def test_many_norms_take_one_scalar_recursion(self, monkeypatch):
         # from _ARRAY_MIN_NORMS distinct norms on, the scalar recursion runs
@@ -988,8 +1021,8 @@ class TestRefinement:
 
     def test_one_recursion_per_budget_vector_and_norm(self, monkeypatch):
         # the four searches, the uniform caps and the lower estimate share
-        # one float recursion per (budgets, distinct norm); the per-layer
-        # recursion runs once, at the reported split, for its table
+        # one walk of the float recursion per (budgets, distinct norm); the
+        # per-layer table is one more walk, at the reported split
         tables = counted_calls(monkeypatch, "_network_bounds")
         floats = counted_calls(monkeypatch, "_hidden_floats")
         arch = ArchitectureSpec(
@@ -1002,27 +1035,32 @@ class TestRefinement:
                 arch, BoundInputs(b_omega=1.5), LossEnvelope(1.0, 1.0), [0.5, 1.25, 0.5],
                 RefinementSearch(restarts=1, iters=iters),
             )
-            calls = Counter((tuple(d), s) for _, d, s in floats)
+            table_walks, search_walks = walks(floats)
+            calls = Counter((tuple(d), s) for _, d, s in search_walks)
             assert calls and max(calls.values()) == 1
             by_vector = Counter(d for d, _ in calls)
             assert set(by_vector.values()) == {2}
             assert [(d, s) for _, d, s in tables] == [(ref.layer_budgets, 1.25)]
+            assert [(d, s) for _, d, s in table_walks] == [(ref.layer_budgets, 1.25)]
 
     def test_many_norms_take_one_scalar_recursion_per_budget_vector(self, monkeypatch):
         # the other norms' loss averages come from one array recursion per
-        # budget vector, beside one float recursion at the largest norm
+        # budget vector, beside one float walk at the largest norm; the
+        # per-layer table is one more walk, at the reported split
         floats = counted_calls(monkeypatch, "_hidden_floats")
         arrays = counted_calls(monkeypatch, "_last_hidden_rows")
         arch = ArchitectureSpec(
             widths=(3, 5, 4, 6, 2), activations=(tanh(), smoothed_relu(0.5), sigmoid())
         )
         norms = [0.25 * (k + 1) for k in range(bounds._ARRAY_MIN_NORMS)] + [0.5]
-        refine_over_layer_budgets(
+        ref = refine_over_layer_budgets(
             arch, BoundInputs(b_omega=1.5), LossEnvelope(1.0, 1.0), norms,
             RefinementSearch(restarts=1, iters=30),
         )
-        assert {s for _, _, s in floats} == {max(norms)}
-        vectors = Counter(tuple(d) for _, d, _ in floats)
+        table_walks, search_walks = walks(floats)
+        assert [(d, s) for _, d, s in table_walks] == [(ref.layer_budgets, max(norms))]
+        assert {s for _, _, s in search_walks} == {max(norms)}
+        vectors = Counter(tuple(d) for _, d, _ in search_walks)
         assert len(vectors) > 30 and set(vectors.values()) == {1}
         assert Counter(tuple(d) for _, d, _ in arrays) == vectors
         assert all(len(s) == bounds._ARRAY_MIN_NORMS for _, _, s in arrays)
@@ -1224,6 +1262,27 @@ class TestStepDerivations:
     def test_overflowed_certificate_rejected(self):
         with pytest.raises(ValueError):
             derive_adagrad_params(self._cert(math.inf))
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"eps_margin": math.inf}, "eps_margin must be a positive finite real"),
+            ({"eps_margin": math.nan}, "eps_margin must be a positive finite real"),
+            ({"eps_exponent": math.inf}, "eps_exponent must be a nonnegative finite real"),
+            ({"eps_exponent": math.nan}, "eps_exponent must be a nonnegative finite real"),
+        ],
+    )
+    def test_non_finite_settings_rejected(self, kwargs, message):
+        # an infinite margin or exponent would make every step 0
+        with pytest.raises(ValueError, match=message):
+            derive_adagrad_params(self._cert(7.0), **kwargs)
+
+    def test_power_past_the_float_range_satisfies_the_condition(self):
+        # beta^(1/2 + eps) is above every float, so above 2 alpha L
+        alpha, beta = derive_adagrad_params(self._cert(7.0), 1.0, 2000.0)
+        with pytest.raises(OverflowError):
+            beta ** 2000.5
+        check_adagrad_condition(alpha, beta, 2000.0, 7.0)
 
 
 # ---------------------------------------------------------------------------

@@ -309,8 +309,8 @@ LAYER_BUDGETS_ERROR = (
 
 
 def counted_recursions(monkeypatch, name: str = "_network_bounds") -> list:
-    """Arguments of every call of bounds.<name> (the per-layer recursion by
-    default, or the float recursion _hidden_floats) from now on."""
+    """Arguments of every call of bounds.<name> (the recursion with its
+    per-layer table by default, or the float walk _hidden_floats) from now on."""
     calls = []
     recursion = getattr(bounds, name)
 
@@ -430,20 +430,24 @@ class TestCertify:
         assert got == digests
 
     def test_one_recursion_set_per_certify_run(self, tmp_path, monkeypatch):
-        # the per-layer recursion runs 5 times: the command's squared-error
-        # output bound and the recursive table at the largest norm, the
-        # closed form at both norms, and the refinement's reported split.
-        # The float recursion runs once per (budgets, norm): both norms for
-        # the recursive averages, and both norms at each of the refinement's
-        # 93 budget vectors.
+        # the per-layer table is built 5 times: for the command's
+        # squared-error output bound and the recursive table at the largest
+        # norm, the closed form at both norms, and the refinement's reported
+        # split; each is one walk of the float recursion that fills a table.
+        # The walks without a table run once per (budgets, norm): both norms
+        # for the recursive averages, and both norms at each of the
+        # refinement's 93 budget vectors.
         config = Path(__file__).parents[1] / "configs" / "tanh_231.json"
         calls = counted_recursions(monkeypatch)
         floats = counted_recursions(monkeypatch, "_hidden_floats")
         out = tmp_path / "out"
         assert cli.main(["certify", "--config", str(config), "--out", str(out)]) == 0
         assert sorted(s for _, _, s in calls) == [0.5, 1.0, 1.0, 1.0, 1.0]
-        assert len(floats) == 2 + 2 * 93
-        assert len({(tuple(d), s) for _, d, s in floats[2:]}) == 2 * 93
+        table_walks = [args[1:3] for args in floats if len(args) == 4]
+        search_walks = [args[1:] for args in floats if len(args) == 3]
+        assert table_walks == [(d, s) for _, d, s in calls]
+        assert len(search_walks) == 2 + 2 * 93
+        assert len({(tuple(d), s) for d, s in search_walks[2:]}) == 2 * 93
 
     def test_target_bound_never_undercuts_the_data(self, tmp_path):
         # targets of norm 100 against loss.target_bound 1: the certified
@@ -756,8 +760,10 @@ class TestConfigErrors:
             ("gd", "shrink", 0.0, "shrink must lie in (0, 1]"),
             ("gd", "shrink", 2.0, "shrink must lie in (0, 1]"),
             ("adagrad_norm", "batch_size", 0, "batch_size must be positive"),
-            ("adagrad_norm", "eps_margin", -1.0, "eps_margin must be positive"),
-            ("adagrad_norm", "eps_exponent", -1.0, "eps_exponent must be nonnegative"),
+            ("adagrad_norm", "eps_margin", -1.0, "eps_margin must be a positive finite real"),
+            ("adagrad_norm", "eps_margin", math.inf, "eps_margin must be a positive finite real"),
+            ("adagrad_norm", "eps_exponent", -1.0, "eps_exponent must be a nonnegative finite real"),
+            ("adagrad_norm", "eps_exponent", math.inf, "eps_exponent must be a nonnegative finite real"),
             # checked before the certificate too, and refused where nothing reads it
             ("gd", "l_grad_phi_override", 0.0, "l_grad_phi_override must be a positive finite real"),
             ("gd", "l_grad_phi_override", -1.0, "l_grad_phi_override must be a positive finite real"),
@@ -766,7 +772,8 @@ class TestConfigErrors:
             ("adagrad_norm", "l_grad_phi_override", 0.3, "l_grad_phi_override applies to gd only"),
         ],
         ids=[
-            "gd-shrink-0", "gd-shrink-2", "batch_size", "eps_margin", "eps_exponent",
+            "gd-shrink-0", "gd-shrink-2", "batch_size",
+            "eps_margin", "eps_margin-inf", "eps_exponent", "eps_exponent-inf",
             "override-0", "override-negative", "override-inf", "override-nan", "override-adagrad_norm",
         ],
     )
@@ -1240,6 +1247,27 @@ class TestTrain:
         lines = (out / "trace.csv").read_text().strip().split("\n")
         sizes = [float(r.split(",")[3]) for r in lines[1:]]
         assert all(b <= a + 1e-18 for a, b in zip(sizes, sizes[1:]))
+
+    @pytest.mark.parametrize("eps_exponent, steps", [(2000.0, 10), (300.0, 40)])
+    def test_adagrad_norm_power_past_the_float_range(self, tmp_path, eps_exponent, steps):
+        # beta^(1/2 + eps) overflows at eps 2000, and (beta + sum)^(1/2 + eps)
+        # once the sum grows at eps 300: the step condition then holds and
+        # the step is 0.0, its limit, where the power raised OverflowError
+        doc = dict(FULL)
+        doc["train"] = {
+            "algorithm": "adagrad_norm",
+            "steps": steps,
+            "batch_size": 8,
+            "eps_exponent": eps_exponent,
+            "synthetic": {"n_samples": 8, "input_norm": 1.0, "target_norm": 1.0, "seed": 3},
+        }
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+        lines = (out / "trace.csv").read_text().strip().split("\n")
+        sizes = [float(r.split(",")[3]) for r in lines[1:]]
+        assert len(sizes) == steps and sizes[-1] == 0.0
+        assert all(b <= a for a, b in zip(sizes, sizes[1:]))
+        assert (sizes[0] == 0.0) == (eps_exponent == 2000.0)
 
 
 class TestCodeCommands:

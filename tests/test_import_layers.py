@@ -72,6 +72,38 @@ def test_every_imported_name_is_used(path):
     assert sorted(imported - used) == []
 
 
+def private_definitions(tree: ast.Module):
+    """(name, node) of every module-level def, class or assignment whose
+    name starts with one underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from ((n, node) for n in names if n.startswith("_") and not n.startswith("__"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_private_name_is_used(path):
+    # a name or attribute that reads it, anywhere in the package but inside
+    # its own definition, so a refactor cannot leave an orphaned helper
+    trees = {p: ast.parse(p.read_text()) for p in MODULES}
+    orphans = []
+    for name, definition in private_definitions(trees[path]):
+        own = {id(n) for n in ast.walk(definition)}
+        if not any(
+            id(n) not in own
+            and (isinstance(n, ast.Name) and n.id == name or isinstance(n, ast.Attribute) and n.attr == name)
+            for tree in trees.values()
+            for n in ast.walk(tree)
+        ):
+            orphans.append(name)
+    assert orphans == []
+
+
 def test_cli_start_loads_no_concurrent_futures():
     # verify's second thread comes from threading alone
     probe = "import sys, lipcert.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"

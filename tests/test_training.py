@@ -155,6 +155,7 @@ _SHARED_BAD = [
 _ADAGRAD_BAD = [
     {"alpha": 0.0}, {"alpha": -1.0}, {"beta": 0.0}, {"beta": -1.0},
     {"batch_size": 0}, {"eps_exponent": -0.1},
+    {"alpha": math.inf}, {"beta": math.inf}, {"eps_exponent": math.inf}, {"eps_exponent": math.nan},
 ]
 
 
@@ -179,6 +180,24 @@ def test_trainers_reject_invalid_arguments(trainer, bad):
 
 
 class TestAdaGradNorm:
+    def test_power_past_the_float_range_steps_zero(self):
+        # (beta + sum)^(1/2 + eps) leaves the float range once the sum of
+        # squared gradient norms passes about 0.6: from there each step is
+        # 0.0, its limit, and the steps before keep the formula's bits
+        trace = run_adagrad_norm(
+            QuadraticObjective(l=1.0), np.array([0.3, -0.2]), alpha=0.5, beta=10.0,
+            eps_exponent=300.0, batch_size=1, steps=8, seed=0, b_omega=1.0,
+        )
+        sizes = [s.step_size for s in trace.steps]
+        acc, sums = 0.0, []
+        for s in trace.steps:
+            sums.append(acc)
+            acc += s.grad_norm * s.grad_norm
+        k = sum(300.5 * math.log10(10.0 + a) < 308.0 for a in sums)
+        assert 0 < k < 8
+        assert sizes[:k] == [0.5 / (10.0 + a) ** 300.5 for a in sums[:k]]
+        assert sizes[k:] == [0.0] * (8 - k)
+
     def test_full_batch_steps_nonincreasing(self):
         # with batch size equal to the dataset the sampled gradient is the
         # full gradient for every seed, and the step sizes are nonincreasing
