@@ -25,6 +25,7 @@ from .bounds import (
     BoundInputs,
     Certificate,
     ClosedFormBounds,
+    Covers,
     LayerBounds,
     LossEnvelope,
     NetworkBounds,

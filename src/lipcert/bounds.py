@@ -112,6 +112,7 @@ __all__ = [
     "BoundInputs",
     "Certificate",
     "ClosedFormBounds",
+    "Covers",
     "LayerBounds",
     "LossEnvelope",
     "NetworkBounds",
@@ -639,16 +640,39 @@ def _budget_constants(
 
 
 @dataclass(frozen=True)
+class Covers:
+    """The networks and inputs on which a certificate's network constants hold.
+
+    They hold for every net with these widths and activation envelopes, on
+    a parameter ball of radius at most b_omega, at every input of norm at
+    most input_norm: a bound on a supremum over a set bounds it over any
+    subset.
+    """
+
+    widths: tuple[int, ...]
+    envelopes: tuple[ActivationEnvelope, ...]
+    b_omega: float
+    input_norm: float
+
+    @classmethod
+    def of(cls, arch: ArchitectureSpec, inputs: BoundInputs, s: float) -> Covers:
+        """What constants of arch on the ball of inputs at input norm s cover."""
+        return cls(arch.widths, tuple(a.envelope for a in arch.activations), inputs.b_omega, s)
+
+
+@dataclass(frozen=True)
 class Certificate:
     """Bundle of certified constants for one architecture/loss/dataset triple.
 
     per_layer and the *_final constants are evaluated at the largest input
-    norm in the dataset (so they hold for every sample simultaneously);
-    l_phi / l_grad_phi are dataset averages of the per-sample loss constants,
-    or None for a certificate of the network alone.  b_grad_phi equals l_phi:
-    a bound on the loss Lipschitz constant is also a bound on the loss
-    gradient's norm.  A refined certificate also holds lower_estimate (its
-    l_grad_phi at layer_budgets) and the box splits its l_grad_phi search used.
+    norm in the dataset (so they hold for every sample simultaneously), or
+    at sqrt(E[S^2]) in moment mode; covers states that norm, the net and the
+    ball.  l_phi / l_grad_phi are dataset averages of the per-sample loss
+    constants, or None for a certificate of the network alone.  b_grad_phi
+    equals l_phi: a bound on the loss Lipschitz constant is also a bound on
+    the loss gradient's norm.  A refined certificate also holds
+    lower_estimate (its l_grad_phi at layer_budgets) and the box splits its
+    l_grad_phi search used.
     """
 
     per_layer: tuple[LayerBounds, ...]
@@ -657,6 +681,7 @@ class Certificate:
     l_phi: float | None
     l_grad_phi: float | None
     method: str
+    covers: Covers
     inputs_digest: str
     flags: tuple[str, ...] = ()
     layer_budgets: tuple[float, ...] | None = None
@@ -684,26 +709,16 @@ def _digest(payload: dict) -> str:
 
 
 def _certificate_digest(
-    arch: ArchitectureSpec,
-    inputs: BoundInputs,
+    covers: Covers,
     loss: LossEnvelope | None,
     norms: Sequence[float] | None,
     moments: SampleMoments | None,
     method: str,
 ) -> str:
     payload = {
-        "widths": list(arch.widths),
-        "activations": [
-            {
-                "kind": a.envelope.kind,
-                "sigma_max": a.envelope.sigma_max,
-                "sigma_p_max": a.envelope.sigma_p_max,
-                "sigma_pp_max": a.envelope.sigma_pp_max,
-                "relu_epsilon": a.envelope.relu_epsilon,
-            }
-            for a in arch.activations
-        ],
-        "b_omega": inputs.b_omega,
+        "widths": list(covers.widths),
+        "activations": [vars(e) for e in covers.envelopes],
+        "b_omega": covers.b_omega,
         # no certificate takes a split as input; the key keeps every inputs_digest
         "layer_budgets": None,
         "loss": None if loss is None else [
@@ -736,6 +751,7 @@ def _averaged_certificate(
     network's alone (l_phi, l_grad_phi None).
     """
     l_phi, l_grad_phi = averages
+    covers = Covers.of(arch, inputs, nb_max.s)
     return Certificate(
         per_layer=nb_max.per_layer,
         l_n_final=nb_max.l_n,
@@ -743,7 +759,8 @@ def _averaged_certificate(
         l_phi=l_phi,
         l_grad_phi=l_grad_phi,
         method=method,
-        inputs_digest=_certificate_digest(arch, inputs, loss, norms, None, method),
+        covers=covers,
+        inputs_digest=_certificate_digest(covers, loss, norms, None, method),
         flags=_overflow_flags(nb_max.l_n, nb_max.l_grad_n, l_phi, l_grad_phi),
     )
 
@@ -977,6 +994,7 @@ def moment_certificate(
     (p0, p1), (q0, q1, q2) = _poly_head_sq_constants(arch, inputs, loss)
     l_phi = math.sqrt(p0 + _prod(p1, moments.e_s2))
     l_grad_phi = math.sqrt(q0 + _prod(q1, moments.e_s2) + _prod(q2, moments.e_s4))
+    covers = Covers.of(arch, inputs, nb.s)
     return Certificate(
         per_layer=nb.per_layer,
         l_n_final=nb.l_n,
@@ -984,7 +1002,8 @@ def moment_certificate(
         l_phi=l_phi,
         l_grad_phi=l_grad_phi,
         method="recursive",
-        inputs_digest=_certificate_digest(arch, inputs, loss, None, moments, "recursive"),
+        covers=covers,
+        inputs_digest=_certificate_digest(covers, loss, None, moments, "recursive"),
         flags=_overflow_flags(nb.l_n, nb.l_grad_n, l_phi, l_grad_phi) + ("moment_mode",),
     )
 
@@ -1137,6 +1156,7 @@ def refine_over_layer_budgets(
     flags = _overflow_flags(l_n, l_grad_n, l_phi, l_grad_phi)
     if not l_grad_phi < uniform[3] * (1.0 - 1e-15):
         flags = flags + ("no_improvement",)
+    covers = Covers.of(arch, inputs, s_max)
     return Certificate(
         per_layer=_network_bounds(arch, d_star, s_max).per_layer,
         l_n_final=l_n,
@@ -1144,7 +1164,8 @@ def refine_over_layer_budgets(
         l_phi=l_phi,
         l_grad_phi=l_grad_phi,
         method="refined_budgets",
-        inputs_digest=_certificate_digest(arch, inputs, loss, norms, None, "refined_budgets"),
+        covers=covers,
+        inputs_digest=_certificate_digest(covers, loss, norms, None, "refined_budgets"),
         flags=flags,
         layer_budgets=d_star,
         lower_estimate=constant(3)(d_star),

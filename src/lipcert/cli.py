@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .activations import saturated_linear, tanh
+from .activations import tanh
 from .bounds import (
     ArchitectureSpec,
     BoundInputs,
@@ -70,6 +70,7 @@ from .config import (
     get_seed,
     load_config,
     loss_needs_output_bound,
+    read_certificate,
     resolve_loss_envelope,
     samples_from_config,
     section,
@@ -78,13 +79,11 @@ from .config import (
 )
 from .empirical import (
     FirstPass,
-    chain_output,
     directed_affine_pair,
     empirical_grad_lipschitz,
     empirical_lipschitz,
     network_jacobian_map,
     network_output_map,
-    worst_case_construction,
 )
 from .network import flatten_params, forward, init_params
 from .training import NetworkObjective, run_adagrad_norm, run_gd
@@ -305,14 +304,22 @@ def cmd_verify(cfg: dict, args, out: Path) -> int:
     arch = build_architecture(cfg)
     inputs, _ = build_bound_inputs(cfg)
     vdoc = section(cfg, "verify")
+    if vdoc.get("worst_case") is not None:
+        raise ConfigError(
+            "verify.worst_case is not supported: its saturated chain is another network"
+            " than the configured one; lipcert.worst_case_construction builds its pair"
+        )
     top_seed = get_seed(cfg, "seed", 0)
     seed = get_seed(vdoc, "seed", top_seed, where="verify")
     n_pairs = get(vdoc, "n_pairs", int, default=10000, where="verify")
     mode = get(vdoc, "mode", str, default="mixed", where="verify")
+    directed = get(vdoc, "directed_affine", bool, default=False, where="verify")
     if n_pairs < 1:
         raise ConfigError("verify.n_pairs must be positive")
     if mode != "mixed":
         raise ConfigError(f"verify.mode must be 'mixed', the one pair plan, got '{mode}'")
+    if directed and arch.m != 0:
+        raise ConfigError("verify.directed_affine applies to depth-zero networks")
     x = _verify_input(arch, vdoc, seed)
     with np.errstate(over="ignore"):  # an overflowing norm is inf, rejected here
         s = float(np.linalg.norm(x))
@@ -321,22 +328,14 @@ def cmd_verify(cfg: dict, args, out: Path) -> int:
 
     cert_path = get(vdoc, "certificate_path", str, default=None, where="verify")
     if cert_path is not None:
-        doc = load_config(cert_path, kind="certificate")
-        cert_l_n = get(doc, "l_n_final", float, where="certificate")
-        cert_l_grad = get(doc, "l_grad_n_final", float, where="certificate")
-        for key, v in (("l_n_final", cert_l_n), ("l_grad_n_final", cert_l_grad)):
-            if not v >= 0.0:  # NaN too; +inf passes to the --allow-inf gate
-                raise ConfigError(f"certificate: key '{key}' must be nonnegative, got {v}")
+        cert_l_n, cert_l_grad = read_certificate(cert_path, arch, inputs, s)
     else:
         nb = network_certificate(arch, inputs, s)
         cert_l_n, cert_l_grad = nb.l_n, nb.l_grad_n
     _gate([cert_l_n, cert_l_grad], args.allow_inf, "verify")
 
-    cid = _config_id(cfg)
     b = inputs.b_omega
     n_params = arch.n_params
-    rows: list[tuple] = []
-
     # a net that overflows shows it as a non-finite quotient in soundness.csv,
     # so the numpy warnings of its sampled maps are silenced here and only
     # here, on both threads; L_grad_N's first pairs are drawn while L_N runs
@@ -355,39 +354,21 @@ def cmd_verify(cfg: dict, args, out: Path) -> int:
             )
         except ValueError as exc:  # a ball too small for two distinct points
             raise ConfigError(f"verify: {exc}") from exc
-    rows.append((cid, "l_n", cert_l_n, est_n.max_ratio, _ratio(cert_l_n, est_n.max_ratio), n_pairs, seed))
-    rows.append((cid, "l_grad_n", cert_l_grad, est_g.max_ratio, _ratio(cert_l_grad, est_g.max_ratio), n_pairs, seed + 1))
-
-    if get(vdoc, "directed_affine", bool, default=False, where="verify"):
-        if arch.m != 0:
-            raise ConfigError("verify.directed_affine applies to depth-zero networks")
+    # (constant, certificate, empirical, pairs, seed), all of the configured net
+    checks = [
+        ("l_n", cert_l_n, est_n.max_ratio, n_pairs, seed),
+        ("l_grad_n", cert_l_grad, est_g.max_ratio, n_pairs, seed + 1),
+    ]
+    if directed:
         lo, hi = directed_affine_pair(arch, x, b)
         f = network_output_map(arch, x)
         quot = float(
             np.linalg.norm(f(hi[None])[0] - f(lo[None])[0]) / np.linalg.norm(hi - lo)
         )
-        rows.append((cid, "directed_affine", cert_l_n, quot, _ratio(cert_l_n, quot), 1, seed))
+        checks.append(("directed_affine", cert_l_n, quot, 1, seed))
 
-    wdoc = get(vdoc, "worst_case", dict, default=None, where="verify")
-    if wdoc is not None:
-        m = get(wdoc, "m", int, where="verify.worst_case")
-        c = get(wdoc, "c", float, where="verify.worst_case")
-        r_sat = get(wdoc, "r_sat", float, where="verify.worst_case")
-        try:
-            wc = worst_case_construction(m, c, r_sat, b)
-            chain = ArchitectureSpec(
-                widths=(1,) * (m + 2),
-                activations=tuple(saturated_linear(c, r_sat) for _ in range(m)),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"verify.worst_case: {exc}") from exc
-        chain_l_n = network_certificate(chain, BoundInputs(b_omega=b), 0.0).l_n
-        dth = flatten_params(wc.theta) - flatten_params(wc.theta_tilde)
-        quot = abs(
-            chain_output(wc.theta, wc.activation) - chain_output(wc.theta_tilde, wc.activation)
-        ) / float(np.linalg.norm(dth))
-        rows.append((cid, "worst_case_ratio", chain_l_n, quot, _ratio(chain_l_n, quot), 1, seed))
-
+    cid = _config_id(cfg)
+    rows = [(cid, name, cert, emp, _ratio(cert, emp), n, sd) for name, cert, emp, n, sd in checks]
     return _soundness_report("verify", cfg, args, out, "soundness.csv", rows)
 
 

@@ -24,6 +24,7 @@ from .bounds import (
     ArchitectureSpec,
     BoundInputs,
     Certificate,
+    Covers,
     LossEnvelope,
     RefinementSearch,
     SampleMoments,
@@ -56,6 +57,7 @@ __all__ = [
     "fmt",
     "load_config",
     "loss_needs_output_bound",
+    "read_certificate",
     "replace_text",
     "resolve_loss_envelope",
     "write_csv",
@@ -312,14 +314,26 @@ def build_field_envelopes(doc: dict, where: str = "envelopes") -> FieldEnvelopes
 # serialization
 
 
+def _covers_to_dict(covers: Covers) -> dict:
+    return {
+        "widths": list(covers.widths),
+        # each envelope's fields: kind, sigma_max, sigma_p_max, sigma_pp_max, relu_epsilon
+        "activations": [dict(vars(e)) for e in covers.envelopes],
+        "b_omega": covers.b_omega,
+        "input_norm": covers.input_norm,
+    }
+
+
 def certificate_to_dict(cert: Certificate) -> dict:
     """Certificate document; without a loss head the l_phi keys are null.
 
     Only a refined certificate has the lower_estimate and gap keys.
+    read_certificate reads the document back.
     """
     return {
         "kind": "network_certificate" if cert.l_phi is None else "network_loss_certificate",
         "method": cert.method,
+        "covers": _covers_to_dict(cert.covers),
         "l_n_final": cert.l_n_final,
         "l_grad_n_final": cert.l_grad_n_final,
         "l_phi": cert.l_phi,
@@ -336,6 +350,39 @@ def certificate_to_dict(cert: Certificate) -> dict:
         "flags": list(cert.flags),
         "inputs_digest": cert.inputs_digest,
     }
+
+
+def read_certificate(
+    path: str, arch: ArchitectureSpec, inputs: BoundInputs, s: float
+) -> tuple[float, float]:
+    """(l_n_final, l_grad_n_final) of a certificate document, for arch on
+    the ball of inputs at input norm s.
+
+    The document must state what it covers: arch's widths and activation
+    envelopes, and a ball and an input norm at least as large as the run's.
+    Its constants then hold for the run too; any other document is refused.
+    """
+    doc = load_config(path, kind="certificate")
+    l_n = get(doc, "l_n_final", float, where="certificate")
+    l_grad_n = get(doc, "l_grad_n_final", float, where="certificate")
+    for key, v in (("l_n_final", l_n), ("l_grad_n_final", l_grad_n)):
+        if not v >= 0.0:  # NaN too; +inf passes to the --allow-inf gate
+            raise ConfigError(f"certificate: key '{key}' must be nonnegative, got {v}")
+    have = get(doc, "covers", dict, default=None, where="certificate")
+    if have is None:
+        raise ConfigError("certificate: no 'covers' entry, so the network it bounds is unknown")
+    want = _covers_to_dict(Covers.of(arch, inputs, s))
+    if have.get("widths") != want["widths"]:
+        raise ConfigError(
+            f"certificate: covers widths {have.get('widths')}, not the run's {want['widths']}"
+        )
+    if have.get("activations") != want["activations"]:
+        raise ConfigError("certificate: covers other activation kinds or envelopes than the run's")
+    for key in ("b_omega", "input_norm"):
+        v = get(have, key, float, where="certificate.covers")
+        if not v >= want[key]:  # NaN too
+            raise ConfigError(f"certificate: covers {key} {v!r}, below the run's {want[key]!r}")
+    return l_n, l_grad_n
 
 
 def code_certificate_to_dict(cert: CodeCertificate) -> dict:

@@ -16,6 +16,7 @@ import pytest
 from lipcert import (
     ArchitectureSpec,
     BoundInputs,
+    Control,
     NetworkObjective,
     SquaredError,
     bounds,
@@ -28,6 +29,7 @@ from lipcert import (
     loss_head_envelopes,
     sample_in_ball,
     tanh,
+    total_variation,
 )
 
 from conftest import CODE_LINEAR, COMMAND_RUNS
@@ -54,6 +56,24 @@ NO_LOSS = {
 # certificate_closed_form.json for NO_LOSS, pinned byte for byte
 NO_LOSS_CLOSED_FORM = """{
   "b_grad_phi": null,
+  "covers": {
+    "activations": [
+      {
+        "kind": "tanh",
+        "relu_epsilon": 0.0,
+        "sigma_max": 1.0,
+        "sigma_p_max": 1.0,
+        "sigma_pp_max": 0.769800358919501
+      }
+    ],
+    "b_omega": 1.0,
+    "input_norm": 1.0,
+    "widths": [
+      2,
+      3,
+      1
+    ]
+  },
   "flags": [],
   "inputs_digest": "cf621b7ea0193443",
   "kind": "network_certificate",
@@ -112,6 +132,40 @@ DEEP_MIXED = {
 
 DEEP_MIXED_REFINED = """{
   "b_grad_phi": 5.092771225391198,
+  "covers": {
+    "activations": [
+      {
+        "kind": "tanh",
+        "relu_epsilon": 0.0,
+        "sigma_max": 1.0,
+        "sigma_p_max": 1.0,
+        "sigma_pp_max": 0.769800358919501
+      },
+      {
+        "kind": "saturated_linear",
+        "relu_epsilon": 0.0,
+        "sigma_max": 2.8499999999999996,
+        "sigma_p_max": 1.5,
+        "sigma_pp_max": 14.0625
+      },
+      {
+        "kind": "sigmoid",
+        "relu_epsilon": 0.0,
+        "sigma_max": 1.0,
+        "sigma_p_max": 0.25,
+        "sigma_pp_max": 0.09622504486493763
+      }
+    ],
+    "b_omega": 1.5,
+    "input_norm": 1.25,
+    "widths": [
+      3,
+      5,
+      4,
+      6,
+      2
+    ]
+  },
   "flags": [],
   "gap": 0.24739017493962268,
   "inputs_digest": "7ade9161ed7e0feb",
@@ -182,18 +236,18 @@ MOMENTS_AFFINE = {
 # sha256 of every report of these runs, pinned byte for byte
 PINNED_REPORTS = {
     "sample_norms_certify": (["certify"], SAMPLE_NORMS, {
-        "certificate_closed_form.json": "b47437389f4034afa645a298bb11f58815703f3eab384ae2407a0ef49caff776",
-        "certificate_recursive.json": "f42a1ede0527a668fc668447515ad6489bae69f08a7e6452481d7b72ac6354f8",
-        "certificate_refined.json": "a043de181a0a36900bfa0e07a2606333f694b53c4ae1eca04c32600f644160ef",
+        "certificate_closed_form.json": "a6ea192bc22f90fd01f8387711785a0db5b904e2aabfb110a5effd1abeff1f95",
+        "certificate_recursive.json": "ac1bece9f3744f0ae9a753e1181227705728faf695e59014bf9fc11041abce4b",
+        "certificate_refined.json": "c32841da23cb99a90c625bbd46526a36a711963dfe61c7caeaa4bcafd90b8d14",
         "run_meta.json": "59e7d1804a441f90bcf671eea09d969bef901301f521789a0e717769fc84a771",
     }),
     "sample_norms_train": (["train"], SAMPLE_NORMS, {
-        "certificate.json": "9f015d36b969235a12bf9b26ae5501e5bf953e4dc27a5132c1bc2a27fd7078e4",
+        "certificate.json": "6b865e2d36a4f6bb659bf5be8d2f7b3d97cadda2c55962992bd3885efb3cb291",
         "run_meta.json": "30d0f4cdd35eb8a62766402159fbea436bbaf5d5255571f63b93dfc094b59d68",
         "trace.csv": "8b20b5226dd89e3c082d81ed62683686780d2cc59777d75bde25e7b03e78d844",
     }),
     "moments_affine_certify": (["certify"], MOMENTS_AFFINE, {
-        "certificate_recursive.json": "868c739659d538858297b65bb592df917d7e6ec683d0249dc6763c4c7b50b5eb",
+        "certificate_recursive.json": "fdff636e6c35733a81efb3e363acd7916d0423bc46f035e1d23ac7676fc1f42a",
         "run_meta.json": "ce7d171da7554fac1cbb5bc599154927db3a26ba2433414125b9036ab8d56760",
     }),
 }
@@ -214,9 +268,9 @@ SMOOTHED_RELU_TANH = {
 }
 OVERFLOW_PINS = {
     "squared_error": (SMOOTHED_RELU_TANH, {
-        "certificate_closed_form.json": "533142fba44b47a212b573ec45f8e86b3bd8712ff035e880f762d62dba0bd905",
-        "certificate_recursive.json": "f56522d206fe049d52d2f74fbac3b902d1bdfeecba95e4153ac11d05dddb7dd3",
-        "certificate_refined.json": "a9213b0615c0fa4a65617842215d2059ff4454af936d4f1533649ed220d40f40",
+        "certificate_closed_form.json": "90e83c0f2e80ade6011c819b478053e95150005aa9c282bef85765261a5fbb5e",
+        "certificate_recursive.json": "71ba8bf8a5f0d40f5ee37ea1e0467063827af49013bc3a7abd8efbfd0adf8c42",
+        "certificate_refined.json": "e4b115d6eee98c48b63d2a40354f32bd1e2ccd88367e37c93031a58268250ca2",
         "run_meta.json": "64c0c6dad23cac8f1d2a225a910ca6098c87c2739d3f4efcec320cb192fe5d11",
         "stdout": "162ca26883d1e23f5f014328f2f4d42213c7c3f1743efef35fc80f7b4f5bf16c",
     }),
@@ -225,9 +279,9 @@ OVERFLOW_PINS = {
         "bounds": {**SMOOTHED_RELU_TANH["bounds"], "b_omega": 1e40},
         "loss": {"kind": "pseudo_huber", "delta": 1.0},
     }, {
-        "certificate_closed_form.json": "0bd4b9614338f5ba2ff5794475791bdcfb20075f17ffd31228535b71b1786c1d",
-        "certificate_recursive.json": "6efdeb3278e70a67886a6bf6cb13ab96d34dc45e459364614d135733de7d3a0a",
-        "certificate_refined.json": "cf1f4f8dd3a7af0fda0ee921c650fac30bc5ae82436c120e908d9df4a1738ac6",
+        "certificate_closed_form.json": "a47e34934e6f731f08bbec055c07858ae17160cccf1643d7f62a588941a8543b",
+        "certificate_recursive.json": "04adcc660947516bef17d042e3ab6eeed951d2883e4fe411efeb05a6dc69f183",
+        "certificate_refined.json": "c49ac1e4452499c75dc8f7fdccf5527984aa6d5d292b5f47d9c768f191945d9c",
         "run_meta.json": "66e9d6220104a11e0f7ee9a67bf2851ed41b02e12c51d761ed7acc18cd790a9a",
         "stdout": "89fa5c1742c1fec7712f008ca490e739a7ca3b272be4dd49747489031f5ca8ec",
     }),
@@ -266,9 +320,9 @@ MANY_NORMS_TRAIN = {
 # sha256 of every report and of the printed table, pinned byte for byte
 MANY_NORMS_PINS = {
     "certify": (["certify", "--allow-inf"], MANY_NORMS, {
-        "certificate_closed_form.json": "46edcdf05c4b99a37d839306e50a28d0ffb69d751bc8555b2e8ba7239105feb1",
-        "certificate_recursive.json": "1c656dc3f557de38c943bfe9b0a85bdb59455608e00a9077c676ee78cff9f4f2",
-        "certificate_refined.json": "3994d98ca2b4f3441ec10ef4935dd4b16529d795d41e4e6865707fc70a914b5d",
+        "certificate_closed_form.json": "078a53ad66a44408f5ec5829ac0f0cd52f834a5f89840318234a7926f6f732e6",
+        "certificate_recursive.json": "1e4097e483ff66871bc61648f112b5dc32eddfbe492d073873855166d27d68b8",
+        "certificate_refined.json": "4e6ce3b5622c4436688537e9c37f6e9c716e863a68f3efbc6f6f2942005f9cd1",
         "run_meta.json": "473bdd6892541a481f9c4947b14da3b96e4ed12ccc1d29502f8f914f2d52c95c",
         "stdout": "065fc910fe7bfc38406f0fcc0201280bc7a52d33d9dbcaee13826251d05d90f3",
     }),
@@ -277,14 +331,14 @@ MANY_NORMS_PINS = {
         "bounds": {"b_omega": 1e40},
         "loss": {"kind": "pseudo_huber", "delta": 1.0},
     }, {
-        "certificate_closed_form.json": "ac438d4e6d94aaf65d7e057178a0ed58b9e27184abacb40755281841f8ffaa0a",
-        "certificate_recursive.json": "38cded62f752d58e69d3bb99cc8ea819a5cd89b962e51a4d9e4f4f0f7682f3ef",
-        "certificate_refined.json": "594dd85693b7908e3641d2bf4ef6e8b0848472ef7591cc07c6778f04e9056e09",
+        "certificate_closed_form.json": "f608aa2ecb1693eb7d0d490b27241705172fbc632544aad933d244a8bbf2e1fa",
+        "certificate_recursive.json": "08216f22902e2f6d556ba62af75afa184aff7e47fc863a294c09b259817ebf59",
+        "certificate_refined.json": "6be04569ea2f46b589f9f3a5efc1e7ed9de02d1684a4cf95d89eab9c65553e47",
         "run_meta.json": "8993af7ba1922db3608b52410cc3f878b7be64e6fba469abfc8e2ccbead7fbd2",
         "stdout": "1981c3101efe143efcb0823a0be25ad4bf08cb2a13919b9cc520583d2be59d6c",
     }),
     "train_gd": (["train"], MANY_NORMS_TRAIN, {
-        "certificate.json": "3e627e2703946304b73cb1c2bbcf8eecadf00a9118c89525bfced65d9cf9df71",
+        "certificate.json": "3aa3d3ce479d95aa8821debce21af0434d4a690f88cab952968871363ca375d9",
         "run_meta.json": "82a9f46caa55f9d631da613ecd691afea282e02a18ef48cf372269fa0c18f983",
         "trace.csv": "0d88e4039f3c67eb46d2e50f0a001b3cc1a1c00532ba29d4bfdf2869ba7b3974",
         "stdout": "f8e7ccfb90b1952d2ee9543b4c1364955810f748788d19ff77f1ed655a3773f8",
@@ -293,7 +347,7 @@ MANY_NORMS_PINS = {
         **MANY_NORMS_TRAIN,
         "train": {**MANY_NORMS_TRAIN["train"], "algorithm": "adagrad_norm", "batch_size": 8},
     }, {
-        "certificate.json": "3e627e2703946304b73cb1c2bbcf8eecadf00a9118c89525bfced65d9cf9df71",
+        "certificate.json": "3aa3d3ce479d95aa8821debce21af0434d4a690f88cab952968871363ca375d9",
         "run_meta.json": "54fbe354583f8209c5d20178d5a6c2cd44f9e90ac548204fc89757a2ab665eea",
         "trace.csv": "372f2b3f81f6b331a2f087ed7ffc9ff56be19a3b510ca6dad1deae26793feaf2",
         "stdout": "d71fb58d79f12b90a9f4ecb9fc153eb0f25f2b9c8924182c8555e0d3ab8292bf",
@@ -892,6 +946,116 @@ class TestConfigErrors:
         assert exc.value.code == 2
 
 
+def edited(command: str, section: str, **changes) -> dict:
+    """COMMAND_RUNS[command]'s config with keys of section set, or removed
+    where the value is None."""
+    doc = json.loads(json.dumps(COMMAND_RUNS[command][1]))
+    for key, value in changes.items():
+        if value is None:
+            doc[section].pop(key, None)
+        else:
+            doc[section][key] = value
+    return doc
+
+
+# command, config, exit code and stderr line of every refusal below
+REFUSALS = {
+    "certify-no-norms": ("certify", edited("certify", "bounds", sample_norms=None), 2,
+                         "certify needs bounds.sample_norms, bounds.moments, or a dataset"),
+    "certify-moments-no-loss": (
+        "certify",
+        {**NO_LOSS, "bounds": {"b_omega": 1.0, "moments": {"e_s2": 1.0, "e_s4": 1.0}}},
+        2, "certify without a loss section needs explicit sample norms",
+    ),
+    "verify-no-pairs": ("verify", edited("verify", "verify", n_pairs=0), 2, "verify.n_pairs must be positive"),
+    "verify-directed-hidden": ("verify", edited("verify", "verify", directed_affine=True), 2,
+                               "verify.directed_affine applies to depth-zero networks"),
+    "train-algorithm": ("train", edited("train", "train", algorithm="sgd"), 2,
+                        "train.algorithm must be gd or adagrad_norm, got 'sgd'"),
+    "train-steps": ("train", edited("train", "train", steps=0), 2, "train.steps must be positive"),
+    "train-envelope-loss": ("train", edited("train", "loss", kind="envelope", g_p_max=1.0, g_pp_max=1.0), 2,
+                            "train needs a trainable loss kind (squared_error or pseudo_huber)"),
+    "train-overflow": (
+        "train",
+        {
+            **edited("train", "bounds", b_omega=1e160),
+            "architecture": {"widths": [2, 8, 8, 8, 8, 1], "activations": ["tanh"] * 4},
+            "loss": {"kind": "pseudo_huber", "delta": 1.0},
+        },
+        3, "certificate overflowed: no finite certified step size exists",
+    ),
+    "code-field": ("code certify", edited("code certify", "code", field="nope"), 2,
+                   "code.field must be one of ['linear_scalar'], got 'nope'"),
+    "code-no-envelopes": ("code certify", edited("code certify", "code", envelopes=None), 2,
+                          "code: need 'envelopes' or a built-in 'field' with envelopes"),
+    "code-no-budget": ("code certify", edited("code certify", "code", b_upsilon=None), 2,
+                       "code: need 'b_upsilon' or a 'control' section"),
+    "code-negative-budget": ("code certify", edited("code certify", "code", b_upsilon=-1.0), 2,
+                             "code.b_upsilon must be nonnegative"),
+    "code-infinite-budget": ("code certify", edited("code certify", "code", b_upsilon=math.inf), 2,
+                             "code: b_upsilon must be finite and nonnegative"),
+    "code-infinite-x-norm": ("code certify", edited("code certify", "code", x_norm=math.inf), 2,
+                             "code: x_norm must be finite and nonnegative"),
+    "code-no-x-norm": ("code certify", edited("code certify", "code", x_norm=None), 2,
+                       "code: need 'x_norm' or an explicit 'x'"),
+    "code-negative-x-norm": ("code certify", edited("code certify", "code", x_norm=-1.0), 2,
+                             "code.x_norm must be nonnegative"),
+    "code-squared-error": (
+        "code certify", {**COMMAND_RUNS["code certify"][1], "loss": {"kind": "squared_error", "target_bound": 1.0}},
+        2, "code loss bounds need kind 'envelope' or 'pseudo_huber' (squared_error has no certified output bound here)",
+    ),
+    "code-no-norms": (
+        "code certify", {**COMMAND_RUNS["code certify"][1], "loss": {"kind": "pseudo_huber", "delta": 1.0}},
+        2, "code loss bounds need 'sample_norms' or 'moments'",
+    ),
+    "code-bad-moment": (
+        "code certify",
+        {**edited("code certify", "code", moments={"two": 1.0}), "loss": {"kind": "pseudo_huber", "delta": 1.0}},
+        2, "code.moments: bad entry 'two': 1.0",
+    ),
+    "code-verify-no-field": ("code verify", edited("code verify", "code", field=None, envelopes={}), 2,
+                             "code verify needs a built-in 'field' to integrate"),
+    "code-verify-no-control": ("code verify", edited("code verify", "code", control=None), 2,
+                               "code verify needs a 'control' section"),
+    "code-verify-no-x": ("code verify", edited("code verify", "code", x=None), 2, "code verify needs an explicit 'x'"),
+    "code-verify-no-box": ("code verify", edited("code verify", "code", theta_box=None), 2,
+                           "code verify needs theta_box = [low, high]"),
+    "code-verify-inverted-box": ("code verify", edited("code verify", "code", theta_box=[[1.0], [-1.0]]), 2,
+                                 "code.theta_box: high must dominate low"),
+    "code-verify-one-sample": ("code verify", edited("code verify", "code", n_samples=1), 2,
+                               "code.n_samples must be at least 2"),
+    "equivalence-no-nets": ("code equivalence", edited("code equivalence", "code", n_nets=0), 2,
+                            "code equivalence: sizes must be positive"),
+    "equivalence-no-width": ("code equivalence", edited("code equivalence", "code", max_width=0), 2,
+                             "code equivalence: sizes must be positive"),
+    "equivalence-negative-depth": ("code equivalence", edited("code equivalence", "code", max_hidden=-1), 2,
+                                   "code equivalence: sizes must be positive"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_refusal_names_its_cause_and_writes_nothing(tmp_path, capsys, name):
+    command, doc, code, message = REFUSALS[name]
+    argv, _ = COMMAND_RUNS[command]
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == code
+    assert capsys.readouterr().err == (f"error: {message}\n" if code == 2 else f"{message}\n")
+    assert not any(out.iterdir())
+
+
+def test_equivalence_over_tolerance_exits_four(tmp_path, capsys):
+    # the jump encoding rounds differently from the dense forward pass, so
+    # no tolerance at all is exceeded; the reports are written first
+    argv, _ = COMMAND_RUNS["code equivalence"]
+    doc = edited("code equivalence", "code", tolerance=0.0)
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "equivalence violated: jump semantics diverge from the dense network\n"
+    assert sorted(p.name for p in out.iterdir()) == ["equivalence.csv", "run_meta.json"]
+    rows = (out / "equivalence.csv").read_text().split("\n")[1:-1]
+    assert max(float(r.split(",")[2]) for r in rows) > 0.0
+
+
 class TestOverflow:
     CFG = {
         "architecture": {
@@ -1002,10 +1166,12 @@ class TestVerify:
 
     def test_corrupted_certificate_is_falsified(self, tmp_path):
         # an affine network reaches its certificate exactly along the
-        # aligned direction, so a halved certificate must fail
+        # aligned direction, so a halved certificate must fail; it states
+        # that it covers this net (||x|| rounds to 3.0000000000000004)
         half = math.sqrt(10.0) / 2.0
+        covers = {"widths": [2, 1], "activations": [], "b_omega": 1.0, "input_norm": 3.5}
         (tmp_path / "halved.json").write_text(
-            json.dumps({"l_n_final": half, "l_grad_n_final": 0.5})
+            json.dumps({"l_n_final": half, "l_grad_n_final": 0.5, "covers": covers})
         )
         cfg = write_cfg(
             tmp_path,
@@ -1026,6 +1192,108 @@ class TestVerify:
         assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 4
         body = (out / "soundness.csv").read_text().strip().split("\n")[1:]
         assert any(float(r.split(",")[4]) < 1.0 for r in body)
+
+    # a smoothed ramp, so that another delta is another net; ||x|| is exactly 1
+    COVERED = {
+        "name": "covered",
+        "seed": 3,
+        "architecture": {"widths": [2, 3, 1], "activations": [{"kind": "smoothed_relu", "delta": 0.5}]},
+        "bounds": {"b_omega": 1.0, "sample_norms": [1.0]},
+        "verify": {"n_pairs": 200, "x": [1.0, 0.0]},
+    }
+
+    @staticmethod
+    def certified(tmp_path, doc, name="cert"):
+        """The certificate_recursive.json that certify writes for doc."""
+        out = tmp_path / name
+        assert cli.main(["certify", "--config", write_cfg(tmp_path, doc, f"{name}.json"), "--out", str(out)]) == 0
+        return out / "certificate_recursive.json"
+
+    @staticmethod
+    def verify_with(tmp_path, monkeypatch, doc, cert_path):
+        """(exit code, estimates run) of verify on doc tested against cert_path."""
+        estimates = []
+        real = cli.empirical_lipschitz
+        monkeypatch.setattr(cli, "empirical_lipschitz", lambda *a, **kw: estimates.append(a) or real(*a, **kw))
+        doc = {**doc, "verify": {**doc["verify"], "certificate_path": str(cert_path)}}
+        out = tmp_path / "out"
+        code = cli.main(["verify", "--config", write_cfg(tmp_path, doc, "verify.json"), "--out", str(out)])
+        return code, len(estimates)
+
+    def test_certificate_of_another_net_is_refused(self, tmp_path, capsys, monkeypatch):
+        # a (2,8,8,1) certificate at b_omega 3 passed verify on the shipped (2,3,1) net
+        other = {
+            "architecture": {"widths": [2, 8, 8, 1], "activations": ["tanh", "tanh"]},
+            "bounds": {"b_omega": 3.0, "sample_norms": [1.0]},
+        }
+        cert = self.certified(tmp_path, other)
+        assert round(json.loads(cert.read_text())["l_n_final"], 2) == 15.87
+        capsys.readouterr()
+        shipped = json.loads((Path(__file__).parents[1] / "configs" / "tanh_231.json").read_text())
+        assert self.verify_with(tmp_path, monkeypatch, shipped, cert) == (2, 0)
+        assert capsys.readouterr().err == "error: certificate: covers widths [2, 8, 8, 1], not the run's [2, 3, 1]\n"
+        assert not any((tmp_path / "out").iterdir())
+
+    def test_own_certificate_gives_the_pinned_report(self, tmp_path, monkeypatch):
+        # certify's recursive certificate at the largest sample norm, 1, covers
+        # verify's input of norm 1: the rows are those of verify's own recursion
+        shipped = json.loads((Path(__file__).parents[1] / "configs" / "tanh_231.json").read_text())
+        cert = self.certified(tmp_path, {k: v for k, v in shipped.items() if k != "refine"})
+        assert self.verify_with(tmp_path, monkeypatch, shipped, cert) == (0, 1)
+        assert (tmp_path / "out" / "soundness.csv").read_text() == self.SHIPPED_SOUNDNESS
+
+    def test_certificate_of_a_larger_ball_and_norm_is_accepted(self, tmp_path, monkeypatch):
+        cert = self.certified(tmp_path, {**self.COVERED, "bounds": {"b_omega": 2.0, "sample_norms": [2.0]}})
+        assert self.verify_with(tmp_path, monkeypatch, self.COVERED, cert) == (0, 1)
+        doc = json.loads(cert.read_text())
+        rows = (tmp_path / "out" / "soundness.csv").read_text().split("\n")[1:-1]
+        assert [float(r.split(",")[2]) for r in rows] == [doc["l_n_final"], doc["l_grad_n_final"]]
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"bounds": {"b_omega": 0.5, "sample_norms": [1.0]}}, "covers b_omega 0.5, below the run's 1.0"),
+            ({"bounds": {"b_omega": 1.0, "sample_norms": [0.5]}}, "covers input_norm 0.5, below the run's 1.0"),
+            (
+                {"architecture": {"widths": [2, 3, 1], "activations": [{"kind": "smoothed_relu", "delta": 0.25}]}},
+                "covers other activation kinds or envelopes than the run's",
+            ),
+            (None, "no 'covers' entry, so the network it bounds is unknown"),
+        ],
+        ids=["smaller_radius", "smaller_norm", "other_delta", "no_covers"],
+    )
+    def test_certificate_that_does_not_cover_the_run_is_refused(
+        self, tmp_path, capsys, monkeypatch, change, message
+    ):
+        cert = self.certified(tmp_path, {**self.COVERED, **(change or {})})
+        if change is None:
+            doc = json.loads(cert.read_text())
+            del doc["covers"]
+            cert.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert self.verify_with(tmp_path, monkeypatch, self.COVERED, cert) == (2, 0)
+        assert capsys.readouterr().err == f"error: certificate: {message}\n"
+        assert not any((tmp_path / "out").iterdir())
+
+    def test_zero_input_norm_verifies_at_the_origin(self, tmp_path):
+        # an affine net at x = 0 moves only its bias: every quotient is 1, the
+        # certificate sqrt(0 + 1)
+        doc = {**TRIVIAL, "verify": {"n_pairs": 100, "input_norm": 0.0}}
+        out = tmp_path / "out"
+        assert cli.main(["verify", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+        row = (out / "soundness.csv").read_text().split("\n")[1].split(",")
+        assert row[1:4] == ["l_n", "1", "1"]
+
+    def test_worst_case_chain_is_refused(self, tmp_path, capsys, monkeypatch):
+        # the chain is another net than the configured one, with a certificate of a third
+        argv, doc = COMMAND_RUNS["verify"]
+        doc = {**doc, "verify": {**doc["verify"], "worst_case": {"m": 3, "c": 1.0, "r_sat": 50.0}}}
+        TestConfigErrors.assert_fails_before_any_recursion(
+            tmp_path, capsys, monkeypatch, doc,
+            "verify.worst_case is not supported: its saturated chain is another network than"
+            " the configured one; lipcert.worst_case_construction builds its pair",
+            argv,
+        )
 
     # soundness.csv of the shipped config, pinned byte for byte: the
     # certificate column is the recursion's, the empirical column is the
@@ -1271,6 +1539,36 @@ class TestTrain:
 
 
 class TestCodeCommands:
+    # a piecewise density (breaks and values) with two jumps; its variation
+    # is 0.5 * 1 + 0.5 * 0.5 + 0.3 + 0.2
+    PIECEWISE = {"t_final": 1.0, "density_breaks": [0.0, 0.5, 1.0], "density_values": [1.0, -0.5],
+                 "jumps": [[0.25, 0.3], [0.75, -0.2]]}
+
+    def test_piecewise_control_with_jumps(self, tmp_path):
+        control = Control(1.0, ((0.25, 0.3), (0.75, -0.2)), (0.0, 0.5, 1.0), (1.0, -0.5))
+        assert total_variation([control]) == pytest.approx(1.25, rel=1e-15)
+        doc = {**CODE_LINEAR, "code": {**CODE_LINEAR["code"], "control": self.PIECEWISE, "n_samples": 50}}
+        cfg = write_cfg(tmp_path, doc)
+        for sub in ("certify", "verify"):
+            assert cli.main(["code", sub, "--config", cfg, "--out", str(tmp_path / sub)]) == 0
+        cert = json.loads((tmp_path / "certify" / "code_certificate.json").read_text())
+        assert cert["b_upsilon"] == total_variation([control])
+        # verify certifies at the control it integrates, which is the same one
+        rows = (tmp_path / "verify" / "code_soundness.csv").read_text().split("\n")[1:-1]
+        assert {r.split(",")[1]: float(r.split(",")[2]) for r in rows[:2]} == {"b_x": cert["b_x"], "l_x": cert["l_x"]}
+
+    def test_pseudo_huber_scales_with_the_state_dimension(self, tmp_path):
+        # the loss gradient bound is delta * sqrt(dim_state), so dim 4 doubles l_phi
+        l_phi = {}
+        for dim in (1, 4):
+            code = {**CODE_LINEAR["code"], "sample_norms": [0.5, 1.0], "dim_state": dim}
+            doc = {"name": "pseudo-huber", "code": code, "loss": {"kind": "pseudo_huber", "delta": 1.0}}
+            out = tmp_path / f"dim{dim}"
+            assert cli.main(["code", "certify", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+            l_phi[dim] = json.loads((out / "code_certificate.json").read_text())["l_phi"]
+        assert l_phi[1] > 0.0
+        assert l_phi[4] == 2.0 * l_phi[1]
+
     def test_zero_field_certificate(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path,

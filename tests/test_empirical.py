@@ -518,7 +518,9 @@ class TestWorstCaseChain:
                 widths=(1,) * (m + 2), activations=(pair.activation,) * m
             )
             cert = network_certificate(arch, BoundInputs(b_omega=1.0), 0.0)
-            assert pair.exact_ratio <= cert.l_n
+            # the chain ends at its last activation, so its own certificate is
+            # the last hidden layer's, not the one with the identity head
+            assert pair.exact_ratio <= cert.per_layer[-1].l_n
 
     def test_saturation_radius_must_clear_the_chain(self):
         with pytest.raises(ValueError):

@@ -5,9 +5,11 @@ config; nothing imports cli; every import sits at module level, so the
 dependency graph is the one the module headers show; and every imported
 name is used.  A fresh interpreter that imports the CLI loads no
 concurrent.futures, which would add about 5 ms to every command's start.
+Every config key the CLI reads is given by some test or shipped config.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -110,3 +112,42 @@ def test_cli_start_loads_no_concurrent_futures():
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert run.stdout == "[]\n"
+
+
+def config_keys_read(path: Path) -> set[str]:
+    """The literal keys of every get or get_seed call in path."""
+    return {
+        node.args[1].value
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("get", "get_seed")
+        and len(node.args) > 1
+        and isinstance(node.args[1], ast.Constant)
+        and isinstance(node.args[1].value, str)
+    }
+
+
+def json_keys(doc) -> set[str]:
+    if isinstance(doc, dict):
+        return set(doc).union(*map(json_keys, doc.values()))
+    if isinstance(doc, list):
+        return set().union(*map(json_keys, doc))
+    return set()
+
+
+def test_every_config_key_is_given_somewhere():
+    # a key that no test config or shipped config quotes is an option that
+    # nothing runs, such as a row of verify that no test ever asked for
+    quoted = set()
+    for path in sorted(TESTS.glob("*.py")):
+        if path.name != Path(__file__).name:
+            quoted |= {
+                node.value for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            }
+    for path in sorted((TESTS.parent / "configs").glob("*.json")):
+        quoted |= json_keys(json.loads(path.read_text()))
+    read = config_keys_read(PACKAGE / "cli.py") | config_keys_read(PACKAGE / "config.py")
+    assert len(read) > 50
+    assert sorted(read - quoted) == []
