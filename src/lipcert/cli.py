@@ -5,13 +5,11 @@ Every command reads one JSON config, writes machine-readable reports into
 the resolved config and its digest, and prints a short human table.  Outputs
 contain no timestamps or environment state, so a rerun with the same config
 and seed is byte-identical.  Only verify uses a second thread, and only
-for large work: it draws the first pass of its second estimate's pairs
-there while the first estimate runs, when those pairs take 384 KiB or
-more, and it maps the upper half of the rows of every map call with 2 MiB
-or more of output there (Jacobian calls of large nets).  Smaller work
-stays on one thread, where a thread would cost more than it saves.  Every
-report is that of a serial run.  --threads is still accepted and changes
-no byte.
+for large work: it maps the upper half of the rows of every map call with
+2 MiB or more of output there (Jacobian calls of large nets).  Smaller
+calls stay on one thread, where a thread would cost more than it saves.
+Every report is that of a serial run.  --threads is still accepted and
+changes no byte.
 
 Exit codes: 0 ok, 2 config/usage error, 3 certificate overflowed to infinity
 without --allow-inf, 4 soundness or equivalence violation (the falsification
@@ -297,7 +295,14 @@ def _verify_input(arch, vdoc, seed: int) -> np.ndarray:
         return np.zeros(arch.widths[0])
     rng = np.random.default_rng(seed)
     d = rng.standard_normal(arch.widths[0])
-    return d / np.linalg.norm(d) * s
+    x = d / np.linalg.norm(d) * s
+    # the scaling can round ||x|| above s, outside the radius that a
+    # certificate at s covers: such an x shrinks an ulp at a time (a norm
+    # that overflows is refused by the caller)
+    with np.errstate(over="ignore"):
+        while s < np.linalg.norm(x) < math.inf:
+            x = np.nextafter(x, 0.0)
+    return x
 
 
 def cmd_verify(cfg: dict, args, out: Path) -> int:
@@ -336,28 +341,28 @@ def cmd_verify(cfg: dict, args, out: Path) -> int:
 
     b = inputs.b_omega
     n_params = arch.n_params
+    l_out = arch.widths[-1]
     # a net that overflows shows it as a non-finite quotient in soundness.csv,
     # so the numpy warnings of its sampled maps are silenced here and only
-    # here, on both threads; L_grad_N's first pairs are drawn while L_N runs
-    l_out = arch.widths[-1]
-    with (
-        np.errstate(over="ignore", invalid="ignore"),
-        FirstPass(n_params, b, n_pairs, seed + 1) as grad_pass,
-    ):
+    # here, on both threads
+    with np.errstate(over="ignore", invalid="ignore"):
         try:
+            # both estimates map the pairs of one draw, which seed replays
+            first = FirstPass(n_params, b, n_pairs, seed)
             est_n = empirical_lipschitz(
-                network_output_map(arch, x), n_params, b, n_pairs, seed, out_width=l_out
+                network_output_map(arch, x), n_params, b, n_pairs, seed,
+                first_pass=first, out_width=l_out,
             )
             est_g = empirical_grad_lipschitz(
-                network_jacobian_map(arch, x), n_params, b, n_pairs, seed + 1,
-                first_pass=grad_pass, out_width=l_out * n_params,
+                network_jacobian_map(arch, x), n_params, b, n_pairs, seed,
+                first_pass=first, out_width=l_out * n_params,
             )
         except ValueError as exc:  # a ball too small for two distinct points
             raise ConfigError(f"verify: {exc}") from exc
     # (constant, certificate, empirical, pairs, seed), all of the configured net
     checks = [
         ("l_n", cert_l_n, est_n.max_ratio, n_pairs, seed),
-        ("l_grad_n", cert_l_grad, est_g.max_ratio, n_pairs, seed + 1),
+        ("l_grad_n", cert_l_grad, est_g.max_ratio, n_pairs, seed),
     ]
     if directed:
         lo, hi = directed_affine_pair(arch, x, b)

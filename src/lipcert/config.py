@@ -65,8 +65,12 @@ __all__ = [
 ]
 
 
-class ConfigError(ValueError):
-    """Invalid or missing configuration; maps to exit code 2."""
+class ConfigError(Exception):
+    """Invalid or missing configuration; maps to exit code 2.
+
+    It is not a ValueError, so a handler that prefixes the errors of a
+    library call with its config location never prefixes one twice.
+    """
 
 
 def load_config(path: str | Path, kind: str = "config") -> dict:
@@ -137,8 +141,9 @@ def build_architecture(cfg: dict) -> ArchitectureSpec:
             if isinstance(a, str):
                 acts.append(make_activation(a))
             elif isinstance(a, dict):
-                kind = get(a, "kind", str, where=f"architecture.activations[{i}]")
-                kwargs = {k: v for k, v in a.items() if k != "kind"}
+                where = f"architecture.activations[{i}]"
+                kind = get(a, "kind", str, where=where)
+                kwargs = {k: get(a, k, (int, float), where=where) for k in a if k != "kind"}
                 acts.append(make_activation(kind, **kwargs))
             else:
                 raise ConfigError(
@@ -241,7 +246,8 @@ def resolve_loss_envelope(
         return _head_envelope(head, dim, math.inf, math.inf)
     given = get(doc, "target_bound", float, default=None, where="loss")
     if given is not None:
-        _head_envelope(head, dim, 0.0, given)  # a bad target_bound fails even below the data's
+        if not 0.0 <= given < math.inf:  # fails even below the data's
+            raise ConfigError(f"loss: key 'target_bound' must be finite and nonnegative, got {given}")
     elif target_bound is None:
         raise ConfigError("loss: squared_error needs 'target_bound' or a dataset")
     tb = max(t for t in (given, target_bound) if t is not None)
@@ -276,6 +282,8 @@ def build_control(doc: dict, where: str = "control") -> Control:
     try:
         t_final = get(doc, "t_final", float, where=where)
         jumps = get(doc, "jumps", list, default=[], where=where)
+        if not all(isinstance(j, list) and len(j) == 2 for j in jumps):
+            raise ConfigError(f"{where}: key 'jumps' must hold [time, size] pairs")
         breaks = get(doc, "density_breaks", list, default=None, where=where)
         values = get(doc, "density_values", list, default=None, where=where)
         density = get(doc, "density", float, default=None, where=where)

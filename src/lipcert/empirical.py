@@ -18,15 +18,14 @@ _MAP_ROW_BYTES of output rows, one side after the other, and takes the
 output distances chunk by chunk, so no whole pass of outputs is held at
 once.
 
-Two kinds of work go to a second thread, each only where it pays for the
-thread's start (about 0.2 ms on 2 cores): a map call with _SPLIT_BYTES or
-more of output maps the upper half of its rows there, and FirstPass draws
-an estimate's first pass there while another estimate runs, when those
-pairs take _FIRST_PASS_BYTES or more.  Such a thread runs under the
-caller's numpy errstate, calls none of this module's public functions,
-and is joined before its work is used.  No output row or pair depends on
-the thread or the chunk that computes it, so every estimate is that of a
-one-thread run.
+A map call with _SPLIT_BYTES or more of output maps the upper half of its
+rows on a second thread, where that pays for the thread's start (about
+0.2 ms on 2 cores).  The thread runs under the caller's numpy errstate,
+calls none of this module's public functions, and is joined before its
+rows are used.  No output row depends on the thread or the chunk that
+computes it, so every estimate is that of a one-thread run.  A FirstPass
+draws an estimate's first pass once, so that estimates of several maps
+with the same pair arguments map the same drawn pairs.
 """
 
 from __future__ import annotations
@@ -214,23 +213,16 @@ def _scale_rows(g: np.ndarray, length: np.ndarray) -> None:
 def _draw_blocks(
     seed: int, first: int, count: int, dim: int, b_omega: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs of blocks first .. first + count - 1 as two (count * PAIR_BLOCK, dim) arrays."""
-    a = np.empty((count * PAIR_BLOCK, dim))
-    b = np.empty_like(a)
-    _draw_into(seed, first, a, b, b_omega)
-    return a, b
-
-
-def _draw_into(seed: int, first: int, a: np.ndarray, b: np.ndarray, b_omega: float) -> None:
-    """Draw the pairs of blocks first, first + 1, ... into the rows of a and b.
+    """Pairs of blocks first .. first + count - 1 as two (count * PAIR_BLOCK, dim) arrays.
 
     Each block reads default_rng([seed, block]) in one fixed order, whatever
     the pairs' kinds: the Gaussian directions of both points, two radial
     uniforms per pair, then a coordinate index and a sign per pair.  The
     pairs are then built in place from the directions.
     """
-    rows, dim = a.shape
-    count = rows // PAIR_BLOCK
+    rows = count * PAIR_BLOCK
+    a = np.empty((rows, dim))
+    b = np.empty_like(a)
     u = np.empty((2, rows))
     coord_j = np.empty(rows, dtype=np.int64)
     coord_up = np.empty(rows, dtype=bool)
@@ -261,59 +253,28 @@ def _draw_into(seed: int, first: int, a: np.ndarray, b: np.ndarray, b_omega: flo
     np.add(b, a, out=b, where=~is_global[:, None])
     rows_c = np.flatnonzero(q == 3)
     b[rows_c, coord_j[rows_c]] += np.where(coord_up[rows_c], step[rows_c], -step[rows_c])
-
-
-_FIRST_PASS_BYTES = 384 << 10
+    return a, b
 
 
 class FirstPass:
-    """The first pass of an estimate's pairs, drawn ahead on a worker thread.
+    """The drawn first pass of an estimate's pairs.
 
-    FirstPass(dim, b_omega, n_pairs, seed) allocates the pairs of the first
-    pass of empirical_lipschitz(f, dim, b_omega, n_pairs, seed) on the
-    calling thread: arrays allocated on a worker come from that thread's
-    malloc arena, which keeps much of their memory after they are freed.
-    If they take _FIRST_PASS_BYTES or more, entering the context starts one
-    thread that draws them, under the entering thread's numpy errstate, and
-    leaving it joins that thread; smaller pairs are drawn on the calling
-    thread when they are taken, because a thread would cost more than it
-    saves.  Given to that call as first_pass, it yields the pairs, and so
-    the estimate, of an inline draw.  An exception of the draw is raised
-    again on the calling thread.
+    FirstPass(dim, b_omega, n_pairs, seed) draws, on the calling thread, the
+    pairs of the first pass of empirical_lipschitz(f, dim, b_omega, n_pairs,
+    seed), read-only.  Given to that call as first_pass, its pairs are
+    mapped instead of drawn again, so the estimate is that of an inline
+    draw.  They are not consumed: one FirstPass serves every estimate made
+    with the same arguments, whatever map each one samples.
     """
 
     def __init__(self, dim: int, b_omega: float, n_pairs: int, seed: int) -> None:
         if n_pairs < 1:
             raise ValueError("n_pairs must be positive")
         self.key = (dim, b_omega, n_pairs, seed)
-        a = np.empty((min(_PASS_BLOCKS, -(-n_pairs // PAIR_BLOCK)) * PAIR_BLOCK, dim))
-        self._pairs: tuple[np.ndarray, np.ndarray] | None = (a, np.empty_like(a))
-        self._draw = partial(_draw_into, seed, 0, *self._pairs, b_omega)
-        self._nbytes = 2 * a.nbytes
-        self._worker: _Worker | None = None
-
-    def __enter__(self) -> FirstPass:
-        if self._nbytes >= _FIRST_PASS_BYTES:
-            self._worker = _Worker(self._draw)
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self._worker is not None:
-            self._worker.join()
-
-    def take(self) -> tuple[np.ndarray, np.ndarray]:
-        """The pass's pairs, once; waits for the draw and raises its exception."""
-        if self._pairs is None:
-            raise ValueError("a first pass is taken only once")
-        # keep no reference to the arrays, which the estimate frees after this pass
-        pairs, self._pairs = self._pairs, None
-        draw, self._draw = self._draw, None
-        worker, self._worker = self._worker, None
-        if worker is None:
-            draw()
-        else:
-            worker.result()
-        return pairs
+        blocks = min(_PASS_BLOCKS, -(-n_pairs // PAIR_BLOCK))
+        self.pairs = _draw_blocks(seed, 0, blocks, dim, b_omega)
+        for p in self.pairs:
+            p.flags.writeable = False
 
 
 _ROW_BLOCK_BYTES = 1 << 20
@@ -387,7 +348,8 @@ def empirical_lipschitz(
     second, in turn, each chunk at most _MAP_ROW_BYTES of output rows of
     out_width floats (dim if not given: a gradient's width).  A first_pass
     made with the same dim, b_omega, n_pairs and seed supplies the first
-    pass's pairs.
+    pass's pairs; pairs of other arguments would break the replay from
+    (seed, argmax_index), so they are refused.
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be positive")
@@ -403,7 +365,7 @@ def empirical_lipschitz(
     n_blocks = -(-n_pairs // PAIR_BLOCK)
     for first in range(0, n_blocks, _PASS_BLOCKS):
         if first == 0 and first_pass is not None:
-            a, b = first_pass.take()
+            a, b = first_pass.pairs
         else:
             a, b = _draw_blocks(seed, first, min(_PASS_BLOCKS, n_blocks - first), dim, b_omega)
         offset = first * PAIR_BLOCK

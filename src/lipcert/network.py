@@ -12,6 +12,7 @@ is numerically differentiated.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -348,7 +349,11 @@ def load_dataset_csv(
     path: str | Path, input_dim: int, target_dim: int
 ) -> tuple[Sample, ...]:
     """Read samples from CSV rows laid out as x columns then y columns."""
-    raw = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+    with warnings.catch_warnings():  # a file of no rows is refused below
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        raw = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+    if len(raw) == 0:
+        raise ValueError("the file has no rows")
     if raw.shape[1] != input_dim + target_dim:
         raise ValueError(
             f"expected {input_dim + target_dim} columns, found {raw.shape[1]}"

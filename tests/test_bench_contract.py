@@ -77,9 +77,8 @@ def test_every_report_byte_goes_through_the_config_writers(monkeypatch, tmp_path
 def test_traced_verify_keeps_every_span_on_the_calling_thread(monkeypatch, tmp_path):
     # 2484 parameters: the output map is called on all 250 rows of a side
     # at once, the Jacobian map (79 KB rows) on chunks of 105, 105 and 40
-    # rows whose upper halves run on a second thread, and L_grad_N's first
-    # pass is drawn on a worker thread; those threads call no traced name,
-    # so the tracer's one span stack stays consistent
+    # rows whose upper halves run on a second thread; those threads call no
+    # traced name, so the tracer's one span stack stays consistent
     mod = load_tracer(monkeypatch)
     tracer = mod.Tracer()
     doc = {
@@ -105,7 +104,7 @@ def test_traced_verify_keeps_every_span_on_the_calling_thread(monkeypatch, tmp_p
             0, lipcert.cli.main, ["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]
         )
     assert code == 0
-    assert len(started) == 1 + 6
+    assert len(started) == 6
     assert threading.active_count() == threads
     layers = mod.by_layer(mod.self_by_name(tracer.spans)[0])
     assert min(layers.values()) >= 0.0

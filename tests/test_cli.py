@@ -1030,14 +1030,92 @@ REFUSALS = {
                              "code equivalence: sizes must be positive"),
     "equivalence-negative-depth": ("code equivalence", edited("code equivalence", "code", max_hidden=-1), 2,
                                    "code equivalence: sizes must be positive"),
+    "config-root": ("certify", [], 2, "config root must be a JSON object"),
+    "bounds-not-object": ("certify", {**COMMAND_RUNS["certify"][1], "bounds": [1.0]}, 2,
+                          "section 'bounds' must be a JSON object"),
+    "no-widths": ("certify", edited("certify", "architecture", widths=None), 2,
+                  "architecture: missing key 'widths'"),
+    "bool-width": ("certify", edited("certify", "architecture", widths=[2, True, 1]), 2,
+                   "architecture: widths must be integers"),
+    "one-width": ("certify", edited("certify", "architecture", widths=[2], activations=[]), 2,
+                  "architecture: need at least input and output widths"),
+    "extra-activation": ("certify", edited("certify", "architecture", activations=["tanh", "tanh"]), 2,
+                         "architecture: expected 1 activations for 3 widths, got 2"),
+    "negative-delta": (
+        "certify", edited("certify", "architecture", activations=[{"kind": "smoothed_relu", "delta": -1.0}]),
+        2, "architecture.activations[0]: delta must be a positive finite real",
+    ),
+    "string-delta": (
+        "certify", edited("certify", "architecture", activations=[{"kind": "smoothed_relu", "delta": "0.5"}]),
+        2, "architecture.activations[0]: key 'delta' has wrong type",
+    ),
+    "tanh-parameter": ("certify", edited("certify", "architecture", activations=[{"kind": "tanh", "delta": 1.0}]),
+                       2, "architecture.activations[0]: tanh takes no parameters"),
+    "ramp-delta": (
+        "certify",
+        edited("certify", "architecture", activations=[
+            {"kind": "saturated_linear", "c": 1.0, "r_sat": 1.0, "delta": 2.0}]),
+        2, "architecture.activations[0]: delta must lie in (0, r_sat)",
+    ),
+    "activation-number": ("certify", edited("certify", "architecture", activations=[1]), 2,
+                          "architecture.activations[0] must be a string or object"),
+    "activation-no-kind": ("certify", edited("certify", "architecture", activations=[{"delta": 0.5}]), 2,
+                           "architecture.activations[0]: missing key 'kind'"),
+    "loss-kind": ("certify", edited("certify", "loss", kind="hinge"), 2, "loss: unknown kind 'hinge'"),
+    "negative-target-bound": ("certify", edited("certify", "loss", target_bound=-1.0), 2,
+                              "loss: key 'target_bound' must be finite and nonnegative, got -1.0"),
+    "refine-negative": ("certify", edited("certify", "refine", restarts=-1), 2,
+                        "refine: restarts and iters must be nonnegative"),
+    "refine-type": ("certify", edited("certify", "refine", restarts="1"), 2,
+                    "refine: key 'restarts' has wrong type"),
+    "control-t-final": ("code certify", edited("code certify", "code", control={"t_final": 0.0, "density": 1.0}),
+                        2, "code.control: t_final must be a positive finite real"),
+    "control-no-t-final": ("code certify", edited("code certify", "code", control={"density": 1.0}), 2,
+                           "code.control: missing key 't_final'"),
+    "control-t-final-type": (
+        "code certify", edited("code certify", "code", control={"t_final": "1", "density": 1.0}),
+        2, "code.control: key 't_final' has wrong type",
+    ),
+    "control-density-and-breaks": (
+        "code certify",
+        edited("code certify", "code", control={"t_final": 1.0, "density": 1.0, "density_breaks": [0.0, 1.0]}),
+        2, "code.control: give either density or breaks/values",
+    ),
+    "control-short-jump": ("code certify", edited("code certify", "code", control={"t_final": 1.0, "jumps": [[0.5]]}),
+                           2, "code.control: key 'jumps' must hold [time, size] pairs"),
+    "envelopes-unknown": ("code certify", edited("code certify", "code", envelopes={"b_q": 1.0}), 2,
+                          "code.envelopes: unknown keys ['b_q']"),
+    "envelopes-negative": ("code certify", edited("code certify", "code", envelopes={"b_v": -1.0}), 2,
+                           "code.envelopes: b_v must be finite and nonnegative"),
+    "envelopes-type": ("code certify", edited("code certify", "code", envelopes={"b_v": "1"}), 2,
+                       "code.envelopes: key 'b_v' has wrong type"),
+    "train-no-data": ("train", edited("train", "train", synthetic=None), 2,
+                      "need a 'dataset' section or train.synthetic parameters"),
+    "train-no-samples": (
+        "train",
+        edited("train", "train", synthetic={**COMMAND_RUNS["train"][1]["train"]["synthetic"], "n_samples": 0}),
+        2, "train.synthetic: n_samples must be positive",
+    ),
+    # the runs below read REFUSAL_CSVS[name] as data.csv
+    "dataset-columns": ("certify", {**COMMAND_RUNS["certify"][1], "dataset": {"path": "data.csv"}}, 2,
+                        "dataset: expected 3 columns, found 2"),
+    "certify-dataset-empty": ("certify", {**COMMAND_RUNS["certify"][1], "dataset": {"path": "data.csv"}}, 2,
+                              "dataset: the file has no rows"),
+    "train-dataset-empty": ("train", {**COMMAND_RUNS["train"][1], "dataset": {"path": "data.csv"}}, 2,
+                            "dataset: the file has no rows"),
 }
+REFUSAL_CSVS = {"dataset-columns": "0.5,0.1\n", "certify-dataset-empty": "", "train-dataset-empty": ""}
 
 
 @pytest.mark.parametrize("name", sorted(REFUSALS))
-def test_refusal_names_its_cause_and_writes_nothing(tmp_path, capsys, name):
+def test_refusal_names_its_cause_and_writes_nothing(tmp_path, capsys, monkeypatch, name):
     command, doc, code, message = REFUSALS[name]
     argv, _ = COMMAND_RUNS[command]
+    if name in REFUSAL_CSVS:
+        monkeypatch.chdir(tmp_path)  # the dataset path is relative
+        (tmp_path / "data.csv").write_text(REFUSAL_CSVS[name])
     out = tmp_path / "out"
+    out.mkdir()  # a config that is no JSON object fails before main makes it
     assert cli.main([*argv, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == code
     assert capsys.readouterr().err == (f"error: {message}\n" if code == 2 else f"{message}\n")
     assert not any(out.iterdir())
@@ -1148,7 +1226,7 @@ class TestOverflow:
         assert (out / "soundness.csv").read_text() == (
             "config_id,constant_name,certificate,empirical,ratio,n_pairs,seed\n"
             "unbounded-features,l_n,inf,1,inf,200,0\n"
-            "unbounded-features,l_grad_n,inf,1.5653987656065744,inf,200,1\n"
+            "unbounded-features,l_grad_n,inf,1.4142135623730951,inf,200,0\n"
         )
 
 
@@ -1167,9 +1245,9 @@ class TestVerify:
     def test_corrupted_certificate_is_falsified(self, tmp_path):
         # an affine network reaches its certificate exactly along the
         # aligned direction, so a halved certificate must fail; it states
-        # that it covers this net (||x|| rounds to 3.0000000000000004)
+        # that it covers this net at the run's input norm
         half = math.sqrt(10.0) / 2.0
-        covers = {"widths": [2, 1], "activations": [], "b_omega": 1.0, "input_norm": 3.5}
+        covers = {"widths": [2, 1], "activations": [], "b_omega": 1.0, "input_norm": 3.0}
         (tmp_path / "halved.json").write_text(
             json.dumps({"l_n_final": half, "l_grad_n_final": 0.5, "covers": covers})
         )
@@ -1275,6 +1353,33 @@ class TestVerify:
         assert capsys.readouterr().err == f"error: certificate: {message}\n"
         assert not any((tmp_path / "out").iterdir())
 
+    def test_certificate_at_the_input_norm_covers_the_drawn_input(self, tmp_path, monkeypatch):
+        # at seed 2 the scaled direction had norm 3.0000000000000004, so a
+        # certificate at sample norm 3 was refused for input norm 3
+        doc = {
+            "name": "norm-three",
+            "architecture": {"widths": [2, 3, 1], "activations": ["tanh"]},
+            "bounds": {"b_omega": 1.0, "sample_norms": [3.0]},
+            "verify": {"n_pairs": 200, "seed": 2, "input_norm": 3.0},
+        }
+        cert = self.certified(tmp_path, doc)
+        assert self.verify_with(tmp_path, monkeypatch, doc, cert) == (0, 1)
+
+    def test_drawn_input_never_exceeds_the_input_norm(self):
+        # a draw inside the norm keeps its bits; one above it moves a few ulps
+        for dim in (2, 3, 8):
+            arch = ArchitectureSpec(widths=(dim, 1), activations=())
+            for s in (0.1234, 0.5, 1.0, 1.5, 2.0, 3.0):
+                for seed in range(60):
+                    x = cli._verify_input(arch, {"input_norm": s}, seed)
+                    d = np.random.default_rng(seed).standard_normal(dim)
+                    scaled = d / np.linalg.norm(d) * s
+                    assert np.linalg.norm(x) <= s
+                    if np.linalg.norm(scaled) <= s:
+                        assert x.tobytes() == scaled.tobytes()
+                    else:
+                        np.testing.assert_allclose(x, scaled, rtol=1e-15, atol=0.0)
+
     def test_zero_input_norm_verifies_at_the_origin(self, tmp_path):
         # an affine net at x = 0 moves only its bias: every quotient is 1, the
         # certificate sqrt(0 + 1)
@@ -1301,7 +1406,7 @@ class TestVerify:
     SHIPPED_SOUNDNESS = (
         "config_id,constant_name,certificate,empirical,ratio,n_pairs,seed\n"
         "tanh-231,l_n,2.4494897427831779,1.1269540646943472,2.1735488779194645,10000,7\n"
-        "tanh-231,l_grad_n,3.7317456941659262,1.4142126562735071,2.6387443766761276,10000,8\n"
+        "tanh-231,l_grad_n,3.7317456941659262,1.4455163493538141,2.5816004750372556,10000,7\n"
     )
 
     def test_shipped_config_soundness_is_pinned(self, tmp_path):
@@ -1310,9 +1415,9 @@ class TestVerify:
         assert cli.main(["verify", "--config", str(config), "--out", str(out)]) == 0
         assert (out / "soundness.csv").read_text() == self.SHIPPED_SOUNDNESS
 
-    # nets below and above verify's thread gates (384 KiB of first-pass pairs,
-    # 2 MiB of map output); 1100 pairs hand a drawn-ahead first pass on to
-    # an inline second one, and the unbounded net overflows on both threads
+    # nets below and above verify's thread gate (2 MiB of map output); 1100
+    # pairs map a drawn first pass and an inline second one, and the
+    # unbounded net overflows on both threads
     THREAD_NETS = {
         "small": ([2, 3, 1], ["tanh"], 1.0, 250),
         "large": ([6, 40, 3], ["sigmoid"], 1.0, 250),
@@ -1346,9 +1451,8 @@ class TestVerify:
         reports, workers = {}, {}
         threads = threading.active_count()
         for name, size in gates.items():
-            for gate in ("_SPLIT_BYTES", "_FIRST_PASS_BYTES"):
-                if size is not None:
-                    monkeypatch.setattr(empirical, gate, size)
+            if size is not None:
+                monkeypatch.setattr(empirical, "_SPLIT_BYTES", size)
             started.clear()
             out = tmp_path / name
             with warnings.catch_warnings():
