@@ -8,6 +8,7 @@ envelope constants can be checked against dense grids in the tests.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -202,16 +203,27 @@ def saturated_linear(c: float, r_sat: float, delta: float | None = None) -> Acti
 
 
 _BUILTIN = {"tanh": tanh, "sigmoid": sigmoid}
+_PARAMETRIZED = {"smoothed_relu": smoothed_relu, "saturated_linear": saturated_linear}
 
 
 def make_activation(kind: str, **kwargs) -> Activation:
-    """Build an activation from its config name. Raises KeyError on unknown kinds."""
+    """Build an activation from its config name and parameter keys.
+
+    Raises KeyError on unknown kinds, and ValueError naming the key when one
+    is unknown to the kind or one it needs is missing.
+    """
     if kind in _BUILTIN:
         if kwargs:
             raise ValueError(f"{kind} takes no parameters")
         return _BUILTIN[kind]()
-    if kind == "smoothed_relu":
-        return smoothed_relu(**kwargs)
-    if kind == "saturated_linear":
-        return saturated_linear(**kwargs)
-    raise KeyError(f"unknown activation kind: {kind!r}")
+    if kind not in _PARAMETRIZED:
+        raise KeyError(f"unknown activation kind: {kind!r}")
+    build = _PARAMETRIZED[kind]
+    params = inspect.signature(build).parameters
+    for key in kwargs:
+        if key not in params:
+            raise ValueError(f"unknown key {key!r} for {kind}")
+    for key, p in params.items():
+        if p.default is p.empty and key not in kwargs:
+            raise ValueError(f"missing key {key!r} for {kind}")
+    return build(**kwargs)

@@ -546,8 +546,10 @@ def _last_hidden_rows(
         if smoothed is None:
             b_n = np.full_like(s, math.sqrt(n3) * b3)
         else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                b_n = du * np.sqrt(b_n * b_n + 1.0) + math.sqrt(n3) * smoothed.relu_epsilon
+            with np.errstate(over="ignore"):
+                # as in _prod, a zero budget wins over an overflowed norm
+                grown = du * np.sqrt(b_n * b_n + 1.0) if du else np.zeros_like(s)
+            b_n = grown + math.sqrt(n3) * smoothed.relu_epsilon
     return l_n, l_grad_n, b_n
 
 
@@ -563,7 +565,7 @@ def _hidden_floats(
         l_n, l_grad_n, b_out, alpha = _float_step(c1, c2, b3, n3, du, l_n, l_grad_n, b_n)
         if smoothed is not None:
             # unbounded: the affine growth, plus sqrt(width) of the per-coordinate gap
-            b_out = du * math.sqrt(b_n * b_n + 1.0) + math.sqrt(n3) * smoothed.relu_epsilon
+            b_out = _prod(du, math.sqrt(b_n * b_n + 1.0)) + math.sqrt(n3) * smoothed.relu_epsilon
         b_n = b_out
         if table is not None:
             table.append(LayerBounds(l_n, l_grad_n, b_n, alpha))
@@ -1036,65 +1038,61 @@ def _sup_over_splits(
 ) -> tuple[float, tuple[float, ...], int]:
     """Upper bound on sup f over nonnegative splits with sum(D_u^2) <= b_omega^2.
 
-    Branch and bound over boxes [lo, hi] of budget vectors, starting from
-    [0, b_omega]^dim.  f is nondecreasing in every budget, so on the part of
-    a box inside the ball it is at most f(u), with u the box's upper corner
-    clipped to the ball, u_i = min(hi_i, sqrt(b^2 - sum_{j != i} lo_j^2));
-    the root's u is (b, ..., b), the uniform split.  A box's lower estimate
-    is f where the segment lo -> u leaves the ball.  The box with the largest
-    bound is halved along its longest edge, boxes outside the ball are
-    dropped, and the search stops once that bound is within _SPLIT_RTOL of
-    the best lower estimate or after max_splits splits.
+    f is nondecreasing in every budget, so the supremum lies on the sphere
+    sum(D_u^2) = b_omega^2, and the search runs there.  Branch and bound over
+    boxes [lo, hi] of normalized budgets x_u = D_u / b_omega of layers
+    2..dim, starting from [0, 1]^(dim - 1); layer 1 takes the rest of the
+    radius, D_1 = b_omega sqrt(1 - sum(x^2)).  On a box's part inside the
+    unit ball f is at most its value at the corner x_u = min(hi_u,
+    sqrt(1 - sum_{j != u} lo_j^2)), D_1 = b_omega sqrt(1 - sum(lo^2)); the
+    root's corner is (b, ..., b), the uniform split.  A box's lower estimate
+    is f where the segment lo -> x leaves the unit ball.  The box with the
+    largest bound is halved along its longest edge, an upper half with
+    sum(lo^2) > 1 is dropped, and the search stops once that bound is within
+    _SPLIT_RTOL of the best lower estimate or after max_splits splits.
 
     Returns (upper, split, splits): the largest bound still open, the split
     with the best lower estimate, and the splits used.
     """
-    if b_omega < 1e-70:  # the fourth powers below underflow: search in units of b_omega
-        upper, split, splits = _sup_over_splits(
-            lambda x: f(tuple(b_omega * v for v in x)), dim, 1.0, max_splits
-        )
-        return upper, tuple(b_omega * v for v in split), splits
-    bsq = b_omega * b_omega
     heap: list[tuple] = []
     order = itertools.count()
     lower, split = -math.inf, ()
 
-    def room(sq: list[float], i: int) -> float:
-        # how far coordinate i can go with the others at their lower corner
-        return math.sqrt(max(bsq - _fsum(sq[:i] + sq[i + 1 :]), 0.0))
+    def budgets(x: Sequence[float], rest: float) -> tuple[float, ...]:
+        # layer 1 gets what 1 - sum(x^2) = rest leaves of the radius
+        return (b_omega * math.sqrt(max(rest, 0.0)), *[b_omega * v for v in x])
 
-    def push(lo, hi, sq: list[float], lo_sq: float, rooms: tuple[float, ...]) -> None:
-        # sq, lo_sq and rooms are functions of lo alone: the squares of lo,
-        # their sum and every coordinate's room, kept in the heap entry
+    def push(lo: tuple[float, ...], hi: tuple[float, ...]) -> None:
         nonlocal lower, split
-        u = tuple(map(min, hi, rooms))
+        sq = [v * v for v in lo]
+        lo_sq = math.fsum(sq)
+        if lo_sq > 1.0:
+            return
+        # how far each coordinate can go with the others at their lower corner
+        u = [min(h, math.sqrt(max(1.0 - math.fsum(sq[:i] + sq[i + 1 :]), 0.0)))
+             for i, h in enumerate(hi)]
         # lo + t v with v = u - lo leaves the ball at the root t of a quadratic
         v = [b - a for a, b in zip(lo, u)]
-        vv, lv = _fsum(x * x for x in v), _fsum(x * y for x, y in zip(lo, v))
-        disc = max(lv * lv - vv * (lo_sq - bsq), 0.0)
+        vv, lv = math.fsum([x * x for x in v]), math.fsum([x * y for x, y in zip(lo, v)])
+        disc = max(lv * lv - vv * (lo_sq - 1.0), 0.0)
         t = min(1.0, (math.sqrt(disc) - lv) / vv) if vv else 0.0
-        point = tuple(x + t * y for x, y in zip(lo, v))
-        value = f(point)
+        point = [x + t * y for x, y in zip(lo, v)]
+        # where the segment leaves the ball, layer 1 gets nothing
+        d = budgets(point, 0.0 if t < 1.0 else 1.0 - math.fsum([x * x for x in point]))
+        value = f(d)
         if value > lower:
-            lower, split = value, point
-        heapq.heappush(heap, (-f(u), next(order), lo, hi, sq, lo_sq, rooms))
+            lower, split = value, d
+        heapq.heappush(heap, (-f(budgets(u, 1.0 - lo_sq)), next(order), lo, hi))
 
-    zeros = [0.0] * dim
-    push((0.0,) * dim, (b_omega,) * dim, zeros, 0.0, tuple(room(zeros, i) for i in range(dim)))
+    push((0.0,) * (dim - 1), (1.0,) * (dim - 1))
     splits = 0
     while splits < max_splits and -heap[0][0] > lower * (1.0 + _SPLIT_RTOL):
-        _, _, lo, hi, sq, lo_sq, rooms = heapq.heappop(heap)
+        _, _, lo, hi = heapq.heappop(heap)
         # longest edge; ties go to the later layer, whose budget counts for more
-        i = max(range(dim), key=lambda k: (hi[k] - lo[k], k))
+        i = max(range(dim - 1), key=lambda k: (hi[k] - lo[k], k))
         mid = 0.5 * (lo[i] + hi[i])
-        # the lower half keeps lo and so every room; the upper half moves
-        # lo_i, which every room but its own sums over
-        push(lo, hi[:i] + (mid,) + hi[i + 1 :], sq, lo_sq, rooms)
-        up_sq = sq[:i] + [mid * mid] + sq[i + 1 :]
-        up_lo_sq = _fsum(up_sq)
-        if up_lo_sq <= bsq:
-            up_rooms = tuple(r if k == i else room(up_sq, k) for k, r in enumerate(rooms))
-            push(lo[:i] + (mid,) + lo[i + 1 :], hi, up_sq, up_lo_sq, up_rooms)
+        push(lo, hi[:i] + (mid,) + hi[i + 1 :])
+        push(lo[:i] + (mid,) + lo[i + 1 :], hi)
         splits += 1
     return -heap[0][0], split, splits
 
@@ -1114,8 +1112,8 @@ def refine_over_layer_budgets(
     own branch and bound (_sup_over_splits, at most search.max_splits box
     splits), capped by the uniform certificate: rigorous at any effort, and
     tighter with more.  The layer budgets and per-layer table come from the
-    best split of the l_grad_phi search, scaled onto the sphere (never
-    worse, by monotonicity); lower_estimate is l_grad_phi there.
+    best split of the l_grad_phi search, which lies on the sphere
+    sum(D_u^2) = b_omega^2; lower_estimate is l_grad_phi there.
 
     One recursion at a budget vector gives all four constants, so one memo
     maps each budget vector to its four floats (_budget_constants), shared
@@ -1128,7 +1126,6 @@ def refine_over_layer_budgets(
         raise ValueError("budget refinement needs at least one hidden layer")
     if loss is None:
         raise ValueError("budget refinement needs a loss: it searches the loss constants")
-    b = inputs.b_omega
     s_max = max(norms)
     d_uniform = inputs.budgets_for(arch)
     evaluate = _budget_constants(arch, loss, norms)
@@ -1143,15 +1140,9 @@ def refine_over_layer_budgets(
         return f
 
     uniform = memo[d_uniform] = evaluate(d_uniform)
-    results = [_sup_over_splits(constant(k), arch.m + 1, b, search.max_splits) for k in range(4)]
+    results = [_sup_over_splits(constant(k), arch.m + 1, inputs.b_omega, search.max_splits) for k in range(4)]
     l_n, l_grad_n, l_phi, l_grad_phi = (min(r[0], cap) for r, cap in zip(results, uniform))
-    _, split, splits = results[-1]
-    # hypot only where the squares overflow or lose bits to underflow
-    # (b_omega above about 1e154 or below about 1e-150): its bits differ from
-    # the fsum on many splits
-    norm = math.sqrt(_fsum(d * d for d in split))
-    scale = b / (norm if 1e-150 < norm < math.inf else math.hypot(*split))
-    d_star = tuple(d * scale for d in split)
+    _, d_star, splits = results[-1]
 
     flags = _overflow_flags(l_n, l_grad_n, l_phi, l_grad_phi)
     if not l_grad_phi < uniform[3] * (1.0 - 1e-15):

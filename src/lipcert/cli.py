@@ -68,6 +68,7 @@ from .config import (
     get_seed,
     load_config,
     loss_needs_output_bound,
+    numbers,
     read_certificate,
     resolve_loss_envelope,
     samples_from_config,
@@ -274,11 +275,8 @@ def cmd_certify(cfg: dict, args, out: Path) -> int:
 
 
 def _vector(values: list, n: int, where: str) -> np.ndarray:
-    """A config list as a vector of n finite floats."""
-    try:
-        v = np.asarray([float(x) for x in values])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where} must be a list of numbers") from exc
+    """A config list of numbers as a vector of n finite floats."""
+    v = np.asarray(numbers(values, where))
     if v.shape != (n,) or not np.all(np.isfinite(v)):
         raise ConfigError(f"{where} must have {n} finite entries")
     return v
@@ -556,8 +554,8 @@ def cmd_code_certify(cfg: dict, args, out: Path) -> int:
             moments = {}
             for k, v in mdoc.items():
                 try:
-                    moments[int(k)] = float(v)
-                except (TypeError, ValueError):
+                    moments[int(k)] = numbers([v], "code.moments")[0]
+                except (ConfigError, ValueError):
                     raise ConfigError(f"code.moments: bad entry {k!r}: {v!r}") from None
         else:
             raise ConfigError("code loss bounds need 'sample_norms' or 'moments'")

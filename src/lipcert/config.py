@@ -117,6 +117,19 @@ def get(
     return val
 
 
+def numbers(values: Any, where: str) -> tuple[float, ...]:
+    """A config list of numbers as floats, where names its key.  Each entry
+    is a number by get's rule: an int or a float, never a bool or a string."""
+    if not isinstance(values, list) or any(
+        isinstance(v, bool) or not isinstance(v, (int, float)) for v in values
+    ):
+        raise ConfigError(f"{where} must be a list of numbers")
+    try:
+        return tuple(map(float, values))
+    except OverflowError:  # an integer literal past the float range
+        raise ConfigError(f"{where} has a number past the float range") from None
+
+
 def get_seed(doc: dict, key: str, default: int, where: str = "config") -> int:
     """A generator seed: an integer that np.random.default_rng accepts, so not negative."""
     val = get(doc, key, int, default=default, where=where)
@@ -170,6 +183,8 @@ def build_bound_inputs(cfg: dict) -> tuple[BoundInputs, tuple[float, ...] | Samp
         )
     b_omega = get(doc, "b_omega", float, where="bounds")
     norms = get(doc, "sample_norms", list, default=None, where="bounds")
+    if norms is not None:
+        norms = numbers(norms, "bounds.sample_norms")
     mdoc = get(doc, "moments", dict, default=None, where="bounds")
     if mdoc is not None:
         e_s2 = get(mdoc, "e_s2", float, where="bounds.moments")
@@ -293,9 +308,9 @@ def build_control(doc: dict, where: str = "control") -> Control:
             breaks, values = [0.0, t_final], [density]
         return Control(
             t_final=t_final,
-            jumps=tuple((float(t), float(s)) for t, s in jumps),
-            density_breaks=() if breaks is None else tuple(float(b) for b in breaks),
-            density_values=() if values is None else tuple(float(v) for v in values),
+            jumps=tuple(numbers(j, f"{where}.jumps[{i}]") for i, j in enumerate(jumps)),
+            density_breaks=() if breaks is None else numbers(breaks, f"{where}.density_breaks"),
+            density_values=() if values is None else numbers(values, f"{where}.density_values"),
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc

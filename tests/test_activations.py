@@ -145,3 +145,19 @@ def test_zero_dim_input_matches_one_element_array(kind, params):
     for v in (-2.95, -1.9, -0.3, 0.0, 0.25, 1.95, 7.0):
         for f in (act, act.deriv, act.deriv2):
             assert np.asarray(f(v)).tobytes() == f(np.array([v])).tobytes()
+
+
+@pytest.mark.parametrize(
+    "kind, params, message",
+    [
+        ("smoothed_relu", {"delta": 0.5, "foo": 1}, "unknown key 'foo' for smoothed_relu"),
+        ("saturated_linear", {"c": 1.0}, "missing key 'r_sat' for saturated_linear"),
+        ("saturated_linear", {"r_sat": 1.0, "delta": 0.1}, "missing key 'c' for saturated_linear"),
+        ("tanh", {"delta": 1.0}, "tanh takes no parameters"),
+    ],
+)
+def test_parameter_errors_name_the_key(kind, params, message):
+    # the message a config refusal prints after its location
+    with pytest.raises(ValueError) as exc:
+        make_activation(kind, **params)
+    assert str(exc.value) == message

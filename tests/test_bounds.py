@@ -884,27 +884,29 @@ class TestRefinement:
             assert ref.l_grad_phi <= uni.l_grad_phi * (1.0 + 1e-12)
 
     def test_single_hidden_layer_matches_grid_search(self):
-        # with one hidden layer every constant depends on the budget split
-        # only through the head budget, so a dense 1-d grid over the sphere
-        # is an independent oracle for the maximizer
-        arch = ArchitectureSpec(widths=(1, 2, 1), activations=(tanh(),))
+        # with one hidden layer the split has one degree of freedom, the head
+        # budget d_head, with sqrt(b^2 - d_head^2) left to the first layer
+        # (which a smoothed ramp's output bound reads), so a dense 1-d grid
+        # over the sphere is an independent oracle for the maximizer, and
+        # the refined bound covers every point of it
         b = 1.0
         inputs = BoundInputs(b_omega=b)
         loss = LossEnvelope(1.0, 1.0)
         norms = [1.0]
-        ref = refine_over_layer_budgets(
-            arch, inputs, loss, norms, RefinementSearch(restarts=2, iters=40)
-        )
+        for act in (tanh(), smoothed_relu(0.5)):
+            arch = ArchitectureSpec(widths=(1, 2, 1), activations=(act,))
+            ref = refine_over_layer_budgets(
+                arch, inputs, loss, norms, RefinementSearch(restarts=2, iters=1000)
+            )
 
-        def phi_grad_at(d_head):
-            d1 = math.sqrt(max(b * b - d_head * d_head, 0.0))
-            from lipcert.bounds import _network_bounds, layer_step
+            def phi_grad_at(d_head):
+                d1 = math.sqrt(max(b * b - d_head * d_head, 0.0))
+                nb = _network_bounds(arch, (d1, d_head), 1.0)
+                return layer_step(nb.per_layer[-1], loss, 1, d_head).l_grad_n
 
-            nb = _network_bounds(arch, (d1, d_head), 1.0)
-            return layer_step(nb.per_layer[-1], loss, 1, d_head).l_grad_n
-
-        grid = max(phi_grad_at(t) for t in np.linspace(0.0, b, 20001))
-        assert ref.l_grad_phi == pytest.approx(grid, rel=1e-6)
+            grid = max(phi_grad_at(t) for t in np.linspace(0.0, b, 20001))
+            assert ref.l_grad_phi >= grid
+            assert ref.l_grad_phi == pytest.approx(grid, rel=1e-6)
 
     def test_flags_when_no_strict_improvement(self):
         arch = ArchitectureSpec(widths=(1, 2, 1), activations=(tanh(),))
@@ -920,7 +922,6 @@ class TestRefinement:
         ref = refine_over_layer_budgets(
             arch, BoundInputs(b_omega=1e160), loss, [1.0], RefinementSearch(restarts=1, iters=4)
         )
-        assert all(d > 0.0 for d in ref.layer_budgets)
         assert math.hypot(*ref.layer_budgets) == pytest.approx(1e160, rel=1e-12)
         assert ref.lower_estimate <= ref.l_grad_phi
 
@@ -987,27 +988,54 @@ class TestRefinement:
         assert checks > 500
 
     def test_refined_bound_dominates_every_sampled_split(self):
-        # an independent oracle: the recursion at random feasible splits,
-        # pushed towards the corners of the sphere, may never beat the
-        # refined l_grad_phi, even at the smallest search effort
+        # an independent oracle: the recursion at random splits on the
+        # sphere, pushed towards its corners, and at the axis splits may
+        # never beat any of the four refined constants, at the smallest
+        # search effort and at one whose boxes come close to the sphere;
+        # every activation kind at 1-4 hidden layers
         rng = np.random.default_rng(4)
+        kinds = (
+            tanh(), sigmoid(), smoothed_relu(0.5), make_activation("saturated_linear", c=1.5, r_sat=2.0)
+        )
         loss = LossEnvelope(1.0, 1.0)
-        search = RefinementSearch(restarts=1, iters=4)
-        for _ in range(12):
-            arch = random_architecture(rng, max_width=5, max_hidden=3, min_hidden=2)
-            b = float(rng.choice([0.5, 1.0, 2.0]))
-            norms = [1.0]
-            ref = refine_over_layer_budgets(arch, BoundInputs(b_omega=b), loss, norms, search)
-            g = rng.random((4000, arch.m + 1)) ** rng.choice([1.0, 4.0, 16.0], size=(4000, 1))
-            splits = b * g / np.linalg.norm(g, axis=1, keepdims=True)
-            sampled = max(
-                head_averages(loss, d[-1], [_network_bounds(arch, d, 1.0).last_hidden])[1]
-                for d in splits
+        searches = (RefinementSearch(restarts=1, iters=4), RefinementSearch(restarts=1, iters=200))
+        for k in range(16):
+            m = k % 4 + 1
+            arch = ArchitectureSpec(
+                widths=tuple(int(w) for w in rng.integers(1, 6, size=m + 2)),
+                activations=tuple(kinds[(k + u) % 4] for u in range(m)),
             )
-            assert ref.l_grad_phi >= sampled
-            assert ref.lower_estimate <= ref.l_grad_phi
-            assert 0.0 <= ref.gap < 1.0
-            assert ref.splits <= search.max_splits
+            b = float(rng.choice([0.5, 1.0, 2.0]))
+            norms = [float(s) for s in rng.choice([0.5, 1.0, 2.0], size=2)]
+            refs = [refine_over_layer_budgets(arch, BoundInputs(b_omega=b), loss, norms, s) for s in searches]
+            g = rng.random((4000, m + 1)) ** rng.choice([1.0, 4.0, 16.0], size=(4000, 1))
+            splits = np.vstack([b * g / np.linalg.norm(g, axis=1, keepdims=True), b * np.eye(m + 1)])
+            sampled = np.array([
+                (nb.l_n, nb.l_grad_n, *head_averages(
+                    loss, d[-1], [_network_bounds(arch, d, s).last_hidden for s in norms]
+                ))
+                for d in splits
+                for nb in [_network_bounds(arch, d, max(norms))]
+            ]).max(axis=0)
+            for ref, search in zip(refs, searches):
+                refined = (ref.l_n_final, ref.l_grad_n_final, ref.l_phi, ref.l_grad_phi)
+                assert all(r >= v for r, v in zip(refined, sampled)), (arch, b, norms, search)
+                assert ref.lower_estimate <= ref.l_grad_phi
+                assert 0.0 <= ref.gap < 1.0
+                assert ref.splits <= search.max_splits
+
+    @pytest.mark.parametrize("kind", ["tanh", "sigmoid", "saturated_linear"])
+    def test_one_hidden_layer_closes_at_the_root(self, kind):
+        # with a bounded activation the first budget drops out of every
+        # constant, so the root's lower estimate at (0, b) meets its bound
+        # at the uniform split (b, b)
+        params = {"c": 1.5, "r_sat": 2.0} if kind == "saturated_linear" else {}
+        arch = ArchitectureSpec(widths=(2, 3, 1), activations=(make_activation(kind, **params),))
+        inputs, loss, norms = BoundInputs(b_omega=1.5), LossEnvelope(1.0, 1.0), [1.0, 0.5]
+        ref = refine_over_layer_budgets(arch, inputs, loss, norms)
+        assert ref.splits == 0 and ref.gap == 0.0
+        assert ref.layer_budgets == (0.0, 1.5)
+        assert ref.l_grad_phi == loss_certificate(arch, inputs, loss, norms).l_grad_phi
 
     def test_lower_estimate_is_l_grad_phi_at_the_reported_split(self):
         rng = np.random.default_rng(21)
@@ -1120,10 +1148,10 @@ class TestRefinement:
 
     @pytest.mark.parametrize("b_omega", [1e-100, 1e-170, 1.2e154])
     def test_radii_whose_powers_leave_the_float_range(self, b_omega):
-        # below about 1e-77 the search's fourth powers underflow (and below
-        # about 1e-162 its b_omega^2 does); near 1.2e154 finite squares sum
-        # past the float range.  The supremum still covers every split on
-        # the sphere, here the axis splits, and the reported split lies on it.
+        # radii whose squares or fourth powers underflow or sum past the
+        # float range: the search runs on fractions of the radius, so the
+        # supremum still covers every split on the sphere, here the axis
+        # splits, and the reported split lies on it.
         arch = ArchitectureSpec(widths=(2, 3, 4, 1), activations=(tanh(), sigmoid()))
         loss = LossEnvelope(1.0, 1.0)
         ref = refine_over_layer_budgets(
@@ -1207,6 +1235,18 @@ class TestNoNan:
                 assert cert.overflowed == any(math.isinf(v) for v in (
                     cert.l_n_final, cert.l_grad_n_final, cert.l_phi, cert.l_grad_phi
                 ) if v is not None)
+
+    def test_zero_budget_on_an_overflowing_norm(self):
+        # the search can give a layer an exact zero budget; a smoothed ramp's
+        # output bound multiplies it by the previous bound, here past the
+        # float range, and 0 * inf is a dropped term, not nan
+        arch = ArchitectureSpec(widths=(1, 2, 1), activations=(smoothed_relu(0.5),))
+        nb = _network_bounds(arch, (0.0, 1.0), 1e160)
+        assert not any(math.isnan(v) for v in _certified_numbers(nb))
+        assert nb.last_hidden.b_n == math.sqrt(2.0) * 0.125
+        rows = bounds._last_hidden_rows(bounds._hidden_layers(arch), (0.0, 1.0), np.array([1e160, 1.0]))
+        assert not np.isnan(rows).any()
+        assert rows[2].tolist() == [nb.last_hidden.b_n] * 2
 
     def test_underflow_then_overflow_is_inf(self):
         # a product of nonzero bound factors whose partial product underflows

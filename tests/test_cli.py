@@ -131,7 +131,7 @@ DEEP_MIXED = {
 }
 
 DEEP_MIXED_REFINED = """{
-  "b_grad_phi": 5.092771225391198,
+  "b_grad_phi": 4.992201542924128,
   "covers": {
     "activations": [
       {
@@ -167,20 +167,20 @@ DEEP_MIXED_REFINED = """{
     ]
   },
   "flags": [],
-  "gap": 0.24739017493962268,
+  "gap": 0.20787012431992935,
   "inputs_digest": "7ade9161ed7e0feb",
   "kind": "network_loss_certificate",
-  "l_grad_n_final": 627.9640572980578,
-  "l_grad_phi": 418.6670744070128,
-  "l_n_final": 3.6102550725035476,
-  "l_phi": 5.092771225391198,
+  "l_grad_n_final": 592.8924029759147,
+  "l_grad_phi": 417.81227102765126,
+  "l_n_final": 3.5322006039012304,
+  "l_phi": 4.992201542924128,
   "layer_budgets": [
-    0.34539537654258795,
-    0.34539537654258795,
-    1.002846964328558,
-    1.002846964328558
+    0.0,
+    0.37768838586668374,
+    1.0264870878830914,
+    1.0264870878830914
   ],
-  "lower_estimate": 315.0929536280019,
+  "lower_estimate": 330.9615823067414,
   "method": "refined_budgets",
   "per_layer": [
     {
@@ -191,17 +191,17 @@ DEEP_MIXED_REFINED = """{
       "layer": 1
     },
     {
-      "b_grad_n": 3.76667324518714,
+      "b_grad_n": 3.7845023259052346,
       "b_n": 5.699999999999999,
-      "l_grad_n": 145.29484402616393,
-      "l_n": 3.76667324518714,
+      "l_grad_n": 145.77288586781245,
+      "l_n": 3.7845023259052346,
       "layer": 2
     },
     {
-      "b_grad_n": 1.7276922253384894,
+      "b_grad_n": 1.742505853676309,
       "b_n": 2.449489742783178,
-      "l_grad_n": 220.1424427454713,
-      "l_n": 1.7276922253384894,
+      "l_grad_n": 226.10735398973438,
+      "l_n": 1.742505853676309,
       "layer": 3
     }
   ]
@@ -238,7 +238,7 @@ PINNED_REPORTS = {
     "sample_norms_certify": (["certify"], SAMPLE_NORMS, {
         "certificate_closed_form.json": "a6ea192bc22f90fd01f8387711785a0db5b904e2aabfb110a5effd1abeff1f95",
         "certificate_recursive.json": "ac1bece9f3744f0ae9a753e1181227705728faf695e59014bf9fc11041abce4b",
-        "certificate_refined.json": "c32841da23cb99a90c625bbd46526a36a711963dfe61c7caeaa4bcafd90b8d14",
+        "certificate_refined.json": "2076ffd64fc9eeeccce26fc6d57e14768eefbe0556c11b2a375321e3697f8ed2",
         "run_meta.json": "59e7d1804a441f90bcf671eea09d969bef901301f521789a0e717769fc84a771",
     }),
     "sample_norms_train": (["train"], SAMPLE_NORMS, {
@@ -270,9 +270,9 @@ OVERFLOW_PINS = {
     "squared_error": (SMOOTHED_RELU_TANH, {
         "certificate_closed_form.json": "90e83c0f2e80ade6011c819b478053e95150005aa9c282bef85765261a5fbb5e",
         "certificate_recursive.json": "71ba8bf8a5f0d40f5ee37ea1e0467063827af49013bc3a7abd8efbfd0adf8c42",
-        "certificate_refined.json": "e4b115d6eee98c48b63d2a40354f32bd1e2ccd88367e37c93031a58268250ca2",
+        "certificate_refined.json": "7fb08d44184b2a55de29c239a0a084c6be00c9d65c78dc9b507ca5953def8f50",
         "run_meta.json": "64c0c6dad23cac8f1d2a225a910ca6098c87c2739d3f4efcec320cb192fe5d11",
-        "stdout": "162ca26883d1e23f5f014328f2f4d42213c7c3f1743efef35fc80f7b4f5bf16c",
+        "stdout": "73fb2af73e379c75b4e64f3005be969dc7718953c825731cbb90e00be49b1fdc",
     }),
     "pseudo_huber_1e40": ({
         **SMOOTHED_RELU_TANH,
@@ -281,9 +281,9 @@ OVERFLOW_PINS = {
     }, {
         "certificate_closed_form.json": "a47e34934e6f731f08bbec055c07858ae17160cccf1643d7f62a588941a8543b",
         "certificate_recursive.json": "04adcc660947516bef17d042e3ab6eeed951d2883e4fe411efeb05a6dc69f183",
-        "certificate_refined.json": "c49ac1e4452499c75dc8f7fdccf5527984aa6d5d292b5f47d9c768f191945d9c",
+        "certificate_refined.json": "e8e41a6f14465bf085ec7d1e414f797a11cc2339a56bec6fafb848421bc2242f",
         "run_meta.json": "66e9d6220104a11e0f7ee9a67bf2851ed41b02e12c51d761ed7acc18cd790a9a",
-        "stdout": "89fa5c1742c1fec7712f008ca490e739a7ca3b272be4dd49747489031f5ca8ec",
+        "stdout": "7d695512509a0822dcf6a95e7f501b993b1f73fcfdcd11d1090505c782de9384",
     }),
 }
 
@@ -322,9 +322,9 @@ MANY_NORMS_PINS = {
     "certify": (["certify", "--allow-inf"], MANY_NORMS, {
         "certificate_closed_form.json": "078a53ad66a44408f5ec5829ac0f0cd52f834a5f89840318234a7926f6f732e6",
         "certificate_recursive.json": "1e4097e483ff66871bc61648f112b5dc32eddfbe492d073873855166d27d68b8",
-        "certificate_refined.json": "4e6ce3b5622c4436688537e9c37f6e9c716e863a68f3efbc6f6f2942005f9cd1",
+        "certificate_refined.json": "f491cbac745bb123cd4d325a6798c2a6ba1f8f085eaf4f3f5b50c03dd0f5410a",
         "run_meta.json": "473bdd6892541a481f9c4947b14da3b96e4ed12ccc1d29502f8f914f2d52c95c",
-        "stdout": "065fc910fe7bfc38406f0fcc0201280bc7a52d33d9dbcaee13826251d05d90f3",
+        "stdout": "90eadbb8cf66679fdeab5b0737983975f2682db830b0f4e0eda28853ff9b48cd",
     }),
     "certify_pseudo_huber_1e40": (["certify", "--allow-inf"], {
         **MANY_NORMS,
@@ -333,7 +333,7 @@ MANY_NORMS_PINS = {
     }, {
         "certificate_closed_form.json": "f608aa2ecb1693eb7d0d490b27241705172fbc632544aad933d244a8bbf2e1fa",
         "certificate_recursive.json": "08216f22902e2f6d556ba62af75afa184aff7e47fc863a294c09b259817ebf59",
-        "certificate_refined.json": "6be04569ea2f46b589f9f3a5efc1e7ed9de02d1684a4cf95d89eab9c65553e47",
+        "certificate_refined.json": "77a5128b407684d93e35e78076a1b9b001e906525559340a312bc3a43f60933a",
         "run_meta.json": "8993af7ba1922db3608b52410cc3f878b7be64e6fba469abfc8e2ccbead7fbd2",
         "stdout": "1981c3101efe143efcb0823a0be25ad4bf08cb2a13919b9cc520583d2be59d6c",
     }),
@@ -490,7 +490,8 @@ class TestCertify:
         # split; each is one walk of the float recursion that fills a table.
         # The walks without a table run once per (budgets, norm): both norms
         # for the recursive averages, and both norms at each of the
-        # refinement's 93 budget vectors.
+        # refinement's 2 budget vectors: the uniform split, its root's
+        # corner, and (0, b), where a one-hidden-layer search closes.
         config = Path(__file__).parents[1] / "configs" / "tanh_231.json"
         calls = counted_recursions(monkeypatch)
         floats = counted_recursions(monkeypatch, "_hidden_floats")
@@ -500,8 +501,8 @@ class TestCertify:
         table_walks = [args[1:3] for args in floats if len(args) == 4]
         search_walks = [args[1:] for args in floats if len(args) == 3]
         assert table_walks == [(d, s) for _, d, s in calls]
-        assert len(search_walks) == 2 + 2 * 93
-        assert len({(tuple(d), s) for d, s in search_walks[2:]}) == 2 * 93
+        assert len(search_walks) == 2 + 2 * 2
+        assert len({(tuple(d), s) for d, s in search_walks[2:]}) == 2 * 2
 
     def test_target_bound_never_undercuts_the_data(self, tmp_path):
         # targets of norm 100 against loss.target_bound 1: the certified
@@ -1013,6 +1014,21 @@ REFUSALS = {
         {**edited("code certify", "code", moments={"two": 1.0}), "loss": {"kind": "pseudo_huber", "delta": 1.0}},
         2, "code.moments: bad entry 'two': 1.0",
     ),
+    "code-string-moment": (
+        "code certify",
+        {**edited("code certify", "code", moments={"1": "0.5", "2": True}), "loss": {"kind": "pseudo_huber", "delta": 1.0}},
+        2, "code.moments: bad entry '1': '0.5'",
+    ),
+    "code-bool-moment": (
+        "code certify",
+        {**edited("code certify", "code", moments={"1": 0.5, "2": True}), "loss": {"kind": "pseudo_huber", "delta": 1.0}},
+        2, "code.moments: bad entry '2': True",
+    ),
+    "code-string-norm": (
+        "code certify",
+        {**edited("code certify", "code", sample_norms=[1.0, "2"]), "loss": {"kind": "pseudo_huber", "delta": 1.0}},
+        2, "code.sample_norms must be a list of numbers",
+    ),
     "code-verify-no-field": ("code verify", edited("code verify", "code", field=None, envelopes={}), 2,
                              "code verify needs a built-in 'field' to integrate"),
     "code-verify-no-control": ("code verify", edited("code verify", "code", control=None), 2,
@@ -1022,6 +1038,12 @@ REFUSALS = {
                            "code verify needs theta_box = [low, high]"),
     "code-verify-inverted-box": ("code verify", edited("code verify", "code", theta_box=[[1.0], [-1.0]]), 2,
                                  "code.theta_box: high must dominate low"),
+    "code-verify-string-x": ("code verify", edited("code verify", "code", x=["1"]), 2,
+                             "code.x must be a list of numbers"),
+    "code-verify-bool-box": ("code verify", edited("code verify", "code", theta_box=[[True], [1.0]]), 2,
+                             "code.theta_box entries must be a list of numbers"),
+    "code-verify-string-x-box": ("code verify", edited("code verify", "code", x_box_high=["1.5"]), 2,
+                                 "code.x_box_high must be a list of numbers"),
     "code-verify-one-sample": ("code verify", edited("code verify", "code", n_samples=1), 2,
                                "code.n_samples must be at least 2"),
     "equivalence-no-nets": ("code equivalence", edited("code equivalence", "code", n_nets=0), 2,
@@ -1057,10 +1079,26 @@ REFUSALS = {
             {"kind": "saturated_linear", "c": 1.0, "r_sat": 1.0, "delta": 2.0}]),
         2, "architecture.activations[0]: delta must lie in (0, r_sat)",
     ),
+    "activation-unknown-key": (
+        "certify", edited("certify", "architecture", activations=[{"kind": "smoothed_relu", "delta": 0.5, "foo": 1}]),
+        2, "architecture.activations[0]: unknown key 'foo' for smoothed_relu",
+    ),
+    "activation-missing-key": (
+        "certify", edited("certify", "architecture", activations=[{"kind": "saturated_linear", "c": 1}]),
+        2, "architecture.activations[0]: missing key 'r_sat' for saturated_linear",
+    ),
     "activation-number": ("certify", edited("certify", "architecture", activations=[1]), 2,
                           "architecture.activations[0] must be a string or object"),
     "activation-no-kind": ("certify", edited("certify", "architecture", activations=[{"delta": 0.5}]), 2,
                            "architecture.activations[0]: missing key 'kind'"),
+    "string-sample-norm": ("certify", edited("certify", "bounds", sample_norms=["1", True]), 2,
+                           "bounds.sample_norms must be a list of numbers"),
+    "bool-sample-norm": ("certify", edited("certify", "bounds", sample_norms=[1.0, True]), 2,
+                         "bounds.sample_norms must be a list of numbers"),
+    "huge-sample-norm": ("certify", edited("certify", "bounds", sample_norms=[10**400]), 2,
+                         "bounds.sample_norms has a number past the float range"),
+    "verify-string-x": ("verify", edited("verify", "verify", x=["0.5", True]), 2,
+                        "verify.x must be a list of numbers"),
     "loss-kind": ("certify", edited("certify", "loss", kind="hinge"), 2, "loss: unknown kind 'hinge'"),
     "negative-target-bound": ("certify", edited("certify", "loss", target_bound=-1.0), 2,
                               "loss: key 'target_bound' must be finite and nonnegative, got -1.0"),
@@ -1083,6 +1121,20 @@ REFUSALS = {
     ),
     "control-short-jump": ("code certify", edited("code certify", "code", control={"t_final": 1.0, "jumps": [[0.5]]}),
                            2, "code.control: key 'jumps' must hold [time, size] pairs"),
+    "control-string-jump": (
+        "code certify", edited("code certify", "code", control={"t_final": 1.0, "jumps": [[0.5, "x"]]}),
+        2, "code.control.jumps[0] must be a list of numbers",
+    ),
+    "control-string-break": (
+        "code certify",
+        edited("code certify", "code", control={"t_final": 1.0, "density_breaks": [0.0, "1"], "density_values": [1.0]}),
+        2, "code.control.density_breaks must be a list of numbers",
+    ),
+    "control-bool-value": (
+        "code certify",
+        edited("code certify", "code", control={"t_final": 1.0, "density_breaks": [0.0, 1.0], "density_values": [True]}),
+        2, "code.control.density_values must be a list of numbers",
+    ),
     "envelopes-unknown": ("code certify", edited("code certify", "code", envelopes={"b_q": 1.0}), 2,
                           "code.envelopes: unknown keys ['b_q']"),
     "envelopes-negative": ("code certify", edited("code certify", "code", envelopes={"b_v": -1.0}), 2,
