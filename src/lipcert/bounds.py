@@ -1033,8 +1033,43 @@ class RefinementSearch:
 _SPLIT_RTOL = 1e-9  # a box this close above the best value found is not split
 
 
+def _box_geometry(
+    lo: tuple[float, ...], hi: tuple[float, ...], b_omega: float
+) -> tuple[tuple[float, ...], tuple[float, ...]] | None:
+    """The two budget vectors of box [lo, hi] in _sup_over_splits: where the
+    segment lo -> corner leaves the unit ball (its lower estimate) and the
+    clipped upper corner (its bound); None for a box outside the ball."""
+
+    def budgets(x: Sequence[float], rest: float) -> tuple[float, ...]:
+        # layer 1 gets what 1 - sum(x^2) = rest leaves of the radius
+        return (b_omega * math.sqrt(max(rest, 0.0)), *[b_omega * v for v in x])
+
+    sq = [v * v for v in lo]
+    lo_sq = math.fsum(sq)
+    if lo_sq > 1.0:
+        return None
+    # how far each coordinate can go with the others at their lower corner
+    u = [min(h, math.sqrt(max(1.0 - math.fsum(sq[:i] + sq[i + 1 :]), 0.0)))
+         for i, h in enumerate(hi)]
+    # lo + t v with v = u - lo leaves the ball at the root t of a quadratic
+    v = [b - a for a, b in zip(lo, u)]
+    vv, lv = math.fsum([x * x for x in v]), math.fsum([x * y for x, y in zip(lo, v)])
+    disc = max(lv * lv - vv * (lo_sq - 1.0), 0.0)
+    t = min(1.0, (math.sqrt(disc) - lv) / vv) if vv else 0.0
+    point = [x + t * y for x, y in zip(lo, v)]
+    # where the segment leaves the ball, layer 1 gets nothing
+    return (
+        budgets(point, 0.0 if t < 1.0 else 1.0 - math.fsum([x * x for x in point])),
+        budgets(u, 1.0 - lo_sq),
+    )
+
+
 def _sup_over_splits(
-    f: Callable[[tuple[float, ...]], float], dim: int, b_omega: float, max_splits: int
+    f: Callable[[tuple[float, ...]], float],
+    dim: int,
+    b_omega: float,
+    max_splits: int,
+    boxes: dict[tuple, tuple | None],
 ) -> tuple[float, tuple[float, ...], int]:
     """Upper bound on sup f over nonnegative splits with sum(D_u^2) <= b_omega^2.
 
@@ -1051,6 +1086,10 @@ def _sup_over_splits(
     sum(lo^2) > 1 is dropped, and the search stops once that bound is within
     _SPLIT_RTOL of the best lower estimate or after max_splits splits.
 
+    boxes maps each (lo, hi) pushed so far to its _box_geometry; searches
+    over one radius share it, so a box pushed by several of them is measured
+    once.
+
     Returns (upper, split, splits): the largest bound still open, the split
     with the best lower estimate, and the splits used.
     """
@@ -1058,31 +1097,19 @@ def _sup_over_splits(
     order = itertools.count()
     lower, split = -math.inf, ()
 
-    def budgets(x: Sequence[float], rest: float) -> tuple[float, ...]:
-        # layer 1 gets what 1 - sum(x^2) = rest leaves of the radius
-        return (b_omega * math.sqrt(max(rest, 0.0)), *[b_omega * v for v in x])
-
     def push(lo: tuple[float, ...], hi: tuple[float, ...]) -> None:
         nonlocal lower, split
-        sq = [v * v for v in lo]
-        lo_sq = math.fsum(sq)
-        if lo_sq > 1.0:
+        key = (lo, hi)
+        if key not in boxes:
+            boxes[key] = _box_geometry(lo, hi, b_omega)
+        geometry = boxes[key]
+        if geometry is None:
             return
-        # how far each coordinate can go with the others at their lower corner
-        u = [min(h, math.sqrt(max(1.0 - math.fsum(sq[:i] + sq[i + 1 :]), 0.0)))
-             for i, h in enumerate(hi)]
-        # lo + t v with v = u - lo leaves the ball at the root t of a quadratic
-        v = [b - a for a, b in zip(lo, u)]
-        vv, lv = math.fsum([x * x for x in v]), math.fsum([x * y for x, y in zip(lo, v)])
-        disc = max(lv * lv - vv * (lo_sq - 1.0), 0.0)
-        t = min(1.0, (math.sqrt(disc) - lv) / vv) if vv else 0.0
-        point = [x + t * y for x, y in zip(lo, v)]
-        # where the segment leaves the ball, layer 1 gets nothing
-        d = budgets(point, 0.0 if t < 1.0 else 1.0 - math.fsum([x * x for x in point]))
+        d, corner = geometry
         value = f(d)
         if value > lower:
             lower, split = value, d
-        heapq.heappush(heap, (-f(budgets(u, 1.0 - lo_sq)), next(order), lo, hi))
+        heapq.heappush(heap, (-f(corner), next(order), lo, hi))
 
     push((0.0,) * (dim - 1), (1.0,) * (dim - 1))
     splits = 0
@@ -1117,9 +1144,11 @@ def refine_over_layer_budgets(
 
     One recursion at a budget vector gives all four constants, so one memo
     maps each budget vector to its four floats (_budget_constants), shared
-    by the four searches, the uniform caps and the lower estimate.  The
-    recursion with a per-layer table (_network_bounds) runs once, at the
-    reported split, for its table.
+    by the four searches, the uniform caps and the lower estimate.  Beside
+    it, one box table maps each box the searches push to its two budget
+    vectors (_box_geometry), so a box that several searches push is
+    measured once.  The recursion with a per-layer table (_network_bounds)
+    runs once, at the reported split, for its table.
     """
     norms = check_sample_norms(dataset_norms)
     if arch.m < 1:
@@ -1140,7 +1169,11 @@ def refine_over_layer_budgets(
         return f
 
     uniform = memo[d_uniform] = evaluate(d_uniform)
-    results = [_sup_over_splits(constant(k), arch.m + 1, inputs.b_omega, search.max_splits) for k in range(4)]
+    boxes: dict[tuple, tuple | None] = {}
+    results = [
+        _sup_over_splits(constant(k), arch.m + 1, inputs.b_omega, search.max_splits, boxes)
+        for k in range(4)
+    ]
     l_n, l_grad_n, l_phi, l_grad_phi = (min(r[0], cap) for r, cap in zip(results, uniform))
     _, d_star, splits = results[-1]
 

@@ -2,10 +2,14 @@
 
 The document has named sections (architecture, bounds, loss, verify, train,
 code, ...); each command validates only the sections it consumes, before any
-computation starts.  Helpers here also own the deterministic report writers:
-JSON with sorted keys, CSV with 17-significant-digit floats, and the
-overwrite guard.  Nothing in this module touches clocks or process state, so
-identical inputs produce identical bytes.
+computation starts; a number key or list refuses an integer literal past the
+float range.  Helpers here also own the deterministic report writers and the
+overwrite guard.  write_json is a direct recursive writer whose bytes are
+json.dumps(obj, indent=2, sort_keys=True) plus a newline, without the stdlib's
+pure-Python indented encoder; the stdlib json reads configs and certificates
+and writes the compact digests.  CSV reports write floats with 17 significant
+digits.  Nothing in this module touches clocks or process state, so identical
+inputs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -13,7 +17,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import stat
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -110,8 +116,14 @@ def get(
             raise ConfigError(f"{where}: missing key '{key}'")
         return default
     val = doc[key]
-    if kind is float and isinstance(val, int) and not isinstance(val, bool):
-        val = float(val)
+    numeric = float in (kind if isinstance(kind, tuple) else (kind,))
+    if numeric and isinstance(val, int) and not isinstance(val, bool):
+        try:
+            as_float = float(val)
+        except OverflowError:  # an integer literal past the float range
+            raise ConfigError(f"{where}: key '{key}' has a number past the float range") from None
+        if kind is float:  # an (int, float) key keeps its int
+            val = as_float
     if not isinstance(val, kind) or isinstance(val, bool) and kind is not bool:
         raise ConfigError(f"{where}: key '{key}' has wrong type")
     return val
@@ -459,17 +471,59 @@ def replace_text(path: str | Path, text: str) -> None:
     auto_da_alloc), which costs far more than the write.  A symlink is
     kept and written through to its target.
     """
-    path = Path(path)
     try:
-        if stat.S_ISREG(path.lstat().st_mode):
-            path.unlink()
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
     except FileNotFoundError:
         pass
-    path.write_text(text, encoding="utf-8", newline="\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(text)
+
+
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# what a report holds; bool comes before int, its base
+_JSON_TYPES = (float, str, dict, list, tuple, type(None), bool, int)
+
+
+def _json_text(obj: Any, pad: str) -> str:
+    """obj as json.dumps(obj, indent=2, sort_keys=True) writes it, its inner
+    lines indented by pad and two spaces more."""
+    t = type(obj)
+    if t not in _JSON_TYPES:  # a subclass, such as numpy.float64, writes as its base
+        t = next((base for base in _JSON_TYPES if isinstance(obj, base)), t)
+    if t is float:
+        text = float.__repr__(obj)
+        return _FLOAT_WORDS.get(text, text)
+    if t is str:
+        return _quote(obj)
+    if t is dict:
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        # _quote raises TypeError on a key that is not a str
+        items = [_quote(k) + ": " + _json_text(obj[k], inner) for k in sorted(obj)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if t is list or t is tuple:
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        items = [_json_text(v, inner) for v in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if obj is None:
+        return "null"
+    if t is bool:
+        return "true" if obj else "false"
+    if t is int:
+        return int.__repr__(obj)
+    raise TypeError(f"a report cannot hold a {t.__name__}")
 
 
 def write_json(path: str | Path, obj: dict) -> None:
-    replace_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Write obj as json.dumps(obj, indent=2, sort_keys=True) plus a newline
+    would, byte for byte.  Reports hold dicts with str keys, lists, tuples,
+    str, float (NaN and the infinities as json writes them), int, bool and
+    None; any other value raises TypeError."""
+    replace_text(path, _json_text(obj, "") + "\n")
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:

@@ -1133,6 +1133,47 @@ class TestRefinement:
                 assert type(value) is tuple and len(value) == 4
                 assert all(type(x) is float for x in value)
 
+    def test_four_searches_measure_each_box_once(self, monkeypatch):
+        # the four searches share one box table: a box's geometry is computed
+        # the first time any of them pushes it and read from the table after
+        # that, and each search returns what it returns on a table of its own
+        measured, searches = [], []
+        geometry, search = bounds._box_geometry, bounds._sup_over_splits
+
+        def spied_geometry(lo, hi, b_omega):
+            measured.append((lo, hi))
+            return geometry(lo, hi, b_omega)
+
+        def spied_search(f, *args):
+            result = search(f, *args)
+            searches.append((f, args, result))
+            return result
+
+        monkeypatch.setattr(bounds, "_box_geometry", spied_geometry)
+        monkeypatch.setattr(bounds, "_sup_over_splits", spied_search)
+        arch = ArchitectureSpec(
+            widths=(3, 5, 4, 6, 2), activations=(tanh(), smoothed_relu(0.5), sigmoid())
+        )
+        for iters in (0, 4, 60):
+            measured.clear()
+            searches.clear()
+            refine_over_layer_budgets(
+                arch, BoundInputs(b_omega=1.5), LossEnvelope(1.0, 1.0), [0.5, 1.25],
+                RefinementSearch(restarts=1, iters=iters),
+            )
+            boxes = list(measured)
+            assert len(searches) == 4
+            table = searches[0][1][-1]
+            assert all(args[-1] is table for _, args, _ in searches)
+            own_tables = []
+            for f, (*args, _), result in searches:
+                own_tables.append({})
+                assert search(f, *args, own_tables[-1]) == result
+            pushed = set().union(*own_tables)
+            assert len(boxes) == len(set(boxes)) == len(pushed)
+            assert set(boxes) == pushed == set(table)
+            assert sum(map(len, own_tables)) > len(pushed)
+
     def test_more_effort_never_loosens_the_bound(self):
         rng = np.random.default_rng(6)
         for _ in range(5):

@@ -355,6 +355,33 @@ MANY_NORMS_PINS = {
 }
 
 
+# four hidden layers, one of each activation kind, three sample norms and the
+# default search effort, whose refinement uses all 300 splits of each search;
+# sha256 of every report and of the printed table, pinned byte for byte
+DEEP_DEFAULT_EFFORT = {
+    "name": "deep-default-effort",
+    "architecture": {
+        "widths": [3, 6, 5, 4, 6, 2],
+        "activations": [
+            "tanh",
+            {"kind": "smoothed_relu", "delta": 0.5},
+            "sigmoid",
+            {"kind": "saturated_linear", "c": 1.5, "r_sat": 2.0},
+        ],
+    },
+    "bounds": {"b_omega": 1.25, "sample_norms": [0.5, 1.0, 2.0]},
+    "loss": {"kind": "squared_error", "target_bound": 1.0},
+    "refine": {"restarts": 4, "iters": 60},
+}
+DEEP_DEFAULT_EFFORT_PINS = {
+    "certificate_closed_form.json": "2f57b91a55d077b1789f822ac658f204ee272e6fcffa9a22c79622129e523af3",
+    "certificate_recursive.json": "cc47a2dd8d90e95080bd1e93469fba2cb1cfaa13e1433c63d0953f61d58a8706",
+    "certificate_refined.json": "04adfe0cd498ded4ac3a3899ff0014d1c41d006d5f112562ba5b779d3ca3bbdc",
+    "run_meta.json": "5aefb0be7b3ad39b3847b7c4a32f4fc88b0b1f552f28385d40a3f6a6df369bbc",
+    "stdout": "2b384d266e461cbdd3a93b1bc72d3fdc871e3423860ee322d1c48819942747bf",
+}
+
+
 LAYER_BUDGETS_ERROR = (
     "bounds.layer_budgets is not supported: a fixed split covers only the product"
     " of its layer balls, not the b_omega ball; a refine section bounds the"
@@ -482,6 +509,14 @@ class TestCertify:
         got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
         got["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert got == digests
+
+    def test_default_effort_deep_refinement_is_pinned(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["certify", "--allow-inf", "--config", write_cfg(tmp_path, DEEP_DEFAULT_EFFORT)]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        got["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert got == DEEP_DEFAULT_EFFORT_PINS
 
     def test_one_recursion_set_per_certify_run(self, tmp_path, monkeypatch):
         # the per-layer table is built 5 times: for the command's
@@ -1097,6 +1132,22 @@ REFUSALS = {
                          "bounds.sample_norms must be a list of numbers"),
     "huge-sample-norm": ("certify", edited("certify", "bounds", sample_norms=[10**400]), 2,
                          "bounds.sample_norms has a number past the float range"),
+    # integer literals past the float range in keys read one number each
+    "huge-b-omega": ("certify", edited("certify", "bounds", b_omega=10**400), 2,
+                     "bounds: key 'b_omega' has a number past the float range"),
+    "huge-loss-delta": ("certify", edited("certify", "loss", kind="pseudo_huber", delta=10**400), 2,
+                        "loss: key 'delta' has a number past the float range"),
+    "huge-smoothed-relu-delta": (
+        "certify", edited("certify", "architecture", activations=[{"kind": "smoothed_relu", "delta": 10**400}]),
+        2, "architecture.activations[0]: key 'delta' has a number past the float range",
+    ),
+    "huge-r-sat": (
+        "certify",
+        edited("certify", "architecture", activations=[{"kind": "saturated_linear", "c": 1, "r_sat": 10**400}]),
+        2, "architecture.activations[0]: key 'r_sat' has a number past the float range",
+    ),
+    "huge-envelope": ("code certify", edited("code certify", "code", envelopes={"b_v": 10**400}), 2,
+                      "code.envelopes: key 'b_v' has a number past the float range"),
     "verify-string-x": ("verify", edited("verify", "verify", x=["0.5", True]), 2,
                         "verify.x must be a list of numbers"),
     "loss-kind": ("certify", edited("certify", "loss", kind="hinge"), 2, "loss: unknown kind 'hinge'"),
