@@ -53,7 +53,6 @@ from .code_net import (
     embed_input,
     linear_scalar_field,
     random_smooth_field,
-    required_moment_order,
     solve_code,
     solve_code_batch,
     solve_first_variation,

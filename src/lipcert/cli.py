@@ -4,12 +4,8 @@ Every command reads one JSON config, writes machine-readable reports into
 --out (JSON for certificates, CSV for tables) plus a run_meta.json embedding
 the resolved config and its digest, and prints a short human table.  Outputs
 contain no timestamps or environment state, so a rerun with the same config
-and seed is byte-identical.  Only verify uses a second thread, and only
-for large work: it maps the upper half of the rows of every map call with
-2 MiB or more of output there (Jacobian calls of large nets).  Smaller
-calls stay on one thread, where a thread would cost more than it saves.
-Every report is that of a serial run.  --threads is still accepted and
-changes no byte.
+and seed is byte-identical.  No command starts a thread of its own;
+--threads is still accepted and changes nothing.
 
 Exit codes: 0 ok, 2 config/usage error, 3 certificate overflowed to infinity
 without --allow-inf, 4 soundness or equivalence violation (the falsification
@@ -342,7 +338,7 @@ def cmd_verify(cfg: dict, args, out: Path) -> int:
     l_out = arch.widths[-1]
     # a net that overflows shows it as a non-finite quotient in soundness.csv,
     # so the numpy warnings of its sampled maps are silenced here and only
-    # here, on both threads
+    # here
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             # both estimates map the pairs of one draw, which seed replays
@@ -737,7 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None, help="override the config seed")
     common.add_argument(
         "--threads", type=int, default=1,
-        help="no effect: every value gives the same bytes; verify uses a second thread on large nets",
+        help="no effect: no command starts a thread of its own, whatever the value",
     )
     common.add_argument(
         "--allow-inf", action="store_true",

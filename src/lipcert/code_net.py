@@ -555,19 +555,6 @@ def code_certificate(
     )
 
 
-def required_moment_order(envelopes: FieldEnvelopes) -> float:
-    """Highest power of the input norm the loss constants integrate."""
-    e = envelopes
-    return max(
-        1.0,
-        e.p_theta_theta,
-        e.p_x_theta + e.p_theta,
-        e.p_theta_x + e.p_theta,
-        e.p_x_x + 2.0 * e.p_theta,
-        2.0 * e.p_theta,
-    )
-
-
 def _expected_power(
     power: float, a: float, kappa: float, moments: dict[int, float]
 ) -> float:

@@ -107,7 +107,7 @@ def section(cfg: dict, name: str, required: bool = True) -> dict | None:
 def get(
     doc: dict,
     key: str,
-    kind: type | tuple[type, ...],
+    kind: type,
     default: Any = "__required__",
     where: str = "config",
 ) -> Any:
@@ -116,14 +116,11 @@ def get(
             raise ConfigError(f"{where}: missing key '{key}'")
         return default
     val = doc[key]
-    numeric = float in (kind if isinstance(kind, tuple) else (kind,))
-    if numeric and isinstance(val, int) and not isinstance(val, bool):
+    if kind is float and isinstance(val, int) and not isinstance(val, bool):
         try:
-            as_float = float(val)
+            val = float(val)
         except OverflowError:  # an integer literal past the float range
             raise ConfigError(f"{where}: key '{key}' has a number past the float range") from None
-        if kind is float:  # an (int, float) key keeps its int
-            val = as_float
     if not isinstance(val, kind) or isinstance(val, bool) and kind is not bool:
         raise ConfigError(f"{where}: key '{key}' has wrong type")
     return val
@@ -168,7 +165,7 @@ def build_architecture(cfg: dict) -> ArchitectureSpec:
             elif isinstance(a, dict):
                 where = f"architecture.activations[{i}]"
                 kind = get(a, "kind", str, where=where)
-                kwargs = {k: get(a, k, (int, float), where=where) for k in a if k != "kind"}
+                kwargs = {k: get(a, k, float, where=where) for k in a if k != "kind"}
                 acts.append(make_activation(kind, **kwargs))
             else:
                 raise ConfigError(

@@ -14,27 +14,19 @@ whole-array calls, so a pair depends only on (seed, its index): the first
 n pairs of a longer run are the pairs of an n-pair run, and
 (seed, argmax_index) regenerates an estimate's worst pair.  A pass draws
 _PASS_BLOCKS blocks, 1024 pairs, then calls the map on chunks of at most
-_MAP_ROW_BYTES of output rows, one side after the other, and takes the
+_CHUNK_BYTES of output rows, one side after the other, and takes the
 output distances chunk by chunk, so no whole pass of outputs is held at
-once.
-
-A map call with _SPLIT_BYTES or more of output maps the upper half of its
-rows on a second thread, where that pays for the thread's start (about
-0.2 ms on 2 cores).  The thread runs under the caller's numpy errstate,
-calls none of this module's public functions, and is joined before its
-rows are used.  No output row depends on the thread or the chunk that
-computes it, so every estimate is that of a one-thread run.  A FirstPass
-draws an estimate's first pass once, so that estimates of several maps
-with the same pair arguments map the same drawn pairs.
+once.  The same budget cuts the blocks of every distance, so each chunk
+of points, of outputs and of their differences stays in cache.  No output
+row depends on the chunk that computes it.  A FirstPass draws an
+estimate's first pass and measures its pairs once, so that estimates of
+several maps with the same pair arguments map the same drawn pairs.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
-import threading
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -76,63 +68,6 @@ class LipschitzEstimate:
 
 
 # ---------------------------------------------------------------------------
-# a second thread
-
-
-class _Worker(threading.Thread):
-    """fn(*args) on a second thread, started at once.
-
-    It runs under a copy of the starting thread's context variables, so
-    numpy's errstate there holds for it too.  result() waits for it and
-    returns its value or raises its exception on the waiting thread.
-    """
-
-    def __init__(self, fn: Callable, *args) -> None:
-        super().__init__(name="lipcert-worker")
-        self._call = partial(contextvars.copy_context().run, fn, *args)
-        self._value = None
-        self._error: BaseException | None = None
-        self.start()
-
-    def run(self) -> None:
-        try:
-            self._value = self._call()
-        except BaseException as exc:  # raised again by result on the waiting thread
-            self._error = exc
-
-    def result(self):
-        self.join()
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-
-_SPLIT_BYTES = 2 << 20  # from here on a map call pays for a second thread
-
-
-def _map_halves(
-    fill: Callable[[np.ndarray, np.ndarray], None], thetas: np.ndarray, out: np.ndarray
-) -> None:
-    """fill(thetas, out), in two halves of rows on two threads when out is large.
-
-    A call of at least 4 rows whose output takes _SPLIT_BYTES or more maps
-    its upper half on a second thread while the lower half runs here.  No
-    half is a lone row, which einsum reduces in another order than a block,
-    so every output row keeps the bits of a one-thread call.
-    """
-    k = len(thetas)
-    if k < 4 or out.nbytes < _SPLIT_BYTES:
-        fill(thetas, out)
-        return
-    upper = _Worker(fill, thetas[k // 2 :], out[k // 2 :])
-    try:
-        fill(thetas[: k // 2], out[: k // 2])
-    finally:
-        upper.join()
-    upper.result()
-
-
-# ---------------------------------------------------------------------------
 # batched parameter-space maps
 
 
@@ -140,15 +75,9 @@ def network_output_map(arch: ArchitectureSpec, x: np.ndarray) -> Callable[[np.nd
     """Map (K, n_params) parameter rows to (K, l_out) network outputs."""
     xs = np.asarray(x, dtype=float)[None]
 
-    def fill(thetas: np.ndarray, out: np.ndarray) -> None:
-        _, feats = batch_forward(arch, thetas, xs)
-        out[...] = feats[-1][:, 0]
-
     def f(thetas: np.ndarray) -> np.ndarray:
-        thetas = np.asarray(thetas, dtype=float)
-        out = np.empty((len(thetas), arch.widths[-1]))
-        _map_halves(fill, thetas, out)
-        return out
+        _, feats = batch_forward(arch, np.asarray(thetas, dtype=float), xs)
+        return feats[-1][:, 0]
 
     return f
 
@@ -158,16 +87,11 @@ def network_jacobian_map(arch: ArchitectureSpec, x: np.ndarray) -> Callable[[np.
     xs = np.asarray(x, dtype=float)[None]
     eye = np.eye(arch.widths[-1])
 
-    def fill(thetas: np.ndarray, out: np.ndarray) -> None:
-        pres, feats = batch_forward(arch, thetas, xs)
-        seed = np.broadcast_to(eye, (len(thetas),) + eye.shape)
-        batch_backward(arch, thetas, pres, feats, seed, out=out)
-
     def f(thetas: np.ndarray) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)
-        out = np.empty((len(thetas), arch.widths[-1], arch.n_params))
-        _map_halves(fill, thetas, out)
-        return out.reshape(len(thetas), -1)
+        pres, feats = batch_forward(arch, thetas, xs)
+        seed = np.broadcast_to(eye, (len(thetas),) + eye.shape)
+        return batch_backward(arch, thetas, pres, feats, seed).reshape(len(thetas), -1)
 
     return f
 
@@ -259,12 +183,13 @@ def _draw_blocks(
 class FirstPass:
     """The drawn first pass of an estimate's pairs.
 
-    FirstPass(dim, b_omega, n_pairs, seed) draws, on the calling thread, the
-    pairs of the first pass of empirical_lipschitz(f, dim, b_omega, n_pairs,
-    seed), read-only.  Given to that call as first_pass, its pairs are
-    mapped instead of drawn again, so the estimate is that of an inline
-    draw.  They are not consumed: one FirstPass serves every estimate made
-    with the same arguments, whatever map each one samples.
+    FirstPass(dim, b_omega, n_pairs, seed) draws the pairs of the first
+    pass of empirical_lipschitz(f, dim, b_omega, n_pairs, seed) and
+    measures the distances of the n_pairs it reads, all read-only.  Given
+    to that call as first_pass, its pairs are mapped and its distances read
+    instead of drawn and measured again, so the estimate is that of an
+    inline draw.  They are not consumed: one FirstPass serves every
+    estimate made with the same arguments, whatever map each one samples.
     """
 
     def __init__(self, dim: int, b_omega: float, n_pairs: int, seed: int) -> None:
@@ -273,12 +198,12 @@ class FirstPass:
         self.key = (dim, b_omega, n_pairs, seed)
         blocks = min(_PASS_BLOCKS, -(-n_pairs // PAIR_BLOCK))
         self.pairs = _draw_blocks(seed, 0, blocks, dim, b_omega)
-        for p in self.pairs:
+        self.distances = _row_distances(*(p[:n_pairs] for p in self.pairs))
+        for p in (*self.pairs, self.distances):
             p.flags.writeable = False
 
 
-_ROW_BLOCK_BYTES = 1 << 20
-_MAP_ROW_BYTES = 8 << 20
+_CHUNK_BYTES = 1 << 20  # bytes of rows per map call and per distance block
 _TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
 
@@ -299,7 +224,7 @@ def _row_blocks(k: int, row_bytes: int, budget: int) -> list[tuple[int, int]]:
 def _row_distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Euclidean distance between matching rows.
 
-    The differences are taken in blocks of rows of about _ROW_BLOCK_BYTES,
+    The differences are taken in blocks of rows of about _CHUNK_BYTES,
     not as one (K, p) temporary; each row is still reduced over the same
     contiguous values, and no block has a lone row, so the distances keep
     their bits.  A row whose sum of squares underflows below the normal
@@ -309,7 +234,7 @@ def _row_distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     has no distance, nan.
     """
     out = np.empty(len(u))
-    for i, j in _row_blocks(len(u), u.itemsize * u.shape[-1], _ROW_BLOCK_BYTES):
+    for i, j in _row_blocks(len(u), u.itemsize * u.shape[-1], _CHUNK_BYTES):
         d = u[i:j] - v[i:j]
         dist = np.einsum("ij,ij->i", d, d, out=out[i:j])
         redo = np.flatnonzero(~((dist >= _TINY) & (dist < math.inf))).tolist()
@@ -345,11 +270,12 @@ def empirical_lipschitz(
     so both points stay in the ball), or a coordinate step of
     1e-3 * b_omega as k % 4 is 0, 1, 2 or 3.  Each pass draws _PASS_BLOCKS
     blocks and calls f on chunks of their first points and then of their
-    second, in turn, each chunk at most _MAP_ROW_BYTES of output rows of
-    out_width floats (dim if not given: a gradient's width).  A first_pass
-    made with the same dim, b_omega, n_pairs and seed supplies the first
-    pass's pairs; pairs of other arguments would break the replay from
-    (seed, argmax_index), so they are refused.
+    second, in turn, each chunk at most _CHUNK_BYTES (1 MiB, but 2 rows) of
+    output rows of out_width floats (dim if not given: a gradient's width),
+    so that a chunk's points, outputs and differences stay in cache.  A
+    first_pass made with the same dim, b_omega, n_pairs and seed supplies
+    the first pass's pairs and their distances; pairs of other arguments
+    would break the replay from (seed, argmax_index), so they are refused.
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be positive")
@@ -364,20 +290,21 @@ def empirical_lipschitz(
     n_degenerate = 0
     n_blocks = -(-n_pairs // PAIR_BLOCK)
     for first in range(0, n_blocks, _PASS_BLOCKS):
+        offset = first * PAIR_BLOCK
         if first == 0 and first_pass is not None:
             a, b = first_pass.pairs
+            dn = first_pass.distances
         else:
             a, b = _draw_blocks(seed, first, min(_PASS_BLOCKS, n_blocks - first), dim, b_omega)
-        offset = first * PAIR_BLOCK
-        rows = min(len(a), n_pairs - offset)
+            dn = _row_distances(a[: n_pairs - offset], b[: n_pairs - offset])
+        rows = len(dn)
         a, b = a[:rows], b[:rows]
-        dn = _row_distances(a, b)
         ok = dn > 0.0
         n_degenerate += int(np.count_nonzero(~ok))
         # chunked map calls: no whole pass of outputs (a Jacobian's is
         # l_out times the pairs' size) is ever held at once
         fn = np.empty(rows)
-        for i, j in _row_blocks(rows, 8 * (out_width or dim), _MAP_ROW_BYTES):
+        for i, j in _row_blocks(rows, 8 * (out_width or dim), _CHUNK_BYTES):
             fa = np.asarray(f(a[i:j]), dtype=float)
             fn[i:j] = _row_distances(fa, np.asarray(f(b[i:j]), dtype=float))
         q = fn / np.where(ok, dn, 1.0)

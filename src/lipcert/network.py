@@ -134,17 +134,14 @@ def batch_backward(
     pres: Sequence[np.ndarray],
     feats: Sequence[np.ndarray],
     seed: np.ndarray,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Reverse mode: output cotangents (K, r, l_out) to parameter gradients (K, r, n_params).
 
     pres and feats come from batch_forward; their input-row axis may be 1
     and then broadcasts against the r seeds (the identity seed of a Jacobian).
-    The gradients are written into out when it is given, and returned.
     """
     k, r, _ = seed.shape
-    if out is None:
-        out = np.empty((k, r, arch.n_params))
+    out = np.empty((k, r, arch.n_params))
     d = seed
     for u in range(arch.n_layers - 1, -1, -1):
         w_sl, b_sl = arch.layer_slices[u]

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -455,6 +456,19 @@ class TestCertify:
         assert cli.main(["certify", "--config", cfg, "--out", str(b)]) == 0
         for name in ("certificate_recursive.json", "certificate_refined.json", "run_meta.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_integer_activation_parameters_are_read_as_floats(self, tmp_path):
+        # "c": 2 and "c": 2.0 name one net: same certificates, same inputs_digest
+        argv, doc = COMMAND_RUNS["certify"]
+        reports = []
+        for c, r_sat in ((2, 3), (2.0, 3.0)):
+            act = {"kind": "saturated_linear", "c": c, "r_sat": r_sat}
+            run = {**doc, "architecture": {"widths": [2, 3, 1], "activations": [act]}}
+            out = tmp_path / f"c{c!r}"
+            assert cli.main([*argv, "--config", write_cfg(tmp_path, run, f"c{c!r}.json"), "--out", str(out)]) == 0
+            reports.append({p.name: p.read_bytes() for p in sorted(out.glob("certificate_*.json"))})
+        assert len(reports[0]) == 3
+        assert reports[0] == reports[1]
 
     def test_refined_report_states_its_gap(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, FULL)
@@ -1518,19 +1532,22 @@ class TestVerify:
         assert cli.main(["verify", "--config", str(config), "--out", str(out)]) == 0
         assert (out / "soundness.csv").read_text() == self.SHIPPED_SOUNDNESS
 
-    # nets below and above verify's thread gate (2 MiB of map output); 1100
-    # pairs map a drawn first pass and an inline second one, and the
-    # unbounded net overflows on both threads
-    THREAD_NETS = {
+    # nets whose Jacobian rows fit one 1 MiB map chunk and nets that take
+    # several; 1100 pairs map a drawn first pass and an inline second one,
+    # and the unbounded net overflows
+    CHUNK_NETS = {
         "small": ([2, 3, 1], ["tanh"], 1.0, 250),
         "large": ([6, 40, 3], ["sigmoid"], 1.0, 250),
         "large-two-passes": ([6, 40, 3], ["tanh"], 1.0, 1100),
         "large-overflowing": ([2, 30, 30, 2], ["smoothed_relu"] * 2, 1e100, 250),
     }
 
-    @pytest.mark.parametrize("net", sorted(THREAD_NETS))
+    @pytest.mark.parametrize("net", sorted(CHUNK_NETS))
     def test_threads_change_no_report_byte(self, tmp_path, monkeypatch, net):
-        widths, kinds, b_omega, n_pairs = self.THREAD_NETS[net]
+        # neither --threads nor the chunk budget changes a byte: 1 byte
+        # (chunks of 2 rows, the floor), the default 1 MiB, and 1 GiB (one
+        # map call per side and pass)
+        widths, kinds, b_omega, n_pairs = self.CHUNK_NETS[net]
         doc = {
             "name": net,
             "seed": 5,
@@ -1542,33 +1559,56 @@ class TestVerify:
             "verify": {"n_pairs": n_pairs},
         }
         cfg = write_cfg(tmp_path, doc)
-        started = []
+        chunks = []  # rows of every Jacobian map call
+        backward = empirical.batch_backward
 
-        class CountedWorker(empirical._Worker):
-            def __init__(self, *args):
-                started.append(1)
-                super().__init__(*args)
+        def counted(arch, thetas, *args):
+            chunks.append(len(thetas))
+            return backward(arch, thetas, *args)
 
-        monkeypatch.setattr(empirical, "_Worker", CountedWorker)
-        gates = {"default": None, "one-thread": 1 << 62, "every-call": 0}
-        reports, workers = {}, {}
+        monkeypatch.setattr(empirical, "batch_backward", counted)
+        budgets = {"1": (1, "2"), "1MiB": (1 << 20, "1"), "1GiB": (1 << 30, "4")}
+        reports, calls = {}, {}
         threads = threading.active_count()
-        for name, size in gates.items():
-            if size is not None:
-                monkeypatch.setattr(empirical, "_SPLIT_BYTES", size)
-            started.clear()
+        for name, (size, n_threads) in budgets.items():
+            monkeypatch.setattr(empirical, "_CHUNK_BYTES", size)
+            chunks.clear()
             out = tmp_path / name
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                assert cli.main(["verify", "--config", cfg, "--out", str(out), "--allow-inf"]) == 0
+                argv = ["verify", "--config", cfg, "--out", str(out), "--allow-inf", "--threads", n_threads]
+                assert cli.main(argv) == 0
             reports[name] = (out / "soundness.csv").read_bytes()
-            workers[name] = len(started)
+            calls[name] = list(chunks)
         assert threading.active_count() == threads
-        assert reports["default"] == reports["one-thread"] == reports["every-call"]
-        assert workers["one-thread"] == 0 and workers["every-call"] > 0
-        assert (workers["default"] > 0) == net.startswith("large")
+        assert reports["1"] == reports["1MiB"] == reports["1GiB"]
+        passes = [min(1024, n_pairs - first) for first in range(0, n_pairs, 1024)]
+        assert calls["1GiB"] == [rows for rows in passes for _ in range(2)]
+        assert set(calls["1"]) <= {2, 3}
+        assert (len(calls["1MiB"]) > len(calls["1GiB"])) == net.startswith("large")
         if net == "large-overflowing":
-            assert b"inf" in reports["default"]
+            assert b"inf" in reports["1MiB"]
+
+    def test_verify_holds_its_pairs_and_a_few_chunks(self, tmp_path):
+        # 5508 parameters: Jacobian rows of 176 KiB, five to a 1 MiB chunk.
+        # Beside the drawn pairs verify holds a few chunks of points and
+        # outputs, never a larger share of the pass's 44 MB of Jacobians
+        doc = {
+            "name": "tanh-16-64-64-4",
+            "seed": 3,
+            "architecture": {"widths": [16, 64, 64, 4], "activations": ["tanh", "tanh"]},
+            "bounds": {"b_omega": 1.0},
+            "verify": {"n_pairs": 250},
+        }
+        cfg = write_cfg(tmp_path, doc)
+        tracemalloc.start()
+        try:
+            assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n_params = ArchitectureSpec(widths=(16, 64, 64, 4), activations=(tanh(), tanh())).n_params
+        assert peak <= 2 * empirical.PAIR_BLOCK * n_params * 8 + 6 * empirical._CHUNK_BYTES
 
     @staticmethod
     def empirical_column(tmp_path, doc, name):
@@ -1608,7 +1648,7 @@ class TestVerify:
         assert cli.main([*argv, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: verify: every sampled pair was degenerate\n"
         assert not any(out.iterdir())
-        # L_N failed while L_grad_N's first pass was being drawn: that worker is joined
+        # L_N fails on the calling thread and leaves no other behind
         assert threading.active_count() == threads
 
 

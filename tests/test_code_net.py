@@ -20,7 +20,6 @@ from lipcert import (
     linear_scalar_field,
     param_jacobian,
     random_smooth_field,
-    required_moment_order,
     sigmoid,
     solve_code,
     solve_code_batch,
@@ -375,7 +374,7 @@ class TestGrowthCertificates:
         cert = code_certificate(env, b_upsilon=1.0, x_norm=1.0)
         loss = LossEnvelope(1.0, 1.0, lip_g=1.0, lip_dg=1.0)
         s = 1.2
-        order = int(required_moment_order(env))
+        order = 3  # p_x_x + 2 p_theta: the highest norm power the constants integrate
         moments = {k: s**k for k in range(1, order + 1)}
         by_samples = code_loss_certificate(cert, loss, sample_norms=[s])
         by_moments = code_loss_certificate(cert, loss, moments=moments)
@@ -396,10 +395,12 @@ class TestGrowthCertificates:
             cert = code_certificate(env, b_upsilon=rng.uniform(0.0, 1.5), x_norm=1.0)
             loss = LossEnvelope(1.0, 1.0, lip_g=rng.uniform(0.1, 2.0), lip_dg=rng.uniform(0.1, 2.0))
             norms = rng.uniform(0.0, 2.0, size=rng.integers(1, 4)).tolist()
-            moments = {
-                k: math.fsum(s**k for s in norms) / len(norms)
-                for k in range(1, int(required_moment_order(env)) + 1)
-            }
+            # the highest norm power the constants integrate
+            order = int(max(
+                1, env.p_theta_theta, env.p_x_theta + env.p_theta, env.p_theta_x + env.p_theta,
+                env.p_x_x + 2 * env.p_theta,
+            ))
+            moments = {k: math.fsum(s**k for s in norms) / len(norms) for k in range(1, order + 1)}
             by_samples = code_loss_certificate(cert, loss, sample_norms=norms)
             by_moments = code_loss_certificate(cert, loss, moments=moments)
             assert by_moments.l_phi == pytest.approx(by_samples.l_phi, rel=1e-12, abs=0.0)
@@ -413,18 +414,6 @@ class TestGrowthCertificates:
         cert = code_certificate(env, b_upsilon=1.0, x_norm=1.0)
         with pytest.raises(ValueError):
             code_loss_certificate(cert, LossEnvelope(1.0, 1.0), moments={1: 1.0, 2: 1.0})
-
-    def test_required_moment_order_formula(self):
-        env = FieldEnvelopes(
-            b_v=1.0, b_theta=1.0, b_theta_theta=1.0, b_x_theta=1.0,
-            b_theta_x=1.0, b_x_x=1.0, lip_x=1.0,
-            p_theta=2, p_theta_theta=1, p_x_theta=1, p_theta_x=3, p_x_x=1,
-        )
-        # the quadratic l_x term needs x-norm powers up to p_x_x + 2 p_theta,
-        # and p_theta_x + p_theta also competes
-        assert required_moment_order(env) == max(
-            1, 1, 1 + 2, 3 + 2, 1 + 2 * 2, 2 * 2
-        )
 
 
 class TestEnvelopeVerifier:

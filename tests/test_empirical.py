@@ -1,7 +1,5 @@
 import hashlib
 import math
-import threading
-import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +27,6 @@ from lipcert import (
     network_jacobian_map,
     network_output_map,
     param_jacobian,
-    smoothed_relu,
     tanh,
     unflatten_params,
     worst_case_construction,
@@ -195,7 +192,7 @@ class TestEmpiricalLipschitz:
             for blocks in (1, 2, 3, 4):
                 for rows in (None, 2, 3):
                     monkeypatch.setattr(empirical, "_PASS_BLOCKS", blocks)
-                    monkeypatch.setattr(empirical, "_MAP_ROW_BYTES", (rows or 1024) * row)
+                    monkeypatch.setattr(empirical, "_CHUNK_BYTES", (rows or 1024) * row)
                     calls = []
                     est, a, b = recorded_run(f, arch.n_params, 600, seed=7, calls=calls)
                     sizes = {len(c) for c in calls}
@@ -244,6 +241,15 @@ class TestEmpiricalLipschitz:
             assert a.tobytes() == ref_a.tobytes() and b.tobytes() == ref_b.tobytes()
             assert_same_estimate(est, ref)
 
+    @pytest.mark.parametrize("n_pairs", [1, 3, 250, 2000])
+    def test_first_pass_distances_are_those_of_its_pairs(self, n_pairs):
+        # measured once beside the pairs, over the n_pairs rows an estimate
+        # reads, so a lone first row is measured as a lone row
+        first = FirstPass(40, 0.7, n_pairs, 11)
+        a, b = (p[:n_pairs] for p in first.pairs)
+        assert first.distances.tobytes() == _row_distances(a, b).tobytes()
+        assert not first.distances.flags.writeable
+
     @pytest.mark.parametrize(
         "made_for", [(6, 0.7, 250, 11), (5, 0.8, 250, 11), (5, 0.7, 251, 11), (5, 0.7, 250, 12)],
         ids=["dim", "b_omega", "n_pairs", "seed"],
@@ -275,7 +281,7 @@ class TestEmpiricalLipschitz:
     def test_row_blocks_keep_the_distances_bits(self, monkeypatch, block_bytes):
         # blocks of 1, 3 and 4 rows of 7 values leave one-row remainders at
         # 10 and 13 rows; einsum reduces a lone row in another order
-        monkeypatch.setattr(empirical, "_ROW_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(empirical, "_CHUNK_BYTES", block_bytes)
         rng = np.random.default_rng(5)
         for k, p in ((1, 7), (10, 7), (13, 7), (40, 7), (9, 2050)):
             u = rng.standard_normal((k, p)) * 10.0 ** rng.uniform(-5, 5, (k, 1))
@@ -295,91 +301,6 @@ class TestEmpiricalLipschitz:
         assert got[:4].tolist() == [pytest.approx(5e-200, rel=1e-15), pytest.approx(5e200, rel=1e-15), 0.0, 5.0]
         # an inf value measures nothing; finite values past the float range apart are inf
         assert math.isnan(got[4]) and got[5] == math.inf and got[6] == 5e-324
-
-
-class TestTwoThreadMaps:
-    """Map calls cut into two halves of rows, the upper one on a second thread.
-
-    A zero split threshold forces the cut on every call of 4 rows or more.
-    """
-
-    MAPS = (network_output_map, network_jacobian_map)
-
-    @staticmethod
-    def force_halves(monkeypatch):
-        """Split every call; the returned list gets (rows, thread) of every fill."""
-        fills = []
-        split = empirical._map_halves
-
-        def recording(fill, thetas, out):
-            def recorded(t, o):
-                fills.append((len(t), threading.current_thread()))
-                fill(t, o)
-
-            split(recorded, thetas, out)
-
-        monkeypatch.setattr(empirical, "_map_halves", recording)
-        monkeypatch.setattr(empirical, "_SPLIT_BYTES", 0)
-        return fills
-
-    @pytest.mark.parametrize("make_map", MAPS)
-    def test_halves_keep_every_bit(self, monkeypatch, rng, make_map):
-        arch = ArchitectureSpec(widths=(3, 5, 4, 2), activations=(tanh(), smoothed_relu(0.5)))
-        f = make_map(arch, np.array([0.5, -1.0, 2.0]))
-        thetas = rng.normal(size=(9, arch.n_params))
-        refs = [f(thetas[:k]) for k in range(1, 10)]
-        fills = self.force_halves(monkeypatch)
-        here = threading.current_thread()
-        threads = threading.active_count()
-        for k in range(1, 10):
-            fills.clear()
-            assert f(thetas[:k]).tobytes() == refs[k - 1].tobytes()
-            if k < 4:
-                assert fills == [(k, here)]
-            else:  # odd k too: no half is a lone row
-                lower, upper = sorted(fills, key=lambda fill: fill[1] is not here)
-                assert lower == (k // 2, here)
-                assert upper[0] == k - k // 2 and upper[1] is not here
-        assert threading.active_count() == threads
-
-    def test_overflowing_rows_match_and_warn_nothing(self, monkeypatch, rng):
-        # weights near 1e200 overflow the unbounded features: outputs and
-        # Jacobians hold inf and nan; under the caller's errstate neither
-        # half may warn
-        arch = ArchitectureSpec(widths=(2, 3, 3, 2), activations=(smoothed_relu(0.5),) * 2)
-        x = np.array([1.0, -1.0])
-        thetas = 1e200 * rng.normal(size=(7, arch.n_params))
-        with np.errstate(over="ignore", invalid="ignore"):
-            refs = [make_map(arch, x)(thetas) for make_map in self.MAPS]
-            fills = self.force_halves(monkeypatch)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", RuntimeWarning)
-                got = [make_map(arch, x)(thetas) for make_map in self.MAPS]
-        assert any(thread is not threading.current_thread() for _, thread in fills)
-        for r in refs:
-            assert np.isinf(r).any() and np.isnan(r).any()
-        for g, r in zip(got, refs):
-            assert g.tobytes() == r.tobytes()
-
-    @pytest.mark.parametrize("make_map", MAPS)
-    def test_an_upper_half_error_is_raised_here(self, monkeypatch, make_map):
-        boom = RuntimeError("upper half failed")
-        here = threading.current_thread()
-        forward = empirical.batch_forward
-
-        def failing_forward(arch, thetas, xs):
-            if threading.current_thread() is not here:
-                raise boom
-            return forward(arch, thetas, xs)
-
-        monkeypatch.setattr(empirical, "batch_forward", failing_forward)
-        self.force_halves(monkeypatch)
-        arch = ArchitectureSpec(widths=(2, 3, 1), activations=(tanh(),))
-        threads = threading.active_count()
-        with pytest.raises(RuntimeError) as info:
-            make_map(arch, np.ones(2))(np.ones((5, arch.n_params)))
-        assert info.value is boom
-        assert threading.active_count() == threads
 
 
 class TestPairSampler:
