@@ -705,18 +705,35 @@ class Certificate:
         return "overflow" in self.flags
 
 
-def _digest(payload: dict) -> str:
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=repr)
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
-
-
-def _certificate_digest(
-    covers: Covers,
+def _certificate(
+    arch: ArchitectureSpec,
+    inputs: BoundInputs,
+    nb: NetworkBounds,
     loss: LossEnvelope | None,
-    norms: Sequence[float] | None,
-    moments: SampleMoments | None,
+    loss_constants: tuple[float | None, float | None],
     method: str,
-) -> str:
+    *,
+    norms: Sequence[float] | None = None,
+    moments: SampleMoments | None = None,
+    network_constants: tuple[float, float] | None = None,
+    flags: tuple[str, ...] = (),
+    **search,
+) -> Certificate:
+    """The one assembler of a dense certificate.
+
+    nb is the recursion whose per-layer table the certificate reports, at
+    the input norm it covers; the network constants are nb's unless
+    network_constants gives others.  loss_constants is (l_phi, l_grad_phi),
+    both None for the network's alone.  The inputs digest hashes the covers,
+    the loss, the norms or moments and the method.  "overflow" comes ahead
+    of the extra flags when a constant is not finite; search holds a refined
+    certificate's layer_budgets, lower_estimate and splits.
+    """
+    l_n, l_grad_n = (nb.l_n, nb.l_grad_n) if network_constants is None else network_constants
+    l_phi, l_grad_phi = loss_constants
+    if any(v is not None and not math.isfinite(v) for v in (l_n, l_grad_n, l_phi, l_grad_phi)):
+        flags = ("overflow", *flags)
+    covers = Covers.of(arch, inputs, nb.s)
     payload = {
         "widths": list(covers.widths),
         "activations": [vars(e) for e in covers.envelopes],
@@ -730,40 +747,18 @@ def _certificate_digest(
         "moments": None if moments is None else [moments.e_s2, moments.e_s4],
         "method": method,
     }
-    return _digest(payload)
-
-
-def _overflow_flags(*values: float | None) -> tuple[str, ...]:
-    return ("overflow",) if any(v is not None and not math.isfinite(v) for v in values) else ()
-
-
-def _averaged_certificate(
-    arch: ArchitectureSpec,
-    inputs: BoundInputs,
-    norms: Sequence[float],
-    nb_max: NetworkBounds,
-    loss: LossEnvelope | None,
-    averages: tuple[float | None, float | None],
-    method: str,
-) -> Certificate:
-    """Loss constants averaged over the norms; network constants at the largest.
-
-    nb_max is the recursion at the largest norm, loss the envelope there and
-    averages the loss means; without a loss the certificate is the
-    network's alone (l_phi, l_grad_phi None).
-    """
-    l_phi, l_grad_phi = averages
-    covers = Covers.of(arch, inputs, nb_max.s)
+    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=repr)
     return Certificate(
-        per_layer=nb_max.per_layer,
-        l_n_final=nb_max.l_n,
-        l_grad_n_final=nb_max.l_grad_n,
+        per_layer=nb.per_layer,
+        l_n_final=l_n,
+        l_grad_n_final=l_grad_n,
         l_phi=l_phi,
         l_grad_phi=l_grad_phi,
         method=method,
         covers=covers,
-        inputs_digest=_certificate_digest(covers, loss, norms, None, method),
-        flags=_overflow_flags(nb_max.l_n, nb_max.l_grad_n, l_phi, l_grad_phi),
+        inputs_digest=hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16],
+        flags=flags,
+        **search,
     )
 
 
@@ -783,7 +778,7 @@ def loss_certificate(
     budgets = inputs.budgets_for(arch)
     nb_max = _network_bounds(arch, budgets, max(norms))
     averages = (None, None) if loss is None else _budget_constants(arch, loss, norms)(budgets)[2:]
-    return _averaged_certificate(arch, inputs, norms, nb_max, loss, averages, "recursive")
+    return _certificate(arch, inputs, nb_max, loss, averages, "recursive", norms=norms)
 
 
 # ---------------------------------------------------------------------------
@@ -914,7 +909,7 @@ def closed_form_certificate(
         ]
         hidden = [(h.l_n, h.l_grad_n, h.b_n) for h in last]
         averages = _loss_means(loss, nb_max.budgets[-1], hidden, rows)
-    return _averaged_certificate(arch, inputs, norms, nb_max, loss, averages, "closed_form")
+    return _certificate(arch, inputs, nb_max, loss, averages, "closed_form", norms=norms)
 
 
 # ---------------------------------------------------------------------------
@@ -996,17 +991,9 @@ def moment_certificate(
     (p0, p1), (q0, q1, q2) = _poly_head_sq_constants(arch, inputs, loss)
     l_phi = math.sqrt(p0 + _prod(p1, moments.e_s2))
     l_grad_phi = math.sqrt(q0 + _prod(q1, moments.e_s2) + _prod(q2, moments.e_s4))
-    covers = Covers.of(arch, inputs, nb.s)
-    return Certificate(
-        per_layer=nb.per_layer,
-        l_n_final=nb.l_n,
-        l_grad_n_final=nb.l_grad_n,
-        l_phi=l_phi,
-        l_grad_phi=l_grad_phi,
-        method="recursive",
-        covers=covers,
-        inputs_digest=_certificate_digest(covers, loss, None, moments, "recursive"),
-        flags=_overflow_flags(nb.l_n, nb.l_grad_n, l_phi, l_grad_phi) + ("moment_mode",),
+    return _certificate(
+        arch, inputs, nb, loss, (l_phi, l_grad_phi), "recursive",
+        moments=moments, flags=("moment_mode",),
     )
 
 
@@ -1177,23 +1164,12 @@ def refine_over_layer_budgets(
     l_n, l_grad_n, l_phi, l_grad_phi = (min(r[0], cap) for r, cap in zip(results, uniform))
     _, d_star, splits = results[-1]
 
-    flags = _overflow_flags(l_n, l_grad_n, l_phi, l_grad_phi)
-    if not l_grad_phi < uniform[3] * (1.0 - 1e-15):
-        flags = flags + ("no_improvement",)
-    covers = Covers.of(arch, inputs, s_max)
-    return Certificate(
-        per_layer=_network_bounds(arch, d_star, s_max).per_layer,
-        l_n_final=l_n,
-        l_grad_n_final=l_grad_n,
-        l_phi=l_phi,
-        l_grad_phi=l_grad_phi,
-        method="refined_budgets",
-        covers=covers,
-        inputs_digest=_certificate_digest(covers, loss, norms, None, "refined_budgets"),
-        flags=flags,
-        layer_budgets=d_star,
-        lower_estimate=constant(3)(d_star),
-        splits=splits,
+    improved = l_grad_phi < uniform[3] * (1.0 - 1e-15)
+    return _certificate(
+        arch, inputs, _network_bounds(arch, d_star, s_max), loss, (l_phi, l_grad_phi),
+        "refined_budgets", norms=norms, network_constants=(l_n, l_grad_n),
+        flags=() if improved else ("no_improvement",),
+        layer_budgets=d_star, lower_estimate=constant(3)(d_star), splits=splits,
     )
 
 

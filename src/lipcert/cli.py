@@ -27,7 +27,6 @@ from . import __version__
 from .activations import tanh
 from .bounds import (
     ArchitectureSpec,
-    BoundInputs,
     SampleMoments,
     check_moment_mode,
     closed_form_certificate,
@@ -63,7 +62,6 @@ from .config import (
     get,
     get_seed,
     load_config,
-    loss_needs_output_bound,
     numbers,
     read_certificate,
     resolve_loss_envelope,
@@ -178,16 +176,6 @@ def _print_table(title: str, columns: list[str], rows: list[tuple]) -> None:
 # certify
 
 
-def _loss_envelope(cfg: dict, arch: ArchitectureSpec, inputs: BoundInputs, target_bound, s_ref):
-    """The loss section's envelope.  Squared error's is taken at the whole
-    ball's output bound at input norm s_ref, whose recursion runs only once
-    the section has passed its checks."""
-    dim, output_bound = arch.widths[-1], math.inf
-    if loss_needs_output_bound(cfg, dim, target_bound):
-        output_bound = network_certificate(arch, inputs, s_ref).output_bound
-    return resolve_loss_envelope(cfg, dim, target_bound, output_bound)
-
-
 def cmd_certify(cfg: dict, args, out: Path) -> int:
     arch = build_architecture(cfg)
     inputs, norms = build_bound_inputs(cfg)
@@ -218,7 +206,10 @@ def cmd_certify(cfg: dict, args, out: Path) -> int:
 
     # without a loss section the certificates are the network's alone
     s_max = max(norms) if moments is None else math.sqrt(moments.e_s2)
-    env = _loss_envelope(cfg, arch, inputs, target_bound, s_max)
+    env = resolve_loss_envelope(
+        cfg, arch.widths[-1], target_bound,
+        lambda: network_certificate(arch, inputs, s_max).output_bound,
+    )
     if moments is not None:
         certs = {"recursive": moment_certificate(arch, inputs, env, moments)}
     else:
@@ -420,7 +411,10 @@ def cmd_train(cfg: dict, args, out: Path) -> int:
     if not 0.0 < shrink <= 1.0:
         raise ConfigError("train: shrink must lie in (0, 1]")
 
-    env = _loss_envelope(cfg, arch, inputs, target_bound, max(norms))
+    env = resolve_loss_envelope(
+        cfg, arch.widths[-1], target_bound,
+        lambda: network_certificate(arch, inputs, max(norms)).output_bound,
+    )
     cert = loss_certificate(arch, inputs, env, norms)
     if not math.isfinite(cert.l_grad_phi):
         print("certificate overflowed: no finite certified step size exists", file=sys.stderr)
@@ -531,14 +525,12 @@ def cmd_code_certify(cfg: dict, args, out: Path) -> int:
     _, env = _code_envelopes(cdoc)
     bu = _code_budget(cdoc)
     xn = _code_x_norm(cdoc)
+    dim = get(cdoc, "dim_state", int, default=1, where="code")
+    if dim < 1:
+        raise ConfigError(f"code.dim_state must be a positive integer, got {dim}")
     cert = _code_certificate(env, bu, xn)
 
-    dim = get(cdoc, "dim_state", int, default=1, where="code")
-    if loss_needs_output_bound(cfg, dim):
-        raise ConfigError(
-            "code loss bounds need kind 'envelope' or 'pseudo_huber' "
-            "(squared_error has no certified output bound here)"
-        )
+    # no output bound here, so squared error is refused
     loss_env = resolve_loss_envelope(cfg, dim)
     if loss_env is not None:
         norms = get(cdoc, "sample_norms", list, default=None, where="code")

@@ -21,7 +21,7 @@ import os
 import stat
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -62,7 +62,6 @@ __all__ = [
     "envelope_loss",
     "fmt",
     "load_config",
-    "loss_needs_output_bound",
     "read_certificate",
     "replace_text",
     "resolve_loss_envelope",
@@ -250,15 +249,22 @@ def _head_envelope(head, dim: int, output_bound: float, target_bound: float) -> 
 
 
 def resolve_loss_envelope(
-    cfg: dict, dim: int, target_bound: float | None = None, output_bound: float = math.inf
+    cfg: dict,
+    dim: int,
+    target_bound: float | None = None,
+    output_bound: Callable[[], float] | None = None,
 ) -> LossEnvelope | None:
     """The loss argument of the certificate routines for a net of output width dim.
 
     An envelope or pseudo-Huber loss has fixed derivative bounds.  Squared
-    error's depend on output_bound, a bound on the network output that the
-    caller reads from its recursion (none finite by default), and on the
-    target bound: the larger of loss.target_bound and target_bound (the
-    data's), so a config value cannot undercut the data.
+    error's depend on a bound on the network output and on the target bound:
+    the larger of loss.target_bound and target_bound (the data's), so a
+    config value cannot undercut the data.  output_bound is a function of no
+    arguments that returns the output bound, typically by running the
+    recursion.  It is called once, for squared error only, after every other
+    check of the section has passed, so a bad section fails before any
+    recursion.  Without it the command has no output bound, and squared
+    error is refused.
     """
     head, doc = build_loss(cfg, required=False)
     if doc is None:
@@ -275,18 +281,13 @@ def resolve_loss_envelope(
     elif target_bound is None:
         raise ConfigError("loss: squared_error needs 'target_bound' or a dataset")
     tb = max(t for t in (given, target_bound) if t is not None)
-    return _head_envelope(head, dim, output_bound, tb)
-
-
-def loss_needs_output_bound(cfg: dict, dim: int, target_bound: float | None = None) -> bool:
-    """Whether the loss is squared error, whose envelope needs a bound on the
-    network output.  The section is resolved at output bound 0 first, so a
-    bad one fails before the caller runs the recursion for that bound."""
-    head, _ = build_loss(cfg, required=False)
-    if not isinstance(head, SquaredError):
-        return False
-    resolve_loss_envelope(cfg, dim, target_bound, 0.0)
-    return True
+    _head_envelope(head, dim, 0.0, tb)  # every check but the output bound's
+    if output_bound is None:
+        raise ConfigError(
+            "code loss bounds need kind 'envelope' or 'pseudo_huber' "
+            "(squared_error has no certified output bound here)"
+        )
+    return _head_envelope(head, dim, output_bound(), tb)
 
 
 def build_refinement_search(cfg: dict) -> RefinementSearch | None:

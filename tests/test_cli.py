@@ -915,7 +915,7 @@ class TestConfigErrors:
         calls = counted_recursions(monkeypatch)
         for given, data, tb in ((1.0, 3.0, 3.0), (4.0, 3.0, 4.0), (2.0, None, 2.0), (None, 3.0, 3.0)):
             loss = {"kind": "squared_error", "target_bound": given}
-            env = config.resolve_loss_envelope({"loss": loss}, 2, data, 5.0)
+            env = config.resolve_loss_envelope({"loss": loss}, 2, data, lambda: 5.0)
             assert env == loss_head_envelopes(SquaredError(), 2, 5.0, tb)
         assert calls == []
 
@@ -1057,6 +1057,19 @@ REFUSALS = {
     "code-no-norms": (
         "code certify", {**COMMAND_RUNS["code certify"][1], "loss": {"kind": "pseudo_huber", "delta": 1.0}},
         2, "code loss bounds need 'sample_norms' or 'moments'",
+    ),
+    "code-zero-dim-state": (
+        "code certify",
+        {**edited("code certify", "code", dim_state=0, sample_norms=[1.0]), "loss": {"kind": "pseudo_huber", "delta": 1.0}},
+        2, "code.dim_state must be a positive integer, got 0",
+    ),
+    "code-negative-dim-state": (
+        "code certify",
+        {
+            **edited("code certify", "code", dim_state=-3, sample_norms=[1.0]),
+            "loss": {"kind": "envelope", "g_p_max": 1.0, "g_pp_max": 1.0},
+        },
+        2, "code.dim_state must be a positive integer, got -3",
     ),
     "code-bad-moment": (
         "code certify",
@@ -1445,6 +1458,54 @@ class TestVerify:
         assert [float(r.split(",")[2]) for r in rows] == [doc["l_n_final"], doc["l_grad_n_final"]]
 
     @pytest.mark.parametrize(
+        "name, bounds",
+        [
+            ("certificate_recursive.json", {"sample_norms": [1.0, 0.5]}),
+            ("certificate_closed_form.json", {"sample_norms": [1.0, 0.5]}),
+            ("certificate_refined.json", {"sample_norms": [1.0, 0.5]}),
+            # moment mode covers the reference norm sqrt(E[S^2]) = 1
+            ("certificate_recursive.json", {"moments": {"e_s2": 1.0, "e_s4": 1.0}}),
+        ],
+        ids=["recursive", "closed_form", "refined", "moments"],
+    )
+    def test_every_method_states_what_it_covers(self, tmp_path, capsys, monkeypatch, name, bounds):
+        run = {
+            "name": "methods",
+            "seed": 3,
+            "architecture": {"widths": [2, 3, 1], "activations": ["tanh"]},
+            "bounds": {"b_omega": 1.0, **bounds},
+            "loss": {"kind": "pseudo_huber", "delta": 1.0},
+            "verify": {"n_pairs": 100, "input_norm": 1.0},
+        }
+        certify = {**run, "refine": {"restarts": 1, "iters": 4}} if "sample_norms" in bounds else run
+        cert = self.certified(tmp_path, certify).with_name(name)
+        assert self.verify_with(tmp_path, monkeypatch, run, cert) == (0, 1)
+        doc = json.loads(cert.read_text())
+        rows = (tmp_path / "out" / "soundness.csv").read_text().split("\n")[1:-1]
+        assert [float(r.split(",")[2]) for r in rows] == [doc["l_n_final"], doc["l_grad_n_final"]]
+        wider = tmp_path / "wider"
+        wider.mkdir()
+        capsys.readouterr()
+        assert self.verify_with(wider, monkeypatch, {**run, "bounds": {"b_omega": 1.5}}, cert) == (2, 0)
+        assert capsys.readouterr().err == "error: certificate: covers b_omega 1.0, below the run's 1.5\n"
+        assert not any((wider / "out").iterdir())
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 3: the certificate sqrt(||x||^2 + 1) is rounded to nearest,"
+        " an ulp below the directed pair's quotient",
+    )
+    @pytest.mark.parametrize("input_norm", [1.0, 2.0])
+    def test_directed_affine_pair_stays_under_the_certificate(self, tmp_path, input_norm):
+        # the certificate squared is below ||x||^2 + 1 in exact rationals
+        doc = {
+            "architecture": {"widths": [2, 1], "activations": []},
+            "bounds": {"b_omega": 1.0},
+            "verify": {"n_pairs": 3, "directed_affine": True, "input_norm": input_norm},
+        }
+        assert cli.main(["verify", "--config", write_cfg(tmp_path, doc), "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize(
         "change, message",
         [
             ({"bounds": {"b_omega": 0.5, "sample_norms": [1.0]}}, "covers b_omega 0.5, below the run's 1.0"),
@@ -1815,6 +1876,15 @@ class TestCodeCommands:
             l_phi[dim] = json.loads((out / "code_certificate.json").read_text())["l_phi"]
         assert l_phi[1] > 0.0
         assert l_phi[4] == 2.0 * l_phi[1]
+
+    @pytest.mark.parametrize("dim", [0, -3])
+    def test_bad_dim_state_fails_before_the_certificate(self, tmp_path, monkeypatch, dim):
+        calls = []
+        monkeypatch.setattr(cli, "code_certificate", lambda *a: calls.append(a))
+        code = {**CODE_LINEAR["code"], "sample_norms": [1.0], "dim_state": dim}
+        doc = {"name": "bad-dim", "code": code, "loss": {"kind": "pseudo_huber", "delta": 1.0}}
+        assert cli.main(["code", "certify", "--config", write_cfg(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
+        assert calls == []
 
     def test_zero_field_certificate(self, tmp_path, capsys):
         cfg = write_cfg(
