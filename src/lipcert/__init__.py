@@ -61,8 +61,8 @@ from .code_net import (
     verify_envelopes,
 )
 from .empirical import (
-    FirstPass,
     LipschitzEstimate,
+    PairSample,
     WorstCasePair,
     chain_output,
     directed_affine_pair,

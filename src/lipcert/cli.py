@@ -71,7 +71,7 @@ from .config import (
     write_json,
 )
 from .empirical import (
-    FirstPass,
+    PairSample,
     directed_affine_pair,
     empirical_grad_lipschitz,
     empirical_lipschitz,
@@ -332,16 +332,13 @@ def cmd_verify(cfg: dict, args, out: Path) -> int:
     # here
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            # both estimates map the pairs of one draw, which seed replays
-            first = FirstPass(n_params, b, n_pairs, seed)
-            est_n = empirical_lipschitz(
-                network_output_map(arch, x), n_params, b, n_pairs, seed,
-                first_pass=first, out_width=l_out,
-            )
-            est_g = empirical_grad_lipschitz(
-                network_jacobian_map(arch, x), n_params, b, n_pairs, seed,
-                first_pass=first, out_width=l_out * n_params,
-            )
+            # both estimates map the pairs of one draw, which seed replays:
+            # the first request runs the sample's loop for both maps
+            f_n = network_output_map(arch, x)
+            f_g = network_jacobian_map(arch, x)
+            sample = PairSample([(f_n, l_out), (f_g, l_out * n_params)], n_params, b, n_pairs, seed)
+            est_n = empirical_lipschitz(f_n, n_params, b, n_pairs, seed, sample=sample)
+            est_g = empirical_grad_lipschitz(f_g, n_params, b, n_pairs, seed, sample=sample)
         except ValueError as exc:  # a ball too small for two distinct points
             raise ConfigError(f"verify: {exc}") from exc
     # (constant, certificate, empirical, pairs, seed), all of the configured net
@@ -351,9 +348,8 @@ def cmd_verify(cfg: dict, args, out: Path) -> int:
     ]
     if directed:
         lo, hi = directed_affine_pair(arch, x, b)
-        f = network_output_map(arch, x)
         quot = float(
-            np.linalg.norm(f(hi[None])[0] - f(lo[None])[0]) / np.linalg.norm(hi - lo)
+            np.linalg.norm(f_n(hi[None])[0] - f_n(lo[None])[0]) / np.linalg.norm(hi - lo)
         )
         checks.append(("directed_affine", cert_l_n, quot, 1, seed))
 

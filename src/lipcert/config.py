@@ -81,11 +81,14 @@ class ConfigError(Exception):
 def load_config(path: str | Path, kind: str = "config") -> dict:
     """Read a JSON object; kind names the file in error messages."""
     p = Path(path)
-    if not p.is_file():
+    if not p.exists():
         raise ConfigError(f"{kind} file not found: {p}")
+    if not p.is_file():
+        raise ConfigError(f"{kind} path is not a regular file: {p}")
     try:
         doc = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    # bytes that are not UTF-8, or arrays nested past the recursion limit
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"{kind} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{kind} root must be a JSON object")

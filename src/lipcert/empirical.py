@@ -12,15 +12,16 @@ a coordinate step of 1e-3 * b_omega as k % 4 is 0, 1, 2 or 3.  Block k of
 PAIR_BLOCK pairs reads one generator seeded with (seed, k) in a few
 whole-array calls, so a pair depends only on (seed, its index): the first
 n pairs of a longer run are the pairs of an n-pair run, and
-(seed, argmax_index) regenerates an estimate's worst pair.  A pass draws
-_PASS_BLOCKS blocks, 1024 pairs, then calls the map on chunks of at most
-_CHUNK_BYTES of output rows, one side after the other, and takes the
-output distances chunk by chunk, so no whole pass of outputs is held at
-once.  The same budget cuts the blocks of every distance, so each chunk
-of points, of outputs and of their differences stays in cache.  No output
-row depends on the chunk that computes it.  A FirstPass draws an
-estimate's first pass and measures its pairs once, so that estimates of
-several maps with the same pair arguments map the same drawn pairs.
+(seed, argmax_index) regenerates an estimate's worst pair.  A PairSample
+runs the one pass loop: a pass draws _PASS_BLOCKS blocks, 1024 pairs, and
+measures their distances once, then calls each of its maps on chunks of
+at most _CHUNK_BYTES of output rows, one side after the other, and takes
+the output distances chunk by chunk, so no whole pass of outputs is held
+at once; the pass is released before the next one is drawn.  The same
+budget cuts the blocks of every distance, so each chunk of points, of
+outputs and of their differences stays in cache.  No output row depends
+on the chunk that computes it, so estimates of several maps on one sample
+are those of each map alone.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from .network import (
 )
 
 __all__ = [
-    "FirstPass",
     "LipschitzEstimate",
+    "PairSample",
     "WorstCasePair",
     "chain_output",
     "directed_affine_pair",
@@ -180,29 +181,6 @@ def _draw_blocks(
     return a, b
 
 
-class FirstPass:
-    """The drawn first pass of an estimate's pairs.
-
-    FirstPass(dim, b_omega, n_pairs, seed) draws the pairs of the first
-    pass of empirical_lipschitz(f, dim, b_omega, n_pairs, seed) and
-    measures the distances of the n_pairs it reads, all read-only.  Given
-    to that call as first_pass, its pairs are mapped and its distances read
-    instead of drawn and measured again, so the estimate is that of an
-    inline draw.  They are not consumed: one FirstPass serves every
-    estimate made with the same arguments, whatever map each one samples.
-    """
-
-    def __init__(self, dim: int, b_omega: float, n_pairs: int, seed: int) -> None:
-        if n_pairs < 1:
-            raise ValueError("n_pairs must be positive")
-        self.key = (dim, b_omega, n_pairs, seed)
-        blocks = min(_PASS_BLOCKS, -(-n_pairs // PAIR_BLOCK))
-        self.pairs = _draw_blocks(seed, 0, blocks, dim, b_omega)
-        self.distances = _row_distances(*(p[:n_pairs] for p in self.pairs))
-        for p in (*self.pairs, self.distances):
-            p.flags.writeable = False
-
-
 _CHUNK_BYTES = 1 << 20  # bytes of rows per map call and per distance block
 _TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
@@ -249,6 +227,84 @@ def _row_distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
+class PairSample:
+    """The pairs of one (dim, b_omega, n_pairs, seed), mapped by several maps.
+
+    PairSample(maps, dim, b_omega, n_pairs, seed), with maps a list of
+    (map, out_width), holds the estimate of each map over the pairs of
+    empirical_lipschitz(map, dim, b_omega, n_pairs, seed).  Its one loop
+    draws each pass and measures its pair distances once, calls every map
+    on that pass, and releases the pass before it draws the next, so a
+    run holds one pass of pairs however many maps it has.  The loop runs
+    on the first request for an estimate.
+    """
+
+    def __init__(
+        self,
+        maps: Sequence[tuple[Callable[[np.ndarray], np.ndarray], int]],
+        dim: int,
+        b_omega: float,
+        n_pairs: int,
+        seed: int,
+    ) -> None:
+        if n_pairs < 1:
+            raise ValueError("n_pairs must be positive")
+        self.key = (dim, b_omega, n_pairs, seed)
+        self._maps = list(maps)
+        self._estimates: list[LipschitzEstimate | None] | None = None
+
+    def estimate(self, f: Callable[[np.ndarray], np.ndarray]) -> LipschitzEstimate:
+        """The estimate of map f, which the sample must hold."""
+        k = next((k for k, (g, _) in enumerate(self._maps) if g is f), None)
+        if k is None:
+            raise ValueError("the pair sample holds no such map")
+        if self._estimates is None:
+            self._estimates = self._run()
+        est = self._estimates[k]
+        if est is None:
+            raise ValueError("every sampled pair was degenerate")
+        return est
+
+    def _run(self) -> list[LipschitzEstimate | None]:
+        *_, n_pairs, seed = self.key
+        best = [(-math.inf, -1, None)] * len(self._maps)  # (ratio, index, pair)
+        n_degenerate = 0
+        n_blocks = -(-n_pairs // PAIR_BLOCK)
+        for first in range(0, n_blocks, _PASS_BLOCKS):
+            n_degenerate += self._map_pass(first, min(_PASS_BLOCKS, n_blocks - first), best)
+        return [
+            None if index < 0 else LipschitzEstimate(ratio, pair, index, n_pairs, seed, n_degenerate)
+            for ratio, index, pair in best
+        ]
+
+    def _map_pass(self, first: int, count: int, best: list) -> int:
+        """Draw blocks first .. first + count - 1, update each map's best in
+        place and give the pass's degenerate pairs; the pass is freed on
+        return."""
+        dim, b_omega, n_pairs, seed = self.key
+        offset = first * PAIR_BLOCK
+        a, b = _draw_blocks(seed, first, count, dim, b_omega)
+        rows = min(len(a), n_pairs - offset)
+        a, b = a[:rows], b[:rows]
+        dn = _row_distances(a, b)
+        ok = dn > 0.0
+        dn[~ok] = 1.0
+        for m, (f, out_width) in enumerate(self._maps):
+            # chunked map calls: no whole pass of outputs (a Jacobian's is
+            # l_out times the pairs' size) is ever held at once
+            fn = np.empty(rows)
+            for i, j in _row_blocks(rows, 8 * out_width, _CHUNK_BYTES):
+                fa = np.asarray(f(a[i:j]), dtype=float)
+                fn[i:j] = _row_distances(fa, np.asarray(f(b[i:j]), dtype=float))
+            q = fn / dn
+            # a NaN quotient (inf - inf outputs) is skipped, never the argmax
+            ratios = np.where(ok & ~np.isnan(q), q, -math.inf)
+            j = int(np.argmax(ratios))
+            if ratios[j] > best[m][0]:
+                best[m] = (float(ratios[j]), offset + j, (a[j].copy(), b[j].copy()))
+        return int(np.count_nonzero(~ok))
+
+
 def empirical_lipschitz(
     f: Callable[[np.ndarray], np.ndarray],
     dim: int,
@@ -256,8 +312,8 @@ def empirical_lipschitz(
     n_pairs: int,
     seed: int,
     *,
-    first_pass: FirstPass | None = None,
     out_width: int | None = None,
+    sample: PairSample | None = None,
 ) -> LipschitzEstimate:
     """Max difference quotient of a batched map over sampled parameter pairs.
 
@@ -272,52 +328,21 @@ def empirical_lipschitz(
     blocks and calls f on chunks of their first points and then of their
     second, in turn, each chunk at most _CHUNK_BYTES (1 MiB, but 2 rows) of
     output rows of out_width floats (dim if not given: a gradient's width),
-    so that a chunk's points, outputs and differences stay in cache.  A
-    first_pass made with the same dim, b_omega, n_pairs and seed supplies
-    the first pass's pairs and their distances; pairs of other arguments
-    would break the replay from (seed, argmax_index), so they are refused.
+    so that a chunk's points, outputs and differences stay in cache.  Given
+    a sample made with the same dim, b_omega, n_pairs and seed that holds f
+    (with its own out_width), the call returns the sample's estimate of f,
+    running the sample's loop for all of its maps if no estimate was asked
+    of it before; pairs of other arguments would break the replay from
+    (seed, argmax_index), so they are refused.
     """
-    if n_pairs < 1:
-        raise ValueError("n_pairs must be positive")
-    if first_pass is not None and first_pass.key != (dim, b_omega, n_pairs, seed):
+    if sample is None:
+        sample = PairSample([(f, out_width or dim)], dim, b_omega, n_pairs, seed)
+    elif sample.key != (dim, b_omega, n_pairs, seed):
         raise ValueError(
-            f"first_pass was made for (dim, b_omega, n_pairs, seed) = {first_pass.key},"
+            f"the pair sample was made for (dim, b_omega, n_pairs, seed) = {sample.key},"
             f" not {(dim, b_omega, n_pairs, seed)}"
         )
-
-    best = -math.inf
-    best_index = -1
-    n_degenerate = 0
-    n_blocks = -(-n_pairs // PAIR_BLOCK)
-    for first in range(0, n_blocks, _PASS_BLOCKS):
-        offset = first * PAIR_BLOCK
-        if first == 0 and first_pass is not None:
-            a, b = first_pass.pairs
-            dn = first_pass.distances
-        else:
-            a, b = _draw_blocks(seed, first, min(_PASS_BLOCKS, n_blocks - first), dim, b_omega)
-            dn = _row_distances(a[: n_pairs - offset], b[: n_pairs - offset])
-        rows = len(dn)
-        a, b = a[:rows], b[:rows]
-        ok = dn > 0.0
-        n_degenerate += int(np.count_nonzero(~ok))
-        # chunked map calls: no whole pass of outputs (a Jacobian's is
-        # l_out times the pairs' size) is ever held at once
-        fn = np.empty(rows)
-        for i, j in _row_blocks(rows, 8 * (out_width or dim), _CHUNK_BYTES):
-            fa = np.asarray(f(a[i:j]), dtype=float)
-            fn[i:j] = _row_distances(fa, np.asarray(f(b[i:j]), dtype=float))
-        q = fn / np.where(ok, dn, 1.0)
-        # a NaN quotient (inf - inf outputs) is skipped, never the argmax
-        ratios = np.where(ok & ~np.isnan(q), q, -math.inf)
-        j = int(np.argmax(ratios))
-        if ratios[j] > best:
-            best = float(ratios[j])
-            best_index = offset + j
-            best_pair = (a[j].copy(), b[j].copy())
-    if best_index < 0:
-        raise ValueError("every sampled pair was degenerate")
-    return LipschitzEstimate(best, best_pair, best_index, n_pairs, seed, n_degenerate)
+    return sample.estimate(f)
 
 
 def empirical_grad_lipschitz(
@@ -327,12 +352,12 @@ def empirical_grad_lipschitz(
     n_pairs: int,
     seed: int,
     *,
-    first_pass: FirstPass | None = None,
     out_width: int | None = None,
+    sample: PairSample | None = None,
 ) -> LipschitzEstimate:
     """Same engine as empirical_lipschitz, applied to a gradient/Jacobian map."""
     return empirical_lipschitz(
-        grad_f, dim, b_omega, n_pairs, seed, first_pass=first_pass, out_width=out_width
+        grad_f, dim, b_omega, n_pairs, seed, out_width=out_width, sample=sample
     )
 
 

@@ -971,6 +971,54 @@ class TestConfigErrors:
         assert capsys.readouterr().err == f"error: certificate file not found: {missing}\n"
         assert not any(out.iterdir())
 
+    # files that json cannot read: bytes that are not UTF-8, and arrays
+    # nested past the recursion limit
+    UNREADABLE_JSON = {
+        "not_utf8": (b'{"name": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+        "too_deep": (b"[" * 100000 + b"]" * 100000, "maximum recursion depth exceeded"),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(UNREADABLE_JSON))
+    def test_unreadable_config_exits_two(self, tmp_path, capsys, monkeypatch, fault):
+        content, detail = self.UNREADABLE_JSON[fault]
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        calls = counted_recursions(monkeypatch)
+        out = tmp_path / "out"
+        assert cli.main(["certify", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config is not valid JSON: ") and detail in err
+        assert err.count("\n") == 1
+        assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("fault", sorted(UNREADABLE_JSON))
+    def test_unreadable_certificate_exits_two_before_any_pair(self, tmp_path, capsys, monkeypatch, fault):
+        content, detail = self.UNREADABLE_JSON[fault]
+        cert = tmp_path / "cert.json"
+        cert.write_bytes(content)
+        calls = counted_recursions(monkeypatch)
+        monkeypatch.setattr(empirical, "_draw_blocks", lambda *a: calls.append(a))
+        argv, doc = COMMAND_RUNS["verify"]
+        doc = {**doc, "verify": {**doc["verify"], "certificate_path": str(cert)}}
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: certificate is not valid JSON: ") and detail in err
+        assert err.count("\n") == 1
+        assert calls == [] and not any(out.iterdir())
+
+    def test_config_directory_is_not_a_file(self, tmp_path, capsys):
+        assert cli.main(["certify", "--config", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: config path is not a regular file: {tmp_path}\n"
+
+    def test_certificate_directory_is_not_a_file(self, tmp_path, capsys):
+        argv, doc = COMMAND_RUNS["verify"]
+        doc = {**doc, "verify": {**doc["verify"], "certificate_path": str(tmp_path)}}
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: certificate path is not a regular file: {tmp_path}\n"
+        assert not any(out.iterdir())
+
     @pytest.mark.parametrize("value, flags", [(math.nan, ["--allow-inf"]), (-1.0, [])], ids=["nan", "negative"])
     @pytest.mark.parametrize("key", ["l_n_final", "l_grad_n_final"])
     def test_bad_certificate_value_exits_two_before_any_pair(
@@ -1670,6 +1718,43 @@ class TestVerify:
             tracemalloc.stop()
         n_params = ArchitectureSpec(widths=(16, 64, 64, 4), activations=(tanh(), tanh())).n_params
         assert peak <= 2 * empirical.PAIR_BLOCK * n_params * 8 + 6 * empirical._CHUNK_BYTES
+
+    TWO_PASS_DOC = {
+        "name": "tanh-6-40-3",
+        "seed": 3,
+        "architecture": {"widths": [6, 40, 3], "activations": ["tanh"]},
+        "bounds": {"b_omega": 1.0},
+        "verify": {"n_pairs": 2100},
+    }
+
+    def test_verify_draws_each_pass_once(self, tmp_path, monkeypatch):
+        # 2100 pairs are passes of 4, 4 and 1 blocks, each drawn once for
+        # both estimates
+        drawn = []
+        real = empirical._draw_blocks
+
+        def spy(seed, first, count, *args):
+            drawn.append((first, count))
+            return real(seed, first, count, *args)
+
+        monkeypatch.setattr(empirical, "_draw_blocks", spy)
+        cfg = write_cfg(tmp_path, self.TWO_PASS_DOC)
+        assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert drawn == [(0, 4), (4, 4), (8, 1)]
+
+    def test_verify_holds_one_pass_of_pairs(self, tmp_path):
+        # 403 parameters: a pass of 1024 pairs is 6.6 MB, released before
+        # the next is drawn; beside it verify holds a few chunks
+        cfg = write_cfg(tmp_path, self.TWO_PASS_DOC)
+        tracemalloc.start()
+        try:
+            assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n_params = ArchitectureSpec(widths=(6, 40, 3), activations=(tanh(),)).n_params
+        pass_rows = empirical._PASS_BLOCKS * empirical.PAIR_BLOCK
+        assert peak <= pass_rows * n_params * 16 + 6 * empirical._CHUNK_BYTES
 
     @staticmethod
     def empirical_column(tmp_path, doc, name):

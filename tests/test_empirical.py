@@ -6,9 +6,9 @@ import pytest
 
 from lipcert import (
     ArchitectureSpec,
-    FirstPass,
     BoundInputs,
     NetworkObjective,
+    PairSample,
     PseudoHuber,
     Sample,
     SquaredError,
@@ -27,6 +27,7 @@ from lipcert import (
     network_jacobian_map,
     network_output_map,
     param_jacobian,
+    smoothed_relu,
     tanh,
     unflatten_params,
     worst_case_construction,
@@ -226,37 +227,79 @@ class TestEmpiricalLipschitz:
         )
         assert quot == pytest.approx(est.max_ratio, rel=1e-12)
 
-    @pytest.mark.parametrize("n_pairs", [250, 2000])
-    def test_first_pass_gives_the_inline_estimate(self, n_pairs):
-        # 250 pairs are one pass, 2000 are a drawn first pass and an inline
-        # second one; the pass is not consumed, so a second estimate on it
-        # is the inline estimate again
+    @pytest.mark.parametrize("n_pairs", [1, 250, 1100, 2100])
+    def test_shared_sample_gives_the_standalone_estimates(self, n_pairs):
+        # 1 and 250 pairs are one pass, 1100 and 2100 pairs are two and
+        # three; asked twice, a sample gives its estimate again
         arch = ArchitectureSpec(widths=(3, 4, 2), activations=(tanh(),))
-        f = network_jacobian_map(arch, np.array([0.5, -0.5, 1.0]))
-        ref, ref_a, ref_b = recorded_run(f, arch.n_params, n_pairs, seed=11, b_omega=0.7)
-        first = FirstPass(arch.n_params, 0.7, n_pairs, 11)
-        assert not any(p.flags.writeable for p in first.pairs)  # shared, so read-only
+        x = np.array([0.5, -0.5, 1.0])
+        maps = [(network_output_map(arch, x), 2), (network_jacobian_map(arch, x), 2 * arch.n_params)]
+        args = (arch.n_params, 0.7, n_pairs, 11)
+        sample = PairSample(maps, *args)
         for _ in range(2):
-            est, a, b = recorded_run(f, arch.n_params, n_pairs, 11, 0.7, first_pass=first)
-            assert a.tobytes() == ref_a.tobytes() and b.tobytes() == ref_b.tobytes()
-            assert_same_estimate(est, ref)
+            for f, width in maps:
+                ref = empirical_lipschitz(f, *args, out_width=width)
+                assert_same_estimate(empirical_lipschitz(f, *args, sample=sample), ref)
+
+    def test_shared_sample_of_an_overflowing_net(self):
+        # in a ball of radius 1e104 most outputs overflow to inf or nan, whose
+        # quotients are skipped, and local steps vanish beside their bases
+        arch = ArchitectureSpec(widths=(2, 8, 8, 2), activations=(smoothed_relu(0.5),) * 2)
+        x = np.array([1.0, -1.0])
+        maps = [(network_output_map(arch, x), 2), (network_jacobian_map(arch, x), 2 * arch.n_params)]
+        args = (arch.n_params, 1e104, 1100, 5)
+        sample = PairSample(maps, *args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(maps[0][0](_draw_blocks(5, 0, 1, *args[:2])[0])).all()
+            for f, width in maps:
+                ref = empirical_lipschitz(f, *args, out_width=width)
+                assert_same_estimate(empirical_grad_lipschitz(f, *args, sample=sample), ref)
+                assert ref.n_degenerate > 0
+
+    def test_shared_sample_refuses_only_the_map_with_no_quotient(self):
+        # a map whose every quotient is NaN has no estimate, alone or shared;
+        # the other map of its sample keeps its own
+        nowhere = lambda t: np.full((len(t), 1), math.nan)
+        double = lambda t: 2.0 * t
+        args = (4, 0.7, 300, 2)
+        sample = PairSample([(nowhere, 1), (double, 4)], *args)
+        for request in (lambda: empirical_lipschitz(nowhere, *args), lambda: sample.estimate(nowhere)):
+            with pytest.raises(ValueError, match="every sampled pair was degenerate"):
+                request()
+        assert_same_estimate(sample.estimate(double), empirical_lipschitz(double, *args))
 
     @pytest.mark.parametrize("n_pairs", [1, 3, 250, 2000])
-    def test_first_pass_distances_are_those_of_its_pairs(self, n_pairs):
-        # measured once beside the pairs, over the n_pairs rows an estimate
-        # reads, so a lone first row is measured as a lone row
-        first = FirstPass(40, 0.7, n_pairs, 11)
-        a, b = (p[:n_pairs] for p in first.pairs)
-        assert first.distances.tobytes() == _row_distances(a, b).tobytes()
-        assert not first.distances.flags.writeable
+    def test_pass_distances_are_measured_once(self, monkeypatch, n_pairs):
+        # one distance call per pass on the n_pairs rows that the maps read,
+        # so a lone first row is measured as a lone row, whatever the maps
+        measured = []
+        real = empirical._row_distances
+
+        def spy(u, v):
+            if u.shape[1] == 40:  # the pairs, not the 1-wide outputs
+                measured.append(len(u))
+            return real(u, v)
+
+        monkeypatch.setattr(empirical, "_row_distances", spy)
+        maps = [(lambda t: t[:, :1], 1), (lambda t: t[:, 1:2], 1), (lambda t: t[:, :1] + t[:, 1:2], 1)]
+        sample = PairSample(maps, 40, 0.7, n_pairs, 11)
+        for f, _ in maps:
+            sample.estimate(f)
+        assert measured == [min(1024, n_pairs - first) for first in range(0, n_pairs, 1024)]
 
     @pytest.mark.parametrize(
         "made_for", [(6, 0.7, 250, 11), (5, 0.8, 250, 11), (5, 0.7, 251, 11), (5, 0.7, 250, 12)],
         ids=["dim", "b_omega", "n_pairs", "seed"],
     )
-    def test_first_pass_of_other_arguments_is_refused(self, made_for):
-        with pytest.raises(ValueError, match="first_pass was made for"):
-            empirical_grad_lipschitz(lambda t: t, 5, 0.7, 250, 11, first_pass=FirstPass(*made_for))
+    def test_sample_of_other_arguments_is_refused(self, made_for):
+        f = lambda t: t
+        with pytest.raises(ValueError, match="the pair sample was made for"):
+            empirical_grad_lipschitz(f, 5, 0.7, 250, 11, sample=PairSample([(f, 5)], *made_for))
+
+    def test_sample_refuses_a_map_it_does_not_hold(self):
+        sample = PairSample([(lambda t: t, 5)], 5, 0.7, 250, 11)
+        with pytest.raises(ValueError, match="holds no such map"):
+            empirical_lipschitz(lambda t: t, 5, 0.7, 250, 11, sample=sample)
 
     def test_never_exceeds_certificate(self, rng):
         for _ in range(5):
