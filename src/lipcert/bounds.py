@@ -95,6 +95,7 @@ targets.  sqrt(n3) in b_n is needed: every coordinate can reach b3.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import heapq
 import itertools
@@ -603,10 +604,11 @@ def _budget_constants(
     max(norms)).l_n and .l_grad_n and of the loss head's layer_step averaged
     over the norms in dataset order.
 
-    Below _ARRAY_MIN_NORMS distinct norms it runs _hidden_floats once per
-    distinct norm and the float core for the heads; from there on it runs
-    _hidden_floats at the largest norm only, and the loss averages come from
-    one array recursion and head step over the distinct norms.
+    Each call walks the hidden layers once per distinct norm.  Below
+    _ARRAY_MIN_NORMS distinct norms the walks are _hidden_floats and the
+    heads the float core; from there on one array recursion over the
+    distinct norms (_last_hidden_rows) gives every last hidden row, the
+    largest norm's included, and one array head step the loss averages.
     """
     layers = _hidden_layers(arch)
     out_width = float(arch.widths[-1])
@@ -614,16 +616,14 @@ def _budget_constants(
     top = distinct.index(max(norms))
 
     if len(distinct) >= _ARRAY_MIN_NORMS:
-        s_rows, s_max, n = np.array(distinct), distinct[top], len(norms)
+        s_rows, n = np.array(distinct), len(norms)
 
         def constants(d: tuple[float, ...]) -> tuple[float, float, float, float]:
+            hidden = _last_hidden_rows(layers, d, s_rows)
             l_n, l_grad_n, _, _ = _float_step(
-                1.0, 0.0, math.inf, out_width, d[-1], *_hidden_floats(layers, d, s_max)
+                1.0, 0.0, math.inf, out_width, d[-1], *(float(h[top]) for h in hidden)
             )
-            heads = _layer_step_rows(
-                loss.g_p_max, loss.g_pp_max, math.inf, 1.0, d[-1],
-                *_last_hidden_rows(layers, d, s_rows),
-            )
+            heads = _layer_step_rows(loss.g_p_max, loss.g_pp_max, math.inf, 1.0, d[-1], *hidden)
             l_phi, l_grad_phi = (_fsum(h[rows].tolist()) / n for h in heads)
             return l_n, l_grad_n, l_phi, l_grad_phi
 
@@ -1054,9 +1054,8 @@ def _box_geometry(
 def _sup_over_splits(
     f: Callable[[tuple[float, ...]], float],
     dim: int,
-    b_omega: float,
     max_splits: int,
-    boxes: dict[tuple, tuple | None],
+    geometry: Callable[[tuple[float, ...], tuple[float, ...]], tuple | None],
 ) -> tuple[float, tuple[float, ...], int]:
     """Upper bound on sup f over nonnegative splits with sum(D_u^2) <= b_omega^2.
 
@@ -1068,14 +1067,12 @@ def _sup_over_splits(
     unit ball f is at most its value at the corner x_u = min(hi_u,
     sqrt(1 - sum_{j != u} lo_j^2)), D_1 = b_omega sqrt(1 - sum(lo^2)); the
     root's corner is (b, ..., b), the uniform split.  A box's lower estimate
-    is f where the segment lo -> x leaves the unit ball.  The box with the
-    largest bound is halved along its longest edge, an upper half with
-    sum(lo^2) > 1 is dropped, and the search stops once that bound is within
-    _SPLIT_RTOL of the best lower estimate or after max_splits splits.
-
-    boxes maps each (lo, hi) pushed so far to its _box_geometry; searches
-    over one radius share it, so a box pushed by several of them is measured
-    once.
+    is f where the segment lo -> x leaves the unit ball.  geometry(lo, hi)
+    gives those two budget vectors, or None for a box outside the ball
+    (_box_geometry at the radius).  The box with the largest bound is halved
+    along its longest edge, an upper half with sum(lo^2) > 1 is dropped, and
+    the search stops once that bound is within _SPLIT_RTOL of the best lower
+    estimate or after max_splits splits.
 
     Returns (upper, split, splits): the largest bound still open, the split
     with the best lower estimate, and the splits used.
@@ -1086,13 +1083,10 @@ def _sup_over_splits(
 
     def push(lo: tuple[float, ...], hi: tuple[float, ...]) -> None:
         nonlocal lower, split
-        key = (lo, hi)
-        if key not in boxes:
-            boxes[key] = _box_geometry(lo, hi, b_omega)
-        geometry = boxes[key]
-        if geometry is None:
+        box = geometry(lo, hi)
+        if box is None:
             return
-        d, corner = geometry
+        d, corner = box
         value = f(d)
         if value > lower:
             lower, split = value, d
@@ -1129,36 +1123,24 @@ def refine_over_layer_budgets(
     best split of the l_grad_phi search, which lies on the sphere
     sum(D_u^2) = b_omega^2; lower_estimate is l_grad_phi there.
 
-    One recursion at a budget vector gives all four constants, so one memo
-    maps each budget vector to its four floats (_budget_constants), shared
-    by the four searches, the uniform caps and the lower estimate.  Beside
-    it, one box table maps each box the searches push to its two budget
-    vectors (_box_geometry), so a box that several searches push is
-    measured once.  The recursion with a per-layer table (_network_bounds)
-    runs once, at the reported split, for its table.
+    One recursion at a budget vector gives all four constants
+    (_budget_constants), and one box gives the same two budget vectors to
+    every search (_box_geometry).  Both are cached with functools.cache for
+    this refinement, so each budget vector is evaluated once, whichever of
+    the four searches, the uniform caps and the lower estimate asks first,
+    and each box is measured once.  The recursion with a per-layer table
+    (_network_bounds) runs once, at the reported split, for its table.
     """
     norms = check_sample_norms(dataset_norms)
     if arch.m < 1:
         raise ValueError("budget refinement needs at least one hidden layer")
     if loss is None:
         raise ValueError("budget refinement needs a loss: it searches the loss constants")
-    s_max = max(norms)
-    d_uniform = inputs.budgets_for(arch)
-    evaluate = _budget_constants(arch, loss, norms)
-    memo: dict[tuple[float, ...], tuple[float, float, float, float]] = {}
-
-    def constant(k: int) -> Callable[[tuple[float, ...]], float]:
-        def f(d: tuple[float, ...]) -> float:
-            c = memo.get(d)
-            if c is None:
-                c = memo[d] = evaluate(d)
-            return c[k]
-        return f
-
-    uniform = memo[d_uniform] = evaluate(d_uniform)
-    boxes: dict[tuple, tuple | None] = {}
+    evaluate = functools.cache(_budget_constants(arch, loss, norms))
+    geometry = functools.cache(functools.partial(_box_geometry, b_omega=inputs.b_omega))
+    uniform = evaluate(inputs.budgets_for(arch))
     results = [
-        _sup_over_splits(constant(k), arch.m + 1, inputs.b_omega, search.max_splits, boxes)
+        _sup_over_splits(lambda d, k=k: evaluate(d)[k], arch.m + 1, search.max_splits, geometry)
         for k in range(4)
     ]
     l_n, l_grad_n, l_phi, l_grad_phi = (min(r[0], cap) for r, cap in zip(results, uniform))
@@ -1166,10 +1148,10 @@ def refine_over_layer_budgets(
 
     improved = l_grad_phi < uniform[3] * (1.0 - 1e-15)
     return _certificate(
-        arch, inputs, _network_bounds(arch, d_star, s_max), loss, (l_phi, l_grad_phi),
+        arch, inputs, _network_bounds(arch, d_star, max(norms)), loss, (l_phi, l_grad_phi),
         "refined_budgets", norms=norms, network_constants=(l_n, l_grad_n),
         flags=() if improved else ("no_improvement",),
-        layer_budgets=d_star, lower_estimate=constant(3)(d_star), splits=splits,
+        layer_budgets=d_star, lower_estimate=evaluate(d_star)[3], splits=splits,
     )
 
 

@@ -439,7 +439,7 @@ def cmd_train(cfg: dict, args, out: Path) -> int:
 
     rows = [
         (st.step, st.phi, st.grad_norm, st.step_size, st.param_norm,
-         "na" if st.descent_ok is None else ("1" if st.descent_ok else "0"))
+         "na" if st.descent_ok is None else st.descent_ok)
         for st in trace.steps
     ]
     _write_reports("train", cfg, args, out, {
@@ -538,6 +538,9 @@ def cmd_code_certify(cfg: dict, args, out: Path) -> int:
             moments = {}
             for k, v in mdoc.items():
                 try:
+                    # only the plain decimal: int() also reads "02", "+2" and "2_0"
+                    if k != str(int(k)):
+                        raise ValueError(k)
                     moments[int(k)] = numbers([v], "code.moments")[0]
                 except (ConfigError, ValueError):
                     raise ConfigError(f"code.moments: bad entry {k!r}: {v!r}") from None

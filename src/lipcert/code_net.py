@@ -14,6 +14,7 @@ case of a single pure-jump control with unit jumps at integer times.
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -157,14 +158,10 @@ class FieldEnvelopes:
     p_x_x: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "b_v", "b_theta", "b_theta_theta", "b_x_theta", "b_theta_x",
-            "b_x_x", "lip_x", "p_theta", "p_theta_theta", "p_x_theta",
-            "p_theta_x", "p_x_x",
-        ):
-            v = getattr(self, name)
+        for f in dataclasses.fields(self):
+            v = getattr(self, f.name)
             if not math.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and nonnegative")
+                raise ValueError(f"{f.name} must be finite and nonnegative")
 
 
 @dataclass(frozen=True)

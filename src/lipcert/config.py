@@ -14,6 +14,7 @@ inputs produce identical bytes.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -329,10 +330,7 @@ def build_control(doc: dict, where: str = "control") -> Control:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-_ENVELOPE_KEYS = (
-    "b_v", "b_theta", "b_theta_theta", "b_x_theta", "b_theta_x", "b_x_x",
-    "lip_x", "p_theta", "p_theta_theta", "p_x_theta", "p_theta_x", "p_x_x",
-)
+_ENVELOPE_KEYS = tuple(f.name for f in dataclasses.fields(FieldEnvelopes))
 
 
 def build_field_envelopes(doc: dict, where: str = "envelopes") -> FieldEnvelopes:
@@ -445,7 +443,7 @@ def config_digest(resolved: dict) -> str:
 
 
 def fmt(v: Any) -> str:
-    """CSV cell formatting: floats at full 17-significant-digit precision."""
+    """CSV cell formatting: booleans as 1/0, floats at full 17-significant-digit precision."""
     if isinstance(v, bool):
         return "1" if v else "0"
     if isinstance(v, float):

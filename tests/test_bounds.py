@@ -351,7 +351,7 @@ class TestSampleNormArrays:
 
     @pytest.mark.parametrize("kind", range(len(ALL_KINDS)), ids=lambda k: ALL_KINDS[k].envelope.kind)
     def test_budget_constants_match_the_per_layer_recursion(self, monkeypatch, kind):
-        # the refinement's memo entry against _network_bounds at the largest
+        # the refinement's cached evaluation against _network_bounds at the largest
         # norm and head_averages over every norm, on the float path and on
         # the array path, with repeated norms and the overflows of
         # test_array_path_matches_the_per_norm_path (b_omega 1e40, a 1e200 norm)
@@ -833,6 +833,11 @@ class TestClosedForms:
         cf = closed_form_bounds(arch, BoundInputs(b_omega=1.0), s)
         assert cf.l_n_sq[2] == pytest.approx(s * s + 5.0, rel=1e-15)
 
+    def test_depth_zero_has_no_hidden_layer_bounds(self):
+        arch = ArchitectureSpec(widths=(3, 2), activations=())
+        cf = closed_form_bounds(arch, BoundInputs(b_omega=1.0), 0.5)
+        assert cf == bounds.ClosedFormBounds((), ())
+
     def test_dominates_recursive_on_random_configs(self):
         rng = np.random.default_rng(77)
         for _ in range(100):
@@ -1071,10 +1076,10 @@ class TestRefinement:
             assert [(d, s) for _, d, s in tables] == [(ref.layer_budgets, 1.25)]
             assert [(d, s) for _, d, s in table_walks] == [(ref.layer_budgets, 1.25)]
 
-    def test_many_norms_take_one_scalar_recursion_per_budget_vector(self, monkeypatch):
-        # the other norms' loss averages come from one array recursion per
-        # budget vector, beside one float walk at the largest norm; the
-        # per-layer table is one more walk, at the reported split
+    def test_many_norms_take_one_array_recursion_per_budget_vector(self, monkeypatch):
+        # each budget vector walks every distinct norm once, the largest
+        # one's included, in one array recursion; the only float walk is
+        # the per-layer table's, at the reported split
         floats = counted_calls(monkeypatch, "_hidden_floats")
         arrays = counted_calls(monkeypatch, "_last_hidden_rows")
         arch = ArchitectureSpec(
@@ -1087,56 +1092,66 @@ class TestRefinement:
         )
         table_walks, search_walks = walks(floats)
         assert [(d, s) for _, d, s in table_walks] == [(ref.layer_budgets, max(norms))]
-        assert {s for _, _, s in search_walks} == {max(norms)}
-        vectors = Counter(tuple(d) for _, d, _ in search_walks)
+        assert search_walks == []
+        vectors = Counter(tuple(d) for _, d, _ in arrays)
         assert len(vectors) > 30 and set(vectors.values()) == {1}
-        assert Counter(tuple(d) for _, d, _ in arrays) == vectors
-        assert all(len(s) == bounds._ARRAY_MIN_NORMS for _, _, s in arrays)
+        assert all(s.tolist() == sorted(set(norms)) for _, _, s in arrays)
 
     def test_memo_drops_the_smaller_norms(self, monkeypatch):
-        # one memo, shared by the four searches, keeps four floats per
-        # budget vector, whatever the number of sample norms: nothing per
-        # norm outlives its vector's averages
-        memos, evaluated = [], []
+        # one cache, shared by the four searches, the uniform caps and the
+        # lower estimate, keeps four floats per budget vector, whatever the
+        # number of sample norms: each vector is evaluated once, nothing per
+        # norm outlives its vector's averages, and search k reads constant k
+        evaluated, searched = [], []
         search, constants = bounds._sup_over_splits, bounds._budget_constants
 
         def spied_search(f, *args):
-            memos.extend(c.cell_contents for c in f.__closure__ if isinstance(c.cell_contents, dict))
-            return search(f, *args)
+            reads = []
+            searched.append(reads)
+
+            def spied(d):
+                reads.append((d, f(d)))
+                return reads[-1][1]
+
+            return search(spied, *args)
 
         def counted_constants(*args):
             evaluate = constants(*args)
 
             def counted(d):
-                evaluated.append(d)
-                return evaluate(d)
+                evaluated.append((d, evaluate(d)))
+                return evaluated[-1][1]
 
             return counted
 
         monkeypatch.setattr(bounds, "_sup_over_splits", spied_search)
         monkeypatch.setattr(bounds, "_budget_constants", counted_constants)
         arch = ArchitectureSpec(widths=(3, 5, 4, 2), activations=(tanh(), sigmoid()))
+        inputs = BoundInputs(b_omega=1.5)
         # one norm, a few, and enough for the array recursion
         for n_norms in (1, 4, bounds._ARRAY_MIN_NORMS + 2):
-            memos.clear()
             evaluated.clear()
-            refine_over_layer_budgets(
-                arch, BoundInputs(b_omega=1.5), LossEnvelope(1.0, 1.0),
+            searched.clear()
+            ref = refine_over_layer_budgets(
+                arch, inputs, LossEnvelope(1.0, 1.0),
                 [0.25 * (k + 1) for k in range(n_norms)], RefinementSearch(restarts=1, iters=10),
             )
-            assert len(memos) == 4 and all(m is memos[0] for m in memos)
-            memo = memos[0]
-            assert sorted(memo) == sorted(evaluated) and len(set(evaluated)) == len(evaluated)
-            assert len(memo) > 3 * arch.m
-            for d, value in memo.items():
+            values = dict(evaluated)
+            assert len(values) == len(evaluated) > 3 * arch.m
+            for d, value in evaluated:
                 assert len(d) == arch.m + 1 and all(type(x) is float for x in d)
                 assert type(value) is tuple and len(value) == 4
                 assert all(type(x) is float for x in value)
+            assert len(searched) == 4
+            for k, reads in enumerate(searched):
+                assert reads and all(value == values[d][k] for d, value in reads)
+            assert inputs.budgets_for(arch) in values
+            assert ref.lower_estimate == values[ref.layer_budgets][3]
 
     def test_four_searches_measure_each_box_once(self, monkeypatch):
-        # the four searches share one box table: a box's geometry is computed
-        # the first time any of them pushes it and read from the table after
-        # that, and each search returns what it returns on a table of its own
+        # the four searches share one cached box geometry: a box is measured
+        # the first time any of them pushes it and read from the cache after
+        # that, and each search returns what it returns on uncached geometry
         measured, searches = [], []
         geometry, search = bounds._box_geometry, bounds._sup_over_splits
 
@@ -1144,9 +1159,15 @@ class TestRefinement:
             measured.append((lo, hi))
             return geometry(lo, hi, b_omega)
 
-        def spied_search(f, *args):
-            result = search(f, *args)
-            searches.append((f, args, result))
+        def spied_search(f, dim, max_splits, shared):
+            pushed = []
+
+            def spied(lo, hi):
+                pushed.append((lo, hi))
+                return shared(lo, hi)
+
+            result = search(f, dim, max_splits, spied)
+            searches.append((f, dim, max_splits, shared, pushed, result))
             return result
 
         monkeypatch.setattr(bounds, "_box_geometry", spied_geometry)
@@ -1163,16 +1184,16 @@ class TestRefinement:
             )
             boxes = list(measured)
             assert len(searches) == 4
-            table = searches[0][1][-1]
-            assert all(args[-1] is table for _, args, _ in searches)
-            own_tables = []
-            for f, (*args, _), result in searches:
-                own_tables.append({})
-                assert search(f, *args, own_tables[-1]) == result
-            pushed = set().union(*own_tables)
+            shared = searches[0][3]
+            assert all(s[3] is shared for s in searches)
+            pushed = set()
+            for f, dim, max_splits, _, own, result in searches:
+                assert len(own) == len(set(own))
+                pushed.update(own)
+                assert search(f, dim, max_splits, partial(geometry, b_omega=1.5)) == result
             assert len(boxes) == len(set(boxes)) == len(pushed)
-            assert set(boxes) == pushed == set(table)
-            assert sum(map(len, own_tables)) > len(pushed)
+            assert set(boxes) == pushed
+            assert sum(len(s[4]) for s in searches) > len(pushed)
 
     def test_more_effort_never_loosens_the_bound(self):
         rng = np.random.default_rng(6)

@@ -1056,6 +1056,8 @@ def edited(command: str, section: str, **changes) -> dict:
     return doc
 
 
+MOMENT_ENVELOPES = {"b_v": 0.5, "b_theta": 0.5, "lip_x": 0.5, "p_theta": 1.0}
+
 # command, config, exit code and stderr line of every refusal below
 REFUSALS = {
     "certify-no-norms": ("certify", edited("certify", "bounds", sample_norms=None), 2,
@@ -1133,6 +1135,24 @@ REFUSALS = {
         "code certify",
         {**edited("code certify", "code", moments={"1": 0.5, "2": True}), "loss": {"kind": "pseudo_huber", "delta": 1.0}},
         2, "code.moments: bad entry '2': True",
+    ),
+    # int() reads "02" as 2, so either order would name the second moment twice
+    "code-padded-moment-last": (
+        "code certify",
+        {**edited("code certify", "code", envelopes=MOMENT_ENVELOPES, moments={"1": 1.0, "2": 2.0, "02": 50.0}),
+         "loss": {"kind": "pseudo_huber", "delta": 1.0}},
+        2, "code.moments: bad entry '02': 50.0",
+    ),
+    "code-padded-moment-first": (
+        "code certify",
+        {**edited("code certify", "code", envelopes=MOMENT_ENVELOPES, moments={"1": 1.0, "02": 50.0, "2": 2.0}),
+         "loss": {"kind": "pseudo_huber", "delta": 1.0}},
+        2, "code.moments: bad entry '02': 50.0",
+    ),
+    "code-underscored-moment": (
+        "code certify",
+        {**edited("code certify", "code", moments={"1": 1.0, "2_0": 2.0}), "loss": {"kind": "pseudo_huber", "delta": 1.0}},
+        2, "code.moments: bad entry '2_0': 2.0",
     ),
     "code-string-norm": (
         "code certify",

@@ -1,5 +1,6 @@
 """Controlled-ODE solver, variation equations, and growth certificates."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -79,6 +80,26 @@ class TestControl:
                 density_breaks=(0.0, 1.0),
                 density_values=(1.0,),
             )
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"t_final": 0.0}, "t_final must be a positive finite real"),
+            ({"t_final": math.inf}, "t_final must be a positive finite real"),
+            ({"t_final": 1.0, "jumps": ((0.5, math.nan),)}, "jump sizes must be finite"),
+            ({"t_final": 1.0, "density_breaks": (0.0, 1.0), "density_values": (1.0, 2.0)},
+             "need one more break than density value"),
+            ({"t_final": 1.0, "density_breaks": (0.0, 0.5, 0.5, 1.0), "density_values": (1.0,) * 3},
+             "density breaks must be strictly increasing"),
+            ({"t_final": 1.0, "density_breaks": (0.0, 1.0), "density_values": (math.inf,)},
+             "density values must be finite"),
+        ],
+        ids=["zero_horizon", "infinite_horizon", "nan_jump", "break_count", "repeated_break",
+             "infinite_density"],
+    )
+    def test_malformed_control_is_refused(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            Control(**kwargs)
 
 
 class TestEulerAccuracy:
@@ -189,6 +210,25 @@ class TestBatchedEngine:
             finals[calm], solve_code_batch(field, MIXED, thetas[calm], xs[calm], 16)
         )
 
+    def test_rows_all_overflowing_at_one_jump_stop_the_engine(self):
+        # the jump at 0.5 leaves no row stepping, so the density after it
+        # never runs and the path ends at the jump
+        field = linear_scalar_field()
+        control = Control(
+            t_final=1.0, jumps=((0.5, 1e300),), density_breaks=(0.0, 1.0), density_values=(1.0,)
+        )
+        thetas = np.array([[1e10], [-1e20], [3e9]])
+        xs = np.array([[2.0], [1.0], [-5.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            finals = solve_code_batch(field, control, thetas, xs, 4)
+            trajs = [solve_code(field, control, th, x, 4) for th, x in zip(thetas, xs)]
+        for final, traj in zip(finals, trajs):
+            assert traj.aborted
+            np.testing.assert_array_equal(final, traj.final_state)
+            assert traj.times[-1] == 0.5
+            assert np.isfinite(traj.states[:-1]).all()
+        assert not np.isfinite(finals).any()
+
     @pytest.mark.parametrize("order", [1, 2])
     def test_smooth_field_variations(self, rng, order):
         fields = [random_smooth_field(rng, 3, 2), random_smooth_field(rng, 3, 2)]
@@ -216,6 +256,45 @@ class TestBatchedEngine:
             traj = solve_first_variation(field, control, thetas[k], xs[k], 2)
             np.testing.assert_array_equal(final_x[k], traj.final_state)
             np.testing.assert_array_equal(final_d[k], traj.final_first_variation)
+
+
+class TestEngineRefusals:
+    """Mismatched fields and controls, and solves the fields cannot support."""
+
+    FIELD = linear_scalar_field()
+
+    @pytest.mark.parametrize(
+        "fields, controls, message",
+        [
+            ([FIELD, FIELD], [UNIT_DENSITY], "need exactly one control per field"),
+            ([], [], "need at least one field"),
+            ([FIELD, FIELD], [UNIT_DENSITY, Control.constant_density(1.0, t_final=2.0)],
+             "all controls must share the same horizon"),
+            ([FIELD, VectorFieldSpec(dim_state=2, dim_theta=1, evaluate=lambda th, t, x: x)],
+             [UNIT_DENSITY, UNIT_DENSITY], "all fields must share state and parameter dimensions"),
+        ],
+        ids=["control_count", "no_field", "horizons", "dimensions"],
+    )
+    def test_mismatched_fields_and_controls(self, fields, controls, message):
+        with pytest.raises(ValueError, match=message):
+            solve_code_batch(fields, controls, np.ones((2, 1)), np.ones((2, 1)), 4)
+
+    def test_no_substep_is_refused(self):
+        with pytest.raises(ValueError, match="n_substeps must be >= 1"):
+            solve_code(self.FIELD, UNIT_DENSITY, np.ones(1), np.ones(1), 0)
+
+    @pytest.mark.parametrize(
+        "missing, solve, message",
+        [
+            ("jacobian_x", solve_first_variation, "first variation needs jacobian_x and jacobian_theta"),
+            ("jacobian_theta", solve_second_variation, "first variation needs"),
+            ("d2_x_x", solve_second_variation, "second variation needs all second-derivative"),
+        ],
+    )
+    def test_variation_without_its_derivatives_is_refused(self, missing, solve, message):
+        field = dataclasses.replace(self.FIELD, **{missing: None})
+        with pytest.raises(ValueError, match=message):
+            solve(field, UNIT_DENSITY, np.ones(1), np.ones(1), 4)
 
 
 class TestVariationEquations:

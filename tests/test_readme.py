@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from lipcert.empirical import _CHUNK_BYTES
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -35,3 +37,8 @@ def test_library_quick_start_runs():
     assert cert.b_x == pytest.approx(2 * e, rel=1e-12)
     assert cert.l_x == pytest.approx((1 + 2 * e) * e, rel=1e-12)
     assert names["finals"].shape == (101, 1)
+
+
+def test_chunk_size_matches_the_sampler():
+    sizes = re.findall(r"(\d+)\s+MiB", README.read_text(encoding="utf-8"))
+    assert sizes and all(int(n) << 20 == _CHUNK_BYTES for n in sizes)
