@@ -112,7 +112,9 @@ def _ratio(cert: float, emp: float) -> float:
 
 
 def _config_id(cfg: dict) -> str:
-    return get(cfg, "name", str, default=config_digest(cfg))
+    """The config's name, or its digest when it has none."""
+    name = get(cfg, "name", str, default=None)
+    return config_digest(cfg) if name is None else name
 
 
 def _write_reports(

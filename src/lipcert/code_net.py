@@ -276,17 +276,21 @@ def _increments(
     thetas: np.ndarray,
     ys: list[np.ndarray],
 ) -> list[np.ndarray]:
-    """Weighted field contributions at the current left-limit rows, one per entry of ys."""
+    """Weighted field contributions at the current left-limit rows, one per entry of ys.
+
+    At least one weight is nonzero.  The first contributing field's terms
+    are the increment and later fields add to it.
+    """
     xs = ys[0]
-    incs = [np.zeros(y.shape) for y in ys]
+    incs = None
     for f, w in zip(fields, weights):
         if w == 0.0:
             continue
-        incs[0] += w * f.evaluate(thetas, t, xs)
+        terms = [w * f.evaluate(thetas, t, xs)]
         if len(ys) > 1:
             dX = ys[1]
             jx = f.jacobian_x(thetas, t, xs)
-            incs[1] += w * (f.jacobian_theta(thetas, t, xs) + jx @ dX)
+            terms.append(w * (f.jacobian_theta(thetas, t, xs) + jx @ dX))
             if len(ys) > 2:
                 term = (
                     f.d2_theta_theta(thetas, t, xs)
@@ -295,7 +299,8 @@ def _increments(
                     + np.einsum("kabc,kbp,kcq->kapq", f.d2_x_x(thetas, t, xs), dX, dX)
                     + np.einsum("kab,kbpq->kapq", jx, ys[2])
                 )
-                incs[2] += w * term
+                terms.append(w * term)
+        incs = terms if incs is None else [inc + term for inc, term in zip(incs, terms)]
     return incs
 
 
@@ -318,6 +323,13 @@ def _integrate(
     list, each recorded point (the start, every substep, every flat segment
     end and every jump) is appended as (t, copies of the solution list) for
     the rows still stepping.
+
+    With no path, a density segment first runs its substeps unchecked and
+    checks the states once at its end.  A segment that left a row
+    non-finite, or raised a floating-point error that the caller's errstate
+    does not ignore, is stepped again from its start with the check after
+    every substep, so rows freeze and errors surface exactly where they
+    would have.  Jumps are always checked at once.
     """
     if n_substeps < 1:
         raise ValueError("n_substeps must be >= 1")
@@ -341,10 +353,11 @@ def _integrate(
     finals = [np.empty(y.shape) for y in ys]
     live = np.arange(k)
     frozen = np.zeros(k, dtype=bool)
+    # an unchecked pass ignores what the caller ignores and notes the rest
+    held = {kind: "ignore" if mode == "ignore" else "call" for kind, mode in np.geterr().items()}
 
     def record(t: float) -> None:
-        if path is not None:
-            path.append((t, [y.copy() for y in ys]))
+        path.append((t, [y.copy() for y in ys]))
 
     def settle(rows: np.ndarray) -> None:
         """Write the given (batch-local) rows to the finals."""
@@ -356,7 +369,8 @@ def _integrate(
         nonlocal thetas, ys, live
         for y, inc in zip(ys, _increments(fields, t, weights, thetas, ys)):
             y += inc
-        record(t_after)
+        if path is not None:
+            record(t_after)
         # one reduction in the common case; the row mask only after an overflow
         if not np.isfinite(ys[0]).all():
             ok = np.isfinite(ys[0]).all(axis=1)
@@ -366,16 +380,32 @@ def _integrate(
             ys = [y[ok] for y in ys]
         return live.size > 0
 
-    record(0.0)
+    def segment(a: float, dt: float, weights: Sequence[float]) -> bool:
+        """The n_substeps Euler steps from a; False once no row is left stepping."""
+        nonlocal ys
+        if path is None:
+            start = [y.copy() for y in ys]
+            noted = []
+            with np.errstate(call=lambda kind, flag: noted.append(kind), **held):
+                for j in range(n_substeps):
+                    for y, inc in zip(ys, _increments(fields, a + j * dt, weights, thetas, ys)):
+                        y += inc
+            # a non-finite entry stays non-finite, so the end shows every overflow
+            if not noted and np.isfinite(ys[0]).all():
+                return True
+            ys = start
+        return all(step(a + j * dt, weights, a + (j + 1) * dt) for j in range(n_substeps))
+
+    if path is not None:
+        record(0.0)
     grid = _event_grid(controls)
     for a, b_t in zip(grid, grid[1:]):
         densities = [c.density_at(a) for c in controls]
         if any(d != 0.0 for d in densities):
             dt = (b_t - a) / n_substeps
-            weights = [d * dt for d in densities]
-            if not all(step(a + j * dt, weights, a + (j + 1) * dt) for j in range(n_substeps)):
+            if not segment(a, dt, [d * dt for d in densities]):
                 break
-        else:
+        elif path is not None:
             record(b_t)
         jump_w = [c.jump_sizes().get(b_t, 0.0) for c in controls]
         if any(w != 0.0 for w in jump_w) and not step(b_t, jump_w, b_t):
@@ -848,32 +878,36 @@ def dnn_as_code(arch: ArchitectureSpec) -> tuple[VectorFieldSpec, Control]:
         return min(m + 1, max(1, int(math.ceil(t))))
 
     def pieces(thetas: np.ndarray, t: float, xs: np.ndarray):
+        """Layer index, weights, layer input, pre-activation and activation (None at the output)."""
         i = layer_index(t)
         w_sl, b_sl = arch.layer_slices[i - 1]
         out_w, in_w = arch.widths[i], arch.widths[i - 1]
         w = thetas[:, w_sl].reshape(-1, out_w, in_w)
         xi = xs[:, :in_w]
         pre = np.matmul(w, xi[:, :, None])[:, :, 0] + thetas[:, b_sl]
-        if i <= m:
-            act = arch.activations[i - 1]
-            return i, w, xi, act(pre), act.deriv(pre)
-        return i, w, xi, pre, np.ones(pre.shape)
+        return i, w, xi, pre, arch.activations[i - 1] if i <= m else None
+
+    def slopes(thetas: np.ndarray, t: float, xs: np.ndarray):
+        """Layer index, weights, layer input and the activation's slope at the pre-activation."""
+        i, w, xi, pre, act = pieces(thetas, t, xs)
+        return i, w, xi, np.ones(pre.shape) if act is None else act.deriv(pre)
 
     def val(thetas, t, xs):
-        _, _, _, post, _ = pieces(thetas, t, xs)
+        _, _, _, pre, act = pieces(thetas, t, xs)
+        post = pre if act is None else act(pre)
         v = -np.asarray(xs, dtype=float)
         v[:, : post.shape[1]] += post
         return v
 
     def jx(thetas, t, xs):
-        i, w, _, _, d1 = pieces(thetas, t, xs)
+        i, w, _, d1 = slopes(thetas, t, xs)
         out_w, in_w = arch.widths[i], arch.widths[i - 1]
         j = np.tile(-np.eye(lmax), (len(thetas), 1, 1))
         j[:, :out_w, :in_w] += d1[:, :, None] * w
         return j
 
     def jt(thetas, t, xs):
-        i, _, xi, _, d1 = pieces(thetas, t, xs)
+        i, _, xi, d1 = slopes(thetas, t, xs)
         w_sl, b_sl = arch.layer_slices[i - 1]
         out_w, in_w = arch.widths[i], arch.widths[i - 1]
         cols = np.arange(n)

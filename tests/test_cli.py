@@ -2150,6 +2150,31 @@ class TestCodeCommands:
         for row in lines[1:]:
             assert float(row.split(",")[2]) <= 1e-12
 
+    # sha256 of every report and of the printed table of the shipped ODE
+    # configs, pinned byte for byte
+    SHIPPED_CODE_PINS = {
+        "code_verify": (["code", "verify"], "code_linear.json", {
+            "code_soundness.csv": "2fe78f0d2381f436f71fab28aca6a1eb831c1957ac96f59814e2b397f62c7032",
+            "run_meta.json": "4364f90515730529ca6a06ccb6b6d7c69604b0803f8467c3fb1d761f97cd32f2",
+            "stdout": "c89126d56c78dd8325bcf06f96e8cfb92d23c01a4e1ca4628a9dd016aebff683",
+        }),
+        "code_equivalence": (["code", "equivalence"], "code_equivalence.json", {
+            "equivalence.csv": "dd4dff1e9e65dc45003051e00f10404f127735b29dc775c964635735bb783c1a",
+            "run_meta.json": "7b0755e07bd8d26ac417e92b81062fd398c3d0d6973f4e191f966dea8605e6a1",
+            "stdout": "895596822a4803f2eb8cd8299379a4913fc527650f933c66cd471000aae8406d",
+        }),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_CODE_PINS))
+    def test_shipped_code_reports_are_pinned(self, tmp_path, capsys, name):
+        argv, config, digests = self.SHIPPED_CODE_PINS[name]
+        config = Path(__file__).parents[1] / "configs" / config
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--config", str(config), "--out", str(out)]) == 0
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        got["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert got == digests
+
     def test_code_reruns_are_byte_identical(self, tmp_path):
         cfg = write_cfg(
             tmp_path,

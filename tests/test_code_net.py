@@ -30,6 +30,7 @@ from lipcert import (
     total_variation,
     verify_envelopes,
 )
+from lipcert.activations import Activation
 from lipcert.bounds import LossEnvelope
 from lipcert.code_net import _integrate
 
@@ -229,6 +230,73 @@ class TestBatchedEngine:
             assert np.isfinite(traj.states[:-1]).all()
         assert not np.isfinite(finals).any()
 
+    def test_overflow_mid_segment_restores_the_variations(self):
+        # the -1e200 row turns +inf at the second of 16 substeps of the first
+        # density segment and NaN one substep later: the unchecked pass runs
+        # on to NaN, and the frozen row must hold the first non-finite state
+        # and the variation next to it
+        field = linear_scalar_field()
+        thetas = np.array([[0.5], [-1e200], [-0.3], [0.9]])
+        xs = np.ones((4, 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            (final_x, final_d), frozen = _integrate([field], [MIXED], thetas, xs, 16, 1)
+            trajs = [solve_first_variation(field, MIXED, th, x, 16) for th, x in zip(thetas, xs)]
+        assert frozen.tolist() == [t.aborted for t in trajs] == [False, True, False, False]
+        for k, traj in enumerate(trajs):
+            np.testing.assert_array_equal(final_x[k], traj.final_state)
+            np.testing.assert_array_equal(final_d[k], traj.final_first_variation)
+        assert final_x[1, 0] == math.inf
+
+    # a tiny then a unit density: the 1e200 row overflows at the second
+    # substep of the second segment only
+    TWO_SEGMENTS = Control(
+        t_final=2.0, density_breaks=(0.0, 1.0, 2.0), density_values=(1e-200, 1.0)
+    )
+
+    def test_only_the_overflowing_segment_is_stepped_twice(self):
+        field = linear_scalar_field()
+        times = []
+
+        def evaluate(thetas, t, xs):
+            times.append(t)
+            return field.evaluate(thetas, t, xs)
+
+        counting = dataclasses.replace(field, evaluate=evaluate)
+        thetas = np.array([[0.5], [1e200]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            finals = solve_code_batch(counting, self.TWO_SEGMENTS, thetas, np.ones((2, 1)), 4)
+            trajs = [solve_code(field, self.TWO_SEGMENTS, th, np.ones(1), 4) for th in thetas]
+        assert sum(t < 1.0 for t in times) == 4
+        assert sum(t >= 1.0 for t in times) == 8
+        for final, traj in zip(finals, trajs):
+            np.testing.assert_array_equal(final, traj.final_state)
+        assert [t.aborted for t in trajs] == [False, True]
+
+    @pytest.mark.parametrize(
+        "field, theta",
+        [
+            (linear_scalar_field(), 1e200),
+            # the state stays finite; only exp overflows along the way
+            (VectorFieldSpec(
+                dim_state=1, dim_theta=1, evaluate=lambda th, t, x: th * np.tanh(np.exp(1e3 * x))
+            ), 1.0),
+        ],
+        ids=["overflowing_state", "overflow_inside_the_field"],
+    )
+    def test_floating_point_errors_reach_the_caller(self, field, theta):
+        thetas = np.array([[0.5], [theta]])
+        xs = np.ones((2, 1))
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            solve_code_batch(field, self.TWO_SEGMENTS, thetas, xs, 4)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            solve_code_batch(field, self.TWO_SEGMENTS, thetas, xs, 4)
+        # what the caller ignores passes silently, and the rows still match
+        with np.errstate(over="ignore", invalid="ignore"):
+            finals = solve_code_batch(field, self.TWO_SEGMENTS, thetas, xs, 4)
+            trajs = [solve_code(field, self.TWO_SEGMENTS, th, x, 4) for th, x in zip(thetas, xs)]
+        for final, traj in zip(finals, trajs):
+            np.testing.assert_array_equal(final, traj.final_state)
+
     @pytest.mark.parametrize("order", [1, 2])
     def test_smooth_field_variations(self, rng, order):
         fields = [random_smooth_field(rng, 3, 2), random_smooth_field(rng, 3, 2)]
@@ -391,6 +459,20 @@ class TestDnnEmbedding:
         np.testing.assert_allclose(
             traj.final_first_variation[: arch.widths[-1]], jac, atol=1e-13
         )
+
+    def test_state_solve_takes_no_activation_derivative(self, monkeypatch):
+        arch = ArchitectureSpec(widths=(2, 3, 3, 1), activations=(tanh(), sigmoid()))
+        theta = flatten_params(init_params(arch, b_omega=1.0, seed=4))
+        x0 = embed_input(arch, np.array([0.6, -0.4]))
+        field, control = dnn_as_code(arch)
+        kinds = []
+        deriv = Activation.deriv
+        monkeypatch.setattr(Activation, "deriv", lambda act, z: kinds.append(act.kind) or deriv(act, z))
+        solve_code(field, control, theta, x0, 1)
+        assert kinds == []
+        # the Jacobians of the first variation still take it, once each per hidden layer
+        solve_first_variation(field, control, theta, x0, 1)
+        assert kinds == ["tanh", "tanh", "sigmoid", "sigmoid"]
 
 
 class TestGrowthCertificates:
