@@ -278,8 +278,9 @@ def _increments(
 ) -> list[np.ndarray]:
     """Weighted field contributions at the current left-limit rows, one per entry of ys.
 
-    At least one weight is nonzero.  The first contributing field's terms
-    are the increment and later fields add to it.
+    The first contributing field's terms are the increment and later fields
+    add to it; with no contributing field (every weight zero, which a tiny
+    density times dt can give) the increment is zero.
     """
     xs = ys[0]
     incs = None
@@ -301,7 +302,7 @@ def _increments(
                 )
                 terms.append(w * term)
         incs = terms if incs is None else [inc + term for inc, term in zip(incs, terms)]
-    return incs
+    return [np.zeros(y.shape) for y in ys] if incs is None else incs
 
 
 def _integrate(
@@ -326,7 +327,7 @@ def _integrate(
 
     With no path, a density segment first runs its substeps unchecked and
     checks the states once at its end.  A segment that left a row
-    non-finite, or raised a floating-point error that the caller's errstate
+    non-finite, or met a floating-point error that the caller's errstate
     does not ignore, is stepped again from its start with the check after
     every substep, so rows freeze and errors surface exactly where they
     would have.  Jumps are always checked at once.
@@ -353,8 +354,8 @@ def _integrate(
     finals = [np.empty(y.shape) for y in ys]
     live = np.arange(k)
     frozen = np.zeros(k, dtype=bool)
-    # an unchecked pass ignores what the caller ignores and notes the rest
-    held = {kind: "ignore" if mode == "ignore" else "call" for kind, mode in np.geterr().items()}
+    # an unchecked pass ignores what the caller ignores and stops at the rest
+    held = {kind: "ignore" if mode == "ignore" else "raise" for kind, mode in np.geterr().items()}
 
     def record(t: float) -> None:
         path.append((t, [y.copy() for y in ys]))
@@ -364,11 +365,14 @@ def _integrate(
         for final, y in zip(finals, ys):
             final[live[rows]] = y[rows]
 
+    def advance(t: float, weights: Sequence[float]) -> None:
+        for y, inc in zip(ys, _increments(fields, t, weights, thetas, ys)):
+            y += inc
+
     def step(t: float, weights: Sequence[float], t_after: float) -> bool:
         """One Euler or jump update; False once no row is left stepping."""
         nonlocal thetas, ys, live
-        for y, inc in zip(ys, _increments(fields, t, weights, thetas, ys)):
-            y += inc
+        advance(t, weights)
         if path is not None:
             record(t_after)
         # one reduction in the common case; the row mask only after an overflow
@@ -385,14 +389,15 @@ def _integrate(
         nonlocal ys
         if path is None:
             start = [y.copy() for y in ys]
-            noted = []
-            with np.errstate(call=lambda kind, flag: noted.append(kind), **held):
-                for j in range(n_substeps):
-                    for y, inc in zip(ys, _increments(fields, a + j * dt, weights, thetas, ys)):
-                        y += inc
-            # a non-finite entry stays non-finite, so the end shows every overflow
-            if not noted and np.isfinite(ys[0]).all():
-                return True
+            try:
+                with np.errstate(**held):
+                    for j in range(n_substeps):
+                        advance(a + j * dt, weights)
+                # a non-finite entry stays non-finite, so the end shows every overflow
+                if np.isfinite(ys[0]).all():
+                    return True
+            except FloatingPointError:
+                pass
             ys = start
         return all(step(a + j * dt, weights, a + (j + 1) * dt) for j in range(n_substeps))
 

@@ -247,6 +247,18 @@ class TestBatchedEngine:
             np.testing.assert_array_equal(final_d[k], traj.final_first_variation)
         assert final_x[1, 0] == math.inf
 
+    def test_underflowing_weights_leave_the_states_alone(self):
+        # 5e-324 * dt rounds to 0.0, so no field contributes to any substep
+        field = linear_scalar_field()
+        control = Control.constant_density(5e-324, 1.0)
+        thetas = np.array([[0.5], [-2.0]])
+        xs = np.array([[1.0], [-3.0]])
+        np.testing.assert_array_equal(solve_code_batch(field, control, thetas, xs, 4), xs)
+        for theta, x in zip(thetas, xs):
+            traj = solve_code(field, control, theta, x, 4)
+            np.testing.assert_array_equal(traj.states, np.tile(x, (5, 1)))
+            assert not traj.aborted
+
     # a tiny then a unit density: the 1e200 row overflows at the second
     # substep of the second segment only
     TWO_SEGMENTS = Control(
